@@ -190,9 +190,20 @@ impl HistogramSnapshot {
         Some(self.max)
     }
 
-    /// Mean of the recorded values, `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
+    /// The shared percentile readout: nearest-rank p50/p90/p99 (each
+    /// clamped to the exact max) and the max, passed through `to_ms` from
+    /// the recorded unit to milliseconds. The mean is `to_ms(sum) / count`.
+    /// `None` when empty.
+    pub fn summary_ms(&self, to_ms: impl Fn(u64) -> f64) -> Option<LatencySummary> {
+        let pct = |q: f64| self.quantile(q).map(&to_ms);
+        Some(LatencySummary {
+            count: self.count,
+            mean_ms: to_ms(self.sum) / self.count as f64,
+            p50_ms: pct(0.50)?,
+            p90_ms: pct(0.90)?,
+            p99_ms: pct(0.99)?,
+            max_ms: to_ms(self.max),
+        })
     }
 
     /// Non-empty buckets as `(upper_bound_inclusive, count)` pairs in
@@ -231,7 +242,7 @@ pub struct LatencySummary {
     pub p90_ms: f64,
     /// p99, milliseconds.
     pub p99_ms: f64,
-    /// Exact maximum (at microsecond resolution), milliseconds.
+    /// Exact maximum (at the recorded unit's resolution), milliseconds.
     pub max_ms: f64,
 }
 
@@ -240,22 +251,14 @@ pub struct LatencySummary {
 /// replay harnesses use so their percentiles agree with the serve
 /// layer's `/v1/metrics` and `/metrics` numbers.
 pub fn summarize_ms(samples: &[f64]) -> Option<LatencySummary> {
-    if samples.is_empty() {
-        return None;
-    }
     let hist = Histogram::new();
     for &ms in samples {
         hist.record((ms * 1e3).max(0.0) as u64);
     }
-    let snap = hist.snapshot();
-    let pct = |q: f64| snap.quantile(q).unwrap_or(snap.max) as f64 / 1e3;
+    let summary = hist.snapshot().summary_ms(|us| us as f64 / 1e3)?;
     Some(LatencySummary {
-        count: snap.count,
         mean_ms: samples.iter().sum::<f64>() / samples.len() as f64,
-        p50_ms: pct(0.50),
-        p90_ms: pct(0.90),
-        p99_ms: pct(0.99),
-        max_ms: snap.max as f64 / 1e3,
+        ..summary
     })
 }
 
@@ -347,7 +350,7 @@ mod tests {
     fn empty_histogram_has_no_quantiles() {
         let h = Histogram::new();
         assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.snapshot().mean(), None);
+        assert_eq!(h.snapshot().summary_ms(|v| v as f64), None);
         assert!(h.snapshot().nonzero_buckets().is_empty());
     }
 }

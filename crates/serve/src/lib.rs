@@ -63,9 +63,9 @@
 //! header) and retained in a bounded ring served from `GET /v1/trace`
 //! (the slowest traces are sticky). Traced requests bypass coalescing so
 //! the spans describe a real underlying solve. Latency accounting uses
-//! log-bucketed histograms ([`metrics::LatencyRecorder`]) exposed both as
-//! JSON summaries on `/v1/metrics` and as Prometheus `_bucket` series on
-//! `GET /metrics`.
+//! log-bucketed histograms ([`metrics::LatencyRecorder`]). Every metric is
+//! declared once, in the [`metrics`] table, which renders `/v1/metrics`,
+//! `/v1/sessions` and `GET /metrics` alike.
 //!
 //! JSON schemas are documented in `docs/serving.md`; the request/report
 //! wire format lives in `faircap_core::wire` so rulesets served over HTTP
@@ -90,9 +90,9 @@ pub use reactor::PollerKind;
 use coalesce::{Attach, Coalescer};
 use faircap_core::wire::{solution_report_to_json, solve_request_from_json};
 use faircap_core::{Error, Json, RegisteredSession, SessionRegistry};
-use faircap_obs::{FinishedTrace, HistogramSnapshot, PromText, Trace, TraceRing};
+use faircap_obs::{FinishedTrace, Trace, TraceRing};
 use http::{ParseError, Request, Response};
-use metrics::{ConnGauges, LatencyRecorder, ServerMetrics};
+use metrics::{ConnGauges, ServerMetrics};
 use pool::{SubmitError, WorkerPool};
 use reactor::{
     App, Completion, Completions, Dispatch, ReactorHandle, ReactorOptions, ReactorPhase,
@@ -473,10 +473,16 @@ impl App for Inner {
                     ),
                 ]),
             )),
-            ("GET", "/v1/sessions") => Dispatch::Immediate(sessions_response(self)),
-            ("GET", "/v1/metrics") => Dispatch::Immediate(metrics_response(self)),
+            ("GET", "/v1/sessions") => {
+                Dispatch::Immediate(Response::json(200, &metrics::sessions_json(self)))
+            }
+            ("GET", "/v1/metrics") => {
+                Dispatch::Immediate(Response::json(200, &metrics::metrics_json(self)))
+            }
             ("GET", "/v1/trace") => Dispatch::Immediate(trace_response(self, query)),
-            ("GET", "/metrics") => Dispatch::Immediate(prometheus_response(self)),
+            ("GET", "/metrics") => {
+                Dispatch::Immediate(Response::prometheus(200, metrics::prometheus_text(self)))
+            }
             ("POST", "/v1/snapshot") => Dispatch::Immediate(snapshot_response(self, request)),
             ("POST", "/v1/shutdown") => {
                 request_shutdown(self);
@@ -613,308 +619,6 @@ fn snapshot_response(inner: &Inner, request: &Request) -> Response {
     )
 }
 
-fn cache_stats_json(hits: u64, misses: u64, entries: usize, evictions: u64) -> Json {
-    Json::Obj(vec![
-        ("hits".into(), Json::Num(hits as f64)),
-        ("misses".into(), Json::Num(misses as f64)),
-        ("entries".into(), Json::Num(entries as f64)),
-        ("evictions".into(), Json::Num(evictions as f64)),
-    ])
-}
-
-fn session_json(entry: &RegisteredSession) -> Json {
-    let session = entry.session();
-    let stats = session.cache_stats();
-    let grouping = session.grouping_cache_stats();
-    let interventions = session.intervention_cache_stats();
-    let solve_hot = session.solve_hot_stats();
-    let hot = session.engine().hot_stats();
-    let match_index = session.engine().match_index_cache_stats();
-    let by_estimator: Vec<(String, Json)> = session
-        .cache_stats_by_estimator()
-        .into_iter()
-        .map(|(name, s)| {
-            (
-                name,
-                cache_stats_json(s.hits, s.misses, s.entries, s.evictions),
-            )
-        })
-        .collect();
-    Json::Obj(vec![
-        ("name".into(), Json::Str(entry.name().to_owned())),
-        ("rows".into(), Json::Num(session.df().n_rows() as f64)),
-        ("outcome".into(), Json::Str(session.outcome().to_owned())),
-        ("solves_ok".into(), Json::Num(entry.solves_ok() as f64)),
-        ("solves_err".into(), Json::Num(entry.solves_err() as f64)),
-        (
-            "solves_coalesced".into(),
-            Json::Num(entry.solves_coalesced() as f64),
-        ),
-        // Warm-boot provenance: which snapshot the session restored from
-        // and how long the restore took; `null` for a cold boot.
-        (
-            "warm_boot".into(),
-            entry
-                .warm_boot()
-                .map(|w| {
-                    Json::Obj(vec![
-                        ("snapshot_path".into(), Json::Str(w.snapshot_path)),
-                        ("restore_ms".into(), Json::Num(w.restore_ms)),
-                    ])
-                })
-                .unwrap_or(Json::Null),
-        ),
-        (
-            "estimate_cache".into(),
-            cache_stats_json(stats.hits, stats.misses, stats.entries, stats.evictions),
-        ),
-        (
-            "estimate_cache_by_estimator".into(),
-            Json::Obj(by_estimator),
-        ),
-        (
-            "grouping_cache".into(),
-            cache_stats_json(
-                grouping.hits,
-                grouping.misses,
-                grouping.entries,
-                grouping.evictions,
-            ),
-        ),
-        (
-            "intervention_cache".into(),
-            cache_stats_json(
-                interventions.hits,
-                interventions.misses,
-                interventions.entries,
-                interventions.evictions,
-            ),
-        ),
-        (
-            "match_index_cache".into(),
-            cache_stats_json(
-                match_index.hits,
-                match_index.misses,
-                match_index.entries,
-                match_index.evictions,
-            ),
-        ),
-        // Solve-path cost accounting aggregated over every solve on the
-        // session: per-step milliseconds, mining candidate pipeline, and
-        // greedy heap activity.
-        (
-            "solve_stats".into(),
-            Json::Obj(vec![
-                ("solves".into(), Json::Num(solve_hot.solves as f64)),
-                ("mine_ms".into(), Json::Num(solve_hot.mine_ns as f64 / 1e6)),
-                (
-                    "intervene_ms".into(),
-                    Json::Num(solve_hot.intervene_ns as f64 / 1e6),
-                ),
-                (
-                    "select_ms".into(),
-                    Json::Num(solve_hot.select_ns as f64 / 1e6),
-                ),
-                ("candidates".into(), Json::Num(solve_hot.candidates as f64)),
-                ("pruned".into(), Json::Num(solve_hot.pruned as f64)),
-                ("evaluated".into(), Json::Num(solve_hot.evaluated as f64)),
-                (
-                    "greedy_evaluations".into(),
-                    Json::Num(solve_hot.greedy_evaluations as f64),
-                ),
-                (
-                    "greedy_reevaluations".into(),
-                    Json::Num(solve_hot.greedy_reevaluations as f64),
-                ),
-            ]),
-        ),
-        // Hot-path cost accounting aggregated over every estimation run:
-        // per-stage milliseconds (design build / index construction /
-        // solve), executor task units, and KD-tree node visits.
-        (
-            "estimate_timing".into(),
-            Json::Obj(vec![
-                ("estimates".into(), Json::Num(hot.estimates as f64)),
-                (
-                    "build_ms".into(),
-                    Json::Num(hot.stats.build_ns as f64 / 1e6),
-                ),
-                (
-                    "index_ms".into(),
-                    Json::Num(hot.stats.index_ns as f64 / 1e6),
-                ),
-                (
-                    "solve_ms".into(),
-                    Json::Num(hot.stats.solve_ns as f64 / 1e6),
-                ),
-                ("tasks".into(), Json::Num(hot.stats.tasks as f64)),
-                (
-                    "tree_visits".into(),
-                    Json::Num(hot.stats.tree_visits as f64),
-                ),
-            ]),
-        ),
-        (
-            "exec".into(),
-            entry
-                .last_exec()
-                .map(|e| faircap_core::wire::exec_stats_to_json(&e))
-                .unwrap_or(Json::Null),
-        ),
-    ])
-}
-
-fn sessions_response(inner: &Inner) -> Response {
-    let sessions: Vec<Json> = inner
-        .registry
-        .entries()
-        .iter()
-        .map(|e| session_json(e))
-        .collect();
-    Response::json(
-        200,
-        &Json::Obj(vec![("sessions".into(), Json::Arr(sessions))]),
-    )
-}
-
-fn latency_summary_json(recorder: &LatencyRecorder) -> Json {
-    match recorder.summary_ms() {
-        Some((p50, p90, p99, max)) => Json::Obj(vec![
-            ("count".into(), Json::Num(recorder.count() as f64)),
-            ("p50_ms".into(), Json::Num(p50)),
-            ("p90_ms".into(), Json::Num(p90)),
-            ("p99_ms".into(), Json::Num(p99)),
-            ("max_ms".into(), Json::Num(max)),
-        ]),
-        None => Json::Null,
-    }
-}
-
-fn metrics_response(inner: &Inner) -> Response {
-    let m = &inner.metrics;
-    let latency = latency_summary_json(&m.solve_latency);
-    let queue_wait = latency_summary_json(&m.queue_wait);
-    let request_latency = latency_summary_json(&m.request_latency);
-    let admission = Json::Obj(vec![
-        (
-            "max_concurrent_solves".into(),
-            Json::Num(inner.solve_pool.workers() as f64),
-        ),
-        (
-            "solve_queue_limit".into(),
-            Json::Num(inner.solve_pool.queue_cap() as f64),
-        ),
-        (
-            "queue_depth".into(),
-            Json::Num(inner.solve_pool.queue_depth() as f64),
-        ),
-        (
-            "max_queue_depth".into(),
-            Json::Num(inner.solve_pool.max_queue_depth() as f64),
-        ),
-        (
-            "in_flight".into(),
-            Json::Num(inner.solve_pool.in_flight() as f64),
-        ),
-        (
-            "solve_timeout_ms".into(),
-            Json::Num(inner.config.solve_timeout.as_secs_f64() * 1e3),
-        ),
-        (
-            "coalesce_in_flight".into(),
-            Json::Num(inner.coalescer.in_flight() as f64),
-        ),
-    ]);
-    let requests = Json::Obj(vec![
-        (
-            "http_requests".into(),
-            Json::Num(ServerMetrics::read(&m.http_requests) as f64),
-        ),
-        (
-            "http_errors".into(),
-            Json::Num(ServerMetrics::read(&m.http_errors) as f64),
-        ),
-        (
-            "solves_ok".into(),
-            Json::Num(ServerMetrics::read(&m.solves_ok) as f64),
-        ),
-        (
-            "solves_err".into(),
-            Json::Num(ServerMetrics::read(&m.solves_err) as f64),
-        ),
-        (
-            "coalesce_hits".into(),
-            Json::Num(ServerMetrics::read(&m.coalesce_hits) as f64),
-        ),
-        (
-            "rejected_429".into(),
-            Json::Num(ServerMetrics::read(&m.rejected_queue_full) as f64),
-        ),
-        (
-            "rejected_503".into(),
-            Json::Num(ServerMetrics::read(&m.rejected_shutdown) as f64),
-        ),
-        (
-            "timeouts_504".into(),
-            Json::Num(ServerMetrics::read(&m.timeouts) as f64),
-        ),
-    ]);
-    let connections = Json::Obj(vec![
-        ("open".into(), Json::Num(inner.gauges.open() as f64)),
-        (
-            "accepted".into(),
-            Json::Num(ServerMetrics::read(&inner.gauges.accepted) as f64),
-        ),
-        (
-            "closed".into(),
-            Json::Num(ServerMetrics::read(&inner.gauges.closed) as f64),
-        ),
-        (
-            "rejected_over_capacity".into(),
-            Json::Num(ServerMetrics::read(&inner.gauges.rejected_over_capacity) as f64),
-        ),
-        ("poller".into(), Json::Str(inner.poller_name.into())),
-        (
-            "max_connections".into(),
-            Json::Num(inner.config.max_connections as f64),
-        ),
-        (
-            "idle_timeout_ms".into(),
-            Json::Num(inner.config.idle_timeout.as_secs_f64() * 1e3),
-        ),
-    ]);
-    let sessions: Vec<(String, Json)> = inner
-        .registry
-        .entries()
-        .iter()
-        .map(|e| (e.name().to_owned(), session_json(e)))
-        .collect();
-    Response::json(
-        200,
-        &Json::Obj(vec![
-            (
-                "uptime_ms".into(),
-                Json::Num(inner.started.elapsed().as_secs_f64() * 1e3),
-            ),
-            (
-                "uptime_seconds".into(),
-                Json::Num(inner.started.elapsed().as_secs_f64()),
-            ),
-            (
-                "version".into(),
-                Json::Str(env!("CARGO_PKG_VERSION").to_owned()),
-            ),
-            ("requests".into(), requests),
-            ("admission".into(), admission),
-            ("connections".into(), connections),
-            ("solve_latency".into(), latency),
-            ("queue_wait".into(), queue_wait),
-            ("request_latency".into(), request_latency),
-            ("sessions".into(), Json::Obj(sessions)),
-        ]),
-    )
-}
-
 /// Render one finished trace as the wire JSON shared by the embedded
 /// solve-response `trace` field and `GET /v1/trace`.
 fn finished_trace_json(t: &FinishedTrace) -> Json {
@@ -973,438 +677,4 @@ fn trace_response(inner: &Inner, query: Option<&str>) -> Response {
         .map(finished_trace_json)
         .collect();
     Response::json(200, &Json::Obj(vec![("traces".into(), Json::Arr(traces))]))
-}
-
-/// `GET /metrics`: the full server state in Prometheus text format
-/// (version 0.0.4). Every family follows the
-/// `faircap_<subsystem>_<name>_<unit>` scheme checked by
-/// [`faircap_obs::validate_naming`]; the histograms here are the same
-/// [`LatencyRecorder`]s summarized on `/v1/metrics`, so percentiles
-/// derived from the `_bucket` series agree with the JSON summaries.
-fn prometheus_response(inner: &Inner) -> Response {
-    let m = &inner.metrics;
-    let mut pt = PromText::new();
-
-    // Process identity and uptime.
-    pt.family(
-        "faircap_build_info",
-        "gauge",
-        "Build metadata carried in labels; the value is always 1",
-    );
-    pt.sample(
-        "faircap_build_info",
-        &[("version", env!("CARGO_PKG_VERSION"))],
-        1.0,
-    );
-    pt.family(
-        "faircap_serve_uptime_seconds",
-        "gauge",
-        "Seconds since the server started",
-    );
-    pt.sample(
-        "faircap_serve_uptime_seconds",
-        &[],
-        inner.started.elapsed().as_secs_f64(),
-    );
-
-    // Server-wide request and connection counters.
-    for (name, value, help) in [
-        (
-            "faircap_serve_http_requests_total",
-            ServerMetrics::read(&m.http_requests),
-            "HTTP requests accepted and parsed (any endpoint)",
-        ),
-        (
-            "faircap_serve_http_errors_total",
-            ServerMetrics::read(&m.http_errors),
-            "Requests that failed to parse as HTTP",
-        ),
-        (
-            "faircap_serve_solves_ok_total",
-            ServerMetrics::read(&m.solves_ok),
-            "Solve responses delivered with status 200",
-        ),
-        (
-            "faircap_serve_solves_err_total",
-            ServerMetrics::read(&m.solves_err),
-            "Solve responses delivered with an error status",
-        ),
-        (
-            "faircap_serve_coalesce_hits_total",
-            ServerMetrics::read(&m.coalesce_hits),
-            "Requests attached to an identical in-flight solve",
-        ),
-        (
-            "faircap_serve_rejected_queue_full_total",
-            ServerMetrics::read(&m.rejected_queue_full),
-            "Solves shed with 429 because the bounded queue was full",
-        ),
-        (
-            "faircap_serve_rejected_shutdown_total",
-            ServerMetrics::read(&m.rejected_shutdown),
-            "Solves refused with 503 while draining",
-        ),
-        (
-            "faircap_serve_timeouts_total",
-            ServerMetrics::read(&m.timeouts),
-            "Solves that exceeded the per-request timeout (504)",
-        ),
-        (
-            "faircap_serve_connections_accepted_total",
-            ServerMetrics::read(&inner.gauges.accepted),
-            "Connections accepted from the listener",
-        ),
-        (
-            "faircap_serve_connections_closed_total",
-            ServerMetrics::read(&inner.gauges.closed),
-            "Connections fully closed by the reactor",
-        ),
-        (
-            "faircap_serve_connections_rejected_over_capacity_total",
-            ServerMetrics::read(&inner.gauges.rejected_over_capacity),
-            "Connections answered 503 over the open-connection cap",
-        ),
-    ] {
-        pt.family(name, "counter", help);
-        pt.sample(name, &[], value as f64);
-    }
-
-    // Admission and connection gauges.
-    for (name, value, help) in [
-        (
-            "faircap_serve_connections_open",
-            inner.gauges.open() as f64,
-            "Currently open connections",
-        ),
-        (
-            "faircap_serve_queue_depth",
-            inner.solve_pool.queue_depth() as f64,
-            "Admitted solves waiting for a pool worker",
-        ),
-        (
-            "faircap_serve_queue_depth_max",
-            inner.solve_pool.max_queue_depth() as f64,
-            "High-water mark of the solve queue",
-        ),
-        (
-            "faircap_serve_in_flight",
-            inner.solve_pool.in_flight() as f64,
-            "Solves currently running on the pool",
-        ),
-        (
-            "faircap_serve_coalesce_in_flight",
-            inner.coalescer.in_flight() as f64,
-            "Coalesce groups currently in flight",
-        ),
-        (
-            "faircap_serve_max_concurrent_solves",
-            inner.solve_pool.workers() as f64,
-            "Configured solve worker count",
-        ),
-        (
-            "faircap_serve_solve_queue_limit",
-            inner.solve_pool.queue_cap() as f64,
-            "Configured bound on admitted-but-not-started solves",
-        ),
-        (
-            "faircap_serve_max_connections",
-            inner.config.max_connections as f64,
-            "Configured open-connection cap",
-        ),
-    ] {
-        pt.family(name, "gauge", help);
-        pt.sample(name, &[], value);
-    }
-
-    // Latency histograms (microseconds) — the same recorders `/v1/metrics`
-    // summarizes, exposed as cumulative `_bucket` series.
-    for (name, recorder, help) in [
-        (
-            "faircap_serve_solve_latency_us",
-            &m.solve_latency,
-            "End-to-end solve latency, admission to delivery",
-        ),
-        (
-            "faircap_serve_queue_wait_us",
-            &m.queue_wait,
-            "Time admitted solves spent queued before a worker picked them up",
-        ),
-        (
-            "faircap_serve_request_latency_us",
-            &m.request_latency,
-            "Reactor dispatch latency per keep-alive request",
-        ),
-        (
-            "faircap_serve_reactor_read_us",
-            &m.reactor_read,
-            "Reactor read-side servicing per readable connection",
-        ),
-        (
-            "faircap_serve_reactor_write_us",
-            &m.reactor_write,
-            "Reactor write-side flushes of queued response bytes",
-        ),
-    ] {
-        pt.family(name, "histogram", help);
-        pt.histogram(name, &[], &recorder.snapshot_us());
-    }
-
-    // Per-session state, one sample per registered session.
-    let entries = inner.registry.entries();
-
-    pt.family(
-        "faircap_session_rows",
-        "gauge",
-        "Rows in the session's dataframe",
-    );
-    for e in &entries {
-        pt.sample(
-            "faircap_session_rows",
-            &[("session", e.name())],
-            e.session().df().n_rows() as f64,
-        );
-    }
-
-    for (name, reader, help) in [
-        (
-            "faircap_session_solves_ok_total",
-            (|e: &RegisteredSession| e.solves_ok()) as fn(&RegisteredSession) -> u64,
-            "Completed underlying solves on the session",
-        ),
-        (
-            "faircap_session_solves_err_total",
-            |e: &RegisteredSession| e.solves_err(),
-            "Failed solves on the session",
-        ),
-        (
-            "faircap_session_solves_coalesced_total",
-            |e: &RegisteredSession| e.solves_coalesced(),
-            "Requests served by attaching to an in-flight solve",
-        ),
-    ] {
-        pt.family(name, "counter", help);
-        for e in &entries {
-            pt.sample(name, &[("session", e.name())], reader(e) as f64);
-        }
-    }
-
-    // Cache counters, one family per stat with a `cache` label; the
-    // estimate cache additionally splits per estimator as
-    // `cache="estimate/<estimator>"` (not double-counted into
-    // `cache="estimate"` sums — aggregate and split are separate rows).
-    let mut cache_rows: Vec<(String, String, u64, u64, u64, u64)> = Vec::new();
-    for e in &entries {
-        let s = e.session();
-        let n = e.name().to_owned();
-        let st = s.cache_stats();
-        cache_rows.push((
-            n.clone(),
-            "estimate".into(),
-            st.hits,
-            st.misses,
-            st.entries as u64,
-            st.evictions,
-        ));
-        let st = s.grouping_cache_stats();
-        cache_rows.push((
-            n.clone(),
-            "grouping".into(),
-            st.hits,
-            st.misses,
-            st.entries as u64,
-            st.evictions,
-        ));
-        let st = s.intervention_cache_stats();
-        cache_rows.push((
-            n.clone(),
-            "intervention".into(),
-            st.hits,
-            st.misses,
-            st.entries as u64,
-            st.evictions,
-        ));
-        let st = s.engine().match_index_cache_stats();
-        cache_rows.push((
-            n.clone(),
-            "match_index".into(),
-            st.hits,
-            st.misses,
-            st.entries as u64,
-            st.evictions,
-        ));
-        for (est, st) in s.cache_stats_by_estimator() {
-            cache_rows.push((
-                n.clone(),
-                format!("estimate/{est}"),
-                st.hits,
-                st.misses,
-                st.entries as u64,
-                st.evictions,
-            ));
-        }
-    }
-    for (name, kind, pick, help) in [
-        (
-            "faircap_session_cache_hits_total",
-            "counter",
-            (|r: &(String, String, u64, u64, u64, u64)| r.2)
-                as fn(&(String, String, u64, u64, u64, u64)) -> u64,
-            "Session cache hits by cache (estimate, grouping, intervention, match_index, estimate/<estimator>)",
-        ),
-        (
-            "faircap_session_cache_misses_total",
-            "counter",
-            |r: &(String, String, u64, u64, u64, u64)| r.3,
-            "Session cache misses by cache",
-        ),
-        (
-            "faircap_session_cache_entries",
-            "gauge",
-            |r: &(String, String, u64, u64, u64, u64)| r.4,
-            "Live session cache entries by cache",
-        ),
-        (
-            "faircap_session_cache_evictions_total",
-            "counter",
-            |r: &(String, String, u64, u64, u64, u64)| r.5,
-            "Session cache evictions by cache",
-        ),
-    ] {
-        pt.family(name, kind, help);
-        for row in &cache_rows {
-            pt.sample(
-                name,
-                &[("session", &row.0), ("cache", &row.1)],
-                pick(row) as f64,
-            );
-        }
-    }
-
-    // Solve-path cost accounting (aggregated over every solve).
-    pt.family(
-        "faircap_session_solve_step_ns_total",
-        "counter",
-        "Cumulative per-step solve time (step: mine, intervene, select)",
-    );
-    pt.family(
-        "faircap_session_solve_work_total",
-        "counter",
-        "Solve-path work items (kind: solves, candidates, pruned, evaluated, greedy_evaluations, greedy_reevaluations)",
-    );
-    for e in &entries {
-        let h = e.session().solve_hot_stats();
-        for (step, ns) in [
-            ("mine", h.mine_ns),
-            ("intervene", h.intervene_ns),
-            ("select", h.select_ns),
-        ] {
-            pt.sample(
-                "faircap_session_solve_step_ns_total",
-                &[("session", e.name()), ("step", step)],
-                ns as f64,
-            );
-        }
-        for (kind, n) in [
-            ("solves", h.solves),
-            ("candidates", h.candidates),
-            ("pruned", h.pruned),
-            ("evaluated", h.evaluated),
-            ("greedy_evaluations", h.greedy_evaluations),
-            ("greedy_reevaluations", h.greedy_reevaluations),
-        ] {
-            pt.sample(
-                "faircap_session_solve_work_total",
-                &[("session", e.name()), ("kind", kind)],
-                n as f64,
-            );
-        }
-    }
-
-    // Estimator hot-path cost accounting (aggregated over every estimate).
-    pt.family(
-        "faircap_session_estimate_stage_ns_total",
-        "counter",
-        "Cumulative estimator hot-path time (stage: build, index, solve)",
-    );
-    pt.family(
-        "faircap_session_estimate_work_total",
-        "counter",
-        "Estimator work items (kind: estimates, tasks, tree_visits)",
-    );
-    for e in &entries {
-        let hot = e.session().engine().hot_stats();
-        for (stage, ns) in [
-            ("build", hot.stats.build_ns),
-            ("index", hot.stats.index_ns),
-            ("solve", hot.stats.solve_ns),
-        ] {
-            pt.sample(
-                "faircap_session_estimate_stage_ns_total",
-                &[("session", e.name()), ("stage", stage)],
-                ns as f64,
-            );
-        }
-        for (kind, n) in [
-            ("estimates", hot.estimates),
-            ("tasks", hot.stats.tasks),
-            ("tree_visits", hot.stats.tree_visits),
-        ] {
-            pt.sample(
-                "faircap_session_estimate_work_total",
-                &[("session", e.name()), ("kind", kind)],
-                n as f64,
-            );
-        }
-    }
-
-    // Warm-boot provenance: emitted only for warm-booted sessions, so a
-    // cold boot is visible as the series' absence.
-    let warm: Vec<(&str, faircap_core::WarmBootInfo)> = entries
-        .iter()
-        .filter_map(|e| e.warm_boot().map(|w| (e.name(), w)))
-        .collect();
-    if !warm.is_empty() {
-        pt.family(
-            "faircap_session_warm_boot_restore_ms",
-            "gauge",
-            "Milliseconds spent restoring the session's snapshot at warm boot",
-        );
-        for (session, w) in &warm {
-            pt.sample(
-                "faircap_session_warm_boot_restore_ms",
-                &[("session", session), ("snapshot", &w.snapshot_path)],
-                w.restore_ms,
-            );
-        }
-    }
-
-    // Per-estimator estimate-duration histograms (nanoseconds). The
-    // family is only declared once at least one estimator has recorded —
-    // a histogram family with no bucket series is invalid.
-    let est_hists: Vec<(&str, String, HistogramSnapshot)> = entries
-        .iter()
-        .flat_map(|e| {
-            e.session()
-                .engine()
-                .estimate_histograms()
-                .into_iter()
-                .map(move |(est, snap)| (e.name(), est, snap))
-        })
-        .collect();
-    if !est_hists.is_empty() {
-        pt.family(
-            "faircap_estimator_estimate_duration_ns",
-            "histogram",
-            "Per-estimate wall time by estimator (cache misses only)",
-        );
-        for (session, est, snap) in &est_hists {
-            pt.histogram(
-                "faircap_estimator_estimate_duration_ns",
-                &[("session", session), ("estimator", est)],
-                snap,
-            );
-        }
-    }
-
-    Response::prometheus(200, pt.render())
 }

@@ -528,15 +528,9 @@ pub struct ReactorHandle {
     stopping: Arc<AtomicBool>,
     completions: Arc<Completions>,
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-    poller_name: &'static str,
 }
 
 impl ReactorHandle {
-    /// The backend the reactor resolved (`"epoll"` / `"poll"`).
-    pub fn poller_name(&self) -> &'static str {
-        self.poller_name
-    }
-
     /// Graceful stop: close the listener, finish admitted requests, flush,
     /// join. Idempotent. The caller must keep whatever executes pending
     /// work alive until this returns.
@@ -565,7 +559,6 @@ pub fn spawn<A: App>(
         )
     })?;
     let poller = make_poller(options.poller)?;
-    let poller_name = poller.name();
     let stopping = Arc::new(AtomicBool::new(false));
     let reactor = Reactor {
         app,
@@ -587,7 +580,6 @@ pub fn spawn<A: App>(
         stopping,
         completions,
         thread: Mutex::new(Some(thread)),
-        poller_name,
     })
 }
 

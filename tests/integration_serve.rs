@@ -26,11 +26,11 @@ use faircap::table::{DataFrame, Pattern, Value};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One shared synthetic workload: the Stack Overflow stand-in trimmed to
-/// five columns (as in the CLI round-trip test) so debug-mode solves stay
-/// fast while still exercising real mining and estimation.
-fn dataset() -> (DataFrame, Dag, Pattern) {
-    let ds = faircap::data::so::generate(2_000, 3);
+/// The Stack Overflow stand-in trimmed to five columns (as in the CLI
+/// round-trip test) so debug-mode solves stay fast while still exercising
+/// real mining and estimation.
+fn dataset(rows: usize) -> (DataFrame, Dag, Pattern) {
+    let ds = faircap::data::so::generate(rows, 3);
     let keep = ["gdp_group", "age", "certifications", "training", "salary"];
     let df = ds.df.select(&keep).unwrap();
     let dag = Dag::parse_edge_list(
@@ -41,8 +41,8 @@ fn dataset() -> (DataFrame, Dag, Pattern) {
     (df, dag, protected)
 }
 
-fn session() -> PrescriptionSession {
-    let (df, dag, protected) = dataset();
+fn so_session(rows: usize) -> PrescriptionSession {
+    let (df, dag, protected) = dataset(rows);
     FairCap::builder()
         .data(df)
         .dag(dag)
@@ -56,7 +56,7 @@ fn session() -> PrescriptionSession {
 
 fn boot(config: ServeConfig) -> (Server, ServeClient) {
     let registry = Arc::new(SessionRegistry::new());
-    registry.register("so", session());
+    registry.register("so", so_session(2_000));
     let server = Server::start(config, registry).unwrap();
     let client = server.client();
     client.wait_ready(Duration::from_secs(30)).unwrap();
@@ -68,23 +68,7 @@ fn boot(config: ServeConfig) -> (Server, ServeClient) {
 /// fixture above now solves in single-digit milliseconds since the kernel
 /// layer landed, faster than any reasonable polling interval.
 fn slow_session() -> PrescriptionSession {
-    let ds = faircap::data::so::generate(60_000, 3);
-    let keep = ["gdp_group", "age", "certifications", "training", "salary"];
-    let df = ds.df.select(&keep).unwrap();
-    let dag = Dag::parse_edge_list(
-        "gdp_group -> salary\nage -> salary\ncertifications -> salary\ntraining -> salary",
-    )
-    .unwrap();
-    let protected = Pattern::of_eq(&[("gdp_group", Value::from("low"))]);
-    FairCap::builder()
-        .data(df)
-        .dag(dag)
-        .outcome("salary")
-        .immutable(["gdp_group", "age"])
-        .mutable(["certifications", "training"])
-        .protected(protected)
-        .build()
-        .unwrap()
+    so_session(60_000)
 }
 
 fn rule_strings(doc: &Json) -> Vec<String> {
@@ -105,7 +89,7 @@ fn concurrent_solves_match_direct_session_bit_exactly() {
     });
 
     // Direct ground truth on an identical (separately built) session.
-    let direct = session()
+    let direct = so_session(2_000)
         .solve(&SolveRequest::default().max_rules(5))
         .unwrap();
     let direct_rules: Vec<String> = direct.rules.iter().map(|r| r.to_string()).collect();
@@ -349,7 +333,7 @@ fn snapshot_endpoint_writes_and_warm_boot_reuses() {
     // Boot a second server warm-started from the persisted snapshot: the
     // same workload re-solves without a single estimate-cache miss.
     let snapshot = SessionSnapshot::decode(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    let (df, dag, protected) = dataset();
+    let (df, dag, protected) = dataset(2_000);
     let warm = FairCap::builder()
         .data(df)
         .dag(dag)
@@ -436,12 +420,31 @@ fn graceful_shutdown_drains_in_flight_solves() {
     assert!(client.get("/healthz").is_err());
 }
 
-/// Read a numeric field off `/v1/metrics` by dotted path.
-fn metric(client: &ServeClient, path: &str) -> f64 {
-    let doc = Json::parse(&client.get("/v1/metrics").unwrap().body).unwrap();
+/// A numeric field of a `/v1/metrics` document by dotted path.
+fn field(doc: &Json, path: &str) -> f64 {
     doc.get_path(path)
         .and_then(Json::as_f64)
         .unwrap_or_else(|| panic!("metrics missing {path}"))
+}
+
+/// Read a numeric field off `/v1/metrics` by dotted path.
+fn metric(client: &ServeClient, path: &str) -> f64 {
+    field(
+        &Json::parse(&client.get("/v1/metrics").unwrap().body).unwrap(),
+        path,
+    )
+}
+
+/// Poll `/v1/metrics` until `ready` holds, failing after 30 s: a barrier on
+/// observable server state where a sleep would only guess at it.
+fn await_metrics(client: &ServeClient, what: &str, ready: impl Fn(&Json) -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while !ready(&Json::parse(&client.get("/v1/metrics").unwrap().body).unwrap()) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "timed out waiting for {what}"
+        );
+    }
 }
 
 #[test]
@@ -489,25 +492,10 @@ fn pipelined_identical_solves_coalesce_into_one_underlying_solve() {
 
 #[test]
 fn waiter_disconnect_does_not_cancel_the_shared_solve() {
-    // This test needs the cold solve to outlast two 50 ms sleeps, so it
-    // serves a 15× larger dataset than the other tests (a 2 k-row cold
-    // solve can finish in tens of milliseconds in a debug build).
-    let ds = faircap::data::so::generate(30_000, 3);
-    let keep = ["gdp_group", "age", "certifications", "training", "salary"];
-    let df = ds.df.select(&keep).unwrap();
-    let dag = Dag::parse_edge_list(
-        "gdp_group -> salary\nage -> salary\ncertifications -> salary\ntraining -> salary",
-    )
-    .unwrap();
-    let slow = FairCap::builder()
-        .data(df)
-        .dag(dag)
-        .outcome("salary")
-        .immutable(["gdp_group", "age"])
-        .mutable(["certifications", "training"])
-        .protected(Pattern::of_eq(&[("gdp_group", Value::from("low"))]))
-        .build()
-        .unwrap();
+    // Conn B must attach while conn A's cold solve is still running, so
+    // this test serves a 15× larger dataset than the other tests (a 2 k-row
+    // cold solve can finish in tens of milliseconds in a debug build).
+    let slow = so_session(30_000);
     let registry = Arc::new(SessionRegistry::new());
     registry.register("so", slow);
     let server = Server::start(
@@ -531,13 +519,17 @@ fn waiter_disconnect_does_not_cancel_the_shared_solve() {
             conn.request("POST", "/v1/solve", Some(body)).unwrap()
         })
     };
-    std::thread::sleep(Duration::from_millis(50));
+    await_metrics(&client, "conn A to lead the solve", |m| {
+        field(m, "admission.coalesce_in_flight") == 1.0
+    });
     // Conn B attaches the identical request, then disconnects mid-solve.
     let mut deserter = client.connect().unwrap();
     deserter
         .send("POST", "/v1/solve", Some(body), false)
         .unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    await_metrics(&client, "conn B to attach", |m| {
+        field(m, "requests.coalesce_hits") == 1.0
+    });
     drop(deserter);
 
     // The surviving waiter still gets its 200 — the shared solve is owned
@@ -648,11 +640,18 @@ fn idle_timeout_reaps_idle_connections_but_not_in_flight_solves() {
 
 #[test]
 fn graceful_drain_finishes_admitted_pipelined_requests() {
-    let (server, client) = boot(ServeConfig {
+    // The drain must land while the solve is still running, so this test
+    // serves the 30 k-row dataset the waiter-disconnect test uses.
+    let registry = Arc::new(SessionRegistry::new());
+    registry.register("so", so_session(30_000));
+    let config = ServeConfig {
         max_concurrent_solves: 1,
         solve_queue_depth: 16,
         ..ServeConfig::default()
-    });
+    };
+    let server = Server::start(config, registry).unwrap();
+    let client = server.client();
+    client.wait_ready(Duration::from_secs(30)).unwrap();
     let body = r#"{"max_rules": 4}"#;
     let mut conn = client.connect().unwrap();
     // Three pipelined requests — a slow cold solve, a quick endpoint, and
@@ -665,8 +664,12 @@ fn graceful_drain_finishes_admitted_pipelined_requests() {
     ] {
         conn.send(request.0, request.1, request.2, false).unwrap();
     }
-    // Give the reactor a beat to parse and dispatch all three.
-    std::thread::sleep(Duration::from_millis(100));
+    // Wait until the reactor has dispatched all three: the solve is
+    // admitted and still running, and the duplicate has attached to it.
+    await_metrics(&client, "the pipeline to be dispatched", |m| {
+        field(m, "admission.in_flight") + field(m, "admission.queue_depth") >= 1.0
+            && field(m, "requests.coalesce_hits") == 1.0
+    });
 
     let reader = std::thread::spawn(move || {
         let responses: Vec<_> = (0..3).map(|_| conn.read_response()).collect();
