@@ -2,8 +2,7 @@
 //!
 //! Shared harness code for the experiment binaries (`table3` … `table6`,
 //! `fig3` … `fig5`) and the criterion benches. Each binary regenerates one
-//! table or figure of the paper's evaluation section; EXPERIMENTS.md records
-//! paper-vs-measured values.
+//! table or figure of the paper's evaluation section.
 //!
 //! The experiment loops follow the session model: one
 //! [`PrescriptionSession`] per dataset (built by [`session_of`]), re-solved

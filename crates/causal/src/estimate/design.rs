@@ -4,6 +4,44 @@ use crate::error::{CausalError, Result};
 use crate::linalg::Matrix;
 use faircap_table::{Column, DataFrame, Mask};
 
+/// The level rule for a categorical covariate: dictionary codes are
+/// re-coded to the levels *observed inside the group*, numbered in order of
+/// first appearance along ascending rows, so level 0 (the first observed)
+/// is the dropped reference level. Feed it the group's rows in ascending
+/// order.
+pub(crate) struct LevelCoder {
+    /// Dictionary code → level, `u32::MAX` for codes not seen yet.
+    remap: Vec<u32>,
+    levels: u32,
+}
+
+impl LevelCoder {
+    /// A coder for a column with `cardinality` dictionary entries.
+    pub(crate) fn new(cardinality: usize) -> LevelCoder {
+        LevelCoder {
+            remap: vec![u32::MAX; cardinality],
+            levels: 0,
+        }
+    }
+
+    /// The level of dictionary code `code`, assigning the next level on
+    /// its first appearance.
+    #[inline]
+    pub(crate) fn level(&mut self, code: u32) -> u32 {
+        let slot = &mut self.remap[code as usize];
+        if *slot == u32::MAX {
+            *slot = self.levels;
+            self.levels += 1;
+        }
+        *slot
+    }
+
+    /// Number of distinct levels seen so far.
+    pub(crate) fn levels(&self) -> usize {
+        self.levels as usize
+    }
+}
+
 /// One adjustment covariate, encoded for a design matrix.
 pub(crate) enum CovariateBlock {
     /// Numeric column used directly (single design column).
@@ -27,19 +65,18 @@ impl CovariateBlock {
                 Ok(CovariateBlock::Numeric { values })
             }
             Column::Cat(c) => {
-                let mut remap = vec![u32::MAX; c.cardinality()];
-                let mut levels = 0u32;
+                let mut coder = LevelCoder::new(c.cardinality());
                 for i in group.iter_ones() {
-                    let code = c.codes()[i] as usize;
-                    if remap[code] == u32::MAX {
-                        remap[code] = levels;
-                        levels += 1;
-                    }
+                    coder.level(c.codes()[i]);
                 }
-                let codes = c.codes().iter().map(|&cd| remap[cd as usize]).collect();
+                let codes = c
+                    .codes()
+                    .iter()
+                    .map(|&cd| coder.remap[cd as usize])
+                    .collect();
                 Ok(CovariateBlock::OneHot {
                     codes,
-                    levels: levels as usize,
+                    levels: coder.levels(),
                 })
             }
         }

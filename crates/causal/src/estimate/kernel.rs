@@ -28,12 +28,18 @@
 //! the operand columns. The pre-kernel implementations are preserved in
 //! [`super::reference`] for the property tests and the
 //! `estimator_bench` before/after measurement.
+//!
+//! The OLS estimator uses these kernels only as its fallback: on
+//! all-categorical adjustment sets [`super::linear`] solves from integer
+//! cell counts without assembling a design, and keeps the same ascending
+//! row order for every floating-point sum, so both paths agree with the
+//! reference bit for bit.
 
 use super::design;
 use crate::error::{CausalError, Result};
 use crate::exec;
 use crate::linalg::Matrix;
-use faircap_table::{DataFrame, Mask};
+use faircap_table::{Column, DataFrame, Mask};
 
 /// Subgroup size at or above which one estimate fans out across worker
 /// threads ([`auto_workers`]). Below it, thread spawn overhead would eat
@@ -217,20 +223,31 @@ pub fn gather_indicator(group: &Mask, of: &Mask) -> Vec<bool> {
 /// Outcome values over the set rows of `group` (dense, group order), or a
 /// typed error naming the column when any cell is non-numeric.
 pub fn gather_outcome(df: &DataFrame, outcome: &str, group: &Mask) -> Result<Vec<f64>> {
-    let col = df.column(outcome)?;
+    Ok(match df.column(outcome)? {
+        Column::Int(v) => gather_rows(group, |i| v[i] as f64),
+        Column::Float(v) => gather_rows(group, |i| v[i]),
+        Column::Bool(v) => gather_rows(group, |i| if v[i] { 1.0 } else { 0.0 }),
+        Column::Cat(_) if group.any() => {
+            return Err(CausalError::Estimation(format!(
+                "outcome `{outcome}` is not numeric"
+            )))
+        }
+        Column::Cat(_) => Vec::new(),
+    })
+}
+
+/// `value(row)` for every set row of `group` (dense, group order).
+fn gather_rows(group: &Mask, value: impl Fn(usize) -> f64) -> Vec<f64> {
     let mut out = Vec::with_capacity(group.count());
-    for (wi, &word) in group.as_words().iter().enumerate() {
+    group.view().for_each_set_word(|wi, word| {
         let base = wi * 64;
         let mut w = word;
         while w != 0 {
-            let i = base + w.trailing_zeros() as usize;
-            out.push(col.get_f64(i).ok_or_else(|| {
-                CausalError::Estimation(format!("outcome `{outcome}` is not numeric"))
-            })?);
+            out.push(value(base + w.trailing_zeros() as usize));
             w &= w - 1;
         }
-    }
-    Ok(out)
+    });
+    out
 }
 
 /// `XᵀX` over column-major design columns: blocked, no zero-skipping,

@@ -7,7 +7,12 @@
 //!
 //! * [`linear`] — OLS with a treatment indicator and one-hot-encoded
 //!   covariates; equivalent to DoWhy's `backdoor.linear_regression`, the
-//!   estimator used by the paper's reference implementation.
+//!   estimator used by the paper's reference implementation. On
+//!   all-categorical adjustment sets it solves from integer cell counts
+//!   instead of a design matrix (its count path), falling back to the
+//!   columnar kernels for numeric or Bool covariates, non-finite outcomes
+//!   and cell spaces larger than the group; both paths are bit-identical
+//!   to [`reference::linear_naive`].
 //! * [`stratified`] — exact stratification on the joint values of `Z`
 //!   (numeric covariates quantile-binned), i.e. the literal adjustment
 //!   formula; used as an ablation and as ground-truth cross-check.
@@ -73,7 +78,9 @@ pub(crate) fn normal_inference(cate: f64, var: f64) -> (f64, f64, f64) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HotStats {
     /// Nanoseconds spent assembling the columnar design (and gathering the
-    /// outcome / treatment indicator).
+    /// outcome / treatment indicator). For `linear`'s count path it covers
+    /// the gather passes (outcomes, treated bits, per-covariate levels and
+    /// slot counts); building `XᵀX` from the counts counts as solve time.
     pub build_ns: u64,
     /// Nanoseconds spent constructing reusable indices (the KD-tree over
     /// the standardized design; zero for estimators without one or when a
@@ -83,7 +90,8 @@ pub struct HotStats {
     /// Filled in by the engine as `total − build − index`.
     pub solve_ns: u64,
     /// Task units handed to the work-stealing executor by kernel fan-out
-    /// (zero when every kernel ran serially).
+    /// (zero when every kernel ran serially, and always zero for
+    /// `linear`'s serial count path).
     pub tasks: u64,
     /// KD-tree nodes visited across matching queries (zero for the brute
     /// path and the non-matching estimators).

@@ -427,7 +427,8 @@ mod tests {
         let adj = vec!["z".to_string()];
         let lin_n = linear_naive(&df, &group, &treated, "o", &adj).unwrap();
         let lin_f = crate::estimate::linear::estimate(&df, &group, &treated, "o", &adj).unwrap();
-        assert!((lin_n.cate - lin_f.cate).abs() < 1e-12);
+        let bits = |e: &Estimate| [e.cate, e.std_err, e.t_stat, e.p_value].map(f64::to_bits);
+        assert_eq!(bits(&lin_n), bits(&lin_f));
         let ipw_n = ipw_naive(&df, &group, &treated, "o", &adj).unwrap();
         let ipw_f = crate::estimate::ipw::estimate(&df, &group, &treated, "o", &adj).unwrap();
         assert!((ipw_n.cate - ipw_f.cate).abs() < 1e-9);

@@ -148,33 +148,41 @@ pub fn cholesky(a: &Matrix) -> Result<Matrix> {
     Ok(l)
 }
 
-/// Solve `A x = b` for SPD `A` via Cholesky. Adds escalating ridge jitter to
-/// the diagonal when `A` is singular (rank-deficient designs), which is the
-/// standard remedy for collinear one-hot encodings.
-pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    match cholesky(a) {
-        Ok(l) => Ok(cholesky_solve(&l, b)),
-        Err(_) => {
-            let n = a.rows;
-            let scale = (0..n).map(|i| a.get(i, i)).fold(0.0f64, f64::max).max(1.0);
-            for mag in [1e-10, 1e-8, 1e-6, 1e-4] {
-                let mut aj = a.clone();
-                for i in 0..n {
-                    aj.set(i, i, aj.get(i, i) + scale * mag);
-                }
-                if let Ok(l) = cholesky(&aj) {
-                    return Ok(cholesky_solve(&l, b));
-                }
-            }
-            Err(CausalError::Estimation(
-                "linear system unsolvable even with ridge regularization".into(),
-            ))
+/// Cholesky factor of an SPD matrix, ridge-stabilized: when `A` is
+/// singular (rank-deficient designs) escalating jitter is added to the
+/// diagonal until the factorization succeeds — the standard remedy for
+/// collinear one-hot encodings. Factor once, then run any number of
+/// [`cholesky_solve`]s against the same (possibly ridged) matrix.
+pub(crate) fn spd_factor(a: &Matrix) -> Result<Matrix> {
+    if let Ok(l) = cholesky(a) {
+        return Ok(l);
+    }
+    let n = a.rows;
+    let scale = (0..n).map(|i| a.get(i, i)).fold(0.0f64, f64::max).max(1.0);
+    for mag in [1e-10, 1e-8, 1e-6, 1e-4] {
+        let mut aj = a.clone();
+        for i in 0..n {
+            aj.set(i, i, aj.get(i, i) + scale * mag);
+        }
+        if let Ok(l) = cholesky(&aj) {
+            return Ok(l);
         }
     }
+    Err(CausalError::Estimation(
+        "linear system unsolvable even with ridge regularization".into(),
+    ))
 }
 
-/// Forward/back substitution with a Cholesky factor.
-fn cholesky_solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
+/// Solve `A x = b` for SPD `A`: the ridge-stabilized Cholesky factor of
+/// `A` (rank-deficient designs get escalating diagonal jitter), then
+/// forward/back substitution.
+pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
+    Ok(cholesky_solve(&spd_factor(a)?, b))
+}
+
+/// Forward/back substitution with a Cholesky factor `L`: solves
+/// `L Lᵀ x = b`.
+pub(crate) fn cholesky_solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
     let n = l.rows();
     // L y = b
     let mut y = vec![0.0; n];
@@ -197,15 +205,17 @@ fn cholesky_solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
     x
 }
 
-/// Inverse of an SPD matrix via Cholesky (ridge-stabilized like
-/// [`solve_spd`]). Used for OLS standard errors.
+/// Inverse of an SPD matrix: one ridge-stabilized Cholesky factorization
+/// (as in [`solve_spd`]), then one forward/back substitution per unit
+/// vector.
 pub fn inverse_spd(a: &Matrix) -> Result<Matrix> {
+    let l = spd_factor(a)?;
     let n = a.rows;
     let mut inv = Matrix::zeros(n, n);
     let mut e = vec![0.0; n];
     for col in 0..n {
         e[col] = 1.0;
-        let x = solve_spd(a, &e)?;
+        let x = cholesky_solve(&l, &e);
         for r in 0..n {
             inv.set(r, col, x[r]);
         }
@@ -263,6 +273,23 @@ mod tests {
         let x = solve_spd(&a, &[2.0, 2.0]).unwrap();
         // ridge solution splits mass: x0 + x1 ≈ 2
         assert!((x[0] + x[1] - 2.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn inverse_factors_once_like_column_solves() {
+        // Singular, so every path goes through the ridge ladder; the single
+        // factorization must give the same bits as one solve per column.
+        let a = Matrix::from_rows(&[&[4.0, 2.0, 2.0], &[2.0, 2.0, 0.0], &[2.0, 0.0, 2.0]]);
+        assert!(cholesky(&a).is_err());
+        let inv = inverse_spd(&a).unwrap();
+        for col in 0..3 {
+            let mut e = [0.0; 3];
+            e[col] = 1.0;
+            let x = solve_spd(&a, &e).unwrap();
+            for r in 0..3 {
+                assert_eq!(inv.get(r, col).to_bits(), x[r].to_bits());
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! engine pick block sizes, worker counts, and search strategies purely on
 //! cost grounds — the answer never depends on the path taken.
 
-use faircap::causal::estimate::{kernel, matching, reference};
+use faircap::causal::estimate::{kernel, linear, matching, reference};
 use faircap::causal::{Estimate, HotStats};
-use faircap::table::{DataFrame, Mask};
+use faircap::table::{Column, DataFrame, Mask};
 use proptest::prelude::*;
 
 /// Worker counts exercised against the serial (`workers = 1`) reference.
@@ -72,6 +72,69 @@ fn matching_frame(
     let group = Mask::from_bools(&vec![true; n]);
     let treated = Mask::from_bools(&t);
     (df, group, treated)
+}
+
+/// Upper bound on generated rows in the linear-estimator property.
+const MAX_ROWS: usize = 320;
+
+/// Categorical covariate codes, one vector per covariate, from per-covariate
+/// `(raw levels, kind)` specs. Kind 0 copies the previous covariate and kind
+/// 1 coarsens it (both alias one-hot columns, so the gram is singular and
+/// the ridge ladder runs); kinds 2–5 draw 1–3 levels and kinds 6–7 draw
+/// 1–12, keeping most designs' cell space under the row count.
+fn categorical_codes(specs: &[(u8, u8)], seed: &[u8], n: usize) -> Vec<Vec<u8>> {
+    let mut codes: Vec<Vec<u8>> = Vec::with_capacity(specs.len());
+    for (a, &(raw, kind)) in specs.iter().enumerate() {
+        let col = match (kind, codes.last()) {
+            (0, Some(prev)) => prev.clone(),
+            (1, Some(prev)) => prev.iter().map(|c| c / 2).collect(),
+            _ => {
+                let levels = if kind < 6 { 1 + raw % 3 } else { raw };
+                (0..n).map(|r| seed[a * MAX_ROWS + r] % levels).collect()
+            }
+        };
+        codes.push(col);
+    }
+    codes
+}
+
+/// `(estimate bits, n_treated, n_control)`, or `None` for a refusal.
+fn linear_verdict(e: faircap::causal::Result<Estimate>) -> Option<([u64; 4], usize, usize)> {
+    e.ok()
+        .map(|e| (estimate_bits(&e), e.n_treated, e.n_control))
+}
+
+/// The live linear estimator (serial and parallel kernels) must give
+/// exactly `reference::linear_naive`'s estimate, or refuse too.
+fn assert_linear_matches_naive(
+    df: &DataFrame,
+    group: &Mask,
+    treated: &Mask,
+    outcome: &str,
+    adjustment: &[String],
+) -> Result<(), TestCaseError> {
+    let naive = linear_verdict(reference::linear_naive(
+        df, group, treated, outcome, adjustment,
+    ));
+    for workers in [1, 3] {
+        let live = linear_verdict(linear::estimate_with(
+            df,
+            group,
+            treated,
+            outcome,
+            adjustment,
+            workers,
+            &mut HotStats::default(),
+        ));
+        prop_assert_eq!(
+            live,
+            naive,
+            "outcome {} adjustment {:?}",
+            outcome,
+            adjustment
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -211,6 +274,80 @@ proptest! {
                 prop_assert_eq!(estimate_bits(&tree), estimate_bits(&brute));
                 prop_assert_eq!(tree.n_treated, brute.n_treated);
                 prop_assert_eq!(tree.n_control, brute.n_control);
+            }
+        }
+    }
+
+    /// The live linear estimator == `reference::linear_naive`, bit for bit
+    /// and refusal for refusal, on all-categorical designs (the count
+    /// path): 1–6 covariates of 1–12 levels, aliased covariates that force
+    /// the ridge ladder, subgroups that drop levels, arms under
+    /// `MIN_ARM_SIZE`, and Float / Int / Bool outcomes. Then the three
+    /// inputs that fall back to the columnar path: a numeric covariate, a
+    /// non-finite outcome, and a cell space larger than the group (with
+    /// `n ≤ k + 1` among them).
+    #[test]
+    fn linear_estimator_matches_naive(
+        n in 10usize..MAX_ROWS,
+        specs in prop::collection::vec((1u8..=12, 0u8..8), 1..7),
+        code_seed in prop::collection::vec(any::<u8>(), 6 * MAX_ROWS),
+        y_seed in prop::collection::vec(-10.0f64..10.0, MAX_ROWS),
+        row_seed in prop::collection::vec(any::<u8>(), MAX_ROWS),
+        treat_kind in 0u8..6,
+    ) {
+        let codes = categorical_codes(&specs, &code_seed, n);
+        let names: Vec<String> = (0..codes.len()).map(|a| format!("z{a}")).collect();
+        // Float outcomes with exact ties and signed zeros mixed in.
+        let y: Vec<f64> = (0..n)
+            .map(|r| match r % 11 {
+                3 => 0.0,
+                7 => -0.0,
+                5 => 2.5,
+                _ => y_seed[r],
+            })
+            .collect();
+        let treat_cut = match treat_kind {
+            0 => 6,   // ~2% treated: often under MIN_ARM_SIZE
+            1 => 250, // ~2% control
+            _ => 128,
+        };
+        let treated: Vec<bool> = row_seed[..n].iter().map(|&b| b < treat_cut).collect();
+        let treated = Mask::from_bools(&treated);
+        let mut builder = DataFrame::builder()
+            .float("y", y.clone())
+            .int("y_int", y.iter().map(|v| v.round() as i64).collect())
+            .bool("y_bool", y.iter().map(|&v| v > 0.0).collect())
+            .float("num", y_seed[..n].iter().map(|v| v.abs().sqrt()).collect());
+        for (name, col) in names.iter().zip(&codes) {
+            let labels: Vec<String> = col.iter().map(|c| format!("l{c}")).collect();
+            builder = builder.cat(name, &labels);
+        }
+        // One level per row pair: 2·∏ levels > n always.
+        let wide: Vec<String> = (0..n).map(|r| format!("w{}", r / 2)).collect();
+        let df = builder.cat("wide", &wide).build().unwrap();
+        let with_num = [&names[..1], &["num".to_owned()], &names[1..]].concat();
+        let with_wide = [&names[..], &["wide".to_owned()]].concat();
+
+        // The whole frame, a random half, and a subgroup that drops z0's
+        // first-coded level and a random third of the rest.
+        let groups: [Vec<bool>; 3] = [
+            vec![true; n],
+            (0..n).map(|r| row_seed[r].is_multiple_of(2)).collect(),
+            (0..n).map(|r| codes[0][r] != 0 && !row_seed[r].is_multiple_of(3)).collect(),
+        ];
+        for group in groups.iter().map(|g| Mask::from_bools(g)) {
+            for outcome in ["y", "y_int", "y_bool"] {
+                assert_linear_matches_naive(&df, &group, &treated, outcome, &names)?;
+            }
+            // Fallbacks: a numeric covariate, an oversized cell space.
+            assert_linear_matches_naive(&df, &group, &treated, "y", &with_num)?;
+            assert_linear_matches_naive(&df, &group, &treated, "y", &with_wide)?;
+            // Fallback: a non-finite outcome on one group row.
+            if let Some(row) = group.iter_ones().nth(n / 5) {
+                let mut y_bad = y.clone();
+                y_bad[row] = if n % 2 == 0 { f64::INFINITY } else { f64::NAN };
+                let df_bad = df.with_column("y", Column::Float(y_bad)).unwrap();
+                assert_linear_matches_naive(&df_bad, &group, &treated, "y", &names)?;
             }
         }
     }
