@@ -6,13 +6,19 @@
 //! driver generates the default `faircap-scenario` dataset (seed 7, planted
 //! ground truth, 27 confounder cells) and times every built-in estimator on
 //! the same estimand — `CATE(f0 = yes)` over the whole population with the
-//! full stable-attribute adjustment set. Three reference baselines measure
+//! full stable-attribute adjustment set. Four reference baselines measure
 //! the hot-path engine's win rather than just its absolute numbers:
 //!
 //! * `linear_naive` / `ipw_naive` — the pre-kernel row-major
 //!   implementations preserved in `faircap_causal::estimate::reference`;
+//! * `matching_naive` — the per-unit matching loop preserved there, which
+//!   walks every unit's whole tie-inclusive matched set (`O(n·m)`);
 //! * `matching_brute` — the matching estimator forced onto its serial
-//!   brute-force pair scan (quadratic, so only run at the 10⁴ tier).
+//!   brute-force scan. Searching once per (cell, arm), it is no longer
+//!   quadratic on these 27-cell data, but its budget still prices
+//!   `n_t · n_c` pair distances and refuses the larger tiers.
+//!
+//! Both matching baselines run at the 10⁴ tier only.
 //!
 //! Results go to stdout *and* `BENCH_estimators.json` (CWD, or the
 //! directory given as the first argument). Each row carries the best-of
@@ -44,7 +50,8 @@ use std::time::Instant;
 const SEED: u64 = 7;
 /// Default row tiers; `--full` appends [`FULL_TIER`].
 const TIERS: [usize; 2] = [10_000, 100_000];
-/// The paper-scale tier, opt-in because generation + matching take minutes.
+/// The paper-scale tier (CI's per-PR job runs it; a `--full` run takes
+/// seconds).
 const FULL_TIER: usize = 1_000_000;
 /// Timed repetitions per case (best-of is what the gate compares).
 const REPS: usize = 3;
@@ -55,8 +62,9 @@ const GATE_MAX_REGRESSION: f64 = 0.20;
 /// noise alone, and this floor keeps the gate about regressions, not
 /// timer variance. Irrelevant for the multi-ms cases the gate guards.
 const GATE_ABS_SLACK_MS: f64 = 1.0;
-/// Largest tier where the quadratic brute-force matching baseline runs.
-const BRUTE_MAX_ROWS: usize = 10_000;
+/// Largest tier where the matching baselines run: beyond it the per-unit
+/// loop takes seconds to minutes and the brute scan is over budget.
+const MATCHING_BASELINE_MAX_ROWS: usize = 10_000;
 
 struct Entry {
     estimator: String,
@@ -177,7 +185,23 @@ fn run_tier(rows: usize, entries: &mut Vec<Entry>) {
             .expect("ipw_naive")
             .cate
     }));
-    if rows <= BRUTE_MAX_ROWS {
+    if rows <= MATCHING_BASELINE_MAX_ROWS {
+        entries.push(bench_case("matching_naive", rows, |_stats| {
+            reference::matching_naive(
+                df,
+                &group,
+                &treated,
+                outcome,
+                &adjustment,
+                &MatchParams {
+                    index: None,
+                    strategy: MatchStrategy::Auto,
+                    workers: 1,
+                },
+            )
+            .expect("matching_naive")
+            .cate
+        }));
         entries.push(bench_case("matching_brute", rows, |stats| {
             let params = MatchParams {
                 index: None,
@@ -192,6 +216,7 @@ fn run_tier(rows: usize, entries: &mut Vec<Entry>) {
 
     // The headline wins, printed per tier when both sides ran.
     for (fast, slow) in [
+        ("matching", "matching_naive"),
         ("matching", "matching_brute"),
         ("linear", "linear_naive"),
         ("ipw", "ipw_naive"),

@@ -26,21 +26,45 @@
 //!
 //! # The hot path
 //!
-//! Neighbor search runs through a [`MatchIndex`]: the standardized design
-//! plus a median-split [`KdTree`] over it. The index depends only on the
-//! (subgroup, adjustment-set) pair — arm membership is applied as a query
-//! filter — so the [`CateEngine`](crate::cate::CateEngine) caches and
-//! reuses one index across every intervention of a pattern sweep. Queries
-//! are tie-inclusive two-phase lookups ([`KdTree::query_ties`]) that
-//! reproduce the brute-force matched sets *exactly*; the brute path (kept
-//! for tiny arms and covariate-free designs, see [`MatchStrategy`]) and
-//! the tree path produce **bit-identical** CATEs, property-tested in
-//! `tests/prop_kernels.rs`. Tree queries are additionally memoized per
-//! distinct (point bit-pattern, arm): on categorical designs whole
-//! covariate cells share one search result, collapsing thousands of
-//! queries into a handful. Query batches fan out as [`crate::exec`] task
-//! units over a worker-count-independent partition, so parallel estimates
-//! are bit-identical to serial ones too.
+//! Neighbor search runs through a [`MatchIndex`]: the standardized design,
+//! a median-split [`KdTree`] over it, and each unit's *cell* — the units
+//! sharing its exact standardized point, keyed on the f64 bit patterns.
+//! The index depends only on the (subgroup, adjustment-set) pair — arm
+//! membership is applied as a query filter — so the
+//! [`CateEngine`](crate::cate::CateEngine) caches and reuses one index
+//! across every intervention of a pattern sweep. Queries are
+//! tie-inclusive two-phase lookups ([`KdTree::query_ties`]) that reproduce
+//! the brute-force matched sets *exactly*; the brute path (kept for tiny
+//! arms and covariate-free designs, see [`MatchStrategy`]) and the tree
+//! path produce **bit-identical** CATEs, property-tested in
+//! `tests/prop_kernels.rs`.
+//!
+//! An estimate works per (cell, arm) key, not per unit, in two phases:
+//!
+//! 1. **One search per key.** The key's first unit runs the neighbour
+//!    search; from its matched set of size `m` the key records the
+//!    imputed outcome — the mean of `y_j + μ̂(z_i) − μ̂(z_j)`, summed in
+//!    ascending unit order — `1/m`, and the distinct keys of the matched
+//!    units. Keys fan out as [`crate::exec`] task units over a fixed
+//!    partition.
+//! 2. **One pass over the units.** Each unit takes its contrast `τ_i` from
+//!    its key's imputation and adds its key's `1/m` once to every target
+//!    key's match weight, over the fixed `MATCH_PARTS` partition of the
+//!    units, parts folded in partition order.
+//!
+//! That is `O(n + keys · m)` time and key-length weight vectors where the
+//! per-unit loop took `O(n · m)` and n-length ones. It is **bit-identical**
+//! to that loop, preserved as
+//! [`reference::matching_naive`](super::reference::matching_naive) and
+//! proptested against it: units of one key have bit-equal points, hence
+//! bit-equal predictions and the same matched set, so every one computes
+//! the same imputation; and they are in every matched set together or not
+//! at all (equal points, equal distances), so each key's weight sees the
+//! same sequence of additions each of its units' weights did. The
+//! per-unit `K_i`, the reuse correction, the standard error and the
+//! p-value follow unchanged. Results do not depend on the worker count.
+//! [`HotStats::tree_visits`] counts the nodes of one search per distinct
+//! (cell, arm) key per estimate.
 //!
 //! The complexity budget ([`DEFAULT_MATCHING_BUDGET`], overridable via
 //! `FAIRCAP_MATCHING_BUDGET`) is expressed in the index's work units —
@@ -48,12 +72,18 @@
 //! ([`estimated_work`]), or raw pair distances when the brute path would
 //! run — and refuses subgroups that would still grind, naming scalable
 //! alternatives in the typed
-//! [`CausalError::EstimatorBudget`].
+//! [`CausalError::EstimatorBudget`]. The model deliberately prices one
+//! query per *unit*, although an estimate searches once per (cell, arm):
+//! it stays a function of the arm sizes alone, so which subgroups are
+//! refused (and so which rules a solve can select) does not depend on
+//! their cell structure.
 
 use super::kdtree::{self, KdTree, LEAF_SIZE};
 use super::{aipw, design, kernel, normal_inference, Estimate, HotStats, MIN_ARM_SIZE};
 use crate::error::{CausalError, Result};
 use faircap_table::{DataFrame, Mask};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::time::Instant;
 
 /// Number of opposite-arm neighbors matched per unit (before tie
@@ -77,11 +107,12 @@ pub const DEFAULT_MATCHING_BUDGET: u64 = 200_000_000;
 /// than tree traversal overhead.
 pub const BRUTE_ARM_MAX: usize = 128;
 
-/// Fixed number of query partitions per estimate. The partition is a
-/// constant (never derived from the worker count), so the fold order of
-/// the per-partition match-weight accumulators — and therefore the CATE's
-/// variance — is bit-identical no matter how many workers ran.
-const MATCH_PARTS: usize = 8;
+/// Fixed number of unit partitions per estimate (and of key partitions
+/// the searches fan out over). The partition is a constant (never derived
+/// from the worker count), so the fold order of the per-partition
+/// match-weight accumulators — and therefore the CATE's variance — is
+/// bit-identical no matter how many workers ran.
+pub(super) const MATCH_PARTS: usize = 8;
 
 /// The effective work budget: `FAIRCAP_MATCHING_BUDGET` when set to a
 /// valid unit count (`0` disables the guard), otherwise
@@ -105,8 +136,10 @@ pub fn matching_budget() -> u64 {
 /// internal nodes each), touches `K_NEIGHBORS` candidates for the bound,
 /// and scans on the order of two [`LEAF_SIZE`] buckets — the model the
 /// budget refusal reports, deliberately a-priori (a function of arm sizes
-/// only) so refusal never depends on data values. Actual visited nodes
-/// are recorded on [`HotStats::tree_visits`].
+/// only) so refusal never depends on data values. It prices one query per
+/// unit although an estimate searches once per distinct (cell, arm):
+/// re-pricing would change which estimates are refused. Actual visited
+/// nodes are recorded on [`HotStats::tree_visits`].
 pub fn estimated_work(n_treated: u64, n_control: u64, tree: bool) -> u64 {
     if !tree {
         return n_treated.saturating_mul(n_control);
@@ -137,26 +170,32 @@ pub enum MatchStrategy {
 
 /// The reusable matching index of one (subgroup, adjustment-set) pair:
 /// outcome values, the standardized `[1, Z…]` design (column-major), the
-/// same covariates as row-major points, and the KD-tree over them.
+/// same covariates as row-major points, the KD-tree over them, and each
+/// unit's covariate cell.
 ///
 /// Deliberately treatment-*independent* — arm membership is a query-time
 /// filter — so one index serves every intervention of a pattern sweep;
 /// the engine caches these per (subgroup fingerprint, adjustment set).
 #[derive(Debug)]
 pub struct MatchIndex {
-    y: Vec<f64>,
-    design: kernel::ColumnDesign,
-    points: Vec<f64>,
-    dim: usize,
-    tree: Option<KdTree>,
+    pub(super) y: Vec<f64>,
+    pub(super) design: kernel::ColumnDesign,
+    pub(super) points: Vec<f64>,
+    pub(super) dim: usize,
+    pub(super) tree: Option<KdTree>,
+    /// Per unit, the id of its covariate cell: units whose standardized
+    /// points are equal bit for bit share one id, numbered in first-unit
+    /// order.
+    pub(super) cell_of: Vec<u32>,
+    n_cells: usize,
 }
 
 impl MatchIndex {
     /// Build the index: fused columnar design assembly, in-place
     /// standardization (constant columns carry no matching information
     /// and are zeroed), transpose to row-major points, KD-tree
-    /// construction. Assembly time lands in [`HotStats::build_ns`], tree
-    /// construction in [`HotStats::index_ns`].
+    /// construction, cell numbering. Assembly time lands in
+    /// [`HotStats::build_ns`], the rest in [`HotStats::index_ns`].
     pub fn build(
         df: &DataFrame,
         group: &Mask,
@@ -193,6 +232,7 @@ impl MatchIndex {
         } else {
             None
         };
+        let (cell_of, n_cells) = number_cells(&points, n, dim);
         stats.index_ns += t1.elapsed().as_nanos() as u64;
         Ok(MatchIndex {
             y,
@@ -200,6 +240,8 @@ impl MatchIndex {
             points,
             dim,
             tree,
+            cell_of,
+            n_cells,
         })
     }
 
@@ -218,6 +260,67 @@ impl MatchIndex {
     pub fn has_tree(&self) -> bool {
         self.tree.is_some()
     }
+}
+
+/// One unit's standardized point, compared and hashed by its exact f64
+/// bit patterns. Every key of one index has the same width.
+struct CellKey<'a>(&'a [f64]);
+
+impl PartialEq for CellKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0
+            .iter()
+            .zip(other.0)
+            .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+impl Eq for CellKey<'_> {}
+
+impl Hash for CellKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for v in self.0 {
+            state.write_u64(v.to_bits());
+        }
+    }
+}
+
+/// Multiply-rotate hasher for [`CellKey`]s: one multiply per coordinate
+/// word, where SipHash spends several rounds. Only speed depends on it:
+/// cell ids are numbered in first-unit order.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table buckets on the low bits, which a multiply mixes least.
+        self.0.rotate_left(26)
+    }
+}
+
+/// Cell id of every unit, and the number of cells. Keys borrow `dim`-wide
+/// slices of the row-major `points`, so numbering allocates nothing per
+/// row.
+fn number_cells(points: &[f64], n: usize, dim: usize) -> (Vec<u32>, usize) {
+    let mut ids: HashMap<CellKey<'_>, u32, BuildHasherDefault<WordHasher>> = HashMap::default();
+    let cell_of = (0..n)
+        .map(|i| {
+            let next = ids.len() as u32;
+            *ids.entry(CellKey(&points[i * dim..][..dim]))
+                .or_insert(next)
+        })
+        .collect();
+    (cell_of, ids.len())
 }
 
 /// Per-call knobs of [`estimate_with`].
@@ -261,7 +364,8 @@ pub fn estimate(
 ///
 /// The result is a pure function of the data — bit-identical across
 /// strategies (brute vs. tree), worker counts, and index reuse vs.
-/// rebuild.
+/// rebuild, and to the per-unit oracle
+/// [`reference::matching_naive`](super::reference::matching_naive).
 pub fn estimate_with(
     df: &DataFrame,
     group: &Mask,
@@ -270,6 +374,46 @@ pub fn estimate_with(
     adjustment: &[String],
     params: &MatchParams<'_>,
     stats: &mut HotStats,
+) -> Result<Estimate> {
+    estimate_by(
+        df,
+        group,
+        treated,
+        outcome,
+        adjustment,
+        params,
+        stats,
+        cell_contrasts,
+    )
+}
+
+/// What a contrast pass reads: the index, the group-dense treatment
+/// indicator, each arm's bias-adjustment predictions over every unit, and
+/// the search path.
+pub(super) struct Fit<'a> {
+    pub(super) idx: &'a MatchIndex,
+    pub(super) t: Vec<bool>,
+    pub(super) pred_t: Vec<f64>,
+    pub(super) pred_c: Vec<f64>,
+    pub(super) use_tree: bool,
+}
+
+/// The matching estimate around a pluggable contrast pass: the overlap
+/// check, path decision and budget refusal, the index, the two
+/// bias-adjustment regressions, then `contrasts` — which returns every
+/// unit's matched contrast `τ_i` and match weight `K_i` — and finally the
+/// Abadie–Imbens variance. [`estimate_with`] passes the cell-level pass;
+/// the per-unit oracle in [`reference`](super::reference) passes its own.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn estimate_by(
+    df: &DataFrame,
+    group: &Mask,
+    treated: &Mask,
+    outcome: &str,
+    adjustment: &[String],
+    params: &MatchParams<'_>,
+    stats: &mut HotStats,
+    contrasts: impl FnOnce(&Fit<'_>, usize, &mut HotStats) -> (Vec<f64>, Vec<f64>),
 ) -> Result<Estimate> {
     let n = group.count();
     let n_treated = group.intersect_count(treated);
@@ -337,118 +481,17 @@ pub fn estimate_with(
         params.workers,
         &mut stats.tasks,
     )?;
-    let pred_t = kernel::mat_vec_columns(idx.design.cols(), &beta_t);
-    let pred_c = kernel::mat_vec_columns(idx.design.cols(), &beta_c);
-
-    let treated_ids: Vec<u32> = (0..n as u32).filter(|&i| t[i as usize]).collect();
-    let control_ids: Vec<u32> = (0..n as u32).filter(|&i| !t[i as usize]).collect();
-
-    // Distinct-point ids for tree-query memoization. On tie-heavy
-    // (categorical) designs thousands of units occupy one covariate cell,
-    // and the matched set is a pure function of (query point, own arm) —
-    // so each part runs the tree search once per distinct (cell, arm)
-    // it encounters and replays the cached set. Cells are keyed on exact
-    // f64 bit patterns, so the reuse is bit-identical by construction;
-    // on continuous designs every cell is a singleton and the memo is one
-    // wasted hash probe per query.
-    let cell_of: Vec<u32> = if use_tree {
-        let mut ids: std::collections::HashMap<Vec<u64>, u32> = std::collections::HashMap::new();
-        (0..n)
-            .map(|i| {
-                let bits: Vec<u64> = idx.points[i * idx.dim..][..idx.dim]
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
-                let next = ids.len() as u32;
-                *ids.entry(bits).or_insert(next)
-            })
-            .collect()
-    } else {
-        Vec::new()
+    let fit = Fit {
+        idx,
+        pred_t: kernel::mat_vec_columns(idx.design.cols(), &beta_t),
+        pred_c: kernel::mat_vec_columns(idx.design.cols(), &beta_c),
+        t,
+        use_tree,
     };
-
-    // Per-unit matched contrast τ_i = ŷ_i(1) − ŷ_i(0), one potential
-    // outcome observed and the other imputed from matched neighbors.
-    // `weight[j]` accumulates K_j: how often unit j served as a match,
-    // each use weighted 1/m by the match count m of the unit it imputed
-    // (so Σ_j K_j = n and the reuse correction below sees exactly the
-    // estimator's implicit weights). Queries run over the fixed
-    // MATCH_PARTS partition; each part accumulates its units in ascending
-    // order and parts fold in partition order, independent of workers.
-    let part_len = n.div_ceil(MATCH_PARTS).max(1);
-    let n_parts = n.div_ceil(part_len);
-    let parts = kernel::fan_out(n_parts, params.workers, &mut stats.tasks, |p| {
-        let start = p * part_len;
-        let end = ((p + 1) * part_len).min(n);
-        let mut tau_part = Vec::with_capacity(end - start);
-        let mut weight = vec![0.0f64; n];
-        let mut visited = 0u64;
-        let mut matched: Vec<u32> = Vec::new();
-        let mut d2s: Vec<f64> = Vec::new();
-        let mut sel: Vec<f64> = Vec::new();
-        let mut memo: std::collections::HashMap<(u32, bool), Vec<u32>> =
-            std::collections::HashMap::new();
-        for i in start..end {
-            let (pool, pred) = if t[i] {
-                (&control_ids, &pred_c)
-            } else {
-                (&treated_ids, &pred_t)
-            };
-            let q = &idx.points[i * idx.dim..][..idx.dim];
-            if use_tree {
-                let own_arm = t[i];
-                if let Some(cached) = memo.get(&(cell_of[i], own_arm)) {
-                    matched.clear();
-                    matched.extend_from_slice(cached);
-                } else {
-                    let tree = idx.tree.as_ref().expect("use_tree implies a tree");
-                    visited += tree.query_ties(
-                        &idx.points,
-                        q,
-                        K_NEIGHBORS,
-                        |j| t[j as usize] != own_arm,
-                        &mut matched,
-                    );
-                    memo.insert((cell_of[i], own_arm), matched.clone());
-                }
-            } else {
-                brute_ties(
-                    &idx.points,
-                    idx.dim,
-                    pool,
-                    q,
-                    &mut d2s,
-                    &mut sel,
-                    &mut matched,
-                );
-            }
-            let m = matched.len();
-            let mut acc = 0.0;
-            let pred_i = pred[i];
-            for &j in &matched {
-                let j = j as usize;
-                acc += idx.y[j] + pred_i - pred[j];
-                weight[j] += 1.0 / m as f64;
-            }
-            let imputed = acc / m as f64;
-            tau_part.push(if t[i] {
-                idx.y[i] - imputed
-            } else {
-                imputed - idx.y[i]
-            });
-        }
-        (tau_part, weight, visited)
-    });
-
-    let mut tau = Vec::with_capacity(n);
-    let mut match_weight = vec![0.0f64; n];
-    for (tau_part, weight, visited) in &parts {
-        tau.extend_from_slice(tau_part);
-        for (acc, w) in match_weight.iter_mut().zip(weight) {
-            *acc += w;
-        }
-        stats.tree_visits += visited;
-    }
+    let (tau, match_weight) = contrasts(&fit, params.workers, stats);
+    let Fit {
+        t, pred_t, pred_c, ..
+    } = fit;
 
     let cate = tau.iter().sum::<f64>() / n as f64;
     let var_tau =
@@ -489,11 +532,157 @@ pub fn estimate_with(
     })
 }
 
+/// One search part's results, per (cell, arm) key in key order.
+#[derive(Default)]
+struct Searched {
+    /// The key's imputed opposite-arm potential outcome.
+    imputed: Vec<f64>,
+    /// `1/m` for the key's matched-set size `m`.
+    inv_m: Vec<f64>,
+    /// The distinct keys of the key's matched units, ascending, all keys
+    /// of the part back to back; `ends[k]` closes key `k`'s run.
+    targets: Vec<u32>,
+    ends: Vec<usize>,
+    visited: u64,
+}
+
+/// The cell-level contrast pass (see "The hot path" in the module docs):
+/// one neighbour search and one imputation per distinct (cell, arm) key,
+/// then one pass over the units for `τ_i` and the match weights.
+fn cell_contrasts(fit: &Fit<'_>, workers: usize, stats: &mut HotStats) -> (Vec<f64>, Vec<f64>) {
+    let idx = fit.idx;
+    let t = &fit.t;
+    let n = idx.n();
+
+    // Dense (cell, arm) key ids in first-unit order; `reps[k]` is key k's
+    // first unit, the one whose search stands for all of them.
+    let mut slot = vec![u32::MAX; 2 * idx.n_cells];
+    let mut reps: Vec<u32> = Vec::new();
+    let key_of: Vec<u32> = (0..n)
+        .map(|i| {
+            let s = &mut slot[2 * idx.cell_of[i] as usize + t[i] as usize];
+            if *s == u32::MAX {
+                *s = reps.len() as u32;
+                reps.push(i as u32);
+            }
+            *s
+        })
+        .collect();
+    drop(slot);
+    let n_keys = reps.len();
+
+    // Phase A: per key, the tie-inclusive matched set of its first unit,
+    // the imputation accumulated exactly as the per-unit loop does, `1/m`
+    // and the distinct target keys. Keys fan out over a fixed partition;
+    // every key's results depend on that key alone.
+    let (treated_ids, control_ids): (Vec<u32>, Vec<u32>) = if fit.use_tree {
+        Default::default()
+    } else {
+        (0..n as u32).partition(|&i| t[i as usize])
+    };
+    let chunk = n_keys.div_ceil(MATCH_PARTS).max(1);
+    let parts = kernel::fan_out(n_keys.div_ceil(chunk), workers, &mut stats.tasks, |p| {
+        let mut out = Searched::default();
+        let mut matched: Vec<u32> = Vec::new();
+        let mut d2s: Vec<f64> = Vec::new();
+        let mut sel: Vec<f64> = Vec::new();
+        let mut keys: Vec<u32> = Vec::new();
+        for &i in &reps[p * chunk..((p + 1) * chunk).min(n_keys)] {
+            let i = i as usize;
+            let own_arm = t[i];
+            let q = &idx.points[i * idx.dim..][..idx.dim];
+            if fit.use_tree {
+                let tree = idx.tree.as_ref().expect("use_tree implies a tree");
+                out.visited += tree.query_ties(
+                    &idx.points,
+                    q,
+                    K_NEIGHBORS,
+                    |j| t[j as usize] != own_arm,
+                    &mut matched,
+                );
+            } else {
+                let pool = if own_arm { &control_ids } else { &treated_ids };
+                brute_ties(
+                    &idx.points,
+                    idx.dim,
+                    pool,
+                    q,
+                    &mut d2s,
+                    &mut sel,
+                    &mut matched,
+                );
+            }
+            // The opposite arm's regression imputes i's missing outcome.
+            let pred = if own_arm { &fit.pred_c } else { &fit.pred_t };
+            let pred_i = pred[i];
+            let mut acc = 0.0;
+            keys.clear();
+            for &j in &matched {
+                let j = j as usize;
+                acc += idx.y[j] + pred_i - pred[j];
+                if keys.last() != Some(&key_of[j]) {
+                    keys.push(key_of[j]);
+                }
+            }
+            let m = matched.len() as f64;
+            out.imputed.push(acc / m);
+            out.inv_m.push(1.0 / m);
+            keys.sort_unstable();
+            keys.dedup();
+            out.targets.extend_from_slice(&keys);
+            out.ends.push(out.targets.len());
+        }
+        out
+    });
+    let mut imputed = Vec::with_capacity(n_keys);
+    let mut inv_m = Vec::with_capacity(n_keys);
+    let mut targets = Vec::new();
+    let mut bounds = vec![0usize];
+    for part in parts {
+        let base = targets.len();
+        imputed.extend(part.imputed);
+        inv_m.extend(part.inv_m);
+        targets.extend(part.targets);
+        bounds.extend(part.ends.iter().map(|e| base + e));
+        stats.tree_visits += part.visited;
+    }
+
+    // Phase B: per unit, its contrast from its key's imputation, and `1/m`
+    // of its key added once to each target key. A unit's (cell, arm)
+    // mates are in every matched set together or not at all, so each
+    // key's weight sees the addition sequence each of its units sees in
+    // the per-unit loop: over the same MATCH_PARTS partition, parts
+    // accumulated in unit order and folded in partition order.
+    let part_len = n.div_ceil(MATCH_PARTS).max(1);
+    let mut tau = Vec::with_capacity(n);
+    let mut key_weight = vec![0.0f64; n_keys];
+    let mut part_weight = vec![0.0f64; n_keys];
+    for start in (0..n).step_by(part_len) {
+        part_weight.fill(0.0);
+        for i in start..(start + part_len).min(n) {
+            let k = key_of[i] as usize;
+            tau.push(if t[i] {
+                idx.y[i] - imputed[k]
+            } else {
+                imputed[k] - idx.y[i]
+            });
+            for &target in &targets[bounds[k]..bounds[k + 1]] {
+                part_weight[target as usize] += inv_m[k];
+            }
+        }
+        for (acc, w) in key_weight.iter_mut().zip(&part_weight) {
+            *acc += w;
+        }
+    }
+    let match_weight = key_of.iter().map(|&k| key_weight[k as usize]).collect();
+    (tau, match_weight)
+}
+
 /// Brute-force tie-inclusive matched set: the canonical algorithm the
 /// tree reproduces. Distances to every pool unit (ascending pool order,
 /// shared [`kdtree::dist2`]), exact k-th smallest by selection, the
 /// [`kdtree::tie_cutoff`] band, members collected in ascending id order.
-fn brute_ties(
+pub(super) fn brute_ties(
     points: &[f64],
     dim: usize,
     pool: &[u32],

@@ -93,8 +93,9 @@ pub struct HotStats {
     /// (zero when every kernel ran serially, and always zero for
     /// `linear`'s serial count path).
     pub tasks: u64,
-    /// KD-tree nodes visited across matching queries (zero for the brute
-    /// path and the non-matching estimators).
+    /// KD-tree nodes visited across matching queries — one query per
+    /// distinct (covariate cell, arm) of the subgroup per estimate (zero
+    /// for the brute path and the non-matching estimators).
     pub tree_visits: u64,
 }
 

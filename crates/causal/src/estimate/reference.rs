@@ -1,7 +1,8 @@
 //! Naive reference implementations of the estimator hot path.
 //!
 //! These are the straightforward row-major / per-entry loops the blocked
-//! columnar kernels in [`kernel`](super::kernel) replaced. They are kept —
+//! columnar kernels in [`kernel`] replaced, and the per-unit matching
+//! loop the cell-level pass in [`matching`] replaced. They are kept —
 //! and kept public — for two reasons: `tests/prop_kernels.rs` property-tests
 //! every kernel against its naive counterpart **bit for bit** (the kernels
 //! promise identical f64 results for any worker count and block size), and
@@ -12,7 +13,8 @@
 //! Nothing here is reachable from the serving hot path; correctness of the
 //! fast path is what these functions are *for*.
 
-use super::{design, normal_inference, Estimate, MIN_ARM_SIZE};
+use super::matching::{self, brute_ties, Fit, MatchParams, K_NEIGHBORS, MATCH_PARTS};
+use super::{design, kernel, normal_inference, Estimate, HotStats, MIN_ARM_SIZE};
 use crate::error::{CausalError, Result};
 use crate::estimate::ipw::CLIP;
 use crate::linalg::{inverse_spd, solve_spd, Matrix};
@@ -21,7 +23,7 @@ use faircap_table::{DataFrame, Mask};
 
 /// Row-by-row design assembly (`[1, T?, Z…]`), transposed into column
 /// vectors so results compare directly against
-/// [`kernel::build_columns`](super::kernel::build_columns).
+/// [`kernel::build_columns`].
 pub fn design_columns_naive(
     df: &DataFrame,
     adjustment: &[String],
@@ -337,6 +339,116 @@ pub fn ipw_naive(
     })
 }
 
+/// The per-unit matching estimator the cell-level pass replaced: every
+/// unit walks its own tie-inclusive matched set (tree searches memoized
+/// per part on (cell, arm), brute scans repeated per unit), imputes from
+/// it, and adds `1/m` per matched unit into an n-length weight vector per
+/// `MATCH_PARTS` part; parts fold in partition order. The overlap check,
+/// budget, index and bias-adjustment regressions are the live
+/// [`matching::estimate_with`]'s own code, so this pins exactly the search
+/// and accumulation loop. Bench baseline and proptest oracle for `matching`.
+pub fn matching_naive(
+    df: &DataFrame,
+    group: &Mask,
+    treated: &Mask,
+    outcome: &str,
+    adjustment: &[String],
+    params: &MatchParams<'_>,
+) -> Result<Estimate> {
+    matching::estimate_by(
+        df,
+        group,
+        treated,
+        outcome,
+        adjustment,
+        params,
+        &mut HotStats::default(),
+        per_unit_contrasts,
+    )
+}
+
+/// Per-unit `τ_i` and match weights `K_i`, one matched set per unit.
+fn per_unit_contrasts(fit: &Fit<'_>, workers: usize, stats: &mut HotStats) -> (Vec<f64>, Vec<f64>) {
+    let idx = fit.idx;
+    let t = &fit.t;
+    let n = idx.n();
+    let treated_ids: Vec<u32> = (0..n as u32).filter(|&i| t[i as usize]).collect();
+    let control_ids: Vec<u32> = (0..n as u32).filter(|&i| !t[i as usize]).collect();
+    let part_len = n.div_ceil(MATCH_PARTS).max(1);
+    let n_parts = n.div_ceil(part_len);
+    let parts = kernel::fan_out(n_parts, workers, &mut stats.tasks, |p| {
+        let start = p * part_len;
+        let end = ((p + 1) * part_len).min(n);
+        let mut tau_part = Vec::with_capacity(end - start);
+        let mut weight = vec![0.0f64; n];
+        let mut matched: Vec<u32> = Vec::new();
+        let mut d2s: Vec<f64> = Vec::new();
+        let mut sel: Vec<f64> = Vec::new();
+        let mut memo: std::collections::HashMap<(u32, bool), Vec<u32>> =
+            std::collections::HashMap::new();
+        for i in start..end {
+            let (pool, pred) = if t[i] {
+                (&control_ids, &fit.pred_c)
+            } else {
+                (&treated_ids, &fit.pred_t)
+            };
+            let q = &idx.points[i * idx.dim..][..idx.dim];
+            if fit.use_tree {
+                let own_arm = t[i];
+                if let Some(cached) = memo.get(&(idx.cell_of[i], own_arm)) {
+                    matched.clear();
+                    matched.extend_from_slice(cached);
+                } else {
+                    let tree = idx.tree.as_ref().expect("use_tree implies a tree");
+                    tree.query_ties(
+                        &idx.points,
+                        q,
+                        K_NEIGHBORS,
+                        |j| t[j as usize] != own_arm,
+                        &mut matched,
+                    );
+                    memo.insert((idx.cell_of[i], own_arm), matched.clone());
+                }
+            } else {
+                brute_ties(
+                    &idx.points,
+                    idx.dim,
+                    pool,
+                    q,
+                    &mut d2s,
+                    &mut sel,
+                    &mut matched,
+                );
+            }
+            let m = matched.len();
+            let mut acc = 0.0;
+            let pred_i = pred[i];
+            for &j in &matched {
+                let j = j as usize;
+                acc += idx.y[j] + pred_i - pred[j];
+                weight[j] += 1.0 / m as f64;
+            }
+            let imputed = acc / m as f64;
+            tau_part.push(if t[i] {
+                idx.y[i] - imputed
+            } else {
+                imputed - idx.y[i]
+            });
+        }
+        (tau_part, weight)
+    });
+
+    let mut tau = Vec::with_capacity(n);
+    let mut match_weight = vec![0.0f64; n];
+    for (tau_part, weight) in &parts {
+        tau.extend_from_slice(tau_part);
+        for (acc, w) in match_weight.iter_mut().zip(weight) {
+            *acc += w;
+        }
+    }
+    (tau, match_weight)
+}
+
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)]
 mod tests {
@@ -432,5 +544,10 @@ mod tests {
         let ipw_n = ipw_naive(&df, &group, &treated, "o", &adj).unwrap();
         let ipw_f = crate::estimate::ipw::estimate(&df, &group, &treated, "o", &adj).unwrap();
         assert!((ipw_n.cate - ipw_f.cate).abs() < 1e-9);
+        let params = MatchParams::default();
+        let match_n = matching_naive(&df, &group, &treated, "o", &adj, &params).unwrap();
+        let match_f =
+            crate::estimate::matching::estimate(&df, &group, &treated, "o", &adj).unwrap();
+        assert_eq!(bits(&match_n), bits(&match_f));
     }
 }

@@ -99,7 +99,7 @@ fn categorical_codes(specs: &[(u8, u8)], seed: &[u8], n: usize) -> Vec<Vec<u8>> 
 }
 
 /// `(estimate bits, n_treated, n_control)`, or `None` for a refusal.
-fn linear_verdict(e: faircap::causal::Result<Estimate>) -> Option<([u64; 4], usize, usize)> {
+fn verdict(e: faircap::causal::Result<Estimate>) -> Option<([u64; 4], usize, usize)> {
     e.ok()
         .map(|e| (estimate_bits(&e), e.n_treated, e.n_control))
 }
@@ -113,11 +113,11 @@ fn assert_linear_matches_naive(
     outcome: &str,
     adjustment: &[String],
 ) -> Result<(), TestCaseError> {
-    let naive = linear_verdict(reference::linear_naive(
+    let naive = verdict(reference::linear_naive(
         df, group, treated, outcome, adjustment,
     ));
     for workers in [1, 3] {
-        let live = linear_verdict(linear::estimate_with(
+        let live = verdict(linear::estimate_with(
             df,
             group,
             treated,
@@ -133,6 +133,66 @@ fn assert_linear_matches_naive(
             outcome,
             adjustment
         );
+    }
+    Ok(())
+}
+
+/// The live matching estimator must give exactly
+/// `reference::matching_naive`'s estimate under each search strategy —
+/// at every worker count, with a fresh and with a prebuilt index — or
+/// refuse too.
+fn assert_matching_matches_naive(
+    df: &DataFrame,
+    group: &Mask,
+    treated: &Mask,
+    adjustment: &[String],
+) -> Result<(), TestCaseError> {
+    let index =
+        matching::MatchIndex::build(df, group, "y", adjustment, 1, &mut HotStats::default())
+            .unwrap();
+    for strategy in [
+        matching::MatchStrategy::Auto,
+        matching::MatchStrategy::Brute,
+        matching::MatchStrategy::Tree,
+    ] {
+        let naive = verdict(reference::matching_naive(
+            df,
+            group,
+            treated,
+            "y",
+            adjustment,
+            &matching::MatchParams {
+                index: None,
+                strategy,
+                workers: 1,
+            },
+        ));
+        for workers in [1, 2, 8] {
+            for index_opt in [None, Some(&index)] {
+                let live = verdict(matching::estimate_with(
+                    df,
+                    group,
+                    treated,
+                    "y",
+                    adjustment,
+                    &matching::MatchParams {
+                        index: index_opt,
+                        strategy,
+                        workers,
+                    },
+                    &mut HotStats::default(),
+                ));
+                prop_assert_eq!(
+                    live,
+                    naive,
+                    "{:?} workers {} prebuilt {} adjustment {:?}",
+                    strategy,
+                    workers,
+                    index_opt.is_some(),
+                    adjustment
+                );
+            }
+        }
     }
     Ok(())
 }
@@ -348,6 +408,70 @@ proptest! {
                 y_bad[row] = if n % 2 == 0 { f64::INFINITY } else { f64::NAN };
                 let df_bad = df.with_column("y", Column::Float(y_bad)).unwrap();
                 assert_linear_matches_naive(&df_bad, &group, &treated, "y", &names)?;
+            }
+        }
+    }
+
+    /// The cell-level matching estimator == `reference::matching_naive`'s
+    /// per-unit loop, bit for bit and refusal for refusal: tie-heavy
+    /// categorical designs (1–3 covariates of 1–3 levels), mixed designs
+    /// whose continuous covariate makes most cells singletons (with a
+    /// share of rows snapped to a coarse grid, so tied and singleton
+    /// cells mix), and the covariate-free design; on the whole frame and
+    /// a random subgroup; with balanced arms, ~5% treated, and a treated
+    /// arm of 4–7 units straddling `MIN_ARM_SIZE`.
+    #[test]
+    fn matching_estimator_matches_naive(
+        n in 10usize..MAX_ROWS,
+        specs in prop::collection::vec((1u8..=4, 2u8..6), 1..4),
+        code_seed in prop::collection::vec(any::<u8>(), 3 * MAX_ROWS),
+        y_seed in prop::collection::vec(-10.0f64..10.0, MAX_ROWS),
+        x_seed in prop::collection::vec(-3.0f64..3.0, MAX_ROWS),
+        row_seed in prop::collection::vec(any::<u8>(), MAX_ROWS),
+        treat_kind in 0u8..4,
+    ) {
+        let codes = categorical_codes(&specs, &code_seed, n);
+        let names: Vec<String> = (0..codes.len()).map(|a| format!("z{a}")).collect();
+        // Outcomes with exact ties mixed in.
+        let y: Vec<f64> = (0..n)
+            .map(|r| if r % 7 == 3 { 2.5 } else { y_seed[r] })
+            .collect();
+        let x: Vec<f64> = (0..n)
+            .map(|r| {
+                if row_seed[r].is_multiple_of(3) {
+                    (x_seed[r] * 2.0).round()
+                } else {
+                    x_seed[r]
+                }
+            })
+            .collect();
+        let treated: Vec<bool> = match treat_kind {
+            // ~5% treated.
+            0 => (0..n).map(|r| row_seed[r] < 13).collect(),
+            // Exactly 4–7 treated rows, evenly spread.
+            1 => {
+                let c = 4 + row_seed[0] as usize % 4;
+                let stride = n / c;
+                (0..n).map(|r| r % stride == 0 && r / stride < c).collect()
+            }
+            _ => (0..n).map(|r| row_seed[r] < 128).collect(),
+        };
+        let treated = Mask::from_bools(&treated);
+        let mut builder = DataFrame::builder().float("y", y).float("x", x);
+        for (name, col) in names.iter().zip(&codes) {
+            let labels: Vec<String> = col.iter().map(|c| format!("l{c}")).collect();
+            builder = builder.cat(name, &labels);
+        }
+        let df = builder.build().unwrap();
+        let mixed = [&names[..], &["x".to_owned()]].concat();
+
+        let groups: [Vec<bool>; 2] = [
+            vec![true; n],
+            (0..n).map(|r| !row_seed[r].is_multiple_of(4)).collect(),
+        ];
+        for group in groups.iter().map(|g| Mask::from_bools(g)) {
+            for adjustment in [&names[..], &mixed[..], &[]] {
+                assert_matching_matches_naive(&df, &group, &treated, adjustment)?;
             }
         }
     }
