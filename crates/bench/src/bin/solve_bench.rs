@@ -2,8 +2,7 @@
 //! recorded machine-readably and gated against a committed baseline.
 //!
 //! For each dataset the driver times the same three-constraint sweep
-//! (none / statistical parity / bounded group loss — the `warm_start`
-//! sweep) in three regimes:
+//! (none / statistical parity / bounded group loss) in three regimes:
 //!
 //! * `cold_sweep` — a fresh session per repetition: every CATE estimated,
 //!   every lattice mined, the full Steps 1–3 pipeline;
@@ -83,7 +82,7 @@ impl Entry {
     }
 }
 
-/// The `warm_start` constraint sweep: three solves differing only in the
+/// The constraint sweep: three solves differing only in the
 /// fairness constraint, i.e. the workload the intervention cache targets.
 fn sweep(use_solve_cache: bool) -> Vec<SolveRequest> {
     [

@@ -39,30 +39,13 @@ use crate::estimate::matching::MatchIndex;
 use crate::estimate::{kernel, Estimate, EstimateCtx, Estimator, HotStats};
 use crate::graph::Dag;
 use faircap_obs::{Histogram, HistogramSnapshot, SpanHandle};
-use faircap_table::{DataFrame, DataType, FnvHasher, Mask, Pattern, ShardedLruCache};
+use faircap_table::{
+    CacheCounters, DataFrame, DataType, FnvHasher, Mask, Pattern, ShardedLruCache,
+};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Estimate-cache hit/miss counters (see [`CateEngine::cache_stats`]).
-///
-/// Reported both in aggregate ([`CateEngine::cache_stats`]) and broken down
-/// per estimator name ([`CateEngine::cache_stats_by_estimator`]), so an
-/// estimator sweep can attribute its cache behaviour to each estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Queries answered from the estimate cache.
-    pub hits: u64,
-    /// Queries that had to run an estimation (or re-discover that the pair
-    /// is not estimable).
-    pub misses: u64,
-    /// Entries currently held in the estimate cache.
-    pub entries: usize,
-    /// Entries evicted to respect the cache's LRU bound (0 while the cache
-    /// is unbounded, the default).
-    pub evictions: u64,
-}
 
 /// Number of lock shards of the estimate cache. Step-2 mining fans out
 /// across worker threads that all funnel their CATE queries through one
@@ -137,14 +120,8 @@ impl MatchIndexCache {
     }
 
     /// Hit/miss/entry/eviction counters of the index cache.
-    pub fn stats(&self) -> CacheStats {
-        let c = self.cache.counters();
-        CacheStats {
-            hits: c.hits,
-            misses: c.misses,
-            entries: c.entries,
-            evictions: c.evictions,
-        }
+    pub fn stats(&self) -> CacheCounters {
+        self.cache.counters()
     }
 }
 
@@ -201,7 +178,7 @@ pub struct CateEngine {
     /// Aggregate hit/miss/eviction counters live inside the cache (per
     /// shard); the per-estimator-name breakdown lives in `per_estimator`.
     estimate_cache: ShardedLruCache<EstimateKey, Option<Estimate>>,
-    per_estimator: Mutex<HashMap<String, CacheStats>>,
+    per_estimator: Mutex<HashMap<String, CacheCounters>>,
     /// KD-tree match indices, shared across the matching sweep.
     match_index_cache: MatchIndexCache,
     /// Hot-path cost totals across every estimation run.
@@ -324,7 +301,7 @@ impl CateEngine {
     }
 
     /// Bump one estimator's counter slot, allocating its key on first use.
-    fn bump(&self, name: &str, f: impl FnOnce(&mut CacheStats)) {
+    fn bump(&self, name: &str, f: impl FnOnce(&mut CacheCounters)) {
         let mut per = self.per_estimator.lock();
         match per.get_mut(name) {
             Some(slot) => f(slot),
@@ -499,7 +476,7 @@ impl CateEngine {
     }
 
     /// Hit/miss counters of the match-index cache.
-    pub fn match_index_cache_stats(&self) -> CacheStats {
+    pub fn match_index_cache_stats(&self) -> CacheCounters {
         self.match_index_cache.stats()
     }
 
@@ -549,14 +526,8 @@ impl CateEngine {
     /// let per = engine.cache_stats_by_estimator();
     /// assert_eq!(per["linear"].misses, 1);
     /// ```
-    pub fn cache_stats(&self) -> CacheStats {
-        let c = self.estimate_cache.counters();
-        CacheStats {
-            hits: c.hits,
-            misses: c.misses,
-            entries: c.entries,
-            evictions: c.evictions,
-        }
+    pub fn cache_stats(&self) -> CacheCounters {
+        self.estimate_cache.counters()
     }
 
     /// Estimate-cache counters broken down by [`Estimator::name`], in
@@ -566,7 +537,7 @@ impl CateEngine {
     /// per-name `hits`/`misses`/`entries` sum to the aggregate
     /// [`cache_stats`](Self::cache_stats) (entries may transiently differ
     /// under concurrent insertion, since the aggregate recounts the cache).
-    pub fn cache_stats_by_estimator(&self) -> BTreeMap<String, CacheStats> {
+    pub fn cache_stats_by_estimator(&self) -> BTreeMap<String, CacheCounters> {
         self.per_estimator
             .lock()
             .iter()
@@ -576,7 +547,7 @@ impl CateEngine {
 
     /// Estimate-cache counters for one estimator name; zeros if the
     /// estimator was never queried on this engine.
-    pub fn cache_stats_for(&self, name: &str) -> CacheStats {
+    pub fn cache_stats_for(&self, name: &str) -> CacheCounters {
         self.per_estimator
             .lock()
             .get(name)
@@ -809,7 +780,7 @@ mod tests {
         let per = engine.cache_stats_by_estimator();
         assert_eq!(
             per["linear"],
-            CacheStats {
+            CacheCounters {
                 hits: 1,
                 misses: 1,
                 entries: 1,
@@ -818,7 +789,7 @@ mod tests {
         );
         assert_eq!(
             per["stratified"],
-            CacheStats {
+            CacheCounters {
                 hits: 0,
                 misses: 1,
                 entries: 1,
@@ -827,7 +798,7 @@ mod tests {
         );
         // Never-queried estimators report zeros and are absent from the map.
         assert!(!per.contains_key("aipw"));
-        assert_eq!(engine.cache_stats_for("aipw"), CacheStats::default());
+        assert_eq!(engine.cache_stats_for("aipw"), CacheCounters::default());
         // The breakdown sums to the aggregate counters.
         let agg = engine.cache_stats();
         assert_eq!(per.values().map(|s| s.hits).sum::<u64>(), agg.hits);

@@ -13,6 +13,7 @@
 use super::{normal_inference, Estimate, MIN_ARM_SIZE};
 use crate::error::{CausalError, Result};
 use faircap_table::{Column, DataFrame, Mask};
+use std::collections::HashMap;
 
 /// Number of quantile bins for numeric covariates.
 const NUMERIC_BINS: usize = 4;
@@ -42,23 +43,23 @@ pub fn estimate(
         )));
     }
 
-    // Stratum key per row: joint code over the adjustment covariates.
-    let keys = stratum_keys(df, group, adjustment)?;
+    // Stratum id per row, numbered densely in order of first appearance.
+    let (ids, n_strata) = stratum_ids(df, group, adjustment)?;
 
-    // Aggregate per (stratum, arm): count, sum, sumsq.
-    use std::collections::HashMap;
+    // Aggregate per (stratum, arm): count, sum, sumsq. Strata are summed
+    // in id order, so the same input always gives the same bits.
     #[derive(Default, Clone)]
     struct Arm {
         n: usize,
         sum: f64,
         sumsq: f64,
     }
-    let mut strata: HashMap<u64, (Arm, Arm)> = HashMap::new();
+    let mut strata: Vec<(Arm, Arm)> = vec![Default::default(); n_strata];
     for (pos, row) in group.iter_ones().enumerate() {
         let y = outcome_col
             .get_f64(row)
             .ok_or_else(|| CausalError::Estimation("non-numeric outcome cell".into()))?;
-        let entry = strata.entry(keys[pos]).or_default();
+        let entry = &mut strata[ids[pos]];
         let arm = if treated.get(row) {
             &mut entry.0
         } else {
@@ -75,7 +76,7 @@ pub fn estimate(
     let mut variance = 0.0;
     let mut n_treated = 0;
     let mut n_control = 0;
-    for (t_arm, c_arm) in strata.values() {
+    for (t_arm, c_arm) in &strata {
         if t_arm.n == 0 || c_arm.n == 0 {
             continue;
         }
@@ -117,10 +118,14 @@ fn sample_var(n: usize, sum: f64, sumsq: f64) -> f64 {
     ((sumsq - sum * sum / nf) / (nf - 1.0)).max(0.0)
 }
 
-/// Joint stratum key per group row, in `group.iter_ones()` order.
-fn stratum_keys(df: &DataFrame, group: &Mask, adjustment: &[String]) -> Result<Vec<u64>> {
+/// Joint stratum id per group row, in `group.iter_ones()` order, and the
+/// number of strata. Ids are dense and numbered in order of first
+/// appearance; they are re-densified after each covariate, so any number
+/// of covariates of any cardinality fits without overflow.
+fn stratum_ids(df: &DataFrame, group: &Mask, adjustment: &[String]) -> Result<(Vec<usize>, usize)> {
     let rows: Vec<usize> = group.to_indices();
-    let mut keys = vec![0u64; rows.len()];
+    let mut ids = vec![0usize; rows.len()];
+    let mut n_strata = usize::from(!rows.is_empty());
     for name in adjustment {
         let col = df.column(name)?;
         let codes: Vec<u64> = match col {
@@ -128,12 +133,14 @@ fn stratum_keys(df: &DataFrame, group: &Mask, adjustment: &[String]) -> Result<V
             Column::Bool(v) => rows.iter().map(|&r| v[r] as u64).collect(),
             Column::Int(_) | Column::Float(_) => quantile_bins(col, &rows),
         };
-        let cardinality = codes.iter().copied().max().unwrap_or(0) + 1;
-        for (k, c) in keys.iter_mut().zip(codes) {
-            *k = *k * cardinality + c;
+        let mut dense: HashMap<(usize, u64), usize> = HashMap::new();
+        for (id, code) in ids.iter_mut().zip(codes) {
+            let next = dense.len();
+            *id = *dense.entry((*id, code)).or_insert(next);
         }
+        n_strata = dense.len();
     }
-    Ok(keys)
+    Ok((ids, n_strata))
 }
 
 /// Quantile-bin a numeric column over the given rows into `NUMERIC_BINS`
@@ -287,6 +294,66 @@ mod tests {
         let est = estimate(&df, &all, &treated, "o", &[]).unwrap();
         assert!((est.cate - 3.0).abs() < 1e-12);
         assert_eq!(est.p_value, 0.0); // deterministic outcome
+    }
+
+    /// 1200 rows over 8 categorical covariates of 300 levels each: 300
+    /// strata of four rows (two treated, two control). The joint code space
+    /// (300^8) does not fit in a `u64`. Also returns the 8 columns' names
+    /// and a ninth column joining them, which names the same strata.
+    fn wide_frame() -> (DataFrame, Mask, Vec<String>) {
+        const LEVELS: usize = 300;
+        const STEPS: [usize; 8] = [7, 11, 13, 17, 19, 23, 29, 31]; // coprime to 300
+        let n = 4 * LEVELS;
+        let mut builder = DataFrame::builder();
+        let mut names = Vec::new();
+        let mut joined = vec![String::new(); n];
+        for (j, step) in STEPS.iter().enumerate() {
+            let values: Vec<String> = (0..n)
+                .map(|i| format!("c{j}v{}", (i / 4 * step + j) % LEVELS))
+                .collect();
+            for (key, v) in joined.iter_mut().zip(&values) {
+                key.push_str(v);
+                key.push('|');
+            }
+            let refs: Vec<&str> = values.iter().map(String::as_str).collect();
+            builder = builder.cat(&format!("z{j}"), &refs);
+            names.push(format!("z{j}"));
+        }
+        let refs: Vec<&str> = joined.iter().map(String::as_str).collect();
+        let t: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
+        let o: Vec<f64> = (0..n)
+            .map(|i| ((i * 37) % 101) as f64 * 0.1 + if t[i] { 2.0 } else { 0.0 })
+            .collect();
+        let df = builder.cat("joined", &refs).float("o", o).build().unwrap();
+        (df, Mask::from_bools(&t), names)
+    }
+
+    fn bits(e: &Estimate) -> (u64, u64) {
+        (e.cate.to_bits(), e.std_err.to_bits())
+    }
+
+    #[test]
+    fn repeated_calls_are_bit_identical() {
+        // Two covariates already name all 300 strata and keep the joint
+        // code small, so only the summation order is under test.
+        let (df, treated, names) = wide_frame();
+        let all = Mask::ones(df.n_rows());
+        let adjustment = &names[..2];
+        let first = bits(&estimate(&df, &all, &treated, "o", adjustment).unwrap());
+        for _ in 0..20 {
+            let again = estimate(&df, &all, &treated, "o", adjustment).unwrap();
+            assert_eq!(bits(&again), first);
+        }
+    }
+
+    #[test]
+    fn many_wide_covariates_equal_their_joined_column() {
+        let (df, treated, names) = wide_frame();
+        let all = Mask::ones(df.n_rows());
+        let wide = estimate(&df, &all, &treated, "o", &names).unwrap();
+        let joined = estimate(&df, &all, &treated, "o", &["joined".into()]).unwrap();
+        assert_eq!(bits(&wide), bits(&joined));
+        assert_eq!((wide.n_treated, wide.n_control), (600, 600));
     }
 
     #[test]

@@ -36,9 +36,7 @@ pub mod truth;
 pub mod discovery;
 
 pub use backdoor::{find_adjustment_set, find_adjustment_set_names, is_valid_backdoor};
-pub use cate::{
-    CacheStats, CateEngine, CateEngineState, CateQuery, EngineHotStats, MatchIndexCache,
-};
+pub use cate::{CateEngine, CateEngineState, CateQuery, EngineHotStats, MatchIndexCache};
 pub use dsep::{d_separated, d_separated_names};
 pub use error::{CausalError, Result};
 pub use estimate::matching::{MatchIndex, MatchParams, MatchStrategy};

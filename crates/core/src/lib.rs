@@ -71,7 +71,6 @@ pub use cost::{CostModel, CostPolicy};
 pub use decision_tree::{all_structural_variants, choose_variant, FairnessKind, VariantAnswers};
 pub use error::{Error, Result};
 pub use exec::ExecStats;
-pub use faircap_causal::CacheStats;
 pub use faircap_mining::MiningStats;
 pub use registry::{RegisteredSession, SessionRegistry, WarmBootInfo};
 pub use report::{SolutionReport, SolveStats, StepTimings};

@@ -26,7 +26,7 @@ use crate::config::{CoverageConstraint, FairCapConfig, FairnessConstraint};
 use crate::error::{Error, Result};
 use crate::report::{SolutionReport, SolveStats, StepTimings};
 use crate::snapshot::SessionSnapshot;
-use faircap_causal::{CacheStats, CateEngine, Dag, Estimator, EstimatorKind};
+use faircap_causal::{CateEngine, Dag, Estimator, EstimatorKind};
 use faircap_mining::{FrequentPattern, MiningStats};
 use faircap_obs::SpanHandle;
 use faircap_table::{CacheCounters, DataFrame, Mask, Pattern, ShardedLruCache};
@@ -670,7 +670,7 @@ impl PrescriptionSession {
     /// assert_eq!(session.cache_stats().misses, warm.misses);
     /// # Ok::<(), faircap_core::Error>(())
     /// ```
-    pub fn cache_stats(&self) -> CacheStats {
+    pub fn cache_stats(&self) -> CacheCounters {
         self.engine.cache_stats()
     }
 
@@ -678,7 +678,7 @@ impl PrescriptionSession {
     /// estimator sweep on one session can attribute hits and misses to
     /// each estimator it used. See
     /// [`CateEngine::cache_stats_by_estimator`].
-    pub fn cache_stats_by_estimator(&self) -> std::collections::BTreeMap<String, CacheStats> {
+    pub fn cache_stats_by_estimator(&self) -> std::collections::BTreeMap<String, CacheCounters> {
         self.engine.cache_stats_by_estimator()
     }
 

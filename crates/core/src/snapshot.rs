@@ -257,7 +257,7 @@ impl SessionSnapshot {
             let mut toks = Tokens::new(&line, "treated-mask record");
             toks.literal("t")?;
             let pattern = toks.pattern()?;
-            let mask = toks.mask()?;
+            let mask = toks.mask(n_rows)?;
             snapshot.state.treated.push((pattern, mask));
         }
 
@@ -504,9 +504,12 @@ impl<'a> Tokens<'a> {
         parse_bits(self.raw(field)?, field)
     }
 
+    // The counts read below come from an untrusted file, so nothing is
+    // reserved from them: a record that overstates a count runs out of
+    // tokens and fails before it allocates more than the line holds.
     fn pattern(&mut self) -> Result<Pattern> {
         let n: usize = self.num("predicate count")?;
-        let mut preds = Vec::with_capacity(n);
+        let mut preds = Vec::new();
         for _ in 0..n {
             let attr = self.string("predicate attr")?;
             let op = parse_op(self.raw("predicate op")?)?;
@@ -516,11 +519,17 @@ impl<'a> Tokens<'a> {
         Ok(Pattern::new(preds))
     }
 
-    fn mask(&mut self) -> Result<Mask> {
+    /// A treated mask over the header's `rows` rows.
+    fn mask(&mut self, rows: usize) -> Result<Mask> {
         let len: usize = self.num("mask length")?;
-        let n_words = len.div_ceil(64);
-        let mut words = Vec::with_capacity(n_words);
-        for _ in 0..n_words {
+        if len != rows {
+            return Err(snap_err(format!(
+                "{}: mask length {len} differs from the header's {rows} rows",
+                self.what
+            )));
+        }
+        let mut words = Vec::new();
+        for _ in 0..len.div_ceil(64) {
             words.push(self.bits("mask word")?);
         }
         Mask::from_words(len, words)

@@ -356,9 +356,7 @@ impl TraceRing {
                 || state.slow.iter().any(|t| t.duration_ns < trace.duration_ns);
             if beats {
                 state.slow.push(trace.clone());
-                state
-                    .slow
-                    .sort_by_key(|t| std::cmp::Reverse(t.duration_ns));
+                state.slow.sort_by_key(|t| std::cmp::Reverse(t.duration_ns));
                 state.slow.truncate(self.slow_cap);
             }
         }

@@ -2,14 +2,14 @@
 //!
 //! A concurrent prescription-serving front end over
 //! [`PrescriptionSession`]s: the ROADMAP's "serving v2" item, built
-//! dependency-free on `std::net` plus raw readiness syscalls (the
-//! environment is offline — no tokio/hyper/mio).
+//! dependency-free on `std::net` plus the `poll(2)` readiness syscall
+//! (no tokio/hyper/mio).
 //!
 //! ## Architecture
 //!
 //! ```text
 //!                 ┌──────────────────────────────────────────────┐
-//!  TCP listener → │ reactor thread (epoll / poll(2)):            │
+//!  TCP listener → │ reactor thread (poll(2)):                    │
 //!                 │ accept, read, parse HTTP/1.1 keep-alive +    │
 //!                 │ pipelining, write; per-conn response slots   │
 //!                 └───────┬──────────────────────────▲───────────┘
@@ -85,7 +85,6 @@ pub mod pool;
 pub mod reactor;
 
 pub use client::{ClientConnection, ClientResponse, ServeClient};
-pub use reactor::PollerKind;
 
 use coalesce::{Attach, Coalescer};
 use faircap_core::wire::{solution_report_to_json, solve_request_from_json};
@@ -126,9 +125,6 @@ pub struct ServeConfig {
     /// Keep-alive connections with no outstanding requests are closed
     /// after this long.
     pub idle_timeout: Duration,
-    /// Readiness backend. [`PollerKind::Auto`] honors the `FAIRCAP_POLLER`
-    /// environment variable, then picks the platform default.
-    pub poller: PollerKind,
 }
 
 impl Default for ServeConfig {
@@ -141,7 +137,6 @@ impl Default for ServeConfig {
             snapshot_dir: None,
             max_connections: 1024,
             idle_timeout: Duration::from_secs(30),
-            poller: PollerKind::Auto,
         }
     }
 }
@@ -155,7 +150,6 @@ struct Inner {
     coalescer: Coalescer,
     completions: Arc<Completions>,
     started: Instant,
-    poller_name: &'static str,
     traces: TraceRing,
     /// `FAIRCAP_TRACE` was set at boot: trace every solve server-wide
     /// (bypassing coalescing), so slow solves always land in the ring.
@@ -180,25 +174,9 @@ impl Server {
     pub fn start(config: ServeConfig, registry: Arc<SessionRegistry>) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let kind = match config.poller {
-            PollerKind::Auto => PollerKind::from_env(),
-            explicit => explicit,
-        };
-        let poller_name = match kind {
-            PollerKind::Poll => "poll",
-            PollerKind::Epoll => "epoll",
-            PollerKind::Auto => {
-                if cfg!(target_os = "linux") {
-                    "epoll"
-                } else {
-                    "poll"
-                }
-            }
-        };
         let completions = Completions::new()?;
         let gauges = Arc::new(ConnGauges::default());
         let options = ReactorOptions {
-            poller: kind,
             max_connections: config.max_connections,
             idle_timeout: config.idle_timeout,
             pending_timeout: config.solve_timeout,
@@ -214,7 +192,6 @@ impl Server {
             coalescer: Coalescer::new(),
             completions: Arc::clone(&completions),
             started: Instant::now(),
-            poller_name,
             traces: TraceRing::new(TRACE_RING_RECENT, TRACE_RING_SLOW),
             trace_all: std::env::var("FAIRCAP_TRACE")
                 .map(|v| !v.is_empty() && v != "0")

@@ -23,7 +23,7 @@
 
 use crate::Inner;
 use faircap_core::wire::exec_stats_to_json;
-use faircap_core::{CacheStats, Json, RegisteredSession};
+use faircap_core::{Json, RegisteredSession};
 use faircap_obs::{Histogram, HistogramSnapshot, PromText};
 use faircap_table::CacheCounters;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -389,7 +389,6 @@ static SERVER: &[Metric<Inner>] = &[
         "Connections answered 503 over the open-connection cap",
         Num(|s| count(&s.gauges.rejected_over_capacity)),
     ),
-    info("connections.poller", |s| Json::Str(s.poller_name.into())),
     gauge(
         "faircap_serve_max_connections",
         "connections.max_connections",
@@ -592,20 +591,14 @@ fn by_label<const N: usize>(pairs: [(&str, u64); N]) -> Vec<Sample> {
 /// `<name>_cache` on JSON. The estimate cache also splits per estimator as
 /// `cache="estimate/<estimator>"`, keyed under `estimate_cache_by_estimator`
 /// (a separate row, not double-counted into `cache="estimate"`).
-fn caches(e: &RegisteredSession, pick: fn(&CacheStats) -> u64) -> Vec<Sample> {
+fn caches(e: &RegisteredSession, pick: fn(&CacheCounters) -> u64) -> Vec<Sample> {
     let s = e.session();
-    let stats = |c: CacheCounters| CacheStats {
-        hits: c.hits,
-        misses: c.misses,
-        entries: c.entries,
-        evictions: c.evictions,
-    };
     let mut caches = vec![("estimate".to_owned(), s.cache_stats())];
     for (est, c) in s.cache_stats_by_estimator() {
         caches.push((format!("estimate/{est}"), c));
     }
-    caches.push(("grouping".into(), stats(s.grouping_cache_stats())));
-    caches.push(("intervention".into(), stats(s.intervention_cache_stats())));
+    caches.push(("grouping".into(), s.grouping_cache_stats()));
+    caches.push(("intervention".into(), s.intervention_cache_stats()));
     caches.push(("match_index".into(), s.engine().match_index_cache_stats()));
     let samples = caches.into_iter().map(|(label, c)| {
         let key = match label.strip_prefix("estimate/") {

@@ -1,6 +1,5 @@
 //! A dependency-free nonblocking reactor: one thread multiplexing every
-//! connection over `epoll(7)` (raw syscalls, Linux) or `poll(2)` (portable
-//! Unix fallback) behind the same [`Poller`] trait.
+//! connection over `poll(2)`.
 //!
 //! ## Why not thread-per-connection
 //!
@@ -16,13 +15,25 @@
 //! bytes out to every waiting slot. No thread ever blocks on a solve while
 //! holding a connection.
 //!
+//! ## Readiness
+//!
+//! `poll(2)` is the one readiness backend because it runs on every Unix.
+//! Each wait rebuilds the descriptor set from the reactor's own state (wake
+//! pipe, listener, one entry per connection with its current interest) and
+//! hands it to the kernel whole, so a wake costs O(descriptors). That was
+//! checked against the traffic the harnesses generate: `perfbench` keeps at
+//! most two keep-alive connections open, `serve_bench` at most 16 clients
+//! and `serve_smoke` 8, so the set holds about 20 descriptors and rebuilding
+//! it is negligible next to a request. Serving thousands of connections
+//! would want a kernel-side interest set, and a workload that measures it.
+//!
 //! ## Keep-alive + pipelining
 //!
 //! Each connection keeps a FIFO of response **slots**, one per parsed
 //! request, so pipelined requests are answered strictly in request order:
 //! a pending head blocks later (already computed) responses from being
-//! written early. Writable interest is registered only while the head slot
-//! has unwritten bytes — the level-triggered pollers never busy-spin on a
+//! written early. Writable interest is requested only while the head slot
+//! has unwritten bytes — the level-triggered wait never busy-spins on a
 //! writable-but-idle socket.
 //!
 //! ## Lifecycle
@@ -49,361 +60,110 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Which readiness backend to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollerKind {
-    /// `epoll` where available (Linux), `poll(2)` elsewhere.
-    #[default]
-    Auto,
-    /// Raw-syscall `epoll` (Linux only; construction fails elsewhere).
-    Epoll,
-    /// Portable `poll(2)`.
-    Poll,
-}
-
-impl PollerKind {
-    /// Parse a backend name (`auto` | `epoll` | `poll`).
-    pub fn parse(name: &str) -> Option<PollerKind> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(PollerKind::Auto),
-            "epoll" => Some(PollerKind::Epoll),
-            "poll" => Some(PollerKind::Poll),
-            _ => None,
-        }
-    }
-
-    /// Resolve the `FAIRCAP_POLLER` environment override, defaulting to
-    /// [`PollerKind::Auto`] when unset or unrecognized.
-    pub fn from_env() -> PollerKind {
-        std::env::var("FAIRCAP_POLLER")
-            .ok()
-            .and_then(|v| PollerKind::parse(&v))
-            .unwrap_or_default()
-    }
-}
-
-/// Readiness interest for one registered descriptor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Interest {
-    /// Wake when the descriptor is readable (or the peer hung up).
-    pub readable: bool,
-    /// Wake when the descriptor is writable.
-    pub writable: bool,
-}
-
-impl Interest {
-    /// Read-only interest.
-    pub const READ: Interest = Interest {
-        readable: true,
-        writable: false,
-    };
-}
-
-/// One readiness event out of [`Poller::poll`].
+/// One readiness event out of [`PollSet::wait`].
 #[derive(Debug, Clone, Copy)]
-pub struct Event {
+struct Event {
     /// The ready descriptor.
-    pub fd: RawFd,
+    fd: RawFd,
     /// Readable (or peer closed — reading returns 0/error, which is how
     /// EOF is observed).
-    pub readable: bool,
+    readable: bool,
     /// Writable.
-    pub writable: bool,
+    writable: bool,
     /// Error/hangup condition; the owner should read/write to collect the
     /// concrete error and close.
-    pub error: bool,
+    error: bool,
 }
 
-/// The readiness backend: level-triggered, one registration per fd.
-pub trait Poller: Send {
-    /// Start watching `fd` with `interest`.
-    fn register(&mut self, fd: RawFd, interest: Interest) -> std::io::Result<()>;
-    /// Change the interest of a registered `fd`.
-    fn reregister(&mut self, fd: RawFd, interest: Interest) -> std::io::Result<()>;
-    /// Stop watching `fd`.
-    fn deregister(&mut self, fd: RawFd) -> std::io::Result<()>;
-    /// Block up to `timeout` (forever when `None`) for events; `events` is
-    /// cleared first. A signal interruption returns successfully with no
-    /// events.
-    fn poll(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> std::io::Result<()>;
-    /// Backend name for logs/metrics (`"epoll"` / `"poll"`).
-    fn name(&self) -> &'static str;
+/// `struct pollfd` of `poll(2)`.
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
 }
 
-/// Clamp a timeout to the millisecond precision the syscalls take,
-/// rounding **up** so a deadline is never polled before it can fire.
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+const POLLERR: i16 = 0x008;
+const POLLHUP: i16 = 0x010;
+const POLLNVAL: i16 = 0x020;
+
+/// `nfds_t`: `unsigned long` in Linux's C libraries, `unsigned int` on
+/// Android, macOS and the BSDs.
+#[cfg(target_os = "linux")]
+type NfdsT = std::os::raw::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NfdsT = std::os::raw::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: i32) -> i32;
+}
+
+/// The descriptor set of one `poll(2)` wait: filled with [`push`] before
+/// each [`wait`], level-triggered.
+///
+/// [`push`]: PollSet::push
+/// [`wait`]: PollSet::wait
+#[derive(Default)]
+struct PollSet {
+    fds: Vec<PollFd>,
+}
+
+impl PollSet {
+    /// Add `fd` to the next wait with `events` (`POLLIN`, `POLLOUT`, both
+    /// or neither). Error and hangup conditions are reported regardless.
+    fn push(&mut self, fd: RawFd, events: i16) {
+        self.fds.push(PollFd {
+            fd,
+            events,
+            revents: 0,
+        });
+    }
+
+    /// Block up to `timeout` (forever when `None`) for readiness on the
+    /// pushed descriptors, then empty the set. `events` is cleared first;
+    /// a signal interruption returns successfully with no events.
+    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> std::io::Result<()> {
+        events.clear();
+        // The cast is lossless: a process cannot hold more descriptors
+        // than `nfds_t` counts.
+        // SAFETY: `fds` is a live array of `fds.len()` pollfd records.
+        let n = unsafe {
+            poll(
+                self.fds.as_mut_ptr(),
+                self.fds.len() as NfdsT,
+                timeout_ms(timeout),
+            )
+        };
+        let result = if n < 0 {
+            let e = std::io::Error::last_os_error();
+            if e.kind() == std::io::ErrorKind::Interrupted {
+                Ok(())
+            } else {
+                Err(e)
+            }
+        } else {
+            events.extend(self.fds.iter().filter(|p| p.revents != 0).map(|p| Event {
+                fd: p.fd,
+                readable: p.revents & (POLLIN | POLLHUP) != 0,
+                writable: p.revents & POLLOUT != 0,
+                error: p.revents & (POLLERR | POLLHUP | POLLNVAL) != 0,
+            }));
+            Ok(())
+        };
+        self.fds.clear();
+        result
+    }
+}
+
+/// Clamp a timeout to the millisecond precision `poll(2)` takes, rounding
+/// **up** so a deadline is never polled before it can fire.
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
     match timeout {
         None => -1,
         Some(d) => d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32,
-    }
-}
-
-/// Construct the backend for `kind`.
-pub fn make_poller(kind: PollerKind) -> std::io::Result<Box<dyn Poller>> {
-    match kind {
-        PollerKind::Poll => Ok(Box::new(poll_backend::PollPoller::new())),
-        #[cfg(target_os = "linux")]
-        PollerKind::Epoll | PollerKind::Auto => Ok(Box::new(epoll_backend::EpollPoller::new()?)),
-        #[cfg(not(target_os = "linux"))]
-        PollerKind::Epoll => Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "epoll is Linux-only; use FAIRCAP_POLLER=poll",
-        )),
-        #[cfg(not(target_os = "linux"))]
-        PollerKind::Auto => Ok(Box::new(poll_backend::PollPoller::new())),
-    }
-}
-
-/// Raw-syscall `epoll` backend. No `libc` crate: the four entry points are
-/// declared directly against the C library std already links.
-#[cfg(target_os = "linux")]
-mod epoll_backend {
-    use super::{timeout_ms, Event, Interest, Poller};
-    use std::os::unix::io::RawFd;
-    use std::time::Duration;
-
-    // The kernel ABI packs epoll_event on x86-64 (12 bytes); every other
-    // architecture uses natural alignment (16 bytes). Getting this wrong
-    // corrupts the `data` field of every second event.
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLL_CTL_ADD: i32 = 1;
-    const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
-    const EPOLL_CLOEXEC: i32 = 0o2000000;
-
-    extern "C" {
-        fn epoll_create1(flags: i32) -> i32;
-        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-
-    /// `epoll`-backed [`Poller`], level-triggered.
-    pub struct EpollPoller {
-        epfd: RawFd,
-        buf: Vec<EpollEvent>,
-    }
-
-    impl EpollPoller {
-        /// Create the epoll instance (`EPOLL_CLOEXEC`).
-        pub fn new() -> std::io::Result<EpollPoller> {
-            // SAFETY: plain syscall, no pointers involved.
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(std::io::Error::last_os_error());
-            }
-            Ok(EpollPoller {
-                epfd,
-                buf: vec![EpollEvent { events: 0, data: 0 }; 256],
-            })
-        }
-
-        fn ctl(&self, op: i32, fd: RawFd, interest: Interest) -> std::io::Result<()> {
-            let mut ev = EpollEvent {
-                events: (if interest.readable { EPOLLIN } else { 0 })
-                    | (if interest.writable { EPOLLOUT } else { 0 }),
-                data: fd as u64,
-            };
-            // SAFETY: `ev` outlives the call; the kernel copies it out.
-            if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
-                return Err(std::io::Error::last_os_error());
-            }
-            Ok(())
-        }
-    }
-
-    impl Poller for EpollPoller {
-        fn register(&mut self, fd: RawFd, interest: Interest) -> std::io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, interest)
-        }
-
-        fn reregister(&mut self, fd: RawFd, interest: Interest) -> std::io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, interest)
-        }
-
-        fn deregister(&mut self, fd: RawFd) -> std::io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, Interest::default())
-        }
-
-        fn poll(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> std::io::Result<()> {
-            events.clear();
-            // SAFETY: `buf` is a live, properly sized array of EpollEvent.
-            let n = unsafe {
-                epoll_wait(
-                    self.epfd,
-                    self.buf.as_mut_ptr(),
-                    self.buf.len() as i32,
-                    timeout_ms(timeout),
-                )
-            };
-            if n < 0 {
-                let e = std::io::Error::last_os_error();
-                if e.kind() == std::io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for i in 0..n as usize {
-                // Copy out by value: the packed layout on x86-64 forbids
-                // taking references into the buffer.
-                let raw = self.buf[i];
-                let bits = raw.events;
-                events.push(Event {
-                    fd: raw.data as RawFd,
-                    readable: bits & (EPOLLIN | EPOLLHUP) != 0,
-                    writable: bits & EPOLLOUT != 0,
-                    error: bits & (EPOLLERR | EPOLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-
-        fn name(&self) -> &'static str {
-            "epoll"
-        }
-    }
-
-    impl Drop for EpollPoller {
-        fn drop(&mut self) {
-            // SAFETY: closing the fd we own; errors at drop are ignorable.
-            unsafe { close(self.epfd) };
-        }
-    }
-}
-
-/// Portable `poll(2)` backend: the whole registration set is re-submitted
-/// on every wait. O(n) per call, which is fine at serving fan-ins and
-/// keeps the trait honest on non-Linux hosts.
-mod poll_backend {
-    use super::{timeout_ms, Event, Interest, Poller};
-    use std::collections::HashMap;
-    use std::os::unix::io::RawFd;
-    use std::time::Duration;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-    const POLLNVAL: i16 = 0x020;
-
-    extern "C" {
-        // `nfds_t` is the platform's unsigned long; usize matches it on
-        // every 64-bit Unix this fallback targets.
-        fn poll(fds: *mut PollFd, nfds: usize, timeout: i32) -> i32;
-    }
-
-    /// `poll(2)`-backed [`Poller`].
-    #[derive(Default)]
-    pub struct PollPoller {
-        interests: HashMap<RawFd, Interest>,
-        buf: Vec<PollFd>,
-    }
-
-    impl PollPoller {
-        /// An empty registration set.
-        pub fn new() -> PollPoller {
-            PollPoller::default()
-        }
-    }
-
-    impl Poller for PollPoller {
-        fn register(&mut self, fd: RawFd, interest: Interest) -> std::io::Result<()> {
-            if self.interests.insert(fd, interest).is_some() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::AlreadyExists,
-                    format!("fd {fd} is already registered"),
-                ));
-            }
-            Ok(())
-        }
-
-        fn reregister(&mut self, fd: RawFd, interest: Interest) -> std::io::Result<()> {
-            match self.interests.get_mut(&fd) {
-                Some(slot) => {
-                    *slot = interest;
-                    Ok(())
-                }
-                None => Err(std::io::Error::new(
-                    std::io::ErrorKind::NotFound,
-                    format!("fd {fd} is not registered"),
-                )),
-            }
-        }
-
-        fn deregister(&mut self, fd: RawFd) -> std::io::Result<()> {
-            self.interests.remove(&fd).map(|_| ()).ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::NotFound,
-                    format!("fd {fd} is not registered"),
-                )
-            })
-        }
-
-        fn poll(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> std::io::Result<()> {
-            events.clear();
-            self.buf.clear();
-            for (&fd, interest) in &self.interests {
-                self.buf.push(PollFd {
-                    fd,
-                    events: (if interest.readable { POLLIN } else { 0 })
-                        | (if interest.writable { POLLOUT } else { 0 }),
-                    revents: 0,
-                });
-            }
-            // SAFETY: `buf` is a live array of `nfds` PollFd records.
-            let n = unsafe { poll(self.buf.as_mut_ptr(), self.buf.len(), timeout_ms(timeout)) };
-            if n < 0 {
-                let e = std::io::Error::last_os_error();
-                if e.kind() == std::io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(e);
-            }
-            for pfd in &self.buf {
-                if pfd.revents == 0 {
-                    continue;
-                }
-                events.push(Event {
-                    fd: pfd.fd,
-                    readable: pfd.revents & (POLLIN | POLLHUP) != 0,
-                    writable: pfd.revents & POLLOUT != 0,
-                    error: pfd.revents & (POLLERR | POLLHUP | POLLNVAL) != 0,
-                });
-            }
-            Ok(())
-        }
-
-        fn name(&self) -> &'static str {
-            "poll"
-        }
     }
 }
 
@@ -511,8 +271,6 @@ impl Completions {
 /// Reactor tuning knobs (the server maps its `ServeConfig` onto these).
 #[derive(Debug, Clone)]
 pub struct ReactorOptions {
-    /// Readiness backend.
-    pub poller: PollerKind,
     /// Accepted-connection cap; excess connections get an immediate 503
     /// and close.
     pub max_connections: usize,
@@ -558,13 +316,12 @@ pub fn spawn<A: App>(
             "this Completions already drives a reactor",
         )
     })?;
-    let poller = make_poller(options.poller)?;
     let stopping = Arc::new(AtomicBool::new(false));
     let reactor = Reactor {
         app,
         listener: Some(listener),
         wake_rx,
-        poller,
+        poll_set: PollSet::default(),
         conns: HashMap::new(),
         pending: HashMap::new(),
         next_waiter: 0,
@@ -613,7 +370,6 @@ struct Conn {
     /// Head slot has bytes the socket would not take yet.
     want_write: bool,
     last_activity: Instant,
-    interest: Interest,
 }
 
 impl Conn {
@@ -627,7 +383,6 @@ impl Conn {
             dead: false,
             want_write: false,
             last_activity: now,
-            interest: Interest::READ,
         }
     }
 }
@@ -636,7 +391,7 @@ struct Reactor<A: App> {
     app: Arc<A>,
     listener: Option<TcpListener>,
     wake_rx: UnixStream,
-    poller: Box<dyn Poller>,
+    poll_set: PollSet,
     conns: HashMap<RawFd, Conn>,
     pending: HashMap<u64, RawFd>,
     next_waiter: u64,
@@ -654,16 +409,11 @@ impl<A: App> Reactor<A> {
             .expect("listener present at start")
             .as_raw_fd();
         let wake_fd = self.wake_rx.as_raw_fd();
-        if self.poller.register(listener_fd, Interest::READ).is_err()
-            || self.poller.register(wake_fd, Interest::READ).is_err()
-        {
-            return; // cannot serve without a working poller
-        }
         let mut events = Vec::new();
         loop {
             let stopping = self.stopping.load(Ordering::SeqCst);
             if stopping {
-                self.begin_drain(listener_fd);
+                self.begin_drain();
                 if self.conns.is_empty() {
                     break;
                 }
@@ -671,8 +421,19 @@ impl<A: App> Reactor<A> {
             let timeout = self
                 .next_deadline()
                 .map(|deadline| deadline.saturating_duration_since(Instant::now()));
-            if self.poller.poll(&mut events, timeout).is_err() {
-                break; // a broken poller cannot make progress
+            self.poll_set.push(wake_fd, POLLIN);
+            if self.listener.is_some() {
+                self.poll_set.push(listener_fd, POLLIN);
+            }
+            for (&fd, conn) in &self.conns {
+                // Read until the connection stops parsing (its own close,
+                // or the drain); write only while bytes wait on the socket.
+                let read = if conn.close_after { 0 } else { POLLIN };
+                let write = if conn.want_write { POLLOUT } else { 0 };
+                self.poll_set.push(fd, read | write);
+            }
+            if self.poll_set.wait(&mut events, timeout).is_err() {
+                break; // a failing poll(2) cannot make progress
             }
             let now = Instant::now();
             for event in events.drain(..) {
@@ -703,7 +464,7 @@ impl<A: App> Reactor<A> {
             self.expire(Instant::now());
             self.sweep();
         }
-        // Exit: everything still registered is torn down with the poller.
+        // Exit: tear down whatever is still open.
         for (_, mut conn) in std::mem::take(&mut self.conns) {
             self.drop_conn_state(&mut conn);
             self.gauges.bump_closed();
@@ -713,10 +474,8 @@ impl<A: App> Reactor<A> {
     /// First iteration after a shutdown request: close the listener and
     /// mark every connection for drain (serve admitted slots, read no
     /// more).
-    fn begin_drain(&mut self, listener_fd: RawFd) {
-        if let Some(listener) = self.listener.take() {
-            let _ = self.poller.deregister(listener_fd);
-            drop(listener);
+    fn begin_drain(&mut self) {
+        if self.listener.take().is_some() {
             for conn in self.conns.values_mut() {
                 conn.close_after = true;
                 conn.buf.clear(); // anything unparsed is, by definition, not admitted
@@ -748,16 +507,11 @@ impl<A: App> Reactor<A> {
                         });
                         conn.close_after = true;
                     }
-                    if self.poller.register(fd, conn.interest).is_ok() {
-                        flush(&mut conn, now);
-                        if conn.dead || (conn.close_after && conn.slots.is_empty()) {
-                            let _ = self.poller.deregister(fd);
-                            self.gauges.bump_closed();
-                        } else {
-                            self.conns.insert(fd, conn);
-                        }
-                    } else {
+                    flush(&mut conn, now);
+                    if conn.dead || (conn.close_after && conn.slots.is_empty()) {
                         self.gauges.bump_closed();
+                    } else {
+                        self.conns.insert(fd, conn);
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
@@ -837,8 +591,8 @@ impl<A: App> Reactor<A> {
         flush(conn, now);
     }
 
-    /// Release a connection's reactor state: deregister, forget its
-    /// pending waiters (their completions will be dropped on arrival).
+    /// Release a connection's reactor state: forget its pending waiters
+    /// (their completions will be dropped on arrival).
     fn drop_conn_state(&mut self, conn: &mut Conn) {
         if !conn.dead {
             conn.dead = true;
@@ -924,32 +678,22 @@ impl<A: App> Reactor<A> {
         }
     }
 
-    /// Close finished connections and reconcile poller interest with each
-    /// survivor's actual needs.
+    /// Close finished connections: dead ones, and drained ones that are
+    /// closing or that the shutdown is waiting on.
     fn sweep(&mut self) {
         let stopping = self.stopping.load(Ordering::SeqCst);
-        let mut dead: Vec<RawFd> = Vec::new();
-        for (&fd, conn) in self.conns.iter_mut() {
-            if conn.dead || (conn.close_after && conn.slots.is_empty() && !conn.want_write) {
-                dead.push(fd);
-                continue;
-            }
-            if stopping && conn.slots.is_empty() && !conn.want_write {
-                dead.push(fd);
-                continue;
-            }
-            let desired = Interest {
-                readable: !conn.close_after && !stopping,
-                writable: conn.want_write,
-            };
-            if desired != conn.interest && self.poller.reregister(fd, desired).is_ok() {
-                conn.interest = desired;
-            }
-        }
+        let dead: Vec<RawFd> = self
+            .conns
+            .iter()
+            .filter(|(_, conn)| {
+                let drained = conn.slots.is_empty() && !conn.want_write;
+                conn.dead || (drained && (conn.close_after || stopping))
+            })
+            .map(|(&fd, _)| fd)
+            .collect();
         for fd in dead {
             if let Some(mut conn) = self.conns.remove(&fd) {
                 self.drop_conn_state(&mut conn);
-                let _ = self.poller.deregister(fd);
                 self.gauges.bump_closed();
             }
         }
@@ -1035,132 +779,103 @@ mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
 
-    fn backend_kinds() -> Vec<PollerKind> {
-        if cfg!(target_os = "linux") {
-            vec![PollerKind::Epoll, PollerKind::Poll]
-        } else {
-            vec![PollerKind::Poll]
+    const BOTH: i16 = POLLIN | POLLOUT;
+
+    /// One wait over the single descriptor `fd`.
+    fn wait_on(fd: RawFd, interest: i16, timeout: Duration) -> Vec<Event> {
+        let mut set = PollSet::default();
+        let mut events = Vec::new();
+        set.push(fd, interest);
+        set.wait(&mut events, Some(timeout)).unwrap();
+        assert!(set.fds.is_empty(), "a wait empties the set");
+        events
+    }
+
+    #[test]
+    fn poll_set_reports_readability_and_writability() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        let fd = server.as_raw_fd();
+
+        // Nothing to read yet, but the socket is writable.
+        let events = wait_on(fd, BOTH, Duration::from_millis(500));
+        let ev = events
+            .iter()
+            .find(|e| e.fd == fd)
+            .expect("no event for the connected socket");
+        assert!(ev.writable, "fresh socket must be writable");
+        assert!(!ev.readable, "nothing was sent yet");
+
+        // After the peer writes, readable must fire.
+        client.write_all(b"ping").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !wait_on(fd, BOTH, Duration::from_millis(100))
+            .iter()
+            .any(|e| e.fd == fd && e.readable)
+        {
+            assert!(Instant::now() < deadline, "readable never fired");
         }
-    }
 
-    #[test]
-    fn poller_kind_parsing() {
-        assert_eq!(PollerKind::parse("epoll"), Some(PollerKind::Epoll));
-        assert_eq!(PollerKind::parse(" POLL "), Some(PollerKind::Poll));
-        assert_eq!(PollerKind::parse("auto"), Some(PollerKind::Auto));
-        assert_eq!(PollerKind::parse("uring"), None);
-    }
+        // Read-only interest must not report writable.
+        let events = wait_on(fd, POLLIN, Duration::from_millis(100));
+        assert!(
+            events.iter().all(|e| e.fd != fd || !e.writable),
+            "writable reported without write interest"
+        );
 
-    #[test]
-    fn pollers_report_readability_and_writability() {
-        for kind in backend_kinds() {
-            let mut poller = make_poller(kind).unwrap();
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let (server, _) = listener.accept().unwrap();
-            server.set_nonblocking(true).unwrap();
-            let fd = server.as_raw_fd();
-            poller
-                .register(
-                    fd,
-                    Interest {
-                        readable: true,
-                        writable: true,
-                    },
-                )
-                .unwrap();
-
-            // Nothing to read yet, but the socket is writable.
-            let mut events = Vec::new();
-            poller
-                .poll(&mut events, Some(Duration::from_millis(500)))
-                .unwrap();
-            let ev = events
-                .iter()
-                .find(|e| e.fd == fd)
-                .unwrap_or_else(|| panic!("{}: no event for the connected socket", poller.name()));
-            assert!(
-                ev.writable,
-                "{}: fresh socket must be writable",
-                poller.name()
-            );
-            assert!(!ev.readable, "{}: nothing was sent yet", poller.name());
-
-            // After the peer writes, readable must fire.
-            use std::io::Write as _;
-            client.write_all(b"ping").unwrap();
-            let deadline = Instant::now() + Duration::from_secs(5);
-            loop {
-                poller
-                    .poll(&mut events, Some(Duration::from_millis(100)))
-                    .unwrap();
-                if events.iter().any(|e| e.fd == fd && e.readable) {
-                    break;
-                }
-                assert!(
-                    Instant::now() < deadline,
-                    "{}: readable never fired",
-                    poller.name()
-                );
+        // Peer hangup reads as readable, so the owner observes EOF.
+        drop(client);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut sink = [0u8; 16];
+        loop {
+            let events = wait_on(fd, POLLIN, Duration::from_millis(100));
+            if events.iter().any(|e| e.fd == fd && e.readable)
+                && (&server).read(&mut sink).ok() == Some(0)
+            {
+                break;
             }
-
-            // Read-only interest must stop reporting writable.
-            poller.reregister(fd, Interest::READ).unwrap();
-            poller
-                .poll(&mut events, Some(Duration::from_millis(100)))
-                .unwrap();
-            assert!(
-                events.iter().all(|e| e.fd != fd || !e.writable),
-                "{}: writable reported without write interest",
-                poller.name()
-            );
-            poller.deregister(fd).unwrap();
-            poller
-                .poll(&mut events, Some(Duration::from_millis(50)))
-                .unwrap();
-            assert!(
-                events.iter().all(|e| e.fd != fd),
-                "{}: deregistered fd still reported",
-                poller.name()
-            );
+            assert!(Instant::now() < deadline, "EOF never surfaced");
         }
     }
 
     #[test]
     fn wake_pipe_unblocks_polling() {
-        for kind in backend_kinds() {
-            let mut poller = make_poller(kind).unwrap();
-            let completions = Completions::new().unwrap();
-            let reader = completions.take_reader().unwrap();
-            poller.register(reader.as_raw_fd(), Interest::READ).unwrap();
+        let completions = Completions::new().unwrap();
+        let reader = completions.take_reader().unwrap();
 
-            let remote = Arc::clone(&completions);
-            let waker = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(50));
-                remote.complete(Completion {
-                    waiters: vec![7],
-                    response: Response::error(504, "x"),
-                });
+        let remote = Arc::clone(&completions);
+        let waker = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            remote.complete(Completion {
+                waiters: vec![7],
+                response: Response::error(504, "x"),
             });
-            let mut events = Vec::new();
-            let started = Instant::now();
-            poller
-                .poll(&mut events, Some(Duration::from_secs(10)))
-                .unwrap();
-            assert!(
-                started.elapsed() < Duration::from_secs(5),
-                "{}: wake did not unblock the poll",
-                poller.name()
-            );
-            assert!(events
-                .iter()
-                .any(|e| e.fd == reader.as_raw_fd() && e.readable));
-            waker.join().unwrap();
-            let drained = completions.drain();
-            assert_eq!(drained.len(), 1);
-            assert_eq!(drained[0].waiters, vec![7]);
-            assert!(completions.drain().is_empty());
-        }
+        });
+        let started = Instant::now();
+        let events = wait_on(reader.as_raw_fd(), POLLIN, Duration::from_secs(10));
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "wake did not unblock the poll"
+        );
+        assert!(events
+            .iter()
+            .any(|e| e.fd == reader.as_raw_fd() && e.readable));
+        waker.join().unwrap();
+        let drained = completions.drain();
+        assert_eq!(drained.len(), 1);
+        assert_eq!(drained[0].waiters, vec![7]);
+        assert!(completions.drain().is_empty());
+    }
+
+    #[test]
+    fn timeouts_round_up_to_whole_milliseconds() {
+        assert_eq!(timeout_ms(None), -1);
+        assert_eq!(timeout_ms(Some(Duration::ZERO)), 0);
+        assert_eq!(timeout_ms(Some(Duration::from_micros(1))), 1);
+        assert_eq!(timeout_ms(Some(Duration::from_micros(1500))), 2);
+        assert_eq!(timeout_ms(Some(Duration::from_secs(u64::MAX))), i32::MAX);
     }
 
     #[test]
