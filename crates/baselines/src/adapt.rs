@@ -3,6 +3,7 @@
 //! (then run FairCap's step 2 to find interventions) or as *intervention
 //! patterns* applied to the entire population.
 
+use faircap_causal::GroupHandle;
 use faircap_core::algorithm::intervention::{mine_intervention, subgroup_utility};
 use faircap_core::{
     ruleset_utility, FairCapConfig, PrescriptionSession, Result, Rule, RuleUtility, SolutionReport,
@@ -72,15 +73,17 @@ pub fn adapt_if_clauses(
             let everyone = Mask::ones(df.n_rows());
             let cov_p = &everyone & protected_mask;
             let cov_np = everyone.andnot(protected_mask);
+            let group = GroupHandle::new(&everyone);
+            let (group_p, group_np) = (GroupHandle::new(&cov_p), GroupHandle::new(&cov_np));
             for intervention in &clauses {
-                let Some(est) = query.cate(&everyone, intervention) else {
+                let Some(est) = query.cate_in(group, intervention) else {
                     continue;
                 };
                 if est.cate <= 0.0 {
                     continue; // negative-utility rules are discarded (§4.3)
                 }
-                let u_p = subgroup_utility(&query, &cov_p, intervention, est.cate);
-                let u_np = subgroup_utility(&query, &cov_np, intervention, est.cate);
+                let u_p = subgroup_utility(&query, group_p, intervention, est.cate);
+                let u_np = subgroup_utility(&query, group_np, intervention, est.cate);
                 let utility = RuleUtility {
                     overall: est.cate,
                     protected: u_p,

@@ -166,7 +166,7 @@ fn run_tier(rows: usize, entries: &mut Vec<Entry>) {
             let mut ctx = EstimateCtx {
                 workers: 1,
                 stats: HotStats::default(),
-                index_cache: None,
+                group_cache: None,
             };
             let estimate = kind
                 .estimate_with_ctx(&mut ctx, df, &group, &treated, outcome, &adjustment)

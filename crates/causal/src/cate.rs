@@ -7,7 +7,7 @@
 //! supplied per query (see [`Estimator`]), so one long-lived engine serves
 //! repeated solves under different estimators while sharing its caches.
 //!
-//! Four caches persist across queries:
+//! Five caches persist across queries:
 //!
 //! * adjustment sets, derived from the DAG once per treatment-attribute set;
 //! * treated-row masks, one per intervention pattern;
@@ -15,6 +15,11 @@
 //!   `(subgroup, adjustment set)` — the matching estimator's standardized
 //!   design and tree are built once and reused across the whole
 //!   intervention sweep over that subgroup;
+//! * cell tables ([`CellTableCache`]), one per `(subgroup, adjustment
+//!   set)` — the linear estimator's count-path group half (outcomes,
+//!   cells, `Xᵀy`), or the verdict that the group takes the columnar path,
+//!   so each intervention only walks its treated rows. Both group caches
+//!   are instances of one [`GroupCache`];
 //! * full estimates, keyed by `(estimator, group, intervention)` — the cache
 //!   the greedy phase and repeated constraint re-solves hit hardest. This
 //!   one is a [`ShardedLruCache`]: lookups contend on one of its lock
@@ -35,6 +40,7 @@
 
 use crate::backdoor::find_adjustment_set_names;
 use crate::error::{CausalError, Result};
+use crate::estimate::linear::CellTable;
 use crate::estimate::matching::MatchIndex;
 use crate::estimate::{kernel, Estimate, EstimateCtx, Estimator, HotStats};
 use crate::graph::Dag;
@@ -58,71 +64,81 @@ const ESTIMATE_CACHE_SHARDS: usize = 16;
 /// keeps reuse high without letting index memory grow with the sweep.
 const MATCH_INDEX_CACHE_CAPACITY: usize = 32;
 
-/// Lock shards of the match-index cache; fewer distinct keys than the
-/// estimate cache, so fewer shards suffice.
-const MATCH_INDEX_CACHE_SHARDS: usize = 4;
+/// Default entry bound of the cell-table cache. Step 2 queries each group,
+/// its protected and its non-protected sub-coverage in turn, on several
+/// worker threads at once; 128 entries hold the three tables of some 40
+/// groups, at 12 bytes per group row each.
+const CELL_TABLE_CACHE_CAPACITY: usize = 128;
 
-/// Session-lived cache of matching indices ([`MatchIndex`]: standardized
-/// columnar design + KD-tree), keyed by `(subgroup fingerprint, adjustment
-/// set)`. The matching estimator's index depends only on the subgroup rows
-/// and the adjustment covariates — *not* on the intervention — so one index
-/// serves the entire pattern sweep against a subgroup. LRU-bounded because
-/// each index holds O(rows · dim) floats.
-pub struct MatchIndexCache {
-    cache: ShardedLruCache<(u64, Vec<String>), Arc<MatchIndex>>,
+/// Lock shards of each group cache; fewer distinct keys than the estimate
+/// cache, so fewer shards suffice.
+const GROUP_CACHE_SHARDS: usize = 4;
+
+/// Session-lived cache of per-group estimator state keyed by `(subgroup
+/// fingerprint, adjustment set)`: state that depends only on the subgroup
+/// rows and the adjustment covariates — *not* on the intervention — so one
+/// entry serves the entire pattern sweep against a subgroup. LRU-bounded
+/// because each entry holds O(rows) data. The engine keeps two:
+/// [`MatchIndexCache`] and [`CellTableCache`].
+pub struct GroupCache<V> {
+    cache: ShardedLruCache<(u64, Vec<String>), V>,
 }
 
-impl Default for MatchIndexCache {
-    fn default() -> Self {
-        Self::with_capacity(MATCH_INDEX_CACHE_CAPACITY)
-    }
-}
+/// Matching indices ([`MatchIndex`]: standardized columnar design +
+/// KD-tree).
+pub type MatchIndexCache = GroupCache<Arc<MatchIndex>>;
 
-impl std::fmt::Debug for MatchIndexCache {
+/// `linear`'s count-path tables ([`CellTable`]), and the `None` verdict
+/// for a group and adjustment set that take the columnar path.
+pub type CellTableCache = GroupCache<Option<Arc<CellTable>>>;
+
+impl<V: Clone> std::fmt::Debug for GroupCache<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MatchIndexCache")
-            .field("stats", &self.stats())
+        f.debug_struct("GroupCache")
+            .field("stats", &self.cache.counters())
             .finish_non_exhaustive()
     }
 }
 
-impl MatchIndexCache {
-    /// A cache bounded to `capacity` indices (LRU eviction).
+impl<V: Clone> GroupCache<V> {
+    /// A cache bounded to `capacity` entries (LRU eviction).
     pub fn with_capacity(capacity: usize) -> Self {
-        MatchIndexCache {
-            cache: ShardedLruCache::new(capacity, MATCH_INDEX_CACHE_SHARDS),
+        GroupCache {
+            cache: ShardedLruCache::new(capacity, GROUP_CACHE_SHARDS),
         }
     }
 
-    /// Return the cached index for `(group_fp, adjustment)`, building (and
-    /// caching) it on miss. Build costs are charged to `stats`
-    /// (`build_ns`/`index_ns`); a hit charges nothing.
-    #[allow(clippy::too_many_arguments)] // mirrors the estimator signature plus the cache key
+    /// Return the cached entry for `(group_fp, adjustment)`, building (and
+    /// caching) it with `build` on a miss. A failed build caches nothing.
     pub fn get_or_build(
         &self,
         group_fp: u64,
-        df: &DataFrame,
-        group: &Mask,
-        outcome: &str,
         adjustment: &[String],
-        workers: usize,
-        stats: &mut HotStats,
-    ) -> Result<Arc<MatchIndex>> {
+        build: impl FnOnce() -> Result<V>,
+    ) -> Result<V> {
         let key = (group_fp, adjustment.to_vec());
         if let Some(hit) = self.cache.get(&key) {
             return Ok(hit);
         }
-        let built = Arc::new(MatchIndex::build(
-            df, group, outcome, adjustment, workers, stats,
-        )?);
-        self.cache.insert(key, Arc::clone(&built));
+        let built = build()?;
+        self.cache.insert(key, built.clone());
         Ok(built)
     }
 
-    /// Hit/miss/entry/eviction counters of the index cache.
+    /// Hit/miss/entry/eviction counters.
     pub fn stats(&self) -> CacheCounters {
         self.cache.counters()
     }
+}
+
+/// The engine's per-`(subgroup, adjustment set)` caches, one per
+/// estimator that keeps group-level state.
+#[derive(Debug)]
+pub struct GroupCaches {
+    /// KD-tree match indices of the matching estimator.
+    pub match_index: MatchIndexCache,
+    /// Count-path tables of the linear estimator.
+    pub cell_table: CellTableCache,
 }
 
 /// Aggregated hot-path cost accounting across every (uncached) estimate an
@@ -179,8 +195,9 @@ pub struct CateEngine {
     /// shard); the per-estimator-name breakdown lives in `per_estimator`.
     estimate_cache: ShardedLruCache<EstimateKey, Option<Estimate>>,
     per_estimator: Mutex<HashMap<String, CacheCounters>>,
-    /// KD-tree match indices, shared across the matching sweep.
-    match_index_cache: MatchIndexCache,
+    /// Match indices and cell tables, shared across each group's
+    /// intervention sweep.
+    group_caches: GroupCaches,
     /// Hot-path cost totals across every estimation run.
     hot: Mutex<EngineHotStats>,
     /// Per-estimator-name estimate-duration histograms (nanoseconds per
@@ -223,7 +240,10 @@ impl CateEngine {
             treated_cache: Mutex::new(HashMap::new()),
             estimate_cache: ShardedLruCache::unbounded(ESTIMATE_CACHE_SHARDS),
             per_estimator: Mutex::new(HashMap::new()),
-            match_index_cache: MatchIndexCache::default(),
+            group_caches: GroupCaches {
+                match_index: GroupCache::with_capacity(MATCH_INDEX_CACHE_CAPACITY),
+                cell_table: GroupCache::with_capacity(CELL_TABLE_CACHE_CAPACITY),
+            },
             hot: Mutex::new(EngineHotStats::default()),
             estimate_hist: Mutex::new(BTreeMap::new()),
         })
@@ -337,7 +357,7 @@ impl CateEngine {
         estimator: &dyn Estimator,
     ) -> Option<Estimate> {
         self.cate_with_name(
-            group,
+            GroupHandle::new(group),
             intervention,
             &Arc::from(estimator.name()),
             estimator,
@@ -353,7 +373,7 @@ impl CateEngine {
     /// `estimate:<name>` covering the actual estimation on a miss.
     fn cate_with_name(
         &self,
-        group: &Mask,
+        group: GroupHandle<'_>,
         intervention: &Pattern,
         name: &Arc<str>,
         estimator: &dyn Estimator,
@@ -361,7 +381,7 @@ impl CateEngine {
     ) -> Option<Estimate> {
         let key = EstimateKey {
             estimator: Arc::clone(name),
-            group_fp: mask_fingerprint(group),
+            group_fp: group.fp,
             intervention: intervention.clone(),
         };
         if let Some(hit) = self.estimate_cache.get(&key) {
@@ -373,7 +393,7 @@ impl CateEngine {
         }
         let result = {
             let _estimate_span = span.map(|h| h.child(format!("estimate:{name}")));
-            self.cate_uncached(group, key.group_fp, intervention, estimator)
+            self.cate_uncached(group.mask, key.group_fp, intervention, estimator)
         };
         // A racing duplicate query may have inserted the same key first;
         // `replaced` distinguishes that (same value — estimation is
@@ -409,7 +429,7 @@ impl CateEngine {
         let mut ctx = EstimateCtx {
             workers: kernel::auto_workers(group.count()),
             stats: HotStats::default(),
-            index_cache: Some((&self.match_index_cache, group_fp)),
+            group_cache: Some((&self.group_caches, group_fp)),
         };
         let t0 = Instant::now();
         let result = estimator
@@ -470,14 +490,14 @@ impl CateEngine {
         *self.hot.lock()
     }
 
-    /// The KD-tree match-index cache (for direct reuse or inspection).
-    pub fn match_index_cache(&self) -> &MatchIndexCache {
-        &self.match_index_cache
-    }
-
     /// Hit/miss counters of the match-index cache.
     pub fn match_index_cache_stats(&self) -> CacheCounters {
-        self.match_index_cache.stats()
+        self.group_caches.match_index.stats()
+    }
+
+    /// Hit/miss counters of the cell-table cache.
+    pub fn cell_table_cache_stats(&self) -> CacheCounters {
+        self.group_caches.cell_table.stats()
     }
 
     /// Bound the estimate cache to at most `capacity` entries, evicting
@@ -654,6 +674,12 @@ impl<'a> CateQuery<'a> {
 
     /// See [`CateEngine::cate`].
     pub fn cate(&self, group: &Mask, intervention: &Pattern) -> Option<Estimate> {
+        self.cate_in(GroupHandle::new(group), intervention)
+    }
+
+    /// [`cate`](Self::cate) against a group fingerprinted once by its
+    /// [`GroupHandle`], for a sweep of interventions over one group.
+    pub fn cate_in(&self, group: GroupHandle<'_>, intervention: &Pattern) -> Option<Estimate> {
         self.engine.cate_with_name(
             group,
             intervention,
@@ -661,6 +687,32 @@ impl<'a> CateQuery<'a> {
             self.estimator,
             self.span.as_ref(),
         )
+    }
+}
+
+/// A subgroup mask with its fingerprint — the key under which the engine
+/// caches the group's estimates and group tables. Fingerprinting hashes
+/// every word of the mask, so a caller that queries many interventions
+/// against one group builds the handle once and passes it to
+/// [`CateQuery::cate_in`].
+#[derive(Debug, Clone, Copy)]
+pub struct GroupHandle<'m> {
+    mask: &'m Mask,
+    fp: u64,
+}
+
+impl<'m> GroupHandle<'m> {
+    /// Fingerprint `mask`.
+    pub fn new(mask: &'m Mask) -> Self {
+        GroupHandle {
+            mask,
+            fp: mask_fingerprint(mask),
+        }
+    }
+
+    /// The subgroup's rows.
+    pub fn mask(&self) -> &'m Mask {
+        self.mask
     }
 }
 
@@ -832,6 +884,37 @@ mod tests {
         let linear = engine.cache_stats_for("linear");
         assert_eq!(linear.evictions, stats.evictions);
         assert_eq!(linear.entries, stats.entries);
+    }
+
+    #[test]
+    fn one_entry_table_cache_rebuilds_the_same_estimates() {
+        let (df, dag) = fixture();
+        let mut tiny = CateEngine::new(Arc::clone(&df), Arc::clone(&dag), "income").unwrap();
+        tiny.group_caches.cell_table = GroupCache::with_capacity(1);
+        let default = CateEngine::new(df, dag, "income").unwrap();
+        let region = |r: &str| {
+            Pattern::of_eq(&[("region", Value::from(r))])
+                .coverage(default.df())
+                .unwrap()
+        };
+        let groups = [
+            Mask::ones(default.df().n_rows()),
+            region("north"),
+            region("south"),
+        ];
+        // Groups alternate, so every query evicts the one cached table.
+        for educated in [true, false] {
+            let p = Pattern::of_eq(&[("educated", Value::Bool(educated))]);
+            for group in &groups {
+                let a = tiny.cate(group, &p, &EstimatorKind::Linear);
+                assert!(a.is_some());
+                assert_eq!(a, default.cate(group, &p, &EstimatorKind::Linear));
+            }
+        }
+        let t = tiny.cell_table_cache_stats();
+        assert_eq!((t.hits, t.misses, t.evictions, t.entries), (0, 6, 5, 1));
+        let d = default.cell_table_cache_stats();
+        assert_eq!((d.hits, d.misses, d.evictions, d.entries), (3, 3, 0, 3));
     }
 
     #[test]

@@ -10,18 +10,26 @@
 //!
 //! * **Count path** — when every adjustment column is categorical, the
 //!   design is a set of 0/1 columns and `XᵀX` is a matrix of integer
-//!   counts. After gathering each row's outcome and treated bit, one pass
-//!   over the group's set words per covariate codes each row's level (the
-//!   `design::LevelCoder` rule the design blocks use: the first observed
-//!   level is the reference), folds it into the row's *slot* —
-//!   its (covariate-level cell, arm) — and adds the outcome to that
-//!   level's `Xᵀy` entry. `XᵀX` is built from the row count of each slot,
-//!   and the RSS from a second row pass that looks up each row's fitted
-//!   value by its slot. Integer counts are exact in any order and every
-//!   other sum keeps the columnar kernels' ascending row order, so nothing
-//!   rounds differently. Time is `O(n·p)` for `p` covariates and scratch
-//!   `O(n + k²)` plus one level map per covariate, against the columnar
-//!   path's `O(n·k²)` gram over an `O(n·k)` design.
+//!   counts. It runs in two halves. The group half, a [`CellTable`], is
+//!   built once per (group, adjustment set): one pass over the group's set
+//!   words per covariate codes each row's level (the `design::LevelCoder`
+//!   rule the design blocks use: the first observed level is the
+//!   reference), folds it into the row's covariate-level *cell*, and adds
+//!   the outcome to that level's `Xᵀy` entry. The table keeps each row's
+//!   outcome and cell, the rows per cell, `Xᵀy` without its treatment
+//!   entry, and a per-word rank of the group mask. The per-intervention
+//!   half walks only the set bits of `group ∧ treated` to count treated
+//!   rows per cell (control counts are the cell totals minus those) and
+//!   sum the treatment entry of `Xᵀy`; `XᵀX` is built from the row count
+//!   of each *slot* — a (cell, arm) pair — and the RSS from one pass over
+//!   the group's words that reads each row's treated bit inline and looks
+//!   up its slot's fitted value. Integer counts are exact in any order and
+//!   every other sum keeps the columnar kernels' ascending row order, so
+//!   nothing rounds differently. The table costs `O(n·p)` time for `p`
+//!   covariates and 12 bytes per group row; each intervention then costs
+//!   `O(treated + cells·(k + p²))` for `k` design columns plus the one RSS
+//!   pass, against the columnar path's `O(n·k²)` gram over an `O(n·k)`
+//!   design.
 //! * **Columnar path** — the fused column-major design of
 //!   [`kernel::build_columns`] and the blocked [`kernel`] reductions. It
 //!   runs when a covariate is numeric or Bool, when an outcome in the group
@@ -32,13 +40,20 @@
 //! Both paths share the solve: one ridge-stabilized Cholesky factor of
 //! `XᵀX` gives `β` and, from one more triangular solve against `e₁`, the
 //! `(1,1)` entry of `(XᵀX)⁻¹`.
+//!
+//! The [`CateEngine`](crate::cate::CateEngine) caches one table (or the
+//! verdict that the columnar path must run) per (group fingerprint,
+//! adjustment set), so an intervention sweep over a group builds its table
+//! once.
 
 use super::design::LevelCoder;
 use super::{kernel, Estimate, HotStats, MIN_ARM_SIZE};
+use crate::cate::CellTableCache;
 use crate::error::{CausalError, Result};
 use crate::linalg::{cholesky_solve, spd_factor, Matrix};
 use faircap_table::stats::t_sf_two_sided;
 use faircap_table::{Column, DataFrame, Mask};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Estimate the CATE by linear regression with automatic worker
@@ -58,13 +73,17 @@ pub fn estimate(
         outcome,
         adjustment,
         workers,
+        None,
         &mut HotStats::default(),
     )
 }
 
 /// Linear-regression estimate with an explicit worker count (used by the
 /// columnar path's kernels; the count path is serial) and hot-path cost
-/// accounting.
+/// accounting. With `cells` — a table cache and the group's fingerprint
+/// keying it — the count path's [`CellTable`] comes from the cache (built
+/// and cached on a miss); without, it is built for this estimate alone.
+#[allow(clippy::too_many_arguments)] // the estimator signature plus the cache handle
 pub fn estimate_with(
     df: &DataFrame,
     group: &Mask,
@@ -72,24 +91,24 @@ pub fn estimate_with(
     outcome: &str,
     adjustment: &[String],
     workers: usize,
+    cells: Option<(&CellTableCache, u64)>,
     stats: &mut HotStats,
 ) -> Result<Estimate> {
     let n = group.count();
-    let n_treated = group.intersect_count(treated);
-    let n_control = n - n_treated;
-    if n_treated < MIN_ARM_SIZE || n_control < MIN_ARM_SIZE {
-        return Err(CausalError::Estimation(format!(
-            "insufficient overlap: {n_treated} treated / {n_control} control"
-        )));
-    }
-    let arms = (n_treated, n_control);
+    let arms = arms(n, group, treated)?;
 
     let t0 = Instant::now();
-    let cells = CellCounts::gather(df, group, treated, outcome, adjustment)?;
-    stats.build_ns += t0.elapsed().as_nanos() as u64;
-    if let Some(cells) = cells {
-        return cells.fit(arms);
+    let build = || Ok(CellTable::build(df, group, outcome, adjustment)?.map(Arc::new));
+    let table = match cells {
+        Some((cache, group_fp)) => cache.get_or_build(group_fp, adjustment, build)?,
+        None => build()?,
+    };
+    if let Some(table) = table {
+        let slots = table.slots(group, treated);
+        stats.build_ns += t0.elapsed().as_nanos() as u64;
+        return table.fit(&slots, group, treated, arms);
     }
+    stats.build_ns += t0.elapsed().as_nanos() as u64;
 
     // Column layout: [intercept, T, covariate blocks...], assembled
     // column-major with the fused word-at-a-time gather.
@@ -112,6 +131,19 @@ pub fn estimate_with(
         let fitted = kernel::mat_vec_columns(x.cols(), beta);
         residual_sum_of_squares(&y, |r| fitted[r])
     })
+}
+
+/// `(treated, control)` rows of the `n`-row group, or the refusal when an
+/// arm is smaller than [`MIN_ARM_SIZE`].
+fn arms(n: usize, group: &Mask, treated: &Mask) -> Result<(usize, usize)> {
+    let n_treated = group.intersect_count(treated);
+    let n_control = n - n_treated;
+    if n_treated < MIN_ARM_SIZE || n_control < MIN_ARM_SIZE {
+        return Err(CausalError::Estimation(format!(
+            "insufficient overlap: {n_treated} treated / {n_control} control"
+        )));
+    }
+    Ok((n_treated, n_control))
 }
 
 /// Refuse a design with no residual degrees of freedom to spare.
@@ -172,41 +204,54 @@ fn fit(
     })
 }
 
-/// Sufficient statistics of an all-categorical OLS design (the count path;
-/// see module docs). Design columns are `[1, T]` followed, per covariate,
-/// by one column for each observed level after the reference level 0.
-/// A row's *slot* is `T + 2·cell`, where `cell` numbers the joint levels
-/// in mixed radix with covariate 0 varying fastest.
-struct CellCounts {
+/// The group half of an all-categorical OLS design (the count path; see
+/// module docs): everything that depends on the group rows and the
+/// adjustment set but not on the intervention. Design columns are `[1, T]`
+/// followed, per covariate, by one column for each observed level after
+/// the reference level 0. A row's `cell` numbers its joint levels in mixed
+/// radix with covariate 0 varying fastest; its *slot* is `2·cell + T`.
+///
+/// A table answers for the group mask it was built from only: every
+/// method taking a `group` must be passed that same mask.
+#[derive(Debug)]
+pub struct CellTable {
     /// Observed levels per covariate.
     levels: Vec<usize>,
     /// Design column of each covariate's level 1.
     offsets: Vec<usize>,
     /// Outcome per group row, ascending.
     y: Vec<f64>,
-    /// Slot per group row, ascending.
-    slot: Vec<usize>,
-    /// Rows per slot.
+    /// `2·cell` per group row, ascending: the row's control slot.
+    slot0: Vec<u32>,
+    /// Group rows per cell.
+    rows: Vec<u32>,
+    /// `Xᵀy` with the treatment entry zero, each entry summed in ascending
+    /// row order.
+    xty: Vec<f64>,
+    /// Group rows in the mask words before each word.
+    rank: Vec<u32>,
+}
+
+/// The per-intervention half: rows per slot and the full `Xᵀy`.
+struct Slots {
     counts: Vec<usize>,
-    /// `Xᵀy`, each entry summed in ascending row order.
     xty: Vec<f64>,
 }
 
-impl CellCounts {
-    /// Gather the statistics, or `None` when the columnar path must run
-    /// instead: a numeric or Bool covariate, a non-finite outcome, or more
-    /// slots than rows. After gathering each row's outcome and treated
-    /// bit, one pass over the group's set words per covariate codes each
-    /// row's level ([`LevelCoder`]), adds it into the row's slot and the
+impl CellTable {
+    /// Build the table, or `None` when the columnar path must run instead:
+    /// a numeric or Bool covariate, a non-finite outcome, or more slots
+    /// than rows. After gathering each row's outcome, one pass over the
+    /// group's set words per covariate codes each row's level (the
+    /// `design::LevelCoder` rule), adds it into the row's cell and the
     /// row's outcome into that level's `Xᵀy` entry. Errors match the
     /// columnar path's (unknown column, non-numeric outcome).
-    fn gather(
+    pub fn build(
         df: &DataFrame,
         group: &Mask,
-        treated: &Mask,
         outcome: &str,
         adjustment: &[String],
-    ) -> Result<Option<CellCounts>> {
+    ) -> Result<Option<CellTable>> {
         let mut covariates = Vec::with_capacity(adjustment.len());
         for name in adjustment {
             match df.column(name)? {
@@ -216,23 +261,12 @@ impl CellCounts {
         }
         let n = group.count();
         let y = kernel::gather_outcome(df, outcome, group)?;
-        if !y.iter().all(|v| v.is_finite()) {
+        if !y.iter().all(|v| v.is_finite()) || u32::try_from(n).is_err() {
             return Ok(None);
         }
-        let mut slot: Vec<usize> = kernel::gather_indicator(group, treated)
-            .into_iter()
-            .map(usize::from)
-            .collect();
 
-        // Until the covariate passes add their levels, a row's slot is its
-        // treated bit.
-        let mut xty = vec![0.0f64; 2];
-        for (&yi, &s) in y.iter().zip(&slot) {
-            xty[0] += yi;
-            if s == 1 {
-                xty[1] += yi;
-            }
-        }
+        let mut xty = vec![y.iter().fold(0.0, |sum, yi| sum + yi), 0.0];
+        let mut slot0 = vec![0u32; n];
         let mut levels = Vec::with_capacity(covariates.len());
         let mut offsets = Vec::with_capacity(covariates.len());
         let mut stride = 2usize;
@@ -246,7 +280,10 @@ impl CellCounts {
                 let mut w = word;
                 while w != 0 {
                     let level = coder.level(codes[base + w.trailing_zeros() as usize]) as usize;
-                    slot[dense] += level * stride;
+                    // `stride · level < stride · l ≤ n` once the check
+                    // below passes, so the slot fits in `u32`; a covariate
+                    // that fails the check discards the table.
+                    slot0[dense] = slot0[dense].wrapping_add((level * stride) as u32);
                     sums[level] += y[dense];
                     dense += 1;
                     w &= w - 1;
@@ -262,18 +299,54 @@ impl CellCounts {
             xty.extend_from_slice(&sums[1..l]);
         }
 
-        let mut counts = vec![0usize; stride];
-        for &s in &slot {
-            counts[s] += 1;
+        let mut rows = vec![0u32; stride / 2];
+        for &s in &slot0 {
+            rows[s as usize / 2] += 1;
         }
-        Ok(Some(CellCounts {
+        let mut rank = Vec::with_capacity(group.as_words().len());
+        let mut seen = 0u32;
+        for &w in group.as_words() {
+            rank.push(seen);
+            seen += w.count_ones();
+        }
+        Ok(Some(CellTable {
             levels,
             offsets,
             y,
-            slot,
-            counts,
+            slot0,
+            rows,
             xty,
+            rank,
         }))
+    }
+
+    /// Estimate the CATE of `treated` within `group` (the mask the table
+    /// was built from) — exactly [`estimate`]'s answer, refusals included.
+    pub fn estimate(&self, group: &Mask, treated: &Mask) -> Result<Estimate> {
+        let arms = arms(self.y.len(), group, treated)?;
+        self.fit(&self.slots(group, treated), group, treated, arms)
+    }
+
+    /// Rows per slot and `Xᵀy` for one intervention, from the set bits of
+    /// `group ∧ treated` alone, in ascending row order.
+    fn slots(&self, group: &Mask, treated: &Mask) -> Slots {
+        let mut counts = vec![0usize; 2 * self.rows.len()];
+        let mut xty = self.xty.clone();
+        let words = group.as_words().iter().zip(treated.as_words());
+        for ((&g, &t), &rank) in words.zip(&self.rank) {
+            let mut w = g & t;
+            while w != 0 {
+                let below = g & ((1u64 << w.trailing_zeros()) - 1);
+                let r = (rank + below.count_ones()) as usize;
+                counts[self.slot0[r] as usize + 1] += 1;
+                xty[1] += self.y[r];
+                w &= w - 1;
+            }
+        }
+        for (c, &rows) in self.rows.iter().enumerate() {
+            counts[2 * c] = rows as usize - counts[2 * c + 1];
+        }
+        Slots { counts, xty }
     }
 
     /// The design columns set to 1 in slot `s`, ascending.
@@ -293,15 +366,21 @@ impl CellCounts {
         }
     }
 
-    /// Solve the normal equations from the counts.
-    fn fit(&self, arms: (usize, usize)) -> Result<Estimate> {
-        let (n, k) = (self.y.len(), self.xty.len());
+    /// Solve the normal equations from one intervention's slot counts.
+    fn fit(
+        &self,
+        slots: &Slots,
+        group: &Mask,
+        treated: &Mask,
+        arms: (usize, usize),
+    ) -> Result<Estimate> {
+        let (n, k) = (self.y.len(), slots.xty.len());
         check_rows(n, k)?;
         // Upper triangle from the slot counts (integers, so exact in f64),
         // then the mirror.
         let mut gram = Matrix::zeros(k, k);
         let mut active = Vec::with_capacity(2 + self.levels.len());
-        for (s, &c) in self.counts.iter().enumerate() {
+        for (s, &c) in slots.counts.iter().enumerate() {
             if c == 0 {
                 continue;
             }
@@ -317,14 +396,14 @@ impl CellCounts {
                 gram.set(i, j, gram.get(j, i));
             }
         }
-        fit(&gram, &self.xty, n, arms, |beta| {
+        fit(&gram, &slots.xty, n, arms, |beta| {
             // Each slot's fitted value is the ascending-column dot product
             // of its 0/1 design row with β, zero terms included, exactly
             // as `kernel::mat_vec_columns` forms it per row.
             let mut row = vec![0.0f64; k];
-            let fitted: Vec<f64> = (0..self.counts.len())
+            let fitted: Vec<f64> = (0..slots.counts.len())
                 .map(|s| {
-                    if self.counts[s] == 0 {
+                    if slots.counts[s] == 0 {
                         return 0.0;
                     }
                     self.active_columns(s, &mut active);
@@ -341,7 +420,21 @@ impl CellCounts {
                     f
                 })
                 .collect();
-            residual_sum_of_squares(&self.y, |r| fitted[self.slot[r]])
+            // One pass over the group's rows, ascending, each row's arm
+            // read from its treated bit.
+            let mut r = 0usize;
+            let mut rss = 0.0f64;
+            for (&g, &t) in group.as_words().iter().zip(treated.as_words()) {
+                let mut w = g;
+                while w != 0 {
+                    let arm = (t >> w.trailing_zeros()) & 1;
+                    let d = self.y[r] - fitted[self.slot0[r] as usize + arm as usize];
+                    rss += d * d;
+                    r += 1;
+                    w &= w - 1;
+                }
+            }
+            rss
         })
     }
 }
@@ -383,14 +476,12 @@ mod tests {
 
     #[test]
     fn count_path_runs_only_on_categorical_designs() {
-        let (df, treated) = confounded_frame();
+        let (df, _) = confounded_frame();
         let n = df.n_rows();
         let all = Mask::ones(n);
         let gather = |df: &DataFrame, adj: &[&str]| {
             let adj: Vec<String> = adj.iter().map(|a| a.to_string()).collect();
-            CellCounts::gather(df, &all, &treated, "o", &adj)
-                .unwrap()
-                .is_some()
+            CellTable::build(df, &all, "o", &adj).unwrap().is_some()
         };
         assert!(gather(&df, &["z"]));
         assert!(gather(&df, &[]));
@@ -411,7 +502,7 @@ mod tests {
         assert!(!gather(&nan, &["z"]));
         // Errors are the columnar path's.
         let adj = vec!["missing".to_string()];
-        assert!(CellCounts::gather(&df, &all, &treated, "o", &adj).is_err());
+        assert!(CellTable::build(&df, &all, "o", &adj).is_err());
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub mod reference;
 pub mod stratified;
 
 use faircap_table::{DataFrame, Mask};
+use std::sync::Arc;
 
 use crate::error::Result;
 
@@ -79,8 +80,10 @@ pub(crate) fn normal_inference(cate: f64, var: f64) -> (f64, f64, f64) {
 pub struct HotStats {
     /// Nanoseconds spent assembling the columnar design (and gathering the
     /// outcome / treatment indicator). For `linear`'s count path it covers
-    /// the gather passes (outcomes, treated bits, per-covariate levels and
-    /// slot counts); building `XᵀX` from the counts counts as solve time.
+    /// the cell-table lookup — and on a miss the table build (outcomes,
+    /// per-covariate levels, cell counts) — plus the walk over the treated
+    /// rows that counts each slot; building `XᵀX` from the counts and the
+    /// RSS pass count as solve time.
     pub build_ns: u64,
     /// Nanoseconds spent constructing reusable indices (the KD-tree over
     /// the standardized design; zero for estimators without one or when a
@@ -111,18 +114,19 @@ impl HotStats {
 }
 
 /// Per-query context threaded through [`Estimator::estimate_with_ctx`]:
-/// the kernel worker count, the cost-accounting sink, and (for the matching
-/// estimator) the engine's match-index cache together with the querying
-/// subgroup's fingerprint, so one KD-tree index is built per
-/// `(subgroup, adjustment set)` and reused across the intervention sweep.
+/// the kernel worker count, the cost-accounting sink, and the engine's
+/// group caches together with the querying subgroup's fingerprint, so the
+/// matching estimator's KD-tree index and the linear estimator's cell
+/// table are built once per `(subgroup, adjustment set)` and reused across
+/// the intervention sweep.
 pub struct EstimateCtx<'a> {
     /// Worker count for kernel fan-out (1 = serial; results are
     /// bit-identical either way).
     pub workers: usize,
     /// Accumulated hot-path costs for this query.
     pub stats: HotStats,
-    /// Match-index cache and the subgroup fingerprint keying it.
-    pub index_cache: Option<(&'a crate::cate::MatchIndexCache, u64)>,
+    /// Group caches and the subgroup fingerprint keying them.
+    pub group_cache: Option<(&'a crate::cate::GroupCaches, u64)>,
 }
 
 /// A treatment-effect estimate with inference statistics.
@@ -306,12 +310,16 @@ impl Estimator for EstimatorKind {
         let EstimateCtx {
             workers,
             stats,
-            index_cache,
+            group_cache,
         } = ctx;
         let workers = *workers;
         match self {
             EstimatorKind::Linear => {
-                linear::estimate_with(df, group, treated, outcome, adjustment, workers, stats)
+                // One cell table per (subgroup, adjustment set).
+                let cells = group_cache.map(|(caches, group_fp)| (&caches.cell_table, group_fp));
+                linear::estimate_with(
+                    df, group, treated, outcome, adjustment, workers, cells, stats,
+                )
             }
             EstimatorKind::Stratified => {
                 stratified::estimate(df, group, treated, outcome, adjustment)
@@ -326,11 +334,14 @@ impl Estimator for EstimatorKind {
                 // One KD-tree index per (subgroup, adjustment set), shared
                 // across every intervention swept against this subgroup.
                 let shared;
-                let index = match index_cache {
-                    Some((cache, group_fp)) => {
-                        shared = cache.get_or_build(
-                            *group_fp, df, group, outcome, adjustment, workers, stats,
-                        )?;
+                let index = match group_cache {
+                    Some((caches, group_fp)) => {
+                        shared = caches.match_index.get_or_build(*group_fp, adjustment, || {
+                            let index = matching::MatchIndex::build(
+                                df, group, outcome, adjustment, workers, stats,
+                            )?;
+                            Ok(Arc::new(index))
+                        })?;
                         Some(&*shared)
                     }
                     None => None,

@@ -17,7 +17,7 @@ use crate::benefit::benefit;
 use crate::config::FairCapConfig;
 use crate::constraints::rule_satisfies_fairness;
 use crate::rule::{Rule, RuleUtility};
-use faircap_causal::CateQuery;
+use faircap_causal::{CateQuery, GroupHandle};
 use faircap_mining::{positive_lattice_with_stats, single_attribute_items, MiningStats};
 use faircap_table::{Mask, Pattern};
 
@@ -87,16 +87,22 @@ pub fn evaluate_group_interventions(
         })
         .collect();
 
-    // Lattice traversal scored by overall CATE.
+    // Lattice traversal scored by overall CATE. Each group is
+    // fingerprinted once per walk, not once per query.
+    let group = GroupHandle::new(coverage);
     let (nodes, stats) = positive_lattice_with_stats(
         &items,
         max_intervention_len,
-        |pattern, _mask| query.cate(coverage, pattern),
+        |pattern, _mask| query.cate_in(group, pattern),
         |est| est.cate > 0.0,
     );
 
     let coverage_p = coverage & protected;
     let coverage_np = coverage.andnot(protected);
+    let (group_p, group_np) = (
+        GroupHandle::new(&coverage_p),
+        GroupHandle::new(&coverage_np),
+    );
     let mut evaluated = Vec::new();
     for node in nodes {
         let est = node.score;
@@ -107,8 +113,8 @@ pub fn evaluate_group_interventions(
         // (Definition 4.4: 0 when the sub-coverage is empty; when it is
         // non-empty but too small to estimate, the overall CATE is the best
         // available prediction for those rows — see DESIGN.md).
-        let u_p = subgroup_utility(query, &coverage_p, &node.pattern, est.cate);
-        let u_np = subgroup_utility(query, &coverage_np, &node.pattern, est.cate);
+        let u_p = subgroup_utility(query, group_p, &node.pattern, est.cate);
+        let u_np = subgroup_utility(query, group_np, &node.pattern, est.cate);
         evaluated.push(EvaluatedIntervention {
             pattern: node.pattern,
             cate: est.cate,
@@ -233,15 +239,15 @@ pub fn mine_top_interventions(
 /// that is too small to estimate on its own.
 pub fn subgroup_utility(
     query: &CateQuery<'_>,
-    sub_coverage: &Mask,
+    sub_coverage: GroupHandle<'_>,
     intervention: &Pattern,
     overall: f64,
 ) -> f64 {
-    if sub_coverage.none() {
+    if sub_coverage.mask().none() {
         return 0.0;
     }
     query
-        .cate(sub_coverage, intervention)
+        .cate_in(sub_coverage, intervention)
         .map(|e| e.cate)
         .unwrap_or(overall)
 }

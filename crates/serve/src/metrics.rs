@@ -484,7 +484,7 @@ static SESSION: &[Metric<RegisteredSession>] = &[
     counter(
         "faircap_session_cache_hits_total",
         "{}.hits",
-        "Session cache hits by cache (estimate, grouping, intervention, match_index, estimate/<estimator>)",
+        "Session cache hits by cache (estimate, grouping, intervention, match_index, cell_table, estimate/<estimator>)",
         Each("cache", |e| caches(e, |c| c.hits)),
     ),
     counter(
@@ -600,6 +600,7 @@ fn caches(e: &RegisteredSession, pick: fn(&CacheCounters) -> u64) -> Vec<Sample>
     caches.push(("grouping".into(), s.grouping_cache_stats()));
     caches.push(("intervention".into(), s.intervention_cache_stats()));
     caches.push(("match_index".into(), s.engine().match_index_cache_stats()));
+    caches.push(("cell_table".into(), s.engine().cell_table_cache_stats()));
     let samples = caches.into_iter().map(|(label, c)| {
         let key = match label.strip_prefix("estimate/") {
             Some(est) => format!("estimate_cache_by_estimator.{est}"),

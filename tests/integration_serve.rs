@@ -734,23 +734,41 @@ fn overload_soak_sheds_cleanly_and_never_drops_admitted_requests() {
     .unwrap();
     let client = server.client();
     client.wait_ready(Duration::from_secs(30)).unwrap();
-
-    // Open loop far past capacity: a 1-worker server solves well under
-    // 50 req/s on this scenario in a debug build; the schedule offers
-    // 500/s. The sweep mix with a high cold fraction keeps fingerprints
-    // distinct so coalescing cannot flatten the overload.
-    let options = ReplayOptions {
-        mix: WorkloadMix::preset("sweep", default_epsilon(&spec)).unwrap(),
-        arrival: Arrival::Open {
-            clients: 32,
-            rate_hz: 500.0,
-        },
-        total: 200,
-        cold_fraction: 0.8,
-    };
     let target = ReplayTarget::Http {
         client: server.client(),
         session: "soak".into(),
+    };
+    let mix = WorkloadMix::preset("sweep", default_epsilon(&spec)).unwrap();
+
+    // Capacity of the 1-worker server is one solve per solve time. Time
+    // one solve shaped like the soak's (a cold-path request that re-mines
+    // grouping patterns), after one untimed solve that pays the cold CATE
+    // estimates every later request shares.
+    let solve = |cold_fraction| {
+        let options = ReplayOptions {
+            mix: mix.clone(),
+            arrival: Arrival::Closed { clients: 1 },
+            total: 1,
+            cold_fraction,
+        };
+        let report = replay(&target, &options, &spec).unwrap();
+        assert_eq!(report.ok, 1, "{}", report.summary());
+        report.mean_ms
+    };
+    solve(0.0);
+    let capacity_hz = 1e3 / solve(1.0).max(1e-3);
+
+    // Open loop at 10× that capacity. The sweep mix with a high cold
+    // fraction keeps fingerprints distinct so coalescing cannot flatten
+    // the overload.
+    let options = ReplayOptions {
+        mix,
+        arrival: Arrival::Open {
+            clients: 32,
+            rate_hz: 10.0 * capacity_hz,
+        },
+        total: 200,
+        cold_fraction: 0.8,
     };
     let report = replay(&target, &options, &spec).unwrap();
 
@@ -768,7 +786,7 @@ fn overload_soak_sheds_cleanly_and_never_drops_admitted_requests() {
     assert!(report.ok >= 1, "{}", report.summary());
     assert!(
         report.rejected_429 >= report.total / 4,
-        "10× overload must shed hard: {}",
+        "10× overload of {capacity_hz:.0} req/s must shed hard: {}",
         report.summary()
     );
     // The bounded queue held its bound through the whole soak.

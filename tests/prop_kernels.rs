@@ -124,6 +124,7 @@ fn assert_linear_matches_naive(
             outcome,
             adjustment,
             workers,
+            None,
             &mut HotStats::default(),
         ));
         prop_assert_eq!(
@@ -408,6 +409,47 @@ proptest! {
                 y_bad[row] = if n % 2 == 0 { f64::INFINITY } else { f64::NAN };
                 let df_bad = df.with_column("y", Column::Float(y_bad)).unwrap();
                 assert_linear_matches_naive(&df_bad, &group, &treated, "y", &names)?;
+            }
+        }
+    }
+
+    /// One `linear::CellTable`, built once per random frame and group, then
+    /// reused across six random treated masks (from ~2% to ~98% treated):
+    /// every estimate == `reference::linear_naive`, bit for bit and refusal
+    /// for refusal. A group the count path refuses builds `None`, and the
+    /// naive estimate still matches the live estimator's columnar path.
+    #[test]
+    fn cell_table_reuse_matches_naive(
+        n in 10usize..MAX_ROWS,
+        specs in prop::collection::vec((1u8..=12, 0u8..8), 0..5),
+        code_seed in prop::collection::vec(any::<u8>(), 6 * MAX_ROWS),
+        y_seed in prop::collection::vec(-10.0f64..10.0, MAX_ROWS),
+        row_seed in prop::collection::vec(any::<u8>(), MAX_ROWS),
+        treat_seed in prop::collection::vec(any::<u8>(), 6 * MAX_ROWS),
+    ) {
+        let codes = categorical_codes(&specs, &code_seed, n);
+        let names: Vec<String> = (0..codes.len()).map(|a| format!("z{a}")).collect();
+        let mut builder = DataFrame::builder().float("y", y_seed[..n].to_vec());
+        for (name, col) in names.iter().zip(&codes) {
+            let labels: Vec<String> = col.iter().map(|c| format!("l{c}")).collect();
+            builder = builder.cat(name, &labels);
+        }
+        let df = builder.build().unwrap();
+        let groups: [Vec<bool>; 2] = [
+            vec![true; n],
+            (0..n).map(|r| !row_seed[r].is_multiple_of(3)).collect(),
+        ];
+        for group in groups.iter().map(|g| Mask::from_bools(g)) {
+            let table = linear::CellTable::build(&df, &group, "y", &names).unwrap();
+            for (m, cut) in [6u8, 40, 128, 128, 215, 250].into_iter().enumerate() {
+                let bits = &treat_seed[m * MAX_ROWS..m * MAX_ROWS + n];
+                let treated = Mask::from_bools(&bits.iter().map(|&b| b < cut).collect::<Vec<_>>());
+                let naive = verdict(reference::linear_naive(&df, &group, &treated, "y", &names));
+                let live = match &table {
+                    Some(table) => verdict(table.estimate(&group, &treated)),
+                    None => verdict(linear::estimate(&df, &group, &treated, "y", &names)),
+                };
+                prop_assert_eq!(live, naive, "mask {} adjustment {:?}", m, &names);
             }
         }
     }
