@@ -7,7 +7,7 @@
 //! supplied per query (see [`Estimator`]), so one long-lived engine serves
 //! repeated solves under different estimators while sharing its caches.
 //!
-//! Five caches persist across queries:
+//! Six caches persist across queries:
 //!
 //! * adjustment sets, derived from the DAG once per treatment-attribute set;
 //! * treated-row masks, one per intervention pattern;
@@ -15,11 +15,16 @@
 //!   `(subgroup, adjustment set)` — the matching estimator's standardized
 //!   design and tree are built once and reused across the whole
 //!   intervention sweep over that subgroup;
+//! * group entries ([`GroupRowsCache`]), one per subgroup — the linear
+//!   estimator's count-path tier 1: the group's outcomes, their sum and
+//!   mean, and each covariate's per-row levels and per-level outcome sums,
+//!   coded on first use and shared by every adjustment set's table;
 //! * cell tables ([`CellTableCache`]), one per `(subgroup, adjustment
-//!   set)` — the linear estimator's count-path group half (outcomes,
-//!   cells, `Xᵀy`), or the verdict that the group takes the columnar path,
-//!   so each intervention only walks its treated rows. Both group caches
-//!   are instances of one [`GroupCache`];
+//!   set)` — each row's cell, rows and outcome deviations per cell, and
+//!   the intervention-independent part of `XᵀX` and `Xᵀy`, assembled from
+//!   the group entry; or the verdict that the group takes the columnar
+//!   path. Each intervention then only walks its treated rows. The three
+//!   group caches are instances of one [`GroupCache`];
 //! * full estimates, keyed by `(estimator, group, intervention)` — the cache
 //!   the greedy phase and repeated constraint re-solves hit hardest. This
 //!   one is a [`ShardedLruCache`]: lookups contend on one of its lock
@@ -40,7 +45,7 @@
 
 use crate::backdoor::find_adjustment_set_names;
 use crate::error::{CausalError, Result};
-use crate::estimate::linear::CellTable;
+use crate::estimate::linear::{CellTable, GroupRows};
 use crate::estimate::matching::MatchIndex;
 use crate::estimate::{kernel, Estimate, EstimateCtx, Estimator, HotStats};
 use crate::graph::Dag;
@@ -64,11 +69,22 @@ const ESTIMATE_CACHE_SHARDS: usize = 16;
 /// keeps reuse high without letting index memory grow with the sweep.
 const MATCH_INDEX_CACHE_CAPACITY: usize = 32;
 
-/// Default entry bound of the cell-table cache. Step 2 queries each group,
-/// its protected and its non-protected sub-coverage in turn, on several
-/// worker threads at once; 128 entries hold the three tables of some 40
-/// groups, at 12 bytes per group row each.
+/// Default entry bound of the cell-table cache. Tables are per (group,
+/// adjustment set), at 4 bytes per group row plus the group's shared
+/// [`GroupRows`]. Step 2 queries each group, its protected and its
+/// non-protected sub-coverage in turn, each under the adjustment sets of
+/// its interventions, on several worker threads at once, so most tables
+/// serve one group's sweep under one adjustment set and are not used
+/// again. A cold `so_session` solve (StackOverflow, 10k rows, seed 1)
+/// builds tables for 348 groups under 41 adjustment sets: 14.6k misses
+/// against 34.6k hits at 128 entries, 13.9k misses with no bound.
 const CELL_TABLE_CACHE_CAPACITY: usize = 128;
+
+/// Default entry bound of the count path's per-group cache
+/// ([`GroupRows`]: 8 bytes per group row plus one byte per row for each
+/// covariate coded). The same `so_session` solve queries 348 distinct
+/// groups: 372 misses at 32 or 64 entries, 385 at 16.
+const GROUP_ROWS_CACHE_CAPACITY: usize = 32;
 
 /// Lock shards of each group cache; fewer distinct keys than the estimate
 /// cache, so fewer shards suffice.
@@ -104,25 +120,36 @@ fn limit_malloc_arenas() {
     }
 }
 
-/// Session-lived cache of per-group estimator state keyed by `(subgroup
-/// fingerprint, adjustment set)`: state that depends only on the subgroup
-/// rows and the adjustment covariates — *not* on the intervention — so one
-/// entry serves the entire pattern sweep against a subgroup. LRU-bounded
-/// because each entry holds O(rows) data. The engine keeps two:
-/// [`MatchIndexCache`] and [`CellTableCache`].
-pub struct GroupCache<V> {
-    cache: ShardedLruCache<(u64, Vec<String>), V>,
+/// Session-lived cache of per-group estimator state: state that depends
+/// only on the subgroup rows (keyed by the subgroup fingerprint) or on
+/// them and the adjustment covariates (keyed by `(subgroup fingerprint,
+/// adjustment set)`) — *not* on the intervention — so one entry serves
+/// the entire pattern sweep against a subgroup. LRU-bounded because each
+/// entry holds O(rows) data. The engine keeps three: [`MatchIndexCache`],
+/// [`CellTableCache`] and [`GroupRowsCache`].
+pub struct GroupCache<K, V> {
+    cache: ShardedLruCache<K, V>,
 }
 
 /// Matching indices ([`MatchIndex`]: standardized columnar design +
 /// KD-tree).
-pub type MatchIndexCache = GroupCache<Arc<MatchIndex>>;
+pub type MatchIndexCache = GroupCache<(u64, Vec<String>), Arc<MatchIndex>>;
 
 /// `linear`'s count-path tables ([`CellTable`]), and the `None` verdict
 /// for a group and adjustment set that take the columnar path.
-pub type CellTableCache = GroupCache<Option<Arc<CellTable>>>;
+pub type CellTableCache = GroupCache<(u64, Vec<String>), Option<Arc<CellTable>>>;
 
-impl<V: Clone> std::fmt::Debug for GroupCache<V> {
+/// `linear`'s count-path group entries ([`GroupRows`]: outcomes, their
+/// sum and mean, the mask rank, and the covariates coded so far), keyed by
+/// subgroup fingerprint alone; `None` for a group whose outcomes are not
+/// all finite.
+pub type GroupRowsCache = GroupCache<u64, Option<Arc<GroupRows>>>;
+
+impl<K, V> std::fmt::Debug for GroupCache<K, V>
+where
+    K: std::hash::Hash + Eq + Clone,
+    V: Clone,
+{
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GroupCache")
             .field("stats", &self.cache.counters())
@@ -130,7 +157,11 @@ impl<V: Clone> std::fmt::Debug for GroupCache<V> {
     }
 }
 
-impl<V: Clone> GroupCache<V> {
+impl<K, V> GroupCache<K, V>
+where
+    K: std::hash::Hash + Eq + Clone,
+    V: Clone,
+{
     /// A cache bounded to `capacity` entries (LRU eviction).
     pub fn with_capacity(capacity: usize) -> Self {
         GroupCache {
@@ -138,15 +169,9 @@ impl<V: Clone> GroupCache<V> {
         }
     }
 
-    /// Return the cached entry for `(group_fp, adjustment)`, building (and
-    /// caching) it with `build` on a miss. A failed build caches nothing.
-    pub fn get_or_build(
-        &self,
-        group_fp: u64,
-        adjustment: &[String],
-        build: impl FnOnce() -> Result<V>,
-    ) -> Result<V> {
-        let key = (group_fp, adjustment.to_vec());
+    /// Return the cached entry for `key`, building (and caching) it with
+    /// `build` on a miss. A failed build caches nothing.
+    pub fn get_or_build(&self, key: K, build: impl FnOnce() -> Result<V>) -> Result<V> {
         if let Some(hit) = self.cache.get(&key) {
             return Ok(hit);
         }
@@ -161,14 +186,17 @@ impl<V: Clone> GroupCache<V> {
     }
 }
 
-/// The engine's per-`(subgroup, adjustment set)` caches, one per
-/// estimator that keeps group-level state.
+/// The engine's group caches, one per kind of group-level estimator
+/// state.
 #[derive(Debug)]
 pub struct GroupCaches {
     /// KD-tree match indices of the matching estimator.
     pub match_index: MatchIndexCache,
-    /// Count-path tables of the linear estimator.
+    /// Count-path tables of the linear estimator, per adjustment set.
     pub cell_table: CellTableCache,
+    /// Count-path group entries of the linear estimator, shared by the
+    /// tables of every adjustment set over a group.
+    pub group_rows: GroupRowsCache,
 }
 
 /// Aggregated hot-path cost accounting across every (uncached) estimate an
@@ -274,6 +302,7 @@ impl CateEngine {
             group_caches: GroupCaches {
                 match_index: GroupCache::with_capacity(MATCH_INDEX_CACHE_CAPACITY),
                 cell_table: GroupCache::with_capacity(CELL_TABLE_CACHE_CAPACITY),
+                group_rows: GroupCache::with_capacity(GROUP_ROWS_CACHE_CAPACITY),
             },
             hot: Mutex::new(EngineHotStats::default()),
             estimate_hist: Mutex::new(BTreeMap::new()),
@@ -529,6 +558,11 @@ impl CateEngine {
     /// Hit/miss counters of the cell-table cache.
     pub fn cell_table_cache_stats(&self) -> CacheCounters {
         self.group_caches.cell_table.stats()
+    }
+
+    /// Hit/miss counters of the count path's per-group cache.
+    pub fn group_rows_cache_stats(&self) -> CacheCounters {
+        self.group_caches.group_rows.stats()
     }
 
     /// Bound the estimate cache to at most `capacity` entries, evicting
@@ -922,30 +956,41 @@ mod tests {
         let (df, dag) = fixture();
         let mut tiny = CateEngine::new(Arc::clone(&df), Arc::clone(&dag), "income").unwrap();
         tiny.group_caches.cell_table = GroupCache::with_capacity(1);
+        tiny.group_caches.group_rows = GroupCache::with_capacity(1);
         let default = CateEngine::new(df, dag, "income").unwrap();
-        let region = |r: &str| {
-            Pattern::of_eq(&[("region", Value::from(r))])
-                .coverage(default.df())
-                .unwrap()
-        };
+        let region = |r: &str| Pattern::of_eq(&[("region", Value::from(r))]);
         let groups = [
             Mask::ones(default.df().n_rows()),
-            region("north"),
-            region("south"),
+            region("north").coverage(default.df()).unwrap(),
+            region("south").coverage(default.df()).unwrap(),
         ];
-        // Groups alternate, so every query evicts the one cached table.
+        // Groups alternate, so every query evicts the one cached table and
+        // the one cached group entry. All six adjust for `region`.
+        let mut queries = Vec::new();
         for educated in [true, false] {
             let p = Pattern::of_eq(&[("educated", Value::Bool(educated))]);
-            for group in &groups {
-                let a = tiny.cate(group, &p, &EstimatorKind::Linear);
-                assert!(a.is_some());
-                assert_eq!(a, default.cate(group, &p, &EstimatorKind::Linear));
-            }
+            queries.extend(groups.iter().map(|g| (g, p.clone())));
         }
-        let t = tiny.cell_table_cache_stats();
-        assert_eq!((t.hits, t.misses, t.evictions, t.entries), (0, 6, 5, 1));
-        let d = default.cell_table_cache_stats();
-        assert_eq!((d.hits, d.misses, d.evictions, d.entries), (3, 3, 0, 3));
+        // `region` itself needs no adjustment: a second table over the
+        // whole frame, on the group entry the default engine still holds.
+        queries.push((&groups[0], region("north")));
+        let bits = |e: Option<Estimate>| {
+            let e = e.expect("estimable");
+            let fields = [e.cate, e.std_err, e.t_stat, e.p_value].map(f64::to_bits);
+            (fields, e.n_treated, e.n_control)
+        };
+        for (group, p) in &queries {
+            let a = tiny.cate(group, p, &EstimatorKind::Linear);
+            assert_eq!(
+                bits(a),
+                bits(default.cate(group, p, &EstimatorKind::Linear))
+            );
+        }
+        let counts = |c: CacheCounters| (c.hits, c.misses, c.evictions, c.entries);
+        assert_eq!(counts(tiny.cell_table_cache_stats()), (0, 7, 6, 1));
+        assert_eq!(counts(tiny.group_rows_cache_stats()), (0, 7, 6, 1));
+        assert_eq!(counts(default.cell_table_cache_stats()), (3, 4, 0, 4));
+        assert_eq!(counts(default.group_rows_cache_stats()), (1, 3, 0, 3));
     }
 
     #[test]

@@ -5,35 +5,52 @@
 //! dropped per covariate; numeric covariates enter directly). The coefficient
 //! on `T` is the CATE; its standard error comes from `σ̂²(XᵀX)⁻¹`.
 //!
-//! Two paths compute the normal equations, and both are bit-identical to
+//! Two paths compute the normal equations. Both give `β` — so the CATE and
+//! every refusal — bit-identical to
 //! [`reference::linear_naive`](super::reference::linear_naive):
 //!
 //! * **Count path** — when every adjustment column is categorical, the
 //!   design is a set of 0/1 columns and `XᵀX` is a matrix of integer
-//!   counts. It runs in two halves. The group half, a [`CellTable`], is
-//!   built once per (group, adjustment set): one pass over the group's set
-//!   words per covariate codes each row's level (the `design::LevelCoder`
-//!   rule the design blocks use: the first observed level is the
-//!   reference), folds it into the row's covariate-level *cell*, and adds
-//!   the outcome to that level's `Xᵀy` entry. The table keeps each row's
-//!   outcome and cell, the rows per cell, `Xᵀy` without its treatment
-//!   entry, and a per-word rank of the group mask. The per-intervention
-//!   half walks only the set bits of `group ∧ treated` to count treated
-//!   rows per cell (control counts are the cell totals minus those) and
-//!   sum the treatment entry of `Xᵀy`; `XᵀX` is built from the row count
-//!   of each *slot* — a (cell, arm) pair — and the RSS from one pass over
-//!   the group's words that reads each row's treated bit inline and looks
-//!   up its slot's fitted value. Integer counts are exact in any order and
-//!   every other sum keeps the columnar kernels' ascending row order, so
-//!   nothing rounds differently. The table costs `O(n·p)` time for `p`
-//!   covariates and 12 bytes per group row; each intervention then costs
-//!   `O(treated + cells·(k + p²))` for `k` design columns plus the one RSS
-//!   pass, against the columnar path's `O(n·k²)` gram over an `O(n·k)`
-//!   design.
+//!   counts. It runs in three tiers:
+//!   1. A [`GroupRows`] per group holds the group's outcomes, `Σy`, the
+//!      mean `ȳ` that deviations `d = y − ȳ` are taken from, the total sum
+//!      of squares `Σd²`, and a per-word rank of the group mask. Per
+//!      covariate, on first use, it codes each row's level (the
+//!      `design::LevelCoder` rule: the first observed level is the
+//!      reference; one byte per row up to 256 levels) and sums `y` per
+//!      level in ascending row order. A [`CellTable`] per (group,
+//!      adjustment set) is then put together from integers: each row's
+//!      covariate-level *cell*, the rows per cell, the
+//!      intervention-independent part of `XᵀX`, and each cell's design
+//!      columns. One more pass sums `d` per cell. The table shares the
+//!      group's rows by `Arc` and adds 4 bytes per row.
+//!   2. Per intervention, one walk over the set bits of `group ∧ treated`
+//!      counts treated rows per cell, sums treated `y` in ascending order
+//!      for `Xᵀy`'s treatment entry, and sums treated `d` per cell. A
+//!      (cell, arm) pair is a *slot*; control sums are the cell's minus
+//!      the treated ones. The treatment row of `XᵀX` is added to the
+//!      table's, and the RSS comes from the slots alone:
+//!      `Σd² + Σ_slots (m·(d̄ − f)² − m·d̄²)` for a slot's `m` rows, mean
+//!      deviation `d̄` and fitted deviation `f`. That costs
+//!      `O(treated + cells·p + k³)` for `p` covariates and `k` design
+//!      columns, with no pass over the whole group.
+//!   3. The per-slot RSS sums in a different order than the naive row
+//!      loop, so `std_err`, `t_stat` and `p_value` may differ from the
+//!      oracle's in the last bits (within [`INFERENCE_TOLERANCE`]). Where
+//!      that order could matter — a non-finite per-slot RSS, or one not
+//!      above [`EXACT_RSS_FRACTION`] of `Σd²` (a near-perfect fit, or a
+//!      constant outcome) — the exact pass runs instead. It walks every
+//!      group row in ascending order, reading each row's arm from its
+//!      treated bit, and is bit-identical to the oracle.
+//!
+//!   Integer counts are exact in any order, and every `Xᵀy` entry keeps
+//!   the columnar kernels' ascending row order, so `β` never rounds
+//!   differently.
 //! * **Columnar path** — the fused column-major design of
-//!   [`kernel::build_columns`] and the blocked [`kernel`] reductions. It
-//!   runs when a covariate is numeric or Bool, when an outcome in the group
-//!   is not finite (`0·∞` terms make every sum NaN, which counts cannot
+//!   [`kernel::build_columns`] and the blocked [`kernel`] reductions,
+//!   bit-identical to the oracle in all four fields. It runs when a
+//!   covariate is numeric or Bool, when an outcome in the group is not
+//!   finite (`0·∞` terms make every sum NaN, which counts cannot
 //!   reproduce), or when the cell space `2·∏ observed levels` exceeds the
 //!   group's row count.
 //!
@@ -41,20 +58,39 @@
 //! `XᵀX` gives `β` and, from one more triangular solve against `e₁`, the
 //! `(1,1)` entry of `(XᵀX)⁻¹`.
 //!
-//! The [`CateEngine`](crate::cate::CateEngine) caches one table (or the
-//! verdict that the columnar path must run) per (group fingerprint,
-//! adjustment set), so an intervention sweep over a group builds its table
-//! once.
+//! The [`CateEngine`](crate::cate::CateEngine) caches one [`GroupRows`]
+//! per group fingerprint and one table (or the verdict that the columnar
+//! path must run) per (group fingerprint, adjustment set), so an
+//! intervention sweep over a group builds its table once.
 
 use super::design::LevelCoder;
 use super::{kernel, Estimate, HotStats, MIN_ARM_SIZE};
-use crate::cate::CellTableCache;
+use crate::cate::GroupCaches;
 use crate::error::{CausalError, Result};
 use crate::linalg::{cholesky_solve, spd_factor, Matrix};
 use faircap_table::stats::t_sf_two_sided;
-use faircap_table::{Column, DataFrame, Mask};
+use faircap_table::{CatColumn, Column, DataFrame, Mask};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The count path's contract against
+/// [`reference::linear_naive`](super::reference::linear_naive): `cate`,
+/// the arm sizes and every refusal are bit-identical, and `std_err` and
+/// `t_stat` lie within this relative distance of the oracle's (`p_value`
+/// within this absolute distance). The per-slot RSS errs by about
+/// `ε·Σd²` times a small summation factor, and the exact pass takes over
+/// at or below [`EXACT_RSS_FRACTION`]` · Σd²`, so the RSS's relative error
+/// stays near `ε·10⁶ ≈ 2·10⁻¹⁰` times that factor at worst. Over 300k
+/// random estimates (`tests/prop_kernels.rs`, `linear_oracle_sweep`) the
+/// largest deviation measured was 6·10⁻¹⁵ (`std_err`, relative).
+pub const INFERENCE_TOLERANCE: f64 = 1e-9;
+
+/// The per-slot RSS stands only when it exceeds this fraction of the
+/// group's total sum of squares `Σd²`; otherwise (near-perfect fits,
+/// constant outcomes) the exact row pass recomputes it.
+pub const EXACT_RSS_FRACTION: f64 = 1e-6;
 
 /// Estimate the CATE by linear regression with automatic worker
 /// selection. See module docs.
@@ -80,9 +116,10 @@ pub fn estimate(
 
 /// Linear-regression estimate with an explicit worker count (used by the
 /// columnar path's kernels; the count path is serial) and hot-path cost
-/// accounting. With `cells` — a table cache and the group's fingerprint
-/// keying it — the count path's [`CellTable`] comes from the cache (built
-/// and cached on a miss); without, it is built for this estimate alone.
+/// accounting. With `caches` — the engine's group caches and the group's
+/// fingerprint keying them — the count path's [`GroupRows`] and
+/// [`CellTable`] come from the caches (built and cached on a miss);
+/// without, both are built for this estimate alone.
 #[allow(clippy::too_many_arguments)] // the estimator signature plus the cache handle
 pub fn estimate_with(
     df: &DataFrame,
@@ -91,22 +128,30 @@ pub fn estimate_with(
     outcome: &str,
     adjustment: &[String],
     workers: usize,
-    cells: Option<(&CellTableCache, u64)>,
+    caches: Option<(&GroupCaches, u64)>,
     stats: &mut HotStats,
 ) -> Result<Estimate> {
     let n = group.count();
     let arms = arms(n, group, treated)?;
 
     let t0 = Instant::now();
-    let build = || Ok(CellTable::build(df, group, outcome, adjustment)?.map(Arc::new));
-    let table = match cells {
-        Some((cache, group_fp)) => cache.get_or_build(group_fp, adjustment, build)?,
-        None => build()?,
+    let table = match caches {
+        Some((caches, group_fp)) => {
+            let key = (group_fp, adjustment.to_vec());
+            caches.cell_table.get_or_build(key, || {
+                let rows = || {
+                    let build = || GroupRows::build(df, group, outcome);
+                    caches.group_rows.get_or_build(group_fp, build)
+                };
+                Ok(CellTable::assemble(df, group, adjustment, rows)?.map(Arc::new))
+            })?
+        }
+        None => CellTable::build(df, group, outcome, adjustment)?.map(Arc::new),
     };
     if let Some(table) = table {
-        let slots = table.slots(group, treated);
+        let walk = table.walk(group, treated);
         stats.build_ns += t0.elapsed().as_nanos() as u64;
-        return table.fit(&slots, group, treated, arms);
+        return table.fit(&walk, group, treated, arms);
     }
     stats.build_ns += t0.elapsed().as_nanos() as u64;
 
@@ -204,190 +249,355 @@ fn fit(
     })
 }
 
-/// The group half of an all-categorical OLS design (the count path; see
-/// module docs): everything that depends on the group rows and the
-/// adjustment set but not on the intervention. Design columns are `[1, T]`
-/// followed, per covariate, by one column for each observed level after
-/// the reference level 0. A row's `cell` numbers its joint levels in mixed
-/// radix with covariate 0 varying fastest; its *slot* is `2·cell + T`.
+/// The count path's first tier (see module docs): what depends on the
+/// group rows alone, shared by the [`CellTable`]s of every adjustment set
+/// over the group. Covariate levels are coded on first use.
 ///
-/// A table answers for the group mask it was built from only: every
-/// method taking a `group` must be passed that same mask.
+/// An entry answers for the frame, outcome and group mask it was built
+/// from only: every method taking a `group` must be passed that same mask.
 #[derive(Debug)]
-pub struct CellTable {
-    /// Observed levels per covariate.
-    levels: Vec<usize>,
-    /// Design column of each covariate's level 1.
-    offsets: Vec<usize>,
+pub struct GroupRows {
     /// Outcome per group row, ascending.
     y: Vec<f64>,
-    /// `2·cell` per group row, ascending: the row's control slot.
-    slot0: Vec<u32>,
-    /// Group rows per cell.
-    rows: Vec<u32>,
-    /// `Xᵀy` with the treatment entry zero, each entry summed in ascending
-    /// row order.
-    xty: Vec<f64>,
+    /// `Σy` in ascending row order: `Xᵀy`'s intercept entry.
+    sum_y: f64,
+    /// `ȳ`; the per-slot RSS works on deviations `d = y − ȳ`.
+    mean: f64,
+    /// `Σd²`, the total sum of squares.
+    tss: f64,
     /// Group rows in the mask words before each word.
     rank: Vec<u32>,
+    /// Coded covariates by column name.
+    covariates: Mutex<HashMap<String, Arc<Levels>>>,
 }
 
-/// The per-intervention half: rows per slot and the full `Xᵀy`.
-struct Slots {
-    counts: Vec<usize>,
-    xty: Vec<f64>,
+/// One categorical covariate coded within a group.
+#[derive(Debug)]
+struct Levels {
+    /// Each group row's level, ascending.
+    column: LevelColumn,
+    /// `Σy` per level, each in ascending row order; one entry per level.
+    sums: Vec<f64>,
 }
 
-impl CellTable {
-    /// Build the table, or `None` when the columnar path must run instead:
-    /// a numeric or Bool covariate, a non-finite outcome, or more slots
-    /// than rows. After gathering each row's outcome, one pass over the
-    /// group's set words per covariate codes each row's level (the
-    /// `design::LevelCoder` rule), adds it into the row's cell and the
-    /// row's outcome into that level's `Xᵀy` entry. Errors match the
-    /// columnar path's (unknown column, non-numeric outcome).
-    pub fn build(
-        df: &DataFrame,
-        group: &Mask,
-        outcome: &str,
-        adjustment: &[String],
-    ) -> Result<Option<CellTable>> {
-        let mut covariates = Vec::with_capacity(adjustment.len());
-        for name in adjustment {
-            match df.column(name)? {
-                Column::Cat(c) => covariates.push(c),
-                _ => return Ok(None),
+/// Per-row levels: one byte per row for covariates of at most 256 levels
+/// in the group (every paper dataset), four otherwise.
+#[derive(Debug)]
+enum LevelColumn {
+    Byte(Vec<u8>),
+    Word(Vec<u32>),
+}
+
+impl LevelColumn {
+    /// Add `radix · level` to each row's cell.
+    fn add_to(&self, cell: &mut [u32], radix: u32) {
+        fn add<L: Copy + Into<u32>>(cell: &mut [u32], levels: &[L], radix: u32) {
+            for (c, &l) in cell.iter_mut().zip(levels) {
+                *c += radix * l.into();
             }
         }
-        let n = group.count();
+        match self {
+            LevelColumn::Byte(levels) => add(cell, levels, radix),
+            LevelColumn::Word(levels) => add(cell, levels, radix),
+        }
+    }
+}
+
+impl GroupRows {
+    /// Gather the group's outcomes, or `None` when the columnar path must
+    /// run for every adjustment set: an outcome is not finite, or the group
+    /// has `2³²` rows or more. Errors are the columnar path's (unknown or
+    /// non-numeric outcome).
+    fn build(df: &DataFrame, group: &Mask, outcome: &str) -> Result<Option<Arc<GroupRows>>> {
         let y = kernel::gather_outcome(df, outcome, group)?;
-        if !y.iter().all(|v| v.is_finite()) || u32::try_from(n).is_err() {
+        if !y.iter().all(|v| v.is_finite()) || u32::try_from(y.len()).is_err() {
             return Ok(None);
         }
-
-        let mut xty = vec![y.iter().fold(0.0, |sum, yi| sum + yi), 0.0];
-        let mut slot0 = vec![0u32; n];
-        let mut levels = Vec::with_capacity(covariates.len());
-        let mut offsets = Vec::with_capacity(covariates.len());
-        let mut stride = 2usize;
-        for cat in covariates {
-            let codes = cat.codes();
-            let mut coder = LevelCoder::new(cat.cardinality());
-            let mut sums = vec![0.0f64; cat.cardinality()];
-            let mut dense = 0usize;
-            group.view().for_each_set_word(|wi, word| {
-                let base = wi * 64;
-                let mut w = word;
-                while w != 0 {
-                    let level = coder.level(codes[base + w.trailing_zeros() as usize]) as usize;
-                    // `stride · level < stride · l ≤ n` once the check
-                    // below passes, so the slot fits in `u32`; a covariate
-                    // that fails the check discards the table.
-                    slot0[dense] = slot0[dense].wrapping_add((level * stride) as u32);
-                    sums[level] += y[dense];
-                    dense += 1;
-                    w &= w - 1;
-                }
-            });
-            let l = coder.levels();
-            stride = match stride.checked_mul(l) {
-                Some(next) if next <= n => next,
-                _ => return Ok(None),
-            };
-            offsets.push(xty.len());
-            levels.push(l);
-            xty.extend_from_slice(&sums[1..l]);
-        }
-
-        let mut rows = vec![0u32; stride / 2];
-        for &s in &slot0 {
-            rows[s as usize / 2] += 1;
-        }
+        let sum_y = y.iter().fold(0.0, |sum, yi| sum + yi);
+        let mean = sum_y / y.len() as f64;
+        let tss = y.iter().map(|yi| (yi - mean) * (yi - mean)).sum();
         let mut rank = Vec::with_capacity(group.as_words().len());
         let mut seen = 0u32;
         for &w in group.as_words() {
             rank.push(seen);
             seen += w.count_ones();
         }
-        Ok(Some(CellTable {
-            levels,
-            offsets,
+        Ok(Some(Arc::new(GroupRows {
             y,
-            slot0,
-            rows,
-            xty,
+            sum_y,
+            mean,
+            tss,
             rank,
+            covariates: Mutex::new(HashMap::new()),
+        })))
+    }
+
+    /// Covariate `name` (column `cat`) coded within the group: one pass
+    /// over the group's set words on first use codes each row's level and
+    /// adds its outcome to that level's sum.
+    fn levels(&self, name: &str, cat: &CatColumn, group: &Mask) -> Arc<Levels> {
+        if let Some(hit) = self.covariates.lock().get(name) {
+            return Arc::clone(hit);
+        }
+        let codes = cat.codes();
+        let mut coder = LevelCoder::new(cat.cardinality());
+        let mut sums = vec![0.0f64; cat.cardinality()];
+        let mut levels = Vec::with_capacity(self.y.len());
+        group.view().for_each_set_word(|wi, word| {
+            let base = wi * 64;
+            let mut w = word;
+            while w != 0 {
+                let level = coder.level(codes[base + w.trailing_zeros() as usize]);
+                sums[level as usize] += self.y[levels.len()];
+                levels.push(level);
+                w &= w - 1;
+            }
+        });
+        sums.truncate(coder.levels());
+        let column = if coder.levels() <= 256 {
+            LevelColumn::Byte(levels.into_iter().map(|l| l as u8).collect())
+        } else {
+            LevelColumn::Word(levels)
+        };
+        let built = Arc::new(Levels { column, sums });
+        // A racing thread may have coded the same covariate; both codings
+        // are equal, and the first one stays.
+        let mut covariates = self.covariates.lock();
+        Arc::clone(covariates.entry(name.to_owned()).or_insert(built))
+    }
+}
+
+/// Row count and `Σd` over a set of group rows.
+#[derive(Debug, Clone, Copy, Default)]
+struct Moments {
+    rows: u32,
+    sum_d: f64,
+}
+
+impl Moments {
+    #[inline]
+    fn add(&mut self, d: f64) {
+        self.rows += 1;
+        self.sum_d += d;
+    }
+
+    /// `Σ (d − f)² − Σ d²` over the rows, as `m·(d̄ − f)² − m·d̄²` (zero
+    /// without rows).
+    fn excess(&self, f: f64) -> f64 {
+        if self.rows == 0 {
+            return 0.0;
+        }
+        let m = f64::from(self.rows);
+        let mean = self.sum_d / m;
+        let gap = mean - f;
+        m * gap * gap - self.sum_d * mean
+    }
+}
+
+/// The group half of an all-categorical OLS design for one adjustment set
+/// (the count path's first tier; see module docs). Design columns are
+/// `[1, T]` followed, per covariate, by one column for each observed level
+/// after the reference level 0. Cells are numbered densely in order of
+/// first appearance; slot `2·cell + T` is a (cell, arm) pair.
+///
+/// A table answers for the group mask it was built from only: every
+/// method taking a `group` must be passed that same mask.
+#[derive(Debug)]
+pub struct CellTable {
+    /// The group entry the table was assembled from.
+    rows: Arc<GroupRows>,
+    /// Cell of each group row, ascending.
+    cell: Vec<u32>,
+    /// Rows and `Σd` per cell.
+    cells: Vec<Moments>,
+    /// Covariate design columns set in each cell, ascending: cell `c`'s
+    /// are `columns[starts[c]..starts[c + 1]]`.
+    columns: Vec<u32>,
+    starts: Vec<u32>,
+    /// Upper triangle of `XᵀX` with the treatment row zero.
+    gram: Matrix,
+    /// `Xᵀy` with the treatment entry zero.
+    xty: Vec<f64>,
+}
+
+/// The per-intervention half (tier 2): treated rows and `Σd` per cell, and
+/// `Xᵀy`'s treatment entry.
+struct Treated {
+    cells: Vec<Moments>,
+    sum_y: f64,
+}
+
+impl CellTable {
+    /// Build the group entry and the table for this one adjustment set, or
+    /// `None` when the columnar path must run instead: a numeric or Bool
+    /// covariate, a non-finite outcome, or more slots than rows. Errors
+    /// match the columnar path's (unknown column, non-numeric outcome).
+    pub fn build(
+        df: &DataFrame,
+        group: &Mask,
+        outcome: &str,
+        adjustment: &[String],
+    ) -> Result<Option<CellTable>> {
+        CellTable::assemble(df, group, adjustment, || {
+            GroupRows::build(df, group, outcome)
+        })
+    }
+
+    /// Put the table together from the group entry `rows()` supplies, or
+    /// return `None` when the columnar path must run instead: a numeric or
+    /// Bool covariate (checked before `rows` is called), no entry (a
+    /// non-finite outcome), or more slots than rows. Errors match the
+    /// columnar path's (unknown column, non-numeric outcome).
+    fn assemble(
+        df: &DataFrame,
+        group: &Mask,
+        adjustment: &[String],
+        rows: impl FnOnce() -> Result<Option<Arc<GroupRows>>>,
+    ) -> Result<Option<CellTable>> {
+        let mut covariates = Vec::with_capacity(adjustment.len());
+        for name in adjustment {
+            match df.column(name)? {
+                Column::Cat(c) => covariates.push((name, c)),
+                _ => return Ok(None),
+            }
+        }
+        let Some(rows) = rows()? else {
+            return Ok(None);
+        };
+        let n = rows.y.len();
+        let mut coded = Vec::with_capacity(covariates.len());
+        let mut stride = 2usize;
+        for &(name, cat) in &covariates {
+            let levels = rows.levels(name, cat, group);
+            stride = match stride.checked_mul(levels.sums.len()) {
+                Some(next) if next <= n => next,
+                _ => return Ok(None),
+            };
+            coded.push(levels);
+        }
+
+        // Each row's cell in mixed radix, covariate 0 varying fastest.
+        // `radix · level < stride / 2 ≤ n < 2³²` by the check above.
+        let mut cell = vec![0u32; n];
+        let mut radix = 1u32;
+        for levels in &coded {
+            levels.column.add_to(&mut cell, radix);
+            radix *= levels.sums.len() as u32;
+        }
+
+        // Renumber the occupied cells densely and sum each one's moments.
+        let mut dense_of = vec![u32::MAX; radix as usize];
+        let mut radix_of = Vec::new();
+        let mut cells: Vec<Moments> = Vec::new();
+        for (c, &yi) in cell.iter_mut().zip(&rows.y) {
+            let slot = &mut dense_of[*c as usize];
+            if *slot == u32::MAX {
+                *slot = cells.len() as u32;
+                radix_of.push(*c);
+                cells.push(Moments::default());
+            }
+            *c = *slot;
+            cells[*c as usize].add(yi - rows.mean);
+        }
+
+        // `Xᵀy` without its treatment entry, each cell's design columns,
+        // and `XᵀX` without its treatment row (integers, so exact).
+        let mut xty = vec![rows.sum_y, 0.0];
+        let mut offsets = Vec::with_capacity(coded.len());
+        for levels in &coded {
+            offsets.push(xty.len());
+            xty.extend(levels.sums.iter().skip(1));
+        }
+        let k = xty.len();
+        let mut gram = Matrix::zeros(k, k);
+        let mut columns = Vec::new();
+        let mut starts = Vec::with_capacity(cells.len() + 1);
+        starts.push(0u32);
+        let mut active = Vec::with_capacity(1 + coded.len());
+        for (moments, &code) in cells.iter().zip(&radix_of) {
+            active.clear();
+            active.push(0);
+            let mut rest = code as usize;
+            for (levels, &offset) in coded.iter().zip(&offsets) {
+                let l = levels.sums.len();
+                let level = rest % l;
+                rest /= l;
+                if level > 0 {
+                    active.push(offset + level - 1);
+                    columns.push((offset + level - 1) as u32);
+                }
+            }
+            starts.push(columns.len() as u32);
+            let m = f64::from(moments.rows);
+            for (a, &i) in active.iter().enumerate() {
+                for &j in &active[a..] {
+                    gram.set(i, j, gram.get(i, j) + m);
+                }
+            }
+        }
+        Ok(Some(CellTable {
+            rows,
+            cell,
+            cells,
+            columns,
+            starts,
+            gram,
+            xty,
         }))
     }
 
     /// Estimate the CATE of `treated` within `group` (the mask the table
-    /// was built from) — exactly [`estimate`]'s answer, refusals included.
+    /// was built from) — [`estimate`]'s answer, refusals included.
     pub fn estimate(&self, group: &Mask, treated: &Mask) -> Result<Estimate> {
-        let arms = arms(self.y.len(), group, treated)?;
-        self.fit(&self.slots(group, treated), group, treated, arms)
+        let arms = arms(self.cell.len(), group, treated)?;
+        self.fit(&self.walk(group, treated), group, treated, arms)
     }
 
-    /// Rows per slot and `Xᵀy` for one intervention, from the set bits of
-    /// `group ∧ treated` alone, in ascending row order.
-    fn slots(&self, group: &Mask, treated: &Mask) -> Slots {
-        let mut counts = vec![0usize; 2 * self.rows.len()];
-        let mut xty = self.xty.clone();
+    /// Cell `c`'s covariate design columns, ascending.
+    fn columns(&self, c: usize) -> &[u32] {
+        &self.columns[self.starts[c] as usize..self.starts[c + 1] as usize]
+    }
+
+    /// Tier 2: one walk over the set bits of `group ∧ treated`, ascending.
+    fn walk(&self, group: &Mask, treated: &Mask) -> Treated {
+        let (y, mean) = (&self.rows.y, self.rows.mean);
+        let mut cells = vec![Moments::default(); self.cells.len()];
+        let mut sum_y = 0.0f64;
         let words = group.as_words().iter().zip(treated.as_words());
-        for ((&g, &t), &rank) in words.zip(&self.rank) {
+        for ((&g, &t), &rank) in words.zip(&self.rows.rank) {
             let mut w = g & t;
             while w != 0 {
                 let below = g & ((1u64 << w.trailing_zeros()) - 1);
                 let r = (rank + below.count_ones()) as usize;
-                counts[self.slot0[r] as usize + 1] += 1;
-                xty[1] += self.y[r];
+                sum_y += y[r];
+                cells[self.cell[r] as usize].add(y[r] - mean);
                 w &= w - 1;
             }
         }
-        for (c, &rows) in self.rows.iter().enumerate() {
-            counts[2 * c] = rows as usize - counts[2 * c + 1];
-        }
-        Slots { counts, xty }
+        Treated { cells, sum_y }
     }
 
-    /// The design columns set to 1 in slot `s`, ascending.
-    fn active_columns(&self, s: usize, out: &mut Vec<usize>) {
-        out.clear();
-        out.push(0);
-        if s & 1 == 1 {
-            out.push(1);
-        }
-        let mut cell = s >> 1;
-        for (&l, &off) in self.levels.iter().zip(&self.offsets) {
-            let level = cell % l;
-            cell /= l;
-            if level > 0 {
-                out.push(off + level - 1);
-            }
-        }
-    }
-
-    /// Solve the normal equations from one intervention's slot counts.
+    /// Complete the normal equations with one intervention's treated half
+    /// and solve them; the RSS comes from the per-slot moments, or from
+    /// the exact row pass (tier 3) where those cannot be trusted.
     fn fit(
         &self,
-        slots: &Slots,
+        treated_half: &Treated,
         group: &Mask,
         treated: &Mask,
         arms: (usize, usize),
     ) -> Result<Estimate> {
-        let (n, k) = (self.y.len(), slots.xty.len());
+        let (n, k) = (self.cell.len(), self.xty.len());
         check_rows(n, k)?;
-        // Upper triangle from the slot counts (integers, so exact in f64),
-        // then the mirror.
-        let mut gram = Matrix::zeros(k, k);
-        let mut active = Vec::with_capacity(2 + self.levels.len());
-        for (s, &c) in slots.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            self.active_columns(s, &mut active);
-            for (a, &i) in active.iter().enumerate() {
-                for &j in &active[a..] {
-                    gram.set(i, j, gram.get(i, j) + c as f64);
+        let mut gram = self.gram.clone();
+        let n_treated = arms.0 as f64;
+        gram.set(0, 1, n_treated);
+        gram.set(1, 1, n_treated);
+        for (c, t) in treated_half.cells.iter().enumerate() {
+            if t.rows > 0 {
+                for &j in self.columns(c) {
+                    let j = j as usize;
+                    gram.set(1, j, gram.get(1, j) + f64::from(t.rows));
                 }
             }
         }
@@ -396,46 +606,70 @@ impl CellTable {
                 gram.set(i, j, gram.get(j, i));
             }
         }
-        fit(&gram, &slots.xty, n, arms, |beta| {
-            // Each slot's fitted value is the ascending-column dot product
-            // of its 0/1 design row with β, zero terms included, exactly
-            // as `kernel::mat_vec_columns` forms it per row.
-            let mut row = vec![0.0f64; k];
-            let fitted: Vec<f64> = (0..slots.counts.len())
+        let mut xty = self.xty.clone();
+        xty[1] = treated_half.sum_y;
+        fit(&gram, &xty, n, arms, |beta| {
+            // Each slot's fitted value sums β over its set design columns
+            // in ascending order from 0.0 — bit for bit the naive dense
+            // product, whose `0·βⱼ` terms are signed zeros that leave a
+            // sum started at +0.0 unchanged. (A non-finite `β` makes both
+            // RSS values non-finite.)
+            let fitted: Vec<f64> = (0..2 * self.cells.len())
                 .map(|s| {
-                    if slots.counts[s] == 0 {
-                        return 0.0;
-                    }
-                    self.active_columns(s, &mut active);
-                    for &c in &active {
-                        row[c] = 1.0;
-                    }
                     let mut f = 0.0f64;
-                    for (x, b) in row.iter().zip(beta) {
-                        f += x * b;
+                    f += beta[0];
+                    if s & 1 == 1 {
+                        f += beta[1];
                     }
-                    for &c in &active {
-                        row[c] = 0.0;
+                    for &j in self.columns(s >> 1) {
+                        f += beta[j as usize];
                     }
                     f
                 })
                 .collect();
-            // One pass over the group's rows, ascending, each row's arm
-            // read from its treated bit.
-            let mut r = 0usize;
-            let mut rss = 0.0f64;
-            for (&g, &t) in group.as_words().iter().zip(treated.as_words()) {
-                let mut w = g;
-                while w != 0 {
-                    let arm = (t >> w.trailing_zeros()) & 1;
-                    let d = self.y[r] - fitted[self.slot0[r] as usize + arm as usize];
-                    rss += d * d;
-                    r += 1;
-                    w &= w - 1;
-                }
+            let rss = self.slot_rss(treated_half, &fitted);
+            let floor = EXACT_RSS_FRACTION * self.rows.tss;
+            if rss.is_finite() && rss > floor && floor > 0.0 {
+                rss
+            } else {
+                self.exact_rss(group, treated, &fitted)
             }
-            rss
         })
+    }
+
+    /// The RSS from each slot's moments and fitted value (tier 2):
+    /// `Σd²` over the group plus each slot's [`Moments::excess`]. Control
+    /// moments are the cell's minus the treated ones.
+    fn slot_rss(&self, treated_half: &Treated, fitted: &[f64]) -> f64 {
+        let mean = self.rows.mean;
+        let mut rss = self.rows.tss;
+        for (c, (all, t)) in self.cells.iter().zip(&treated_half.cells).enumerate() {
+            let control = Moments {
+                rows: all.rows - t.rows,
+                sum_d: all.sum_d - t.sum_d,
+            };
+            rss += control.excess(fitted[2 * c] - mean);
+            rss += t.excess(fitted[2 * c + 1] - mean);
+        }
+        rss
+    }
+
+    /// The RSS in one pass over the group's rows, ascending, each row's arm
+    /// read from its treated bit (tier 3) — bit-identical to the oracle's.
+    fn exact_rss(&self, group: &Mask, treated: &Mask, fitted: &[f64]) -> f64 {
+        let mut r = 0usize;
+        let mut rss = 0.0f64;
+        for (&g, &t) in group.as_words().iter().zip(treated.as_words()) {
+            let mut w = g;
+            while w != 0 {
+                let arm = (t >> w.trailing_zeros()) & 1;
+                let d = self.rows.y[r] - fitted[2 * self.cell[r] as usize + arm as usize];
+                rss += d * d;
+                r += 1;
+                w &= w - 1;
+            }
+        }
+        rss
     }
 }
 
@@ -514,6 +748,56 @@ mod tests {
         assert!(est.p_value < 1e-6);
         assert_eq!(est.n_treated, 40);
         assert_eq!(est.n_control, 40);
+    }
+
+    #[test]
+    fn covariates_past_256_levels_code_four_bytes_per_row() {
+        // 300 levels over 1,200 rows: 2·300 slots fit, so the count path
+        // runs on four-byte levels next to a one-byte covariate.
+        let n = 1200;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let ids: Vec<String> = (0..n).map(|r| format!("id{}", r % 300)).collect();
+        let flags: Vec<&str> = (0..n).map(|r| ["a", "b"][r % 7 % 2]).collect();
+        let t: Vec<bool> = (0..n).map(|_| next().is_multiple_of(3)).collect();
+        let o: Vec<f64> = (0..n)
+            .map(|r| {
+                (r % 300) as f64 * 0.01 + 2.0 * t[r] as u8 as f64 + (next() % 1000) as f64 / 500.0
+            })
+            .collect();
+        let df = DataFrame::builder()
+            .cat("id", &ids)
+            .cat("flag", &flags)
+            .float("o", o)
+            .build()
+            .unwrap();
+        let (all, treated) = (Mask::ones(n), Mask::from_bools(&t));
+        let adj = vec!["flag".to_string(), "id".to_string()];
+        let table = CellTable::build(&df, &all, "o", &adj).unwrap().unwrap();
+        let live = table.estimate(&all, &treated).unwrap();
+        let naive = super::super::reference::linear_naive(&df, &all, &treated, "o", &adj).unwrap();
+        assert_eq!(live.cate.to_bits(), naive.cate.to_bits());
+        let se = (live.std_err - naive.std_err).abs() / naive.std_err;
+        assert!(se <= INFERENCE_TOLERANCE, "std_err {se:e} off");
+    }
+
+    #[test]
+    fn near_perfect_fits_take_the_exact_pass() {
+        // O = 10·T + 50·z with no noise: the per-slot RSS is rounding
+        // noise far below 10⁻⁶·Σd², so the exact row pass recomputes it
+        // and every field equals the oracle's bit for bit.
+        let (df, treated) = confounded_frame();
+        let all = Mask::ones(df.n_rows());
+        let adj = vec!["z".to_string()];
+        let bits = |e: Estimate| [e.cate, e.std_err, e.t_stat, e.p_value].map(f64::to_bits);
+        let live = estimate(&df, &all, &treated, "o", &adj).unwrap();
+        let naive = super::super::reference::linear_naive(&df, &all, &treated, "o", &adj);
+        assert_eq!(bits(live), bits(naive.unwrap()));
     }
 
     #[test]

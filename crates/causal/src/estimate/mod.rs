@@ -11,8 +11,10 @@
 //!   all-categorical adjustment sets it solves from integer cell counts
 //!   instead of a design matrix (its count path), falling back to the
 //!   columnar kernels for numeric or Bool covariates, non-finite outcomes
-//!   and cell spaces larger than the group; both paths are bit-identical
-//!   to [`reference::linear_naive`].
+//!   and cell spaces larger than the group. Both paths give `β` and every
+//!   refusal bit-identical to [`reference::linear_naive`]; the count
+//!   path's inference statistics agree within
+//!   [`linear::INFERENCE_TOLERANCE`].
 //! * [`stratified`] — exact stratification on the joint values of `Z`
 //!   (numeric covariates quantile-binned), i.e. the literal adjustment
 //!   formula; used as an ablation and as ground-truth cross-check.
@@ -80,17 +82,20 @@ pub(crate) fn normal_inference(cate: f64, var: f64) -> (f64, f64, f64) {
 pub struct HotStats {
     /// Nanoseconds spent assembling the columnar design (and gathering the
     /// outcome / treatment indicator). For `linear`'s count path it covers
-    /// the cell-table lookup — and on a miss the table build (outcomes,
-    /// per-covariate levels, cell counts) — plus the walk over the treated
-    /// rows that counts each slot; building `XᵀX` from the counts and the
-    /// RSS pass count as solve time.
+    /// tiers 1 and 2: the cell-table lookup — and on a miss the group
+    /// entry's lookup or build (outcomes, their sum and mean), the coding
+    /// of covariates the group has not seen, and the table's assembly from
+    /// integers — plus the per-intervention walk over the treated rows.
     pub build_ns: u64,
     /// Nanoseconds spent constructing reusable indices (the KD-tree over
     /// the standardized design; zero for estimators without one or when a
     /// cached index was reused).
     pub index_ns: u64,
     /// Nanoseconds in everything downstream — reductions, solves, queries.
-    /// Filled in by the engine as `total − build − index`.
+    /// Filled in by the engine as `total − build − index`. For `linear`'s
+    /// count path: completing `XᵀX` with the treatment row, the Cholesky
+    /// solve, the fitted values and per-slot RSS of tier 2, and tier 3's
+    /// exact row pass where it runs.
     pub solve_ns: u64,
     /// Task units handed to the work-stealing executor by kernel fan-out
     /// (zero when every kernel ran serially, and always zero for
@@ -117,8 +122,9 @@ impl HotStats {
 /// the kernel worker count, the cost-accounting sink, and the engine's
 /// group caches together with the querying subgroup's fingerprint, so the
 /// matching estimator's KD-tree index and the linear estimator's cell
-/// table are built once per `(subgroup, adjustment set)` and reused across
-/// the intervention sweep.
+/// table are built once per `(subgroup, adjustment set)` (the latter on
+/// one group entry per subgroup) and reused across the intervention
+/// sweep.
 pub struct EstimateCtx<'a> {
     /// Worker count for kernel fan-out (1 = serial; results are
     /// bit-identical either way).
@@ -314,13 +320,16 @@ impl Estimator for EstimatorKind {
         } = ctx;
         let workers = *workers;
         match self {
-            EstimatorKind::Linear => {
-                // One cell table per (subgroup, adjustment set).
-                let cells = group_cache.map(|(caches, group_fp)| (&caches.cell_table, group_fp));
-                linear::estimate_with(
-                    df, group, treated, outcome, adjustment, workers, cells, stats,
-                )
-            }
+            EstimatorKind::Linear => linear::estimate_with(
+                df,
+                group,
+                treated,
+                outcome,
+                adjustment,
+                workers,
+                *group_cache,
+                stats,
+            ),
             EstimatorKind::Stratified => {
                 stratified::estimate(df, group, treated, outcome, adjustment)
             }
@@ -336,7 +345,8 @@ impl Estimator for EstimatorKind {
                 let shared;
                 let index = match group_cache {
                     Some((caches, group_fp)) => {
-                        shared = caches.match_index.get_or_build(*group_fp, adjustment, || {
+                        let key = (*group_fp, adjustment.to_vec());
+                        shared = caches.match_index.get_or_build(key, || {
                             let index = matching::MatchIndex::build(
                                 df, group, outcome, adjustment, workers, stats,
                             )?;

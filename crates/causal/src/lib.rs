@@ -38,7 +38,7 @@ pub mod discovery;
 pub use backdoor::{find_adjustment_set, find_adjustment_set_names, is_valid_backdoor};
 pub use cate::{
     CateEngine, CateEngineState, CateQuery, CellTableCache, EngineHotStats, GroupCache,
-    GroupCaches, GroupHandle, MatchIndexCache,
+    GroupCaches, GroupHandle, GroupRowsCache, MatchIndexCache,
 };
 pub use dsep::{d_separated, d_separated_names};
 pub use error::{CausalError, Result};

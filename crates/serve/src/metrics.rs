@@ -484,7 +484,7 @@ static SESSION: &[Metric<RegisteredSession>] = &[
     counter(
         "faircap_session_cache_hits_total",
         "{}.hits",
-        "Session cache hits by cache (estimate, grouping, intervention, match_index, cell_table, estimate/<estimator>)",
+        "Session cache hits by cache (estimate, grouping, intervention, match_index, cell_table, group_rows, estimate/<estimator>)",
         Each("cache", |e| caches(e, |c| c.hits)),
     ),
     counter(
@@ -601,6 +601,7 @@ fn caches(e: &RegisteredSession, pick: fn(&CacheCounters) -> u64) -> Vec<Sample>
     caches.push(("intervention".into(), s.intervention_cache_stats()));
     caches.push(("match_index".into(), s.engine().match_index_cache_stats()));
     caches.push(("cell_table".into(), s.engine().cell_table_cache_stats()));
+    caches.push(("group_rows".into(), s.engine().group_rows_cache_stats()));
     let samples = caches.into_iter().map(|(label, c)| {
         let key = match label.strip_prefix("estimate/") {
             Some(est) => format!("estimate_cache_by_estimator.{est}"),

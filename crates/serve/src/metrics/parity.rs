@@ -310,12 +310,15 @@ fn json_and_prometheus_agree_on_every_row() {
     assert!(so
         .get_path("estimate_cache_by_estimator.linear.hits")
         .is_some());
-    // The linear solves built cell tables (each sample of the cache rows,
-    // `cell_table` among them, was checked against `/metrics` above).
-    let tables = so
-        .get_path("cell_table_cache.misses")
-        .and_then(Json::as_f64);
-    assert!(tables.is_some_and(|m| m > 0.0), "{tables:?}");
+    // The linear solves built cell tables on per-group entries (each
+    // sample of the cache rows, `cell_table` and `group_rows` among them,
+    // was checked against `/metrics` above).
+    for cache in ["cell_table_cache", "group_rows_cache"] {
+        let misses = so
+            .get_path(&format!("{cache}.misses"))
+            .and_then(Json::as_f64);
+        assert!(misses.is_some_and(|m| m > 0.0), "{cache}: {misses:?}");
+    }
     let exec = so.get("exec").unwrap();
     assert!(
         *exec == Json::Null || exec.get("workers").is_some(),
