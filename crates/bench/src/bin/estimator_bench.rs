@@ -171,7 +171,7 @@ fn run_tier(rows: usize, entries: &mut Vec<Entry>) {
             let estimate = kind
                 .estimate_with_ctx(&mut ctx, df, &group, &treated, outcome, &adjustment)
                 .expect("estimate");
-            stats.absorb(&ctx.stats);
+            *stats = ctx.stats;
             estimate.cate
         }));
     }

@@ -7,7 +7,9 @@
 //! supplied per query (see [`Estimator`]), so one long-lived engine serves
 //! repeated solves under different estimators while sharing its caches.
 //!
-//! Six caches persist across queries:
+//! Six caches persist across queries, all of one type, the sharded LRU
+//! [`ShardedLruCache`]: a lookup locks one of its shards, never the whole
+//! engine.
 //!
 //! * adjustment sets, derived from the DAG once per treatment-attribute set;
 //! * treated-row masks, one per intervention pattern;
@@ -23,20 +25,26 @@
 //!   set)` — each row's cell, rows and outcome deviations per cell, and
 //!   the intervention-independent part of `XᵀX` and `Xᵀy`, assembled from
 //!   the group entry; or the verdict that the group takes the columnar
-//!   path. Each intervention then only walks its treated rows. The three
-//!   group caches are instances of one [`GroupCache`];
+//!   path. Each intervention then only walks its treated rows;
 //! * full estimates, keyed by `(estimator, group, intervention)` — the cache
-//!   the greedy phase and repeated constraint re-solves hit hardest. This
-//!   one is a [`ShardedLruCache`]: lookups contend on one of its lock
-//!   shards instead of a single engine-wide mutex, and its entry count can
-//!   be bounded ([`CateEngine::set_estimate_cache_capacity`]) with
-//!   least-recently-used eviction for long-lived serving deployments.
+//!   the greedy phase and repeated constraint re-solves hit hardest. Its
+//!   entry count can be bounded
+//!   ([`CateEngine::set_estimate_cache_capacity`]) with
+//!   least-recently-used eviction for long-lived serving deployments; the
+//!   other five hold one entry per key ever queried, or a fixed LRU bound
+//!   for the three group caches, whose entries hold O(rows) data.
 //!
-//! Hit/miss/eviction counters ([`CateEngine::cache_stats`]) make the reuse
-//! observable — in aggregate and per estimator name
-//! ([`CateEngine::cache_stats_by_estimator`]), so estimator sweeps can
-//! attribute cache behaviour to each estimator; the session integration
-//! tests assert on them.
+//! Each estimator name has one bookkeeping record on the engine, resolved
+//! once per [`CateQuery`] ([`CateEngine::with_estimator`]) and carried by
+//! every estimate-cache key it inserts: its hit/miss/entry/eviction
+//! counters, the duration histogram of its estimation runs, and the
+//! hot-path totals of those runs, all atomics. A cache hit thus costs one
+//! shard lock, and an estimation no lock beyond its caches' shards. The
+//! records make reuse observable per estimator
+//! ([`CateEngine::cache_stats_by_estimator`]) and in aggregate
+//! ([`CateEngine::cache_stats`], [`CateEngine::hot_stats`],
+//! [`CateEngine::estimate_histograms`]); the session integration tests
+//! assert on them.
 //!
 //! The full cache state (adjustment sets, treated masks, estimates) can be
 //! exported and re-imported ([`CateEngine::export_state`] /
@@ -54,13 +62,15 @@ use faircap_table::{
     CacheCounters, DataFrame, DataType, FnvHasher, Mask, Pattern, ShardedLruCache,
 };
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Number of lock shards of the estimate cache. Step-2 mining fans out
-/// across worker threads that all funnel their CATE queries through one
-/// engine; 16 shards keep them off each other's locks.
+/// Number of lock shards of the estimate and treated-mask caches. Step-2
+/// mining fans out across worker threads that all funnel their CATE
+/// queries through one engine; 16 shards keep them off each other's locks.
 const ESTIMATE_CACHE_SHARDS: usize = 16;
 
 /// Default entry bound of the match-index cache. Indices are heavy
@@ -86,8 +96,8 @@ const CELL_TABLE_CACHE_CAPACITY: usize = 128;
 /// groups: 372 misses at 32 or 64 entries, 385 at 16.
 const GROUP_ROWS_CACHE_CAPACITY: usize = 32;
 
-/// Lock shards of each group cache; fewer distinct keys than the estimate
-/// cache, so fewer shards suffice.
+/// Lock shards of the adjustment-set cache and each group cache; fewer
+/// distinct keys than the estimate cache, so fewer shards suffice.
 const GROUP_CACHE_SHARDS: usize = 4;
 
 /// Cap glibc's malloc arenas at one per core, once per process.
@@ -120,74 +130,25 @@ fn limit_malloc_arenas() {
     }
 }
 
-/// Session-lived cache of per-group estimator state: state that depends
-/// only on the subgroup rows (keyed by the subgroup fingerprint) or on
-/// them and the adjustment covariates (keyed by `(subgroup fingerprint,
-/// adjustment set)`) — *not* on the intervention — so one entry serves
-/// the entire pattern sweep against a subgroup. LRU-bounded because each
-/// entry holds O(rows) data. The engine keeps three: [`MatchIndexCache`],
-/// [`CellTableCache`] and [`GroupRowsCache`].
-pub struct GroupCache<K, V> {
-    cache: ShardedLruCache<K, V>,
-}
-
 /// Matching indices ([`MatchIndex`]: standardized columnar design +
-/// KD-tree).
-pub type MatchIndexCache = GroupCache<(u64, Vec<String>), Arc<MatchIndex>>;
+/// KD-tree), keyed by `(subgroup fingerprint, adjustment set)`.
+pub type MatchIndexCache = ShardedLruCache<(u64, Vec<String>), Arc<MatchIndex>>;
 
 /// `linear`'s count-path tables ([`CellTable`]), and the `None` verdict
 /// for a group and adjustment set that take the columnar path.
-pub type CellTableCache = GroupCache<(u64, Vec<String>), Option<Arc<CellTable>>>;
+pub type CellTableCache = ShardedLruCache<(u64, Vec<String>), Option<Arc<CellTable>>>;
 
 /// `linear`'s count-path group entries ([`GroupRows`]: outcomes, their
 /// sum and mean, the mask rank, and the covariates coded so far), keyed by
 /// subgroup fingerprint alone; `None` for a group whose outcomes are not
 /// all finite.
-pub type GroupRowsCache = GroupCache<u64, Option<Arc<GroupRows>>>;
-
-impl<K, V> std::fmt::Debug for GroupCache<K, V>
-where
-    K: std::hash::Hash + Eq + Clone,
-    V: Clone,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GroupCache")
-            .field("stats", &self.cache.counters())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<K, V> GroupCache<K, V>
-where
-    K: std::hash::Hash + Eq + Clone,
-    V: Clone,
-{
-    /// A cache bounded to `capacity` entries (LRU eviction).
-    pub fn with_capacity(capacity: usize) -> Self {
-        GroupCache {
-            cache: ShardedLruCache::new(capacity, GROUP_CACHE_SHARDS),
-        }
-    }
-
-    /// Return the cached entry for `key`, building (and caching) it with
-    /// `build` on a miss. A failed build caches nothing.
-    pub fn get_or_build(&self, key: K, build: impl FnOnce() -> Result<V>) -> Result<V> {
-        if let Some(hit) = self.cache.get(&key) {
-            return Ok(hit);
-        }
-        let built = build()?;
-        self.cache.insert(key, built.clone());
-        Ok(built)
-    }
-
-    /// Hit/miss/entry/eviction counters.
-    pub fn stats(&self) -> CacheCounters {
-        self.cache.counters()
-    }
-}
+pub type GroupRowsCache = ShardedLruCache<u64, Option<Arc<GroupRows>>>;
 
 /// The engine's group caches, one per kind of group-level estimator
-/// state.
+/// state: state that depends only on the subgroup rows, or on them and the
+/// adjustment covariates — *not* on the intervention — so one entry serves
+/// the entire pattern sweep against a subgroup. LRU-bounded because each
+/// entry holds O(rows) data.
 #[derive(Debug)]
 pub struct GroupCaches {
     /// KD-tree match indices of the matching estimator.
@@ -199,29 +160,87 @@ pub struct GroupCaches {
     pub group_rows: GroupRowsCache,
 }
 
-/// Aggregated hot-path cost accounting across every (uncached) estimate an
-/// engine ran — see [`CateEngine::hot_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineHotStats {
-    /// Per-stage totals summed over estimates.
-    pub stats: HotStats,
-    /// Number of estimation runs that contributed (cache hits excluded).
-    pub estimates: u64,
+/// The bookkeeping of one estimator name on one engine: its estimate-cache
+/// counters, the duration histogram of its estimation runs (whose count
+/// and sum are the number of runs and their total nanoseconds), and the
+/// hot-path totals of those runs.
+#[derive(Default)]
+struct EstimatorRecord {
+    name: Arc<str>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    /// Signed: a racing thread can evict (and uncount) an entry before its
+    /// inserter has counted it.
+    entries: AtomicI64,
+    evictions: AtomicU64,
+    durations: Histogram,
+    build_ns: AtomicU64,
+    index_ns: AtomicU64,
+    tasks: AtomicU64,
+    tree_visits: AtomicU64,
 }
 
-/// Key of one cached estimate: estimator identity, subgroup fingerprint,
-/// intervention pattern. The estimator name is interned per query
-/// (`Arc<str>`), so evictions can attribute the departing entry back to its
-/// estimator's counters; the group is a 64-bit fingerprint of the mask
-/// (masks themselves live in the treated/grouping caches), which together
-/// with the full `Pattern` makes the key cheap to hash and —
-/// deliberately — serialization-friendly: `(name, fingerprint, pattern)`
+impl EstimatorRecord {
+    fn counters(&self) -> CacheCounters {
+        CacheCounters {
+            hits: self.hits.load(Relaxed),
+            misses: self.misses.load(Relaxed),
+            evictions: self.evictions.load(Relaxed),
+            entries: usize::try_from(self.entries.load(Relaxed)).unwrap_or(0),
+        }
+    }
+
+    /// Account one estimation run of `total_ns` wall time.
+    fn ran(&self, total_ns: u64, stats: &HotStats) {
+        self.durations.record(total_ns);
+        self.build_ns.fetch_add(stats.build_ns, Relaxed);
+        self.index_ns.fetch_add(stats.index_ns, Relaxed);
+        self.tasks.fetch_add(stats.tasks, Relaxed);
+        self.tree_visits.fetch_add(stats.tree_visits, Relaxed);
+    }
+}
+
+/// Charge entries the estimate cache evicted to their estimators' records.
+fn charge_evictions(evicted: Vec<(EstimateKey, Option<Estimate>)>) {
+    for (key, _) in evicted {
+        key.estimator.entries.fetch_sub(1, Relaxed);
+        key.estimator.evictions.fetch_add(1, Relaxed);
+    }
+}
+
+/// Key of one cached estimate: estimator, subgroup fingerprint,
+/// intervention pattern. The key carries its estimator's record, so an
+/// eviction is charged to the right estimator without a lookup. It hashes
+/// the estimator's name, so a bounded cache evicts the same entries in
+/// every run, and compares records by identity, as the engine keeps one
+/// record per name. The group is a 64-bit fingerprint
+/// of the mask (masks themselves live in the treated/grouping caches),
+/// which together with the full `Pattern` makes the key cheap to hash and
+/// — deliberately — serialization-friendly: `(name, fingerprint, pattern)`
 /// round-trips through the session snapshot format.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 struct EstimateKey {
-    estimator: Arc<str>,
+    estimator: Arc<EstimatorRecord>,
     group_fp: u64,
     intervention: Pattern,
+}
+
+impl PartialEq for EstimateKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.group_fp == other.group_fp
+            && Arc::ptr_eq(&self.estimator, &other.estimator)
+            && self.intervention == other.intervention
+    }
+}
+
+impl Eq for EstimateKey {}
+
+impl Hash for EstimateKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.estimator.name.hash(state);
+        self.group_fp.hash(state);
+        self.intervention.hash(state);
+    }
 }
 
 /// Exported cache state of a [`CateEngine`] — everything a warm restart
@@ -246,23 +265,17 @@ pub struct CateEngine {
     df: Arc<DataFrame>,
     dag: Arc<Dag>,
     outcome: String,
-    adjustment_cache: Mutex<HashMap<Vec<String>, Option<Vec<String>>>>,
-    treated_cache: Mutex<HashMap<Pattern, Mask>>,
+    adjustment_cache: ShardedLruCache<Vec<String>, Option<Vec<String>>>,
+    treated_cache: ShardedLruCache<Pattern, Mask>,
     /// Estimates and not-estimable verdicts, sharded and LRU-bounded.
-    /// Aggregate hit/miss/eviction counters live inside the cache (per
-    /// shard); the per-estimator-name breakdown lives in `per_estimator`.
     estimate_cache: ShardedLruCache<EstimateKey, Option<Estimate>>,
-    per_estimator: Mutex<HashMap<String, CacheCounters>>,
     /// Match indices and cell tables, shared across each group's
     /// intervention sweep.
     group_caches: GroupCaches,
-    /// Hot-path cost totals across every estimation run.
-    hot: Mutex<EngineHotStats>,
-    /// Per-estimator-name estimate-duration histograms (nanoseconds per
-    /// uncached estimation run), exposed via
-    /// [`estimate_histograms`](Self::estimate_histograms) for the serving
-    /// layer's `/metrics` exposition.
-    estimate_hist: Mutex<BTreeMap<String, Arc<Histogram>>>,
+    /// One record per estimator name, in name order. Locked when a
+    /// [`CateQuery`] is bound, on import, and by the readers — never per
+    /// query.
+    estimators: Mutex<BTreeMap<Arc<str>, Arc<EstimatorRecord>>>,
 }
 
 impl std::fmt::Debug for CateEngine {
@@ -295,17 +308,15 @@ impl CateEngine {
             df,
             dag,
             outcome,
-            adjustment_cache: Mutex::new(HashMap::new()),
-            treated_cache: Mutex::new(HashMap::new()),
+            adjustment_cache: ShardedLruCache::unbounded(GROUP_CACHE_SHARDS),
+            treated_cache: ShardedLruCache::unbounded(ESTIMATE_CACHE_SHARDS),
             estimate_cache: ShardedLruCache::unbounded(ESTIMATE_CACHE_SHARDS),
-            per_estimator: Mutex::new(HashMap::new()),
             group_caches: GroupCaches {
-                match_index: GroupCache::with_capacity(MATCH_INDEX_CACHE_CAPACITY),
-                cell_table: GroupCache::with_capacity(CELL_TABLE_CACHE_CAPACITY),
-                group_rows: GroupCache::with_capacity(GROUP_ROWS_CACHE_CAPACITY),
+                match_index: ShardedLruCache::new(MATCH_INDEX_CACHE_CAPACITY, GROUP_CACHE_SHARDS),
+                cell_table: ShardedLruCache::new(CELL_TABLE_CACHE_CAPACITY, GROUP_CACHE_SHARDS),
+                group_rows: ShardedLruCache::new(GROUP_ROWS_CACHE_CAPACITY, GROUP_CACHE_SHARDS),
             },
-            hot: Mutex::new(EngineHotStats::default()),
-            estimate_hist: Mutex::new(BTreeMap::new()),
+            estimators: Mutex::new(BTreeMap::new()),
         })
     }
 
@@ -325,16 +336,31 @@ impl CateEngine {
     }
 
     /// Bind an estimator for a batch of queries; the returned view shares
-    /// this engine's caches. The estimator's name is interned once here, so
-    /// the per-query hot path builds its cache key without allocating for
-    /// the name.
+    /// this engine's caches. The estimator's record is resolved once here,
+    /// so the per-query hot path takes no engine-wide lock and builds its
+    /// cache key without allocating for the name.
     pub fn with_estimator<'a>(&'a self, estimator: &'a dyn Estimator) -> CateQuery<'a> {
         CateQuery {
             engine: self,
             estimator,
-            name: Arc::from(estimator.name()),
+            record: self.record(estimator.name()),
             span: None,
         }
+    }
+
+    /// The record of estimator `name`, created on first use.
+    fn record(&self, name: &str) -> Arc<EstimatorRecord> {
+        let mut records = self.estimators.lock();
+        if let Some(record) = records.get(name) {
+            return Arc::clone(record);
+        }
+        let name: Arc<str> = Arc::from(name);
+        let record = Arc::new(EstimatorRecord {
+            name: Arc::clone(&name),
+            ..EstimatorRecord::default()
+        });
+        records.insert(name, Arc::clone(&record));
+        record
     }
 
     /// Whether an attribute has any causal path to the outcome — the paper's
@@ -351,8 +377,8 @@ impl CateEngine {
     /// `None` when identification fails.
     pub fn adjustment_for(&self, treatment_attrs: &[String]) -> Option<Vec<String>> {
         let key: Vec<String> = treatment_attrs.to_vec();
-        if let Some(hit) = self.adjustment_cache.lock().get(&key) {
-            return hit.clone();
+        if let Some(hit) = self.adjustment_cache.get(&key) {
+            return hit;
         }
         let in_dag: Vec<&str> = treatment_attrs
             .iter()
@@ -364,43 +390,18 @@ impl CateEngine {
         } else {
             find_adjustment_set_names(&self.dag, &in_dag, &self.outcome).ok()
         };
-        self.adjustment_cache.lock().insert(key, computed.clone());
+        self.adjustment_cache.insert(key, computed.clone());
         computed
     }
 
     /// Mask of rows satisfying an intervention pattern (cached).
     pub fn treated_mask(&self, intervention: &Pattern) -> Result<Mask> {
-        if let Some(hit) = self.treated_cache.lock().get(intervention) {
-            return Ok(hit.clone());
+        if let Some(hit) = self.treated_cache.get(intervention) {
+            return Ok(hit);
         }
         let m = intervention.coverage(&self.df)?;
-        self.treated_cache
-            .lock()
-            .insert(intervention.clone(), m.clone());
+        self.treated_cache.insert(intervention.clone(), m.clone());
         Ok(m)
-    }
-
-    /// Bump one estimator's counter slot, allocating its key on first use.
-    fn bump(&self, name: &str, f: impl FnOnce(&mut CacheCounters)) {
-        let mut per = self.per_estimator.lock();
-        match per.get_mut(name) {
-            Some(slot) => f(slot),
-            None => f(per.entry(name.to_owned()).or_default()),
-        }
-    }
-
-    /// Account evicted entries back to their estimators' counters.
-    fn absorb_evictions(&self, evicted: Vec<(EstimateKey, Option<Estimate>)>) {
-        if evicted.is_empty() {
-            return;
-        }
-        let mut per = self.per_estimator.lock();
-        for (key, _) in evicted {
-            if let Some(slot) = per.get_mut(key.estimator.as_ref()) {
-                slot.entries = slot.entries.saturating_sub(1);
-                slot.evictions += 1;
-            }
-        }
     }
 
     /// CATE of `intervention` within `group` under `estimator`
@@ -416,65 +417,17 @@ impl CateEngine {
         intervention: &Pattern,
         estimator: &dyn Estimator,
     ) -> Option<Estimate> {
-        self.cate_with_name(
-            GroupHandle::new(group),
-            intervention,
-            &Arc::from(estimator.name()),
-            estimator,
-            None,
-        )
+        self.with_estimator(estimator).cate(group, intervention)
     }
 
-    /// [`cate`](Self::cate) with a pre-interned estimator name —
-    /// [`CateQuery`] resolves the `Arc<str>` once per solve so the
-    /// per-query key build only clones a pointer. When `span` is set (a
-    /// traced solve) every query emits a child span: `estimate_hit:<name>`
-    /// for a cache lookup answered from the estimate cache,
-    /// `estimate:<name>` covering the actual estimation on a miss.
-    fn cate_with_name(
+    /// Run one estimation (no estimate-cache lookup), charging its wall
+    /// time and hot-path costs to `record`.
+    fn cate_uncached(
         &self,
         group: GroupHandle<'_>,
         intervention: &Pattern,
-        name: &Arc<str>,
         estimator: &dyn Estimator,
-        span: Option<&SpanHandle>,
-    ) -> Option<Estimate> {
-        let key = EstimateKey {
-            estimator: Arc::clone(name),
-            group_fp: group.fp,
-            intervention: intervention.clone(),
-        };
-        if let Some(hit) = self.estimate_cache.get(&key) {
-            self.bump(name, |s| s.hits += 1);
-            if let Some(h) = span {
-                h.child(format!("estimate_hit:{name}")).finish();
-            }
-            return hit;
-        }
-        let result = {
-            let _estimate_span = span.map(|h| h.child(format!("estimate:{name}")));
-            self.cate_uncached(group.mask, key.group_fp, intervention, estimator)
-        };
-        // A racing duplicate query may have inserted the same key first;
-        // `replaced` distinguishes that (same value — estimation is
-        // deterministic), so per-estimator entry counts stay exact.
-        let inserted = self.estimate_cache.insert(key, result);
-        self.bump(name, |s| {
-            s.misses += 1;
-            if !inserted.replaced {
-                s.entries += 1;
-            }
-        });
-        self.absorb_evictions(inserted.evicted);
-        result
-    }
-
-    fn cate_uncached(
-        &self,
-        group: &Mask,
-        group_fp: u64,
-        intervention: &Pattern,
-        estimator: &dyn Estimator,
+        record: &EstimatorRecord,
     ) -> Option<Estimate> {
         if intervention.is_empty() {
             return None;
@@ -487,54 +440,32 @@ impl CateEngine {
         let adjustment = self.adjustment_for(&attrs)?;
         let treated = self.treated_mask(intervention).ok()?;
         let mut ctx = EstimateCtx {
-            workers: kernel::auto_workers(group.count()),
+            workers: kernel::auto_workers(group.mask.count()),
             stats: HotStats::default(),
-            group_cache: Some((&self.group_caches, group_fp)),
+            group_cache: Some((&self.group_caches, group.fp)),
         };
         let t0 = Instant::now();
         let result = estimator
             .estimate_with_ctx(
                 &mut ctx,
                 &self.df,
-                group,
+                group.mask,
                 &treated,
                 &self.outcome,
                 &adjustment,
             )
             .ok();
-        let total = t0.elapsed().as_nanos() as u64;
-        let mut stats = ctx.stats;
-        stats.solve_ns = total.saturating_sub(stats.build_ns.saturating_add(stats.index_ns));
-        let mut hot = self.hot.lock();
-        hot.stats.absorb(&stats);
-        hot.estimates += 1;
-        drop(hot);
-        self.estimate_duration_hist(estimator.name()).record(total);
+        record.ran(t0.elapsed().as_nanos() as u64, &ctx.stats);
         result
-    }
-
-    /// The estimate-duration histogram of one estimator name, created on
-    /// first use. The `Arc` keeps recording lock-free once resolved.
-    fn estimate_duration_hist(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.estimate_hist.lock();
-        match map.get(name) {
-            Some(h) => Arc::clone(h),
-            None => {
-                let h = Arc::new(Histogram::new());
-                map.insert(name.to_owned(), Arc::clone(&h));
-                h
-            }
-        }
     }
 
     /// Per-estimator estimate-duration histograms (nanoseconds per
     /// uncached estimation), snapshotted in estimator-name order.
     /// Estimators never run on this engine are absent.
     pub fn estimate_histograms(&self) -> Vec<(String, HistogramSnapshot)> {
-        self.estimate_hist
-            .lock()
-            .iter()
-            .map(|(name, h)| (name.clone(), h.snapshot()))
+        let records = self.estimators.lock();
+        let ran = records.values().filter(|r| r.durations.count() > 0);
+        ran.map(|r| (r.name.to_string(), r.durations.snapshot()))
             .collect()
     }
 
@@ -543,34 +474,47 @@ impl CateEngine {
         self.estimate_cache.len()
     }
 
-    /// Aggregated hot-path cost accounting — per-stage nanoseconds, executor
-    /// task counts, and KD-tree visit totals — across every estimation run
-    /// this engine performed (cache hits excluded).
-    pub fn hot_stats(&self) -> EngineHotStats {
-        *self.hot.lock()
+    /// Hot-path cost accounting across every estimation run this engine
+    /// performed (cache hits excluded): the number of runs — the summed
+    /// counts of [`estimate_histograms`](Self::estimate_histograms) — and
+    /// their per-stage nanoseconds, executor task counts, and KD-tree
+    /// visit totals.
+    pub fn hot_stats(&self) -> (u64, HotStats) {
+        let records = self.estimators.lock();
+        let sum = |field: fn(&EstimatorRecord) -> u64| records.values().map(|r| field(r)).sum();
+        let total_ns: u64 = sum(|r| r.durations.sum());
+        let build_ns = sum(|r| r.build_ns.load(Relaxed));
+        let index_ns = sum(|r| r.index_ns.load(Relaxed));
+        let stats = HotStats {
+            build_ns,
+            index_ns,
+            solve_ns: total_ns.saturating_sub(build_ns.saturating_add(index_ns)),
+            tasks: sum(|r| r.tasks.load(Relaxed)),
+            tree_visits: sum(|r| r.tree_visits.load(Relaxed)),
+        };
+        (sum(|r| r.durations.count()), stats)
     }
 
     /// Hit/miss counters of the match-index cache.
     pub fn match_index_cache_stats(&self) -> CacheCounters {
-        self.group_caches.match_index.stats()
+        self.group_caches.match_index.counters()
     }
 
     /// Hit/miss counters of the cell-table cache.
     pub fn cell_table_cache_stats(&self) -> CacheCounters {
-        self.group_caches.cell_table.stats()
+        self.group_caches.cell_table.counters()
     }
 
     /// Hit/miss counters of the count path's per-group cache.
     pub fn group_rows_cache_stats(&self) -> CacheCounters {
-        self.group_caches.group_rows.stats()
+        self.group_caches.group_rows.counters()
     }
 
     /// Bound the estimate cache to at most `capacity` entries, evicting
     /// least-recently-used estimates immediately if it is over the bound.
     /// The engine starts unbounded (`usize::MAX`).
     pub fn set_estimate_cache_capacity(&self, capacity: usize) {
-        let evicted = self.estimate_cache.set_capacity(capacity);
-        self.absorb_evictions(evicted);
+        charge_evictions(self.estimate_cache.set_capacity(capacity));
     }
 
     /// The estimate cache's configured entry bound.
@@ -623,43 +567,34 @@ impl CateEngine {
     /// [`cache_stats`](Self::cache_stats) (entries may transiently differ
     /// under concurrent insertion, since the aggregate recounts the cache).
     pub fn cache_stats_by_estimator(&self) -> BTreeMap<String, CacheCounters> {
-        self.per_estimator
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
+        let records = self.estimators.lock();
+        let counted = records.values().map(|r| (r.name.to_string(), r.counters()));
+        counted
+            .filter(|(_, c)| *c != CacheCounters::default())
             .collect()
     }
 
     /// Estimate-cache counters for one estimator name; zeros if the
     /// estimator was never queried on this engine.
     pub fn cache_stats_for(&self, name: &str) -> CacheCounters {
-        self.per_estimator
-            .lock()
-            .get(name)
-            .copied()
-            .unwrap_or_default()
+        let record = self.estimators.lock().get(name).map(Arc::clone);
+        record.map_or_else(CacheCounters::default, |r| r.counters())
     }
 
     /// Export every cache the engine has warmed — adjustment sets, treated
     /// masks, and estimates — for persistence. The inverse of
     /// [`import_state`](Self::import_state).
     pub fn export_state(&self) -> CateEngineState {
-        let adjustments = self
-            .adjustment_cache
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        let treated = self
-            .treated_cache
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
+        let mut adjustments = Vec::with_capacity(self.adjustment_cache.len());
+        self.adjustment_cache
+            .for_each(|k, v| adjustments.push((k.clone(), v.clone())));
+        let mut treated = Vec::with_capacity(self.treated_cache.len());
+        self.treated_cache
+            .for_each(|k, v| treated.push((k.clone(), v.clone())));
         let mut estimates = Vec::with_capacity(self.estimate_cache.len());
         self.estimate_cache.for_each(|key, est| {
             estimates.push((
-                key.estimator.to_string(),
+                key.estimator.name.to_string(),
                 key.group_fp,
                 key.intervention.clone(),
                 *est,
@@ -678,31 +613,37 @@ impl CateEngine {
     /// overflow is evicted LRU-first (imports are applied in order, so
     /// later records survive).
     pub fn import_state(&self, state: CateEngineState) {
-        self.adjustment_cache.lock().extend(state.adjustments);
-        self.treated_cache.lock().extend(state.treated);
+        for (k, v) in state.adjustments {
+            self.adjustment_cache.insert(k, v);
+        }
+        for (k, v) in state.treated {
+            self.treated_cache.insert(k, v);
+        }
         for (name, group_fp, intervention, est) in state.estimates {
+            let record = self.record(&name);
             let key = EstimateKey {
-                estimator: Arc::from(name.as_str()),
+                estimator: Arc::clone(&record),
                 group_fp,
                 intervention,
             };
             let inserted = self.estimate_cache.insert(key, est);
             if !inserted.replaced {
-                self.bump(&name, |s| s.entries += 1);
+                record.entries.fetch_add(1, Relaxed);
             }
-            self.absorb_evictions(inserted.evicted);
+            charge_evictions(inserted.evicted);
         }
     }
 }
 
 /// A [`CateEngine`] bound to one estimator — the view the mining and greedy
-/// phases consume. Cheap to construct per solve (it interns the estimator
-/// name once); all caches live on the engine and are shared across views.
+/// phases consume. Cheap to construct per solve (it resolves the
+/// estimator's record once); all caches live on the engine and are shared
+/// across views.
 #[derive(Clone)]
 pub struct CateQuery<'a> {
     engine: &'a CateEngine,
     estimator: &'a dyn Estimator,
-    name: Arc<str>,
+    record: Arc<EstimatorRecord>,
     /// Parent span of a traced solve; when set, every query emits
     /// estimate/estimate-hit child spans under it.
     span: Option<SpanHandle>,
@@ -743,15 +684,42 @@ impl<'a> CateQuery<'a> {
     }
 
     /// [`cate`](Self::cate) against a group fingerprinted once by its
-    /// [`GroupHandle`], for a sweep of interventions over one group.
+    /// [`GroupHandle`], for a sweep of interventions over one group. When
+    /// a span is attached (a traced solve) every query emits a child span:
+    /// `estimate_hit:<name>` for a lookup answered from the estimate
+    /// cache, `estimate:<name>` covering the actual estimation on a miss.
     pub fn cate_in(&self, group: GroupHandle<'_>, intervention: &Pattern) -> Option<Estimate> {
-        self.engine.cate_with_name(
-            group,
-            intervention,
-            &self.name,
-            self.estimator,
-            self.span.as_ref(),
-        )
+        let record = &self.record;
+        let key = EstimateKey {
+            estimator: Arc::clone(record),
+            group_fp: group.fp,
+            intervention: intervention.clone(),
+        };
+        if let Some(hit) = self.engine.estimate_cache.get(&key) {
+            record.hits.fetch_add(1, Relaxed);
+            if let Some(h) = &self.span {
+                h.child(format!("estimate_hit:{}", record.name)).finish();
+            }
+            return hit;
+        }
+        let result = {
+            let _span = self
+                .span
+                .as_ref()
+                .map(|h| h.child(format!("estimate:{}", record.name)));
+            self.engine
+                .cate_uncached(group, intervention, self.estimator, record)
+        };
+        // A racing duplicate query may have inserted the same key first;
+        // `replaced` distinguishes that (same value — estimation is
+        // deterministic), so per-estimator entry counts stay exact.
+        let inserted = self.engine.estimate_cache.insert(key, result);
+        record.misses.fetch_add(1, Relaxed);
+        if !inserted.replaced {
+            record.entries.fetch_add(1, Relaxed);
+        }
+        charge_evictions(inserted.evicted);
+        result
     }
 }
 
@@ -916,11 +884,20 @@ mod tests {
         // Never-queried estimators report zeros and are absent from the map.
         assert!(!per.contains_key("aipw"));
         assert_eq!(engine.cache_stats_for("aipw"), CacheCounters::default());
-        // The breakdown sums to the aggregate counters.
+        assert_breakdown_sums(&engine);
+    }
+
+    /// Per-estimator counters sum to the aggregate ones.
+    fn assert_breakdown_sums(engine: &CateEngine) {
+        let per = engine.cache_stats_by_estimator();
         let agg = engine.cache_stats();
         assert_eq!(per.values().map(|s| s.hits).sum::<u64>(), agg.hits);
         assert_eq!(per.values().map(|s| s.misses).sum::<u64>(), agg.misses);
         assert_eq!(per.values().map(|s| s.entries).sum::<usize>(), agg.entries);
+        assert_eq!(
+            per.values().map(|s| s.evictions).sum::<u64>(),
+            agg.evictions
+        );
     }
 
     #[test]
@@ -937,6 +914,7 @@ mod tests {
         let p = Pattern::of_eq(&[("educated", Value::Bool(true))]);
         for group in [&all, &north, &south, &all, &north] {
             engine.cate(group, &p, &EstimatorKind::Linear);
+            engine.cate(group, &p, &EstimatorKind::Stratified);
         }
         let stats = engine.cache_stats();
         assert!(
@@ -944,19 +922,81 @@ mod tests {
             "bounded cache held {} entries",
             stats.entries
         );
-        assert!(stats.evictions >= 3, "evictions {}", stats.evictions);
-        // The per-estimator breakdown tracks the evictions too.
-        let linear = engine.cache_stats_for("linear");
-        assert_eq!(linear.evictions, stats.evictions);
-        assert_eq!(linear.entries, stats.entries);
+        assert!(stats.evictions >= 4, "evictions {}", stats.evictions);
+        // Each estimator inserted three keys into a two-entry cache, so
+        // each had entries evicted; every eviction is charged to the
+        // estimator whose entry left, so each estimator's entries and
+        // evictions add up to the fresh keys it inserted (its misses).
+        for name in ["linear", "stratified"] {
+            let c = engine.cache_stats_for(name);
+            assert_eq!(c.hits + c.misses, 5, "{name}");
+            assert!(c.evictions > 0, "{name}: {c:?}");
+            assert_eq!(c.entries as u64 + c.evictions, c.misses, "{name}: {c:?}");
+        }
+        assert_breakdown_sums(&engine);
+    }
+
+    #[test]
+    fn concurrent_estimators_keep_exact_books() {
+        let engine = engine();
+        engine.set_estimate_cache_capacity(4);
+        let df = engine.df();
+        let region = |r: &str| Pattern::of_eq(&[("region", Value::from(r))]);
+        let groups = [
+            Mask::ones(df.n_rows()),
+            region("north").coverage(df).unwrap(),
+            region("south").coverage(df).unwrap(),
+        ];
+        let mut keys = Vec::new();
+        for educated in [true, false] {
+            let p = Pattern::of_eq(&[("educated", Value::Bool(educated))]);
+            keys.extend(groups.iter().map(|g| (g, p.clone())));
+        }
+        const ROUNDS: u64 = 3;
+        let estimators = [EstimatorKind::Linear, EstimatorKind::Stratified];
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for t in 0..2 {
+                let (engine, keys, start, estimators) = (&engine, &keys, &start, &estimators);
+                scope.spawn(move || {
+                    let queries = estimators.each_ref().map(|e| engine.with_estimator(e));
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        // The threads walk the keys in opposite orders, so
+                        // they race on the same keys and evict each
+                        // other's entries.
+                        for i in 0..keys.len() {
+                            let (group, p) = &keys[if t == 0 { i } else { keys.len() - 1 - i }];
+                            for q in &queries {
+                                q.cate(group, p);
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let issued = 2 * ROUNDS * keys.len() as u64;
+        let hists: BTreeMap<String, HistogramSnapshot> =
+            engine.estimate_histograms().into_iter().collect();
+        for e in estimators {
+            let c = engine.cache_stats_for(e.name());
+            assert_eq!(c.hits + c.misses, issued, "{}: {c:?}", e.name());
+            // Every key's adjustment set is identified, so every miss
+            // runs the estimator once.
+            assert_eq!(hists[e.name()].count, c.misses, "{}", e.name());
+        }
+        assert!(engine.cache_stats().evictions > 0);
+        assert_breakdown_sums(&engine);
+        let runs: u64 = hists.values().map(|h| h.count).sum();
+        assert_eq!(engine.hot_stats().0, runs);
     }
 
     #[test]
     fn one_entry_table_cache_rebuilds_the_same_estimates() {
         let (df, dag) = fixture();
         let mut tiny = CateEngine::new(Arc::clone(&df), Arc::clone(&dag), "income").unwrap();
-        tiny.group_caches.cell_table = GroupCache::with_capacity(1);
-        tiny.group_caches.group_rows = GroupCache::with_capacity(1);
+        tiny.group_caches.cell_table = ShardedLruCache::new(1, GROUP_CACHE_SHARDS);
+        tiny.group_caches.group_rows = ShardedLruCache::new(1, GROUP_CACHE_SHARDS);
         let default = CateEngine::new(df, dag, "income").unwrap();
         let region = |r: &str| Pattern::of_eq(&[("region", Value::from(r))]);
         let groups = [

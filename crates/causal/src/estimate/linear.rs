@@ -138,7 +138,7 @@ pub fn estimate_with(
     let table = match caches {
         Some((caches, group_fp)) => {
             let key = (group_fp, adjustment.to_vec());
-            caches.cell_table.get_or_build(key, || {
+            caches.cell_table.get_or_build(key, || -> Result<_> {
                 let rows = || {
                     let build = || GroupRows::build(df, group, outcome);
                     caches.group_rows.get_or_build(group_fp, build)

@@ -107,17 +107,6 @@ pub struct HotStats {
     pub tree_visits: u64,
 }
 
-impl HotStats {
-    /// Fold another accounting record into this one (saturating).
-    pub fn absorb(&mut self, other: &HotStats) {
-        self.build_ns = self.build_ns.saturating_add(other.build_ns);
-        self.index_ns = self.index_ns.saturating_add(other.index_ns);
-        self.solve_ns = self.solve_ns.saturating_add(other.solve_ns);
-        self.tasks = self.tasks.saturating_add(other.tasks);
-        self.tree_visits = self.tree_visits.saturating_add(other.tree_visits);
-    }
-}
-
 /// Per-query context threaded through [`Estimator::estimate_with_ctx`]:
 /// the kernel worker count, the cost-accounting sink, and the engine's
 /// group caches together with the querying subgroup's fingerprint, so the
@@ -346,7 +335,7 @@ impl Estimator for EstimatorKind {
                 let index = match group_cache {
                     Some((caches, group_fp)) => {
                         let key = (*group_fp, adjustment.to_vec());
-                        shared = caches.match_index.get_or_build(key, || {
+                        shared = caches.match_index.get_or_build(key, || -> Result<_> {
                             let index = matching::MatchIndex::build(
                                 df, group, outcome, adjustment, workers, stats,
                             )?;

@@ -30,7 +30,7 @@ use faircap_causal::{CateEngine, Dag, Estimator, EstimatorKind};
 use faircap_mining::{FrequentPattern, MiningStats};
 use faircap_obs::SpanHandle;
 use faircap_table::{CacheCounters, DataFrame, Mask, Pattern, ShardedLruCache};
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -229,7 +229,7 @@ impl SessionBuilder {
             engine,
             groupings: ShardedLruCache::unbounded(GROUPING_CACHE_SHARDS),
             interventions: ShardedLruCache::unbounded(INTERVENTION_CACHE_SHARDS),
-            hot: SolveHotAccum::default(),
+            hot: Mutex::default(),
         })
     }
 }
@@ -483,55 +483,20 @@ pub struct SolveHotStats {
     pub greedy_reevaluations: u64,
 }
 
-/// Atomic accumulator behind [`SolveHotStats`] (solves run on `&self`,
-/// possibly concurrently).
-#[derive(Default)]
-struct SolveHotAccum {
-    solves: AtomicU64,
-    mine_ns: AtomicU64,
-    intervene_ns: AtomicU64,
-    select_ns: AtomicU64,
-    candidates: AtomicU64,
-    pruned: AtomicU64,
-    evaluated: AtomicU64,
-    greedy_evaluations: AtomicU64,
-    greedy_reevaluations: AtomicU64,
-}
-
-impl SolveHotAccum {
-    fn record(&self, timings: &StepTimings, stats: &SolveStats) {
+impl SolveHotStats {
+    /// Fold one solve's timings and work counts into the totals.
+    fn add(&mut self, timings: &StepTimings, stats: &SolveStats) {
         let mut mining = stats.grouping;
         mining.merge(&stats.lattice);
-        self.solves.fetch_add(1, Ordering::Relaxed);
-        self.mine_ns
-            .fetch_add(timings.grouping.as_nanos() as u64, Ordering::Relaxed);
-        self.intervene_ns
-            .fetch_add(timings.intervention.as_nanos() as u64, Ordering::Relaxed);
-        self.select_ns
-            .fetch_add(timings.greedy.as_nanos() as u64, Ordering::Relaxed);
-        self.candidates
-            .fetch_add(mining.candidates, Ordering::Relaxed);
-        self.pruned.fetch_add(mining.pruned(), Ordering::Relaxed);
-        self.evaluated
-            .fetch_add(mining.evaluated, Ordering::Relaxed);
-        self.greedy_evaluations
-            .fetch_add(stats.greedy.evaluations, Ordering::Relaxed);
-        self.greedy_reevaluations
-            .fetch_add(stats.greedy.reevaluations, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> SolveHotStats {
-        SolveHotStats {
-            solves: self.solves.load(Ordering::Relaxed),
-            mine_ns: self.mine_ns.load(Ordering::Relaxed),
-            intervene_ns: self.intervene_ns.load(Ordering::Relaxed),
-            select_ns: self.select_ns.load(Ordering::Relaxed),
-            candidates: self.candidates.load(Ordering::Relaxed),
-            pruned: self.pruned.load(Ordering::Relaxed),
-            evaluated: self.evaluated.load(Ordering::Relaxed),
-            greedy_evaluations: self.greedy_evaluations.load(Ordering::Relaxed),
-            greedy_reevaluations: self.greedy_reevaluations.load(Ordering::Relaxed),
-        }
+        self.solves += 1;
+        self.mine_ns += timings.grouping.as_nanos() as u64;
+        self.intervene_ns += timings.intervention.as_nanos() as u64;
+        self.select_ns += timings.greedy.as_nanos() as u64;
+        self.candidates += mining.candidates;
+        self.pruned += mining.pruned();
+        self.evaluated += mining.evaluated;
+        self.greedy_evaluations += stats.greedy.evaluations;
+        self.greedy_reevaluations += stats.greedy.reevaluations;
     }
 }
 
@@ -596,7 +561,8 @@ pub struct PrescriptionSession {
     engine: CateEngine,
     groupings: ShardedLruCache<GroupingKey, Arc<Vec<FrequentPattern>>>,
     interventions: InterventionCache,
-    hot: SolveHotAccum,
+    /// Totals over completed solves, folded in once per solve.
+    hot: Mutex<SolveHotStats>,
 }
 
 impl std::fmt::Debug for PrescriptionSession {
@@ -698,7 +664,7 @@ impl PrescriptionSession {
     /// candidate pipeline, greedy heap activity) over all solves on this
     /// session.
     pub fn solve_hot_stats(&self) -> SolveHotStats {
-        self.hot.snapshot()
+        *self.hot.lock()
     }
 
     /// Capture the session's warmed caches — adjustment sets, treated
@@ -791,7 +757,7 @@ impl PrescriptionSession {
             intervention_cache_hits: step2.cache_hits,
             intervention_cache_misses: step2.cache_misses,
         };
-        self.hot.record(&timings, &stats);
+        self.hot.lock().add(&timings, &stats);
 
         Ok(SolutionReport {
             label: config.label(),

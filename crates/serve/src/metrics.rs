@@ -539,11 +539,11 @@ static SESSION: &[Metric<RegisteredSession>] = &[
         "estimate_timing.{}",
         "Estimator work items (kind: estimates, tasks, tree_visits)",
         Each("kind", |e| {
-            let hot = e.session().engine().hot_stats();
+            let (estimates, hot) = e.session().engine().hot_stats();
             by_label([
-                ("estimates", hot.estimates),
-                ("tasks", hot.stats.tasks),
-                ("tree_visits", hot.stats.tree_visits),
+                ("estimates", estimates),
+                ("tasks", hot.tasks),
+                ("tree_visits", hot.tree_visits),
             ])
         }),
     ),
@@ -552,7 +552,7 @@ static SESSION: &[Metric<RegisteredSession>] = &[
         "estimate_timing.{}_ms",
         "Cumulative estimator hot-path time (stage: build, index, solve)",
         Each("stage", |e| {
-            let hot = e.session().engine().hot_stats().stats;
+            let (_, hot) = e.session().engine().hot_stats();
             by_label([
                 ("build", hot.build_ns),
                 ("index", hot.index_ns),

@@ -319,6 +319,23 @@ fn json_and_prometheus_agree_on_every_row() {
             .and_then(Json::as_f64);
         assert!(misses.is_some_and(|m| m > 0.0), "{cache}: {misses:?}");
     }
+    // One record per estimator feeds every estimate row, so within one
+    // scrape the rows agree: the estimation runs are the duration
+    // histograms' counts, and the per-estimator cache rows add up to the
+    // aggregate row.
+    let sum = |row: &str, field: &str| -> f64 {
+        let Some(Json::Obj(per_estimator)) = so.get(row) else {
+            panic!("{row} is not an object");
+        };
+        per_estimator.iter().map(|(_, each)| num(each, field)).sum()
+    };
+    let runs = sum("estimate_duration", "count");
+    assert!(runs > 0.0);
+    assert_eq!(num(so, "estimate_timing.estimates"), runs);
+    for field in ["hits", "misses", "entries", "evictions"] {
+        let total = num(so, &format!("estimate_cache.{field}"));
+        assert_eq!(sum("estimate_cache_by_estimator", field), total, "{field}");
+    }
     let exec = so.get("exec").unwrap();
     assert!(
         *exec == Json::Null || exec.get("workers").is_some(),

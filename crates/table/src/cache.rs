@@ -1,8 +1,10 @@
 //! A sharded, bounded, LRU-evicting concurrent cache.
 //!
-//! [`ShardedLruCache`] is the shared caching substrate of the workspace:
-//! the CATE estimate cache in `faircap-causal` and the grouping-pattern
-//! cache in `faircap-core` are both instances of it. Keys are distributed
+//! [`ShardedLruCache`] is the one caching type of the workspace: every
+//! cache of the CATE engine in `faircap-causal` (estimates, adjustment
+//! sets, treated masks, group tables) and of the solve session in
+//! `faircap-core` (grouping patterns, intervention evaluations) is an
+//! instance of it. Keys are distributed
 //! over `N` independently locked shards by hash, so concurrent solve
 //! workers contend on `1/N`-th of the cache instead of a single mutex; a
 //! global capacity bounds the total entry count, with least-recently-used
@@ -104,6 +106,15 @@ pub struct ShardedLruCache<K, V> {
     tick: AtomicU64,
 }
 
+impl<K: Hash + Eq + Clone, V: Clone> std::fmt::Debug for ShardedLruCache<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardedLruCache")
+            .field("capacity", &self.capacity())
+            .field("counters", &self.counters())
+            .finish_non_exhaustive()
+    }
+}
+
 impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     /// A cache holding at most `capacity` entries across `n_shards` lock
     /// shards. `n_shards` is rounded up to a power of two (minimum 1).
@@ -173,6 +184,19 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
             None => shard.misses += 1,
         }
         found
+    }
+
+    /// Return the cached entry for `key`, building (and caching) it with
+    /// `build` on a miss. A failed build caches nothing. Two threads that
+    /// miss the same key at once both build; the second insert replaces
+    /// the first.
+    pub fn get_or_build<E>(&self, key: K, build: impl FnOnce() -> Result<V, E>) -> Result<V, E> {
+        if let Some(hit) = self.get(&key) {
+            return Ok(hit);
+        }
+        let built = build()?;
+        self.insert(key, built.clone());
+        Ok(built)
     }
 
     /// Whether a key is present, without counting a hit/miss or refreshing
