@@ -82,8 +82,10 @@ pub fn adapt_if_clauses(
                 if est.cate <= 0.0 {
                     continue; // negative-utility rules are discarded (§4.3)
                 }
-                let u_p = subgroup_utility(&query, group_p, intervention, est.cate);
-                let u_np = subgroup_utility(&query, group_np, intervention, est.cate);
+                let utility = |sub: GroupHandle<'_>| {
+                    subgroup_utility(sub.mask(), est.cate, || query.cate_in(sub, intervention))
+                };
+                let (u_p, u_np) = (utility(group_p), utility(group_np));
                 let utility = RuleUtility {
                     overall: est.cate,
                     protected: u_p,

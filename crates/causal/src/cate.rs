@@ -11,28 +11,46 @@
 //! [`ShardedLruCache`]: a lookup locks one of its shards, never the whole
 //! engine.
 //!
-//! * adjustment sets, derived from the DAG once per treatment-attribute set;
-//! * treated-row masks, one per intervention pattern;
+//! * adjustment sets ([`Adjustment`]: the covariate names and their 64-bit
+//!   FNV fingerprint), derived from the DAG once per treatment-attribute
+//!   set;
+//! * treated-row masks, one per intervention pattern a pattern-only query
+//!   ([`CateQuery::cate_in`]) asked about;
 //! * KD-tree match indices ([`MatchIndexCache`]), one per
-//!   `(subgroup, adjustment set)` — the matching estimator's standardized
-//!   design and tree are built once and reused across the whole
-//!   intervention sweep over that subgroup;
+//!   `(group fingerprint, adjustment fingerprint)` — the matching
+//!   estimator's standardized design and tree are built once and reused
+//!   across the whole intervention sweep over that subgroup;
 //! * group entries ([`GroupRowsCache`]), one per subgroup — the linear
 //!   estimator's count-path tier 1: the group's outcomes, their sum and
 //!   mean, and each covariate's per-row levels and per-level outcome sums,
 //!   coded on first use and shared by every adjustment set's table;
-//! * cell tables ([`CellTableCache`]), one per `(subgroup, adjustment
-//!   set)` — each row's cell, rows and outcome deviations per cell, and
-//!   the intervention-independent part of `XᵀX` and `Xᵀy`, assembled from
-//!   the group entry; or the verdict that the group takes the columnar
-//!   path. Each intervention then only walks its treated rows;
-//! * full estimates, keyed by `(estimator, group, intervention)` — the cache
-//!   the greedy phase and repeated constraint re-solves hit hardest. Its
-//!   entry count can be bounded
-//!   ([`CateEngine::set_estimate_cache_capacity`]) with
+//! * cell tables ([`CellTableCache`]), one per `(group fingerprint,
+//!   adjustment fingerprint)` — each row's cell, rows and outcome
+//!   deviations per cell, and the intervention-independent part of `XᵀX`
+//!   and `Xᵀy`, assembled from the group entry; or the verdict that the
+//!   group takes the columnar path. Each intervention then only walks its
+//!   treated rows;
+//! * full estimates, keyed by `(estimator, group fingerprint,
+//!   intervention)` — the cache the greedy phase and repeated constraint
+//!   re-solves hit hardest. A key carries one FNV hash of all three,
+//!   computed once when the key is built; hashing the key for a shard or
+//!   a map slot writes only that word. The cache's entry count can be
+//!   bounded ([`CateEngine::set_estimate_cache_capacity`]) with
 //!   least-recently-used eviction for long-lived serving deployments; the
 //!   other five hold one entry per key ever queried, or a fixed LRU bound
 //!   for the three group caches, whose entries hold O(rows) data.
+//!
+//! There are two ways in, and one estimation path behind them:
+//!
+//! * [`CateQuery::cate_in`] answers from the intervention pattern alone:
+//!   on an estimate-cache miss it looks up the adjustment set and the
+//!   treated mask in the engine's caches (computing them on first use);
+//! * a [`CateWalk`] ([`CateQuery::walk`]) serves one group's lattice walk
+//!   and its sub-coverage queries. The caller passes the treated mask it
+//!   already holds — any mask that agrees with the pattern's rows inside
+//!   the group, such as a lattice node's `coverage ∧ pattern` — and the
+//!   walk resolves each treatment-attribute set's adjustment once, in a
+//!   memo of its own. It never touches the treated-mask cache.
 //!
 //! Each estimator name has one bookkeeping record on the engine, resolved
 //! once per [`CateQuery`] ([`CateEngine::with_estimator`]) and carried by
@@ -86,8 +104,10 @@ const MATCH_INDEX_CACHE_CAPACITY: usize = 32;
 /// its interventions, on several worker threads at once, so most tables
 /// serve one group's sweep under one adjustment set and are not used
 /// again. A cold `so_session` solve (StackOverflow, 10k rows, seed 1)
-/// builds tables for 348 groups under 41 adjustment sets: 14.6k misses
-/// against 34.6k hits at 128 entries, 13.9k misses with no bound.
+/// builds tables for 348 groups under 41 adjustment sets: 14,351 misses
+/// against 34,863 hits at 128 entries on one worker (14.56k–14.64k
+/// misses on two, where the order of inserts varies), 13,892 with no
+/// bound.
 const CELL_TABLE_CACHE_CAPACITY: usize = 128;
 
 /// Default entry bound of the count path's per-group cache
@@ -131,12 +151,13 @@ fn limit_malloc_arenas() {
 }
 
 /// Matching indices ([`MatchIndex`]: standardized columnar design +
-/// KD-tree), keyed by `(subgroup fingerprint, adjustment set)`.
-pub type MatchIndexCache = ShardedLruCache<(u64, Vec<String>), Arc<MatchIndex>>;
+/// KD-tree), keyed by `(group fingerprint, adjustment fingerprint)`.
+pub type MatchIndexCache = ShardedLruCache<(u64, u64), Arc<MatchIndex>>;
 
 /// `linear`'s count-path tables ([`CellTable`]), and the `None` verdict
-/// for a group and adjustment set that take the columnar path.
-pub type CellTableCache = ShardedLruCache<(u64, Vec<String>), Option<Arc<CellTable>>>;
+/// for a group and adjustment set that take the columnar path, keyed by
+/// `(group fingerprint, adjustment fingerprint)`.
+pub type CellTableCache = ShardedLruCache<(u64, u64), Option<Arc<CellTable>>>;
 
 /// `linear`'s count-path group entries ([`GroupRows`]: outcomes, their
 /// sum and mean, the mask rank, and the covariates coded so far), keyed by
@@ -160,6 +181,64 @@ pub struct GroupCaches {
     pub group_rows: GroupRowsCache,
 }
 
+/// One query's way into the engine's [`GroupCaches`]: the caches, the
+/// subgroup's mask fingerprint, and the fingerprint of the adjustment set
+/// the query adjusts for. Estimators key their group-level state on these
+/// fingerprints, so the adjustment slice an estimator is handed must be
+/// the set `adjustment_fp` was taken of.
+#[derive(Debug, Clone, Copy)]
+pub struct GroupCacheRef<'a> {
+    /// The engine's group caches.
+    pub caches: &'a GroupCaches,
+    /// Fingerprint of the subgroup's mask ([`GroupHandle`]).
+    pub group_fp: u64,
+    /// Fingerprint of the adjustment set ([`Adjustment::fingerprint`]).
+    pub adjustment_fp: u64,
+}
+
+impl GroupCacheRef<'_> {
+    /// Key of the `(group, adjustment set)` caches: match indices and
+    /// cell tables.
+    pub fn table_key(&self) -> (u64, u64) {
+        (self.group_fp, self.adjustment_fp)
+    }
+}
+
+/// A backdoor adjustment set with its fingerprint: FNV-1a over the number
+/// of names and each name, length-prefixed. Built once per
+/// treatment-attribute set and shared by `Arc`, so a query hands its
+/// estimator the names and keys the group caches on the fingerprint
+/// without cloning or rehashing the names.
+#[derive(Debug)]
+pub struct Adjustment {
+    names: Vec<String>,
+    fp: u64,
+}
+
+impl Adjustment {
+    fn new(names: Vec<String>) -> Self {
+        let mut h = FnvHasher::new();
+        h.write_u64_stable(names.len() as u64);
+        for name in &names {
+            h.write_str_stable(name);
+        }
+        Adjustment {
+            fp: h.finish64(),
+            names,
+        }
+    }
+
+    /// The covariate names, in the order the backdoor search returned them.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// The 64-bit fingerprint of the names.
+    pub fn fingerprint(&self) -> u64 {
+        self.fp
+    }
+}
+
 /// The bookkeeping of one estimator name on one engine: its estimate-cache
 /// counters, the duration histogram of its estimation runs (whose count
 /// and sum are the number of runs and their total nanoseconds), and the
@@ -167,6 +246,8 @@ pub struct GroupCaches {
 #[derive(Default)]
 struct EstimatorRecord {
     name: Arc<str>,
+    /// FNV state after the name: estimate keys continue from it.
+    name_hash: FnvHasher,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Signed: a racing thread can evict (and uncount) an entry before its
@@ -210,24 +291,44 @@ fn charge_evictions(evicted: Vec<(EstimateKey, Option<Estimate>)>) {
 
 /// Key of one cached estimate: estimator, subgroup fingerprint,
 /// intervention pattern. The key carries its estimator's record, so an
-/// eviction is charged to the right estimator without a lookup. It hashes
-/// the estimator's name, so a bounded cache evicts the same entries in
-/// every run, and compares records by identity, as the engine keeps one
-/// record per name. The group is a 64-bit fingerprint
-/// of the mask (masks themselves live in the treated/grouping caches),
-/// which together with the full `Pattern` makes the key cheap to hash and
-/// — deliberately — serialization-friendly: `(name, fingerprint, pattern)`
-/// round-trips through the session snapshot format.
+/// eviction is charged to the right estimator without a lookup, and
+/// compares records by identity, as the engine keeps one record per name.
+/// The group is a 64-bit fingerprint of the mask, which together with the
+/// full `Pattern` makes the key — deliberately — serialization-friendly:
+/// `(name, fingerprint, pattern)` round-trips through the session snapshot
+/// format.
+///
+/// The key's hash is one FNV digest of the estimator's name, the group
+/// fingerprint and the pattern, taken when the key is built. Its `Hash`
+/// writes only that word, so the cache's shard choice and its map slot
+/// cost no pass over the pattern; and as it hashes the name, not the
+/// record, a bounded cache evicts the same entries in every run.
 #[derive(Clone)]
 struct EstimateKey {
     estimator: Arc<EstimatorRecord>,
     group_fp: u64,
     intervention: Pattern,
+    hash: u64,
+}
+
+impl EstimateKey {
+    fn new(estimator: Arc<EstimatorRecord>, group_fp: u64, intervention: Pattern) -> Self {
+        let mut h = estimator.name_hash;
+        h.write_u64_stable(group_fp);
+        intervention.hash(&mut h);
+        EstimateKey {
+            hash: h.finish64(),
+            estimator,
+            group_fp,
+            intervention,
+        }
+    }
 }
 
 impl PartialEq for EstimateKey {
     fn eq(&self, other: &Self) -> bool {
-        self.group_fp == other.group_fp
+        self.hash == other.hash
+            && self.group_fp == other.group_fp
             && Arc::ptr_eq(&self.estimator, &other.estimator)
             && self.intervention == other.intervention
     }
@@ -237,9 +338,7 @@ impl Eq for EstimateKey {}
 
 impl Hash for EstimateKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.estimator.name.hash(state);
-        self.group_fp.hash(state);
-        self.intervention.hash(state);
+        state.write_u64(self.hash);
     }
 }
 
@@ -265,7 +364,7 @@ pub struct CateEngine {
     df: Arc<DataFrame>,
     dag: Arc<Dag>,
     outcome: String,
-    adjustment_cache: ShardedLruCache<Vec<String>, Option<Vec<String>>>,
+    adjustment_cache: ShardedLruCache<Vec<String>, Option<Arc<Adjustment>>>,
     treated_cache: ShardedLruCache<Pattern, Mask>,
     /// Estimates and not-estimable verdicts, sharded and LRU-bounded.
     estimate_cache: ShardedLruCache<EstimateKey, Option<Estimate>>,
@@ -354,9 +453,12 @@ impl CateEngine {
         if let Some(record) = records.get(name) {
             return Arc::clone(record);
         }
+        let mut name_hash = FnvHasher::new();
+        name_hash.write_str_stable(name);
         let name: Arc<str> = Arc::from(name);
         let record = Arc::new(EstimatorRecord {
             name: Arc::clone(&name),
+            name_hash,
             ..EstimatorRecord::default()
         });
         records.insert(name, Arc::clone(&record));
@@ -375,7 +477,7 @@ impl CateEngine {
 
     /// Backdoor adjustment set for a treatment-attribute set (cached).
     /// `None` when identification fails.
-    pub fn adjustment_for(&self, treatment_attrs: &[String]) -> Option<Vec<String>> {
+    pub fn adjustment_for(&self, treatment_attrs: &[String]) -> Option<Arc<Adjustment>> {
         let key: Vec<String> = treatment_attrs.to_vec();
         if let Some(hit) = self.adjustment_cache.get(&key) {
             return hit;
@@ -388,7 +490,9 @@ impl CateEngine {
         let computed = if in_dag.is_empty() {
             None
         } else {
-            find_adjustment_set_names(&self.dag, &in_dag, &self.outcome).ok()
+            find_adjustment_set_names(&self.dag, &in_dag, &self.outcome)
+                .ok()
+                .map(|names| Arc::new(Adjustment::new(names)))
         };
         self.adjustment_cache.insert(key, computed.clone());
         computed
@@ -418,45 +522,6 @@ impl CateEngine {
         estimator: &dyn Estimator,
     ) -> Option<Estimate> {
         self.with_estimator(estimator).cate(group, intervention)
-    }
-
-    /// Run one estimation (no estimate-cache lookup), charging its wall
-    /// time and hot-path costs to `record`.
-    fn cate_uncached(
-        &self,
-        group: GroupHandle<'_>,
-        intervention: &Pattern,
-        estimator: &dyn Estimator,
-        record: &EstimatorRecord,
-    ) -> Option<Estimate> {
-        if intervention.is_empty() {
-            return None;
-        }
-        let attrs: Vec<String> = intervention
-            .attributes()
-            .into_iter()
-            .map(|s| s.to_owned())
-            .collect();
-        let adjustment = self.adjustment_for(&attrs)?;
-        let treated = self.treated_mask(intervention).ok()?;
-        let mut ctx = EstimateCtx {
-            workers: kernel::auto_workers(group.mask.count()),
-            stats: HotStats::default(),
-            group_cache: Some((&self.group_caches, group.fp)),
-        };
-        let t0 = Instant::now();
-        let result = estimator
-            .estimate_with_ctx(
-                &mut ctx,
-                &self.df,
-                group.mask,
-                &treated,
-                &self.outcome,
-                &adjustment,
-            )
-            .ok();
-        record.ran(t0.elapsed().as_nanos() as u64, &ctx.stats);
-        result
     }
 
     /// Per-estimator estimate-duration histograms (nanoseconds per
@@ -586,8 +651,9 @@ impl CateEngine {
     /// [`import_state`](Self::import_state).
     pub fn export_state(&self) -> CateEngineState {
         let mut adjustments = Vec::with_capacity(self.adjustment_cache.len());
-        self.adjustment_cache
-            .for_each(|k, v| adjustments.push((k.clone(), v.clone())));
+        self.adjustment_cache.for_each(|k, v| {
+            adjustments.push((k.clone(), v.as_ref().map(|a| a.names.clone())));
+        });
         let mut treated = Vec::with_capacity(self.treated_cache.len());
         self.treated_cache
             .for_each(|k, v| treated.push((k.clone(), v.clone())));
@@ -614,18 +680,15 @@ impl CateEngine {
     /// later records survive).
     pub fn import_state(&self, state: CateEngineState) {
         for (k, v) in state.adjustments {
-            self.adjustment_cache.insert(k, v);
+            self.adjustment_cache
+                .insert(k, v.map(|names| Arc::new(Adjustment::new(names))));
         }
         for (k, v) in state.treated {
             self.treated_cache.insert(k, v);
         }
         for (name, group_fp, intervention, est) in state.estimates {
             let record = self.record(&name);
-            let key = EstimateKey {
-                estimator: Arc::clone(&record),
-                group_fp,
-                intervention,
-            };
+            let key = EstimateKey::new(Arc::clone(&record), group_fp, intervention);
             let inserted = self.estimate_cache.insert(key, est);
             if !inserted.replaced {
                 record.entries.fetch_add(1, Relaxed);
@@ -684,17 +747,47 @@ impl<'a> CateQuery<'a> {
     }
 
     /// [`cate`](Self::cate) against a group fingerprinted once by its
-    /// [`GroupHandle`], for a sweep of interventions over one group. When
-    /// a span is attached (a traced solve) every query emits a child span:
-    /// `estimate_hit:<name>` for a lookup answered from the estimate
-    /// cache, `estimate:<name>` covering the actual estimation on a miss.
+    /// [`GroupHandle`], for a sweep of interventions over one group, when
+    /// the caller holds only the pattern: an estimation takes the
+    /// adjustment set and the treated mask from the engine's caches. A
+    /// caller that already holds the treated rows uses a
+    /// [`walk`](Self::walk) instead.
     pub fn cate_in(&self, group: GroupHandle<'_>, intervention: &Pattern) -> Option<Estimate> {
+        self.cached(group, intervention, || {
+            let attrs: Vec<String> = intervention
+                .attributes()
+                .into_iter()
+                .map(str::to_owned)
+                .collect();
+            let adjustment = self.engine.adjustment_for(&attrs)?;
+            let treated = self.engine.treated_mask(intervention).ok()?;
+            self.estimate_uncached(group, &treated, &adjustment)
+        })
+    }
+
+    /// Start a walk: the entry point for one group's lattice walk and its
+    /// sub-coverage queries. See [`CateWalk`].
+    pub fn walk(&self) -> CateWalk<'_, 'a> {
+        CateWalk {
+            query: self,
+            adjustments: Vec::new(),
+        }
+    }
+
+    /// Answer from the estimate cache, or run `estimate` on a miss and
+    /// cache its answer. When a span is attached (a traced solve) every
+    /// query emits a child span: `estimate_hit:<name>` for a lookup
+    /// answered from the estimate cache, `estimate:<name>` covering the
+    /// actual estimation on a miss. An empty intervention is not
+    /// estimable.
+    fn cached(
+        &self,
+        group: GroupHandle<'_>,
+        intervention: &Pattern,
+        estimate: impl FnOnce() -> Option<Estimate>,
+    ) -> Option<Estimate> {
         let record = &self.record;
-        let key = EstimateKey {
-            estimator: Arc::clone(record),
-            group_fp: group.fp,
-            intervention: intervention.clone(),
-        };
+        let key = EstimateKey::new(Arc::clone(record), group.fp, intervention.clone());
         if let Some(hit) = self.engine.estimate_cache.get(&key) {
             record.hits.fetch_add(1, Relaxed);
             if let Some(h) = &self.span {
@@ -707,8 +800,11 @@ impl<'a> CateQuery<'a> {
                 .span
                 .as_ref()
                 .map(|h| h.child(format!("estimate:{}", record.name)));
-            self.engine
-                .cate_uncached(group, intervention, self.estimator, record)
+            if intervention.is_empty() {
+                None
+            } else {
+                estimate()
+            }
         };
         // A racing duplicate query may have inserted the same key first;
         // `replaced` distinguishes that (same value — estimation is
@@ -720,6 +816,103 @@ impl<'a> CateQuery<'a> {
         }
         charge_evictions(inserted.evicted);
         result
+    }
+
+    /// Run one estimation (no estimate-cache lookup), charging its wall
+    /// time and hot-path costs to the estimator's record: the one
+    /// estimation path behind both entry points. `treated` need only agree
+    /// with the intervention's rows inside the group.
+    fn estimate_uncached(
+        &self,
+        group: GroupHandle<'_>,
+        treated: &Mask,
+        adjustment: &Adjustment,
+    ) -> Option<Estimate> {
+        let engine = self.engine;
+        let mut ctx = EstimateCtx {
+            workers: kernel::auto_workers(group.mask.count()),
+            stats: HotStats::default(),
+            group_cache: Some(GroupCacheRef {
+                caches: &engine.group_caches,
+                group_fp: group.fp,
+                adjustment_fp: adjustment.fp,
+            }),
+        };
+        let t0 = Instant::now();
+        let result = self
+            .estimator
+            .estimate_with_ctx(
+                &mut ctx,
+                &engine.df,
+                group.mask,
+                treated,
+                &engine.outcome,
+                &adjustment.names,
+            )
+            .ok();
+        self.record.ran(t0.elapsed().as_nanos() as u64, &ctx.stats);
+        result
+    }
+}
+
+/// One group's walk through a [`CateQuery`]: the lattice walk over the
+/// group and the queries of its protected and non-protected
+/// sub-coverages. Answers are cached exactly as [`CateQuery::cate_in`]'s,
+/// under the same keys, and are bit-identical to them.
+///
+/// What the walk saves is the bookkeeping around an estimate. The caller
+/// passes the treated mask it already holds (a lattice node's
+/// `coverage ∧ pattern`) instead of having the engine look up or compute
+/// the pattern's full-frame mask, and the walk keeps a small memo from
+/// treatment-attribute set to [`Adjustment`], so each set's names and
+/// fingerprint are resolved once per walk rather than once per estimate.
+/// A walk is meant for one thread; make one per group.
+pub struct CateWalk<'q, 'a> {
+    query: &'q CateQuery<'a>,
+    /// `(hash of the attribute names, the names, their adjustment)`, in
+    /// first-use order: one entry per attribute set the walk reaches,
+    /// found by comparing hashes before names.
+    adjustments: Vec<(u64, Vec<String>, Option<Arc<Adjustment>>)>,
+}
+
+impl CateWalk<'_, '_> {
+    /// CATE of `intervention` within `group`, with `treated` the rows
+    /// satisfying the intervention. Only `treated`'s rows inside `group`
+    /// matter, so any mask that agrees with the pattern there serves —
+    /// the pattern's coverage within a larger group that contains
+    /// `group` does.
+    pub fn cate(
+        &mut self,
+        group: GroupHandle<'_>,
+        intervention: &Pattern,
+        treated: &Mask,
+    ) -> Option<Estimate> {
+        let query = self.query;
+        query.cached(group, intervention, || {
+            let adjustment = self.adjustment(intervention)?;
+            query.estimate_uncached(group, treated, &adjustment)
+        })
+    }
+
+    /// The adjustment set of `intervention`'s attributes, from the memo
+    /// or, on first use in this walk, from the engine's cache.
+    fn adjustment(&mut self, intervention: &Pattern) -> Option<Arc<Adjustment>> {
+        let attrs = intervention.attributes();
+        let mut h = FnvHasher::new();
+        for attr in &attrs {
+            h.write_str_stable(attr);
+        }
+        let hash = h.finish64();
+        let memo = self.adjustments.iter().find(|(memo_hash, names, _)| {
+            *memo_hash == hash && names.iter().map(String::as_str).eq(attrs.iter().copied())
+        });
+        if let Some((_, _, adjustment)) = memo {
+            return adjustment.clone();
+        }
+        let names: Vec<String> = attrs.into_iter().map(str::to_owned).collect();
+        let adjustment = self.query.engine.adjustment_for(&names);
+        self.adjustments.push((hash, names, adjustment.clone()));
+        adjustment
     }
 }
 
@@ -1031,6 +1224,104 @@ mod tests {
         assert_eq!(counts(tiny.group_rows_cache_stats()), (0, 7, 6, 1));
         assert_eq!(counts(default.cell_table_cache_stats()), (3, 4, 0, 4));
         assert_eq!(counts(default.group_rows_cache_stats()), (1, 3, 0, 3));
+    }
+
+    /// The walk entry point, handed `coverage ∧ pattern` as the treated
+    /// mask, answers bit for bit as `cate_in` with the full-frame mask —
+    /// for every estimator, on a group and on its protected and
+    /// non-protected sub-coverages, refusals included.
+    #[test]
+    fn walk_with_coverage_masks_matches_cate_in() {
+        let (df, dag) = fixture();
+        let n = df.n_rows();
+        let coverage = Mask::from_indices(n, &(0..n).filter(|r| r % 3 != 0).collect::<Vec<_>>());
+        let south = Pattern::of_eq(&[("region", Value::from("south"))])
+            .coverage(&df)
+            .unwrap();
+        // Too few rows for either arm: every estimator refuses.
+        let tiny = Mask::from_indices(n, &coverage.iter_ones().take(8).collect::<Vec<_>>());
+        let subs = [
+            coverage.clone(),
+            &coverage & &south,
+            coverage.andnot(&south),
+            tiny,
+        ];
+        let interventions = [
+            Pattern::of_eq(&[("educated", Value::Bool(true))]),
+            Pattern::of_eq(&[("educated", Value::Bool(false))]),
+            Pattern::of_eq(&[("region", Value::from("north"))]),
+            // Identification fails: not in the DAG.
+            Pattern::of_eq(&[("ghost", Value::Int(1))]),
+        ];
+        let bits = |e: Option<Estimate>| {
+            e.map(|e| {
+                let fields = [e.cate, e.std_err, e.t_stat, e.p_value].map(f64::to_bits);
+                (fields, e.n_treated, e.n_control)
+            })
+        };
+        for kind in EstimatorKind::ALL {
+            let by_pattern = CateEngine::new(Arc::clone(&df), Arc::clone(&dag), "income").unwrap();
+            let by_walk = CateEngine::new(Arc::clone(&df), Arc::clone(&dag), "income").unwrap();
+            let (q_pattern, q_walk) = (
+                by_pattern.with_estimator(&kind),
+                by_walk.with_estimator(&kind),
+            );
+            let mut walk = q_walk.walk();
+            let (mut estimated, mut refused) = (0, 0);
+            for p in &interventions {
+                let treated = match p.coverage(&df) {
+                    Ok(full) => &coverage & &full,
+                    Err(_) => Mask::zeros(n),
+                };
+                for sub in &subs {
+                    let group = GroupHandle::new(sub);
+                    let expected = q_pattern.cate_in(group, p);
+                    assert_eq!(
+                        bits(walk.cate(group, p, &treated)),
+                        bits(expected),
+                        "{kind:?} {p} on {} rows",
+                        sub.count()
+                    );
+                    match expected {
+                        Some(_) => estimated += 1,
+                        None => refused += 1,
+                    }
+                }
+            }
+            assert!(
+                estimated >= 5 && refused >= 9,
+                "{kind:?}: {estimated}/{refused}"
+            );
+            // The walk reads no treated mask from the engine.
+            assert!(by_walk.export_state().treated.is_empty());
+            assert_eq!(
+                by_walk.cache_stats().misses,
+                by_pattern.cache_stats().misses
+            );
+        }
+    }
+
+    #[test]
+    fn estimate_keys_hash_once_and_compare_in_full() {
+        let engine = engine();
+        let linear = engine.record("linear");
+        let p = Pattern::of_eq(&[("educated", Value::Bool(true))]);
+        let key = |record: &Arc<EstimatorRecord>, fp: u64, p: &Pattern| {
+            EstimateKey::new(Arc::clone(record), fp, p.clone())
+        };
+        let a = key(&linear, 7, &p);
+        assert!(a == key(&linear, 7, &p));
+        assert_eq!(a.hash, key(&linear, 7, &p).hash);
+        assert!(a != key(&linear, 8, &p));
+        assert!(a != key(&engine.record("stratified"), 7, &p));
+        let q = Pattern::of_eq(&[("educated", Value::Bool(false))]);
+        assert!(a != key(&linear, 7, &q));
+        // `Hash` feeds the precomputed digest alone.
+        let mut h = FnvHasher::new();
+        a.hash(&mut h);
+        let mut expected = FnvHasher::new();
+        expected.write_u64_stable(a.hash);
+        assert_eq!(h.finish64(), expected.finish64());
     }
 
     #[test]

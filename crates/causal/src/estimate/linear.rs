@@ -60,12 +60,12 @@
 //!
 //! The [`CateEngine`](crate::cate::CateEngine) caches one [`GroupRows`]
 //! per group fingerprint and one table (or the verdict that the columnar
-//! path must run) per (group fingerprint, adjustment set), so an
+//! path must run) per (group fingerprint, adjustment fingerprint), so an
 //! intervention sweep over a group builds its table once.
 
 use super::design::LevelCoder;
 use super::{kernel, Estimate, HotStats, MIN_ARM_SIZE};
-use crate::cate::GroupCaches;
+use crate::cate::GroupCacheRef;
 use crate::error::{CausalError, Result};
 use crate::linalg::{cholesky_solve, spd_factor, Matrix};
 use faircap_table::stats::t_sf_two_sided;
@@ -116,9 +116,9 @@ pub fn estimate(
 
 /// Linear-regression estimate with an explicit worker count (used by the
 /// columnar path's kernels; the count path is serial) and hot-path cost
-/// accounting. With `caches` — the engine's group caches and the group's
-/// fingerprint keying them — the count path's [`GroupRows`] and
-/// [`CellTable`] come from the caches (built and cached on a miss);
+/// accounting. With `caches` — the engine's group caches and the group and
+/// adjustment fingerprints keying them — the count path's [`GroupRows`]
+/// and [`CellTable`] come from the caches (built and cached on a miss);
 /// without, both are built for this estimate alone.
 #[allow(clippy::too_many_arguments)] // the estimator signature plus the cache handle
 pub fn estimate_with(
@@ -128,7 +128,7 @@ pub fn estimate_with(
     outcome: &str,
     adjustment: &[String],
     workers: usize,
-    caches: Option<(&GroupCaches, u64)>,
+    caches: Option<GroupCacheRef<'_>>,
     stats: &mut HotStats,
 ) -> Result<Estimate> {
     let n = group.count();
@@ -136,15 +136,17 @@ pub fn estimate_with(
 
     let t0 = Instant::now();
     let table = match caches {
-        Some((caches, group_fp)) => {
-            let key = (group_fp, adjustment.to_vec());
-            caches.cell_table.get_or_build(key, || -> Result<_> {
-                let rows = || {
-                    let build = || GroupRows::build(df, group, outcome);
-                    caches.group_rows.get_or_build(group_fp, build)
-                };
-                Ok(CellTable::assemble(df, group, adjustment, rows)?.map(Arc::new))
-            })?
+        Some(cache) => {
+            let caches = cache.caches;
+            caches
+                .cell_table
+                .get_or_build(cache.table_key(), || -> Result<_> {
+                    let rows = || {
+                        let build = || GroupRows::build(df, group, outcome);
+                        caches.group_rows.get_or_build(cache.group_fp, build)
+                    };
+                    Ok(CellTable::assemble(df, group, adjustment, rows)?.map(Arc::new))
+                })?
         }
         None => CellTable::build(df, group, outcome, adjustment)?.map(Arc::new),
     };

@@ -175,7 +175,8 @@ pub enum MatchStrategy {
 ///
 /// Deliberately treatment-*independent* — arm membership is a query-time
 /// filter — so one index serves every intervention of a pattern sweep;
-/// the engine caches these per (subgroup fingerprint, adjustment set).
+/// the engine caches these per (group fingerprint, adjustment
+/// fingerprint).
 #[derive(Debug)]
 pub struct MatchIndex {
     pub(super) y: Vec<f64>,

@@ -109,19 +109,20 @@ pub struct HotStats {
 
 /// Per-query context threaded through [`Estimator::estimate_with_ctx`]:
 /// the kernel worker count, the cost-accounting sink, and the engine's
-/// group caches together with the querying subgroup's fingerprint, so the
-/// matching estimator's KD-tree index and the linear estimator's cell
-/// table are built once per `(subgroup, adjustment set)` (the latter on
-/// one group entry per subgroup) and reused across the intervention
-/// sweep.
+/// group caches together with the querying subgroup's fingerprint and the
+/// adjustment set's, so the matching estimator's KD-tree index and the
+/// linear estimator's cell table are built once per `(group fingerprint,
+/// adjustment fingerprint)` (the latter on one group entry per subgroup)
+/// and reused across the intervention sweep.
 pub struct EstimateCtx<'a> {
     /// Worker count for kernel fan-out (1 = serial; results are
     /// bit-identical either way).
     pub workers: usize,
     /// Accumulated hot-path costs for this query.
     pub stats: HotStats,
-    /// Group caches and the subgroup fingerprint keying them.
-    pub group_cache: Option<(&'a crate::cate::GroupCaches, u64)>,
+    /// Group caches and the group and adjustment fingerprints keying them;
+    /// `None` builds every group-level structure for this query alone.
+    pub group_cache: Option<crate::cate::GroupCacheRef<'a>>,
 }
 
 /// A treatment-effect estimate with inference statistics.
@@ -329,18 +330,22 @@ impl Estimator for EstimatorKind {
                 aipw::estimate_with(df, group, treated, outcome, adjustment, workers, stats)
             }
             EstimatorKind::Matching => {
-                // One KD-tree index per (subgroup, adjustment set), shared
-                // across every intervention swept against this subgroup.
+                // One KD-tree index per (group, adjustment set)
+                // fingerprint pair, shared across every intervention swept
+                // against this subgroup.
                 let shared;
                 let index = match group_cache {
-                    Some((caches, group_fp)) => {
-                        let key = (*group_fp, adjustment.to_vec());
-                        shared = caches.match_index.get_or_build(key, || -> Result<_> {
-                            let index = matching::MatchIndex::build(
-                                df, group, outcome, adjustment, workers, stats,
-                            )?;
-                            Ok(Arc::new(index))
-                        })?;
+                    Some(cache) => {
+                        let caches = cache.caches;
+                        shared = caches.match_index.get_or_build(
+                            cache.table_key(),
+                            || -> Result<_> {
+                                let index = matching::MatchIndex::build(
+                                    df, group, outcome, adjustment, workers, stats,
+                                )?;
+                                Ok(Arc::new(index))
+                            },
+                        )?;
                         Some(&*shared)
                     }
                     None => None,

@@ -37,8 +37,8 @@ pub mod discovery;
 
 pub use backdoor::{find_adjustment_set, find_adjustment_set_names, is_valid_backdoor};
 pub use cate::{
-    CateEngine, CateEngineState, CateQuery, CellTableCache, GroupCaches, GroupHandle,
-    GroupRowsCache, MatchIndexCache,
+    Adjustment, CateEngine, CateEngineState, CateQuery, CateWalk, CellTableCache, GroupCacheRef,
+    GroupCaches, GroupHandle, GroupRowsCache, MatchIndexCache,
 };
 pub use dsep::{d_separated, d_separated_names};
 pub use error::{CausalError, Result};

@@ -17,7 +17,7 @@ use crate::benefit::benefit;
 use crate::config::FairCapConfig;
 use crate::constraints::rule_satisfies_fairness;
 use crate::rule::{Rule, RuleUtility};
-use faircap_causal::{CateQuery, GroupHandle};
+use faircap_causal::{CateQuery, Estimate, GroupHandle};
 use faircap_mining::{positive_lattice_with_stats, single_attribute_items, MiningStats};
 use faircap_table::{Mask, Pattern};
 
@@ -88,12 +88,15 @@ pub fn evaluate_group_interventions(
         .collect();
 
     // Lattice traversal scored by overall CATE. Each group is
-    // fingerprinted once per walk, not once per query.
+    // fingerprinted once per walk, not once per query, and a node's mask
+    // (`coverage ∧ pattern`) is its treated mask: only its rows inside the
+    // group, or inside either sub-coverage, matter to an estimate.
+    let mut walk = query.walk();
     let group = GroupHandle::new(coverage);
     let (nodes, stats) = positive_lattice_with_stats(
         &items,
         max_intervention_len,
-        |pattern, _mask| query.cate_in(group, pattern),
+        |pattern, mask| walk.cate(group, pattern, mask),
         |est| est.cate > 0.0,
     );
 
@@ -113,8 +116,13 @@ pub fn evaluate_group_interventions(
         // (Definition 4.4: 0 when the sub-coverage is empty; when it is
         // non-empty but too small to estimate, the overall CATE is the best
         // available prediction for those rows — see DESIGN.md).
-        let u_p = subgroup_utility(query, group_p, &node.pattern, est.cate);
-        let u_np = subgroup_utility(query, group_np, &node.pattern, est.cate);
+        let mut utility = |sub: GroupHandle<'_>| {
+            subgroup_utility(sub.mask(), est.cate, || {
+                walk.cate(sub, &node.pattern, &node.mask)
+            })
+        };
+        let u_p = utility(group_p);
+        let u_np = utility(group_np);
         evaluated.push(EvaluatedIntervention {
             pattern: node.pattern,
             cate: est.cate,
@@ -233,23 +241,20 @@ pub fn mine_top_interventions(
     rules_from_evaluation(&evaluation, grouping, coverage, protected, config, k)
 }
 
-/// Utility of an intervention on a sub-coverage: the estimated CATE when
-/// available, the paper's 0 convention for an empty sub-coverage, and the
-/// overall CATE as the fallback prediction for a non-empty sub-coverage
-/// that is too small to estimate on its own.
+/// Utility of an intervention on a sub-coverage: the CATE `estimate`
+/// returns when available, the paper's 0 convention for an empty
+/// sub-coverage (without calling `estimate`), and the overall CATE as the
+/// fallback prediction for a non-empty sub-coverage that is too small to
+/// estimate on its own.
 pub fn subgroup_utility(
-    query: &CateQuery<'_>,
-    sub_coverage: GroupHandle<'_>,
-    intervention: &Pattern,
+    sub_coverage: &Mask,
     overall: f64,
+    estimate: impl FnOnce() -> Option<Estimate>,
 ) -> f64 {
-    if sub_coverage.mask().none() {
+    if sub_coverage.none() {
         return 0.0;
     }
-    query
-        .cate_in(sub_coverage, intervention)
-        .map(|e| e.cate)
-        .unwrap_or(overall)
+    estimate().map(|e| e.cate).unwrap_or(overall)
 }
 
 #[cfg(test)]

@@ -9,10 +9,13 @@
 //! [`solve`](PrescriptionSession::solve) is called per constraint
 //! combination:
 //!
-//! * the [`CateEngine`]'s adjustment/treated/estimate caches persist across
+//! * the [`CateEngine`]'s adjustment-set and estimate caches persist across
 //!   solves, so re-solving under a new fairness constraint performs **no
 //!   redundant CATE estimation** (observable via
-//!   [`PrescriptionSession::cache_stats`]);
+//!   [`PrescriptionSession::cache_stats`]). Step 2 hands each estimate the
+//!   lattice node's own mask as its treated rows, so only pattern-only
+//!   queries (the baselines' adaptations, [`CateEngine::cate`]) fill the
+//!   engine's treated-mask cache;
 //! * grouping-pattern mining output is cached per effective Apriori
 //!   parameters;
 //! * the estimator is chosen per request ([`SolveRequest::estimator`]), so
@@ -134,7 +137,9 @@ impl SessionBuilder {
     /// [`PrescriptionSession::snapshot`]). The snapshot's adjustment sets,
     /// treated masks, and estimates are imported into the engine caches, so
     /// the first solve behaves like a re-solve: a solve repeating the
-    /// snapshotted workload performs **zero** estimate-cache misses.
+    /// snapshotted workload performs **zero** estimate-cache misses. The
+    /// estimates are what make it so; treated masks, present only for
+    /// pattern-only queries, spare those queries recomputing a mask.
     ///
     /// `build` fails with [`Error::Snapshot`] when the snapshot's outcome
     /// or row count disagrees with the session being built.
@@ -673,6 +678,11 @@ impl PrescriptionSession {
     /// session over the same data via
     /// [`SessionBuilder::warm_start`]. A restored session re-solving the
     /// same workload performs zero estimate-cache misses.
+    ///
+    /// Solves leave the treated-mask cache empty (Step 2 estimates against
+    /// each lattice node's own mask), so the snapshot's treated masks are
+    /// those of pattern-only queries on the engine, such as
+    /// [`CateEngine::cate`], and none after solves alone.
     pub fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
             outcome: self.outcome.clone(),
@@ -1365,6 +1375,49 @@ mod tests {
         let b: Vec<String> = report_warm.rules.iter().map(|r| r.to_string()).collect();
         assert_eq!(a, b, "warm solve must reproduce the cold ruleset");
         assert_eq!(report_cold.summary, report_warm.summary);
+    }
+
+    /// Step 2 hands the estimator each lattice node's own mask, so a solve
+    /// leaves the engine's treated-mask cache empty: a snapshot carries
+    /// only the masks of pattern-only queries, and its estimates alone
+    /// still make the warm re-solve miss nothing.
+    #[test]
+    fn snapshot_after_solve_carries_only_pattern_query_masks() {
+        let (df, dag, prot) = fixture();
+        let build = || {
+            FairCap::builder()
+                .data(df.clone())
+                .dag(dag.clone())
+                .outcome("outcome")
+                .immutable(["segment", "grp"])
+                .mutable(["big", "fair"])
+                .protected(prot.clone())
+        };
+        let cold = build().build().unwrap();
+        let report_cold = cold.solve(&SolveRequest::default()).unwrap();
+        let snapshot = cold.snapshot();
+        assert!(!snapshot.state.estimates.is_empty());
+        assert!(!snapshot.state.adjustments.is_empty());
+        assert!(snapshot.state.treated.is_empty());
+
+        // A pattern-only query caches its treated mask, and a snapshot
+        // taken after it carries that mask alone.
+        let big = Pattern::of_eq(&[("big", Value::from("yes"))]);
+        let everyone = Mask::ones(df.n_rows());
+        cold.engine()
+            .cate(&everyone, &big, &EstimatorKind::Linear)
+            .expect("estimable");
+        let treated = cold.snapshot().state.treated;
+        assert_eq!(treated.len(), 1);
+        assert_eq!(treated[0], (big.clone(), big.coverage(&df).unwrap()));
+
+        let decoded = SessionSnapshot::decode(&snapshot.encode()).unwrap();
+        let warm = build().warm_start(decoded).build().unwrap();
+        let report_warm = warm.solve(&SolveRequest::default()).unwrap();
+        assert_eq!(warm.cache_stats().misses, 0);
+        assert!(warm.snapshot().state.treated.is_empty());
+        let rules = |r: &SolutionReport| r.rules.iter().map(|r| r.to_string()).collect::<Vec<_>>();
+        assert_eq!(rules(&report_cold), rules(&report_warm));
     }
 
     #[test]

@@ -153,10 +153,10 @@ pub fn apriori_with_stats(
 /// prefix blocks contiguous — candidate generation over all blocks is
 /// linear in the frontier plus quadratic only *within* each block, instead
 /// of quadratic over the whole frontier.
-pub(crate) fn for_each_prefix_pair<T>(
-    sorted: &[T],
-    pattern_of: impl Fn(&T) -> &Pattern,
-    mut f: impl FnMut(&T, &T),
+pub(crate) fn for_each_prefix_pair<'p, T>(
+    sorted: &'p [T],
+    pattern_of: impl Fn(&'p T) -> &'p Pattern,
+    mut f: impl FnMut(&'p T, &'p T),
 ) {
     let mut block_start = 0;
     while block_start < sorted.len() {

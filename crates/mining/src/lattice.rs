@@ -33,7 +33,7 @@ pub struct LatticeNode<S> {
 ///
 /// Items must have pairwise-distinct predicates; candidates never combine
 /// two predicates on the same attribute.
-pub fn positive_lattice<S: Clone>(
+pub fn positive_lattice<S>(
     items: &[(Predicate, Mask)],
     max_len: usize,
     evaluate: impl FnMut(&Pattern, &Mask) -> Option<S>,
@@ -46,7 +46,7 @@ pub fn positive_lattice<S: Clone>(
 /// generated by the prefix join, candidates pruned by the positive-parent
 /// rule, and nodes actually handed to `evaluate` (each of which costs a
 /// CATE estimation in the FairCap pipeline).
-pub fn positive_lattice_with_stats<S: Clone>(
+pub fn positive_lattice_with_stats<S>(
     items: &[(Predicate, Mask)],
     max_len: usize,
     mut evaluate: impl FnMut(&Pattern, &Mask) -> Option<S>,
@@ -54,30 +54,32 @@ pub fn positive_lattice_with_stats<S: Clone>(
 ) -> (Vec<LatticeNode<S>>, MiningStats) {
     let mut stats = MiningStats::default();
     let mut out: Vec<LatticeNode<S>> = Vec::new();
-    // Frontier of positive nodes at the current level.
-    let mut frontier: Vec<LatticeNode<S>> = Vec::new();
     for (pred, mask) in items {
         let pattern = Pattern::new(vec![pred.clone()]);
         stats.candidates += 1;
         stats.evaluated += 1;
         if let Some(score) = evaluate(&pattern, mask) {
-            let node = LatticeNode {
+            out.push(LatticeNode {
                 pattern,
                 mask: mask.clone(),
                 score,
-            };
-            if is_positive(&node.score) {
-                frontier.push(node.clone());
-            }
-            out.push(node);
+            });
         }
     }
-    frontier.sort_by(|a, b| a.pattern.cmp(&b.pattern));
+    // Frontier of positive nodes at the current level, as indices into
+    // `out` in pattern order: nodes are stored once, never cloned.
+    let mut frontier = positive_sorted(&out, 0, &is_positive);
 
     let mut level = 1;
     while level < max_len && frontier.len() > 1 {
-        let positive_keys: HashSet<&Pattern> = frontier.iter().map(|n| &n.pattern).collect();
-        let mut next: Vec<LatticeNode<S>> = Vec::new();
+        // A pair's two parents are the singletons it joins, both in the
+        // frontier, so only longer candidates look their parents up.
+        let positive_keys: HashSet<&Pattern> = if level > 1 {
+            frontier.iter().map(|&i| &out[i].pattern).collect()
+        } else {
+            HashSet::new()
+        };
+        let mut fresh: Vec<LatticeNode<S>> = Vec::new();
         // Same prefix-block generation as Apriori: the frontier is sorted,
         // so only contiguous same-prefix pairs can join and every candidate
         // arises from exactly one pair. The candidate's cover is the
@@ -85,17 +87,19 @@ pub fn positive_lattice_with_stats<S: Clone>(
         // prefix mask already folded into both parents.
         for_each_prefix_pair(
             &frontier,
-            |n: &LatticeNode<S>| &n.pattern,
-            |a, b| {
+            |&i: &usize| &out[i].pattern,
+            |&i, &j| {
+                let (a, b) = (&out[i], &out[j]);
                 let Some(candidate) = join(&a.pattern, &b.pattern) else {
                     return;
                 };
                 stats.candidates += 1;
                 // All parents must be positive (they must be in the frontier).
-                if !candidate
-                    .parents()
-                    .iter()
-                    .all(|p| positive_keys.contains(p))
+                if level > 1
+                    && !candidate
+                        .parents()
+                        .iter()
+                        .all(|p| positive_keys.contains(p))
                 {
                     stats.pruned_parent += 1;
                     return;
@@ -103,23 +107,33 @@ pub fn positive_lattice_with_stats<S: Clone>(
                 let mask = &a.mask & &b.mask;
                 stats.evaluated += 1;
                 if let Some(score) = evaluate(&candidate, &mask) {
-                    let node = LatticeNode {
+                    fresh.push(LatticeNode {
                         pattern: candidate,
                         mask,
                         score,
-                    };
-                    out.push(node.clone());
-                    if is_positive(&node.score) {
-                        next.push(node);
-                    }
+                    });
                 }
             },
         );
-        next.sort_by(|a, b| a.pattern.cmp(&b.pattern));
-        frontier = next;
+        let first = out.len();
+        out.append(&mut fresh);
+        frontier = positive_sorted(&out, first, &is_positive);
         level += 1;
     }
     (out, stats)
+}
+
+/// Indices of the positive nodes of `nodes[first..]`, in pattern order.
+fn positive_sorted<S>(
+    nodes: &[LatticeNode<S>],
+    first: usize,
+    is_positive: impl Fn(&S) -> bool,
+) -> Vec<usize> {
+    let mut positive: Vec<usize> = (first..nodes.len())
+        .filter(|&i| is_positive(&nodes[i].score))
+        .collect();
+    positive.sort_by(|&a, &b| nodes[a].pattern.cmp(&nodes[b].pattern));
+    positive
 }
 
 /// Same prefix-join as Apriori (shared length-(k−1) prefix, distinct final
@@ -242,6 +256,47 @@ mod tests {
                 assert_eq!(n.mask, &m0 & m1, "pattern {}", n.pattern);
             }
         }
+    }
+
+    #[test]
+    fn negative_pair_prunes_its_triple() {
+        // Only b∧c scores negative. a∧b and a∧c share the prefix a and
+        // join into a∧b∧c, whose third parent b∧c is not positive: the
+        // triple is generated and pruned, never evaluated.
+        let mut seen = Vec::new();
+        let (nodes, stats) = positive_lattice_with_stats(
+            &items(),
+            3,
+            |p, _| {
+                seen.push(p.to_string());
+                Some(if p.to_string() == "b = 1 ∧ c = 1" {
+                    -1.0
+                } else {
+                    1.0
+                })
+            },
+            |&s| s > 0.0,
+        );
+        assert!(nodes.iter().all(|n| n.pattern.len() < 3));
+        assert_eq!(nodes.len(), 6);
+        assert!(!seen.iter().any(|p| p.matches('∧').count() == 2));
+        assert_eq!(
+            stats,
+            MiningStats {
+                candidates: 7,
+                pruned_parent: 1,
+                pruned_support: 0,
+                evaluated: 6,
+            }
+        );
+        // With every pair positive the triple is evaluated.
+        let (nodes, stats) =
+            positive_lattice_with_stats(&items(), 3, |_, _| Some(1.0), |&s| s > 0.0);
+        assert_eq!(nodes.len(), 7);
+        assert_eq!(
+            (stats.candidates, stats.pruned_parent, stats.evaluated),
+            (7, 0, 7)
+        );
     }
 
     #[test]
