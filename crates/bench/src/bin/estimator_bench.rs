@@ -23,8 +23,9 @@
 //! Results go to stdout *and* `BENCH_estimators.json` (CWD, or the
 //! directory given as the first argument). Each row carries the best-of
 //! rep's per-estimate [`HotStats`] (`build_ns` / `index_ns` / `solve_ns`
-//! / `tasks` / `tree_visits`), so the scale-curve trend lines show where
-//! the time goes, not just how much there is.
+//! / `tree_visits`), so the scale-curve trend lines show where the time
+//! goes, not just how much there is. Every case runs single-threaded, as
+//! every estimate does.
 //! With `--gate BASELINE.json`,
 //! each (estimator, rows) entry's best-of-reps time is compared against
 //! the committed baseline's and the run exits 1 on a >20% regression
@@ -93,7 +94,6 @@ impl Entry {
                 ("build_ns", Json::Num(self.stats.build_ns as f64)),
                 ("index_ns", Json::Num(self.stats.index_ns as f64)),
                 ("solve_ns", Json::Num(self.stats.solve_ns as f64)),
-                ("tasks", Json::Num(self.stats.tasks as f64)),
                 ("tree_visits", Json::Num(self.stats.tree_visits as f64)),
             ]
             .into_iter()
@@ -163,11 +163,7 @@ fn run_tier(rows: usize, entries: &mut Vec<Entry>) {
 
     for kind in EstimatorKind::ALL {
         entries.push(bench_case(kind.name(), rows, |stats| {
-            let mut ctx = EstimateCtx {
-                workers: 1,
-                stats: HotStats::default(),
-                group_cache: None,
-            };
+            let mut ctx = EstimateCtx::default();
             let estimate = kind
                 .estimate_with_ctx(&mut ctx, df, &group, &treated, outcome, &adjustment)
                 .expect("estimate");
@@ -193,11 +189,7 @@ fn run_tier(rows: usize, entries: &mut Vec<Entry>) {
                 &treated,
                 outcome,
                 &adjustment,
-                &MatchParams {
-                    index: None,
-                    strategy: MatchStrategy::Auto,
-                    workers: 1,
-                },
+                &MatchParams::default(),
             )
             .expect("matching_naive")
             .cate
@@ -206,7 +198,6 @@ fn run_tier(rows: usize, entries: &mut Vec<Entry>) {
             let params = MatchParams {
                 index: None,
                 strategy: MatchStrategy::Brute,
-                workers: 1,
             };
             matching::estimate_with(df, &group, &treated, outcome, &adjustment, &params, stats)
                 .expect("matching_brute")

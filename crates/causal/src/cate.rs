@@ -73,7 +73,7 @@ use crate::backdoor::find_adjustment_set_names;
 use crate::error::{CausalError, Result};
 use crate::estimate::linear::{CellTable, GroupRows};
 use crate::estimate::matching::MatchIndex;
-use crate::estimate::{kernel, Estimate, EstimateCtx, Estimator, HotStats};
+use crate::estimate::{Estimate, EstimateCtx, Estimator, HotStats};
 use crate::graph::Dag;
 use faircap_obs::{Histogram, HistogramSnapshot, SpanHandle};
 use faircap_table::{
@@ -257,7 +257,6 @@ struct EstimatorRecord {
     durations: Histogram,
     build_ns: AtomicU64,
     index_ns: AtomicU64,
-    tasks: AtomicU64,
     tree_visits: AtomicU64,
 }
 
@@ -276,7 +275,6 @@ impl EstimatorRecord {
         self.durations.record(total_ns);
         self.build_ns.fetch_add(stats.build_ns, Relaxed);
         self.index_ns.fetch_add(stats.index_ns, Relaxed);
-        self.tasks.fetch_add(stats.tasks, Relaxed);
         self.tree_visits.fetch_add(stats.tree_visits, Relaxed);
     }
 }
@@ -542,8 +540,7 @@ impl CateEngine {
     /// Hot-path cost accounting across every estimation run this engine
     /// performed (cache hits excluded): the number of runs — the summed
     /// counts of [`estimate_histograms`](Self::estimate_histograms) — and
-    /// their per-stage nanoseconds, executor task counts, and KD-tree
-    /// visit totals.
+    /// their per-stage nanoseconds and KD-tree visit totals.
     pub fn hot_stats(&self) -> (u64, HotStats) {
         let records = self.estimators.lock();
         let sum = |field: fn(&EstimatorRecord) -> u64| records.values().map(|r| field(r)).sum();
@@ -554,7 +551,6 @@ impl CateEngine {
             build_ns,
             index_ns,
             solve_ns: total_ns.saturating_sub(build_ns.saturating_add(index_ns)),
-            tasks: sum(|r| r.tasks.load(Relaxed)),
             tree_visits: sum(|r| r.tree_visits.load(Relaxed)),
         };
         (sum(|r| r.durations.count()), stats)
@@ -830,7 +826,6 @@ impl<'a> CateQuery<'a> {
     ) -> Option<Estimate> {
         let engine = self.engine;
         let mut ctx = EstimateCtx {
-            workers: kernel::auto_workers(group.mask.count()),
             stats: HotStats::default(),
             group_cache: Some(GroupCacheRef {
                 caches: &engine.group_caches,
@@ -1184,12 +1179,20 @@ mod tests {
         assert_eq!(engine.hot_stats().0, runs);
     }
 
+    /// All three group caches bounded to one entry at once, under `linear`
+    /// (cell tables and group entries) and `matching` (match indices):
+    /// groups alternate, so every estimate evicts the one cached entry of
+    /// the cache it uses, and the rebuilt structures answer bit for bit as
+    /// a default engine's cached ones.
     #[test]
-    fn one_entry_table_cache_rebuilds_the_same_estimates() {
+    fn one_entry_group_caches_rebuild_the_same_estimates() {
         let (df, dag) = fixture();
         let mut tiny = CateEngine::new(Arc::clone(&df), Arc::clone(&dag), "income").unwrap();
-        tiny.group_caches.cell_table = ShardedLruCache::new(1, GROUP_CACHE_SHARDS);
-        tiny.group_caches.group_rows = ShardedLruCache::new(1, GROUP_CACHE_SHARDS);
+        tiny.group_caches = GroupCaches {
+            match_index: ShardedLruCache::new(1, GROUP_CACHE_SHARDS),
+            cell_table: ShardedLruCache::new(1, GROUP_CACHE_SHARDS),
+            group_rows: ShardedLruCache::new(1, GROUP_CACHE_SHARDS),
+        };
         let default = CateEngine::new(df, dag, "income").unwrap();
         let region = |r: &str| Pattern::of_eq(&[("region", Value::from(r))]);
         let groups = [
@@ -1197,15 +1200,16 @@ mod tests {
             region("north").coverage(default.df()).unwrap(),
             region("south").coverage(default.df()).unwrap(),
         ];
-        // Groups alternate, so every query evicts the one cached table and
-        // the one cached group entry. All six adjust for `region`.
+        // Groups alternate, so every query evicts the one cached entry.
+        // All six adjust for `region`.
         let mut queries = Vec::new();
         for educated in [true, false] {
             let p = Pattern::of_eq(&[("educated", Value::Bool(educated))]);
             queries.extend(groups.iter().map(|g| (g, p.clone())));
         }
-        // `region` itself needs no adjustment: a second table over the
-        // whole frame, on the group entry the default engine still holds.
+        // `region` itself needs no adjustment: a second table and index
+        // over the whole frame, and for `linear` on the group entry the
+        // default engine still holds.
         queries.push((&groups[0], region("north")));
         let bits = |e: Option<Estimate>| {
             let e = e.expect("estimable");
@@ -1213,15 +1217,23 @@ mod tests {
             (fields, e.n_treated, e.n_control)
         };
         for (group, p) in &queries {
-            let a = tiny.cate(group, p, &EstimatorKind::Linear);
-            assert_eq!(
-                bits(a),
-                bits(default.cate(group, p, &EstimatorKind::Linear))
-            );
+            for kind in [EstimatorKind::Linear, EstimatorKind::Matching] {
+                assert_eq!(
+                    bits(tiny.cate(group, p, &kind)),
+                    bits(default.cate(group, p, &kind)),
+                    "{kind:?} {p:?}"
+                );
+            }
         }
         let counts = |c: CacheCounters| (c.hits, c.misses, c.evictions, c.entries);
-        assert_eq!(counts(tiny.cell_table_cache_stats()), (0, 7, 6, 1));
-        assert_eq!(counts(tiny.group_rows_cache_stats()), (0, 7, 6, 1));
+        for tiny_cache in [
+            tiny.match_index_cache_stats(),
+            tiny.cell_table_cache_stats(),
+            tiny.group_rows_cache_stats(),
+        ] {
+            assert_eq!(counts(tiny_cache), (0, 7, 6, 1));
+        }
+        assert_eq!(counts(default.match_index_cache_stats()), (3, 4, 0, 4));
         assert_eq!(counts(default.cell_table_cache_stats()), (3, 4, 0, 4));
         assert_eq!(counts(default.group_rows_cache_stats()), (1, 3, 0, 3));
     }

@@ -34,36 +34,14 @@ use crate::linalg::solve_spd;
 use faircap_table::{DataFrame, Mask};
 use std::time::Instant;
 
-/// Estimate the CATE by augmented inverse propensity weighting with
-/// automatic worker selection. See module docs.
-pub fn estimate(
-    df: &DataFrame,
-    group: &Mask,
-    treated: &Mask,
-    outcome: &str,
-    adjustment: &[String],
-) -> Result<Estimate> {
-    let workers = kernel::auto_workers(group.count());
-    estimate_with(
-        df,
-        group,
-        treated,
-        outcome,
-        adjustment,
-        workers,
-        &mut HotStats::default(),
-    )
-}
-
-/// AIPW estimate over the columnar kernels, with an explicit worker count
-/// and hot-path cost accounting.
+/// Estimate the CATE by augmented inverse propensity weighting over the
+/// columnar kernels (see module docs), with hot-path cost accounting.
 pub fn estimate_with(
     df: &DataFrame,
     group: &Mask,
     treated: &Mask,
     outcome: &str,
     adjustment: &[String],
-    workers: usize,
     stats: &mut HotStats,
 ) -> Result<Estimate> {
     let n = group.count();
@@ -78,12 +56,12 @@ pub fn estimate_with(
     // Shared design [1, Z...] over the group rows: the propensity model and
     // both per-arm outcome regressions all read the same columnar encoding.
     let t0 = Instant::now();
-    let x = kernel::build_columns(df, adjustment, group, None, workers, &mut stats.tasks)?;
+    let x = kernel::build_columns(df, adjustment, group, None)?;
     let y = kernel::gather_outcome(df, outcome, group)?;
     let t = kernel::gather_indicator(group, treated);
     stats.build_ns += t0.elapsed().as_nanos() as u64;
 
-    let propensities = ipw::logistic_fit(x.cols(), &t, workers, &mut stats.tasks)?;
+    let propensities = ipw::logistic_fit(x.cols(), &t)?;
     // Positivity guard: when the propensity model (near-)separates the
     // arms, the per-arm outcome regressions extrapolate into covariate
     // regions their arm never observed and the influence-function variance
@@ -99,8 +77,8 @@ pub fn estimate_with(
              ({clipped}/{n} rows with extreme propensity)"
         )));
     }
-    let beta_t = fit_arm(x.cols(), &y, &t, true, workers, &mut stats.tasks)?;
-    let beta_c = fit_arm(x.cols(), &y, &t, false, workers, &mut stats.tasks)?;
+    let beta_t = fit_arm(x.cols(), &y, &t, true)?;
+    let beta_c = fit_arm(x.cols(), &y, &t, false)?;
 
     // Doubly-robust scores; counterfactual means stream column-major.
     let m1s = kernel::mat_vec_columns(x.cols(), &beta_t);
@@ -138,16 +116,9 @@ pub fn estimate_with(
 /// The arm restriction is a dense 0/1 multiplier so the masked gram and
 /// right-hand side run through the blocked arm kernel without branching.
 /// Shared with the matching estimator's bias-adjustment step.
-pub(crate) fn fit_arm(
-    cols: &[Vec<f64>],
-    y: &[f64],
-    t: &[bool],
-    arm: bool,
-    workers: usize,
-    tasks: &mut u64,
-) -> Result<Vec<f64>> {
+pub(crate) fn fit_arm(cols: &[Vec<f64>], y: &[f64], t: &[bool], arm: bool) -> Result<Vec<f64>> {
     let mask: Vec<f64> = t.iter().map(|&tr| (tr == arm) as u8 as f64).collect();
-    let (gram, xty) = kernel::arm_gram_xty(cols, y, &mask, workers, tasks);
+    let (gram, xty) = kernel::arm_gram_xty(cols, y, &mask);
     solve_spd(&gram, &xty)
 }
 
@@ -155,6 +126,10 @@ pub(crate) fn fit_arm(
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
+    use crate::estimate::{
+        Estimator as _,
+        EstimatorKind::{Aipw, Linear},
+    };
     use faircap_table::DataFrame;
 
     /// Same confounded fixture as the other estimators:
@@ -188,7 +163,9 @@ mod tests {
     fn recovers_true_effect_under_confounding() {
         let (df, treated) = confounded_frame();
         let all = Mask::ones(df.n_rows());
-        let est = estimate(&df, &all, &treated, "o", &["z".into()]).unwrap();
+        let est = Aipw
+            .estimate(&df, &all, &treated, "o", &["z".into()])
+            .unwrap();
         assert!((est.cate - 10.0).abs() < 1e-6, "cate = {}", est.cate);
         assert_eq!(est.n_treated, 40);
         assert_eq!(est.n_control, 40);
@@ -198,7 +175,7 @@ mod tests {
     fn empty_adjustment_is_difference_in_means() {
         let (df, treated) = confounded_frame();
         let all = Mask::ones(df.n_rows());
-        let est = estimate(&df, &all, &treated, "o", &[]).unwrap();
+        let est = Aipw.estimate(&df, &all, &treated, "o", &[]).unwrap();
         // With a marginal propensity and arm-mean outcome models the score
         // collapses to the naive contrast: 47.5 − 12.5 = 35.
         assert!((est.cate - 35.0).abs() < 1e-6, "cate = {}", est.cate);
@@ -208,8 +185,12 @@ mod tests {
     fn agrees_with_linear_on_clean_design() {
         let (df, treated) = confounded_frame();
         let all = Mask::ones(df.n_rows());
-        let aipw = estimate(&df, &all, &treated, "o", &["z".into()]).unwrap();
-        let lin = super::super::linear::estimate(&df, &all, &treated, "o", &["z".into()]).unwrap();
+        let aipw = Aipw
+            .estimate(&df, &all, &treated, "o", &["z".into()])
+            .unwrap();
+        let lin = Linear
+            .estimate(&df, &all, &treated, "o", &["z".into()])
+            .unwrap();
         assert!(
             (aipw.cate - lin.cate).abs() < 1e-6,
             "aipw {} vs linear {}",
@@ -235,7 +216,7 @@ mod tests {
         let treated = Mask::from_bools(&t);
         let df = DataFrame::builder().float("o", o).build().unwrap();
         let all = Mask::ones(n);
-        let est = estimate(&df, &all, &treated, "o", &[]).unwrap();
+        let est = Aipw.estimate(&df, &all, &treated, "o", &[]).unwrap();
         assert!(!est.is_significant(0.01), "p = {}", est.p_value);
     }
 
@@ -247,7 +228,7 @@ mod tests {
             .unwrap();
         let all = Mask::ones(20);
         let treated = Mask::from_indices(20, &[0, 1]);
-        assert!(estimate(&df, &all, &treated, "o", &[]).is_err());
+        assert!(Aipw.estimate(&df, &all, &treated, "o", &[]).is_err());
     }
 
     #[test]
@@ -271,7 +252,9 @@ mod tests {
             .build()
             .unwrap();
         let all = Mask::ones(40);
-        let err = estimate(&df, &all, &treated, "o", &["z".into()]).unwrap_err();
+        let err = Aipw
+            .estimate(&df, &all, &treated, "o", &["z".into()])
+            .unwrap_err();
         assert!(err.to_string().contains("overlap"), "{err}");
     }
 }

@@ -23,36 +23,14 @@ pub(crate) const CLIP: f64 = 0.01;
 /// IRLS iteration cap; logistic fits on clean designs converge in < 10.
 const MAX_IRLS_ITERS: usize = 25;
 
-/// Estimate the CATE by inverse propensity weighting with automatic
-/// worker selection. See module docs.
-pub fn estimate(
-    df: &DataFrame,
-    group: &Mask,
-    treated: &Mask,
-    outcome: &str,
-    adjustment: &[String],
-) -> Result<Estimate> {
-    let workers = kernel::auto_workers(group.count());
-    estimate_with(
-        df,
-        group,
-        treated,
-        outcome,
-        adjustment,
-        workers,
-        &mut HotStats::default(),
-    )
-}
-
-/// IPW estimate over the columnar kernels, with an explicit worker count
-/// and hot-path cost accounting.
+/// Estimate the CATE by inverse propensity weighting over the columnar
+/// kernels (see module docs), with hot-path cost accounting.
 pub fn estimate_with(
     df: &DataFrame,
     group: &Mask,
     treated: &Mask,
     outcome: &str,
     adjustment: &[String],
-    workers: usize,
     stats: &mut HotStats,
 ) -> Result<Estimate> {
     let n = group.count();
@@ -67,11 +45,11 @@ pub fn estimate_with(
     // Propensity design: [1, Z...]; with an empty adjustment set the model
     // degenerates to the marginal treatment rate (as it should).
     let t0 = Instant::now();
-    let x = kernel::build_columns(df, adjustment, group, None, workers, &mut stats.tasks)?;
+    let x = kernel::build_columns(df, adjustment, group, None)?;
     let y = kernel::gather_outcome(df, outcome, group)?;
     let t = kernel::gather_indicator(group, treated);
     stats.build_ns += t0.elapsed().as_nanos() as u64;
-    let propensities = logistic_fit(x.cols(), &t, workers, &mut stats.tasks)?;
+    let propensities = logistic_fit(x.cols(), &t)?;
 
     // Hájek-weighted means per arm, with clipped propensities.
     let mut sw_t = 0.0;
@@ -123,15 +101,10 @@ pub fn estimate_with(
 /// Logistic regression by IRLS over column-major design columns; returns
 /// fitted probabilities per row. Each iteration's `XᵀWX` and `Xᵀ(t − p)`
 /// reductions run through the fused blocked kernel
-/// ([`kernel::weighted_gram_score`]), fanning out across `workers`.
+/// ([`kernel::weighted_gram_score`]).
 /// Shared with the AIPW estimator, which augments the same propensity
 /// model with per-arm outcome regressions.
-pub(crate) fn logistic_fit(
-    cols: &[Vec<f64>],
-    t: &[bool],
-    workers: usize,
-    tasks: &mut u64,
-) -> Result<Vec<f64>> {
+pub(crate) fn logistic_fit(cols: &[Vec<f64>], t: &[bool]) -> Result<Vec<f64>> {
     let n = cols.first().map_or(0, Vec::len);
     let k = cols.len();
     let mut beta = vec![0.0; k];
@@ -144,7 +117,7 @@ pub(crate) fn logistic_fit(
             w[r] = (p * (1.0 - p)).max(1e-6_f64);
             resid[r] = (t[r] as u8 as f64) - p;
         }
-        let (gram, score) = kernel::weighted_gram_score(cols, &w, &resid, workers, tasks);
+        let (gram, score) = kernel::weighted_gram_score(cols, &w, &resid);
         let delta = solve_spd(&gram, &score)?;
         let step: f64 = delta.iter().map(|d| d * d).sum::<f64>().sqrt();
         for (b, d) in beta.iter_mut().zip(&delta) {
@@ -166,6 +139,10 @@ pub(crate) fn logistic_fit(
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
+    use crate::estimate::{
+        Estimator as _,
+        EstimatorKind::{Ipw, Linear},
+    };
     use faircap_table::DataFrame;
 
     /// Same confounded fixture as the other estimators:
@@ -199,7 +176,9 @@ mod tests {
     fn recovers_true_effect_under_confounding() {
         let (df, treated) = confounded_frame();
         let all = Mask::ones(df.n_rows());
-        let est = estimate(&df, &all, &treated, "o", &["z".into()]).unwrap();
+        let est = Ipw
+            .estimate(&df, &all, &treated, "o", &["z".into()])
+            .unwrap();
         assert!((est.cate - 10.0).abs() < 1e-6, "cate = {}", est.cate);
         assert_eq!(est.n_treated, 40);
         assert_eq!(est.n_control, 40);
@@ -209,7 +188,7 @@ mod tests {
     fn empty_adjustment_is_difference_in_means() {
         let (df, treated) = confounded_frame();
         let all = Mask::ones(df.n_rows());
-        let est = estimate(&df, &all, &treated, "o", &[]).unwrap();
+        let est = Ipw.estimate(&df, &all, &treated, "o", &[]).unwrap();
         // Weights are uniform when the propensity model is marginal:
         // E[O|T=1] − E[O|T=0] = 47.5 − 12.5 = 35 (the biased naive value).
         assert!((est.cate - 35.0).abs() < 1e-6, "cate = {}", est.cate);
@@ -233,7 +212,7 @@ mod tests {
             });
         }
         let cols = vec![vec![1.0; n], indicator];
-        let probs = logistic_fit(&cols, &t, 1, &mut 0).unwrap();
+        let probs = logistic_fit(&cols, &t).unwrap();
         let mean_g: f64 =
             (0..n).filter(|i| i % 2 == 0).map(|i| probs[i]).sum::<f64>() / (n / 2) as f64;
         let mean_ng: f64 =
@@ -246,8 +225,12 @@ mod tests {
     fn agrees_with_linear_on_clean_design() {
         let (df, treated) = confounded_frame();
         let all = Mask::ones(df.n_rows());
-        let ipw = estimate(&df, &all, &treated, "o", &["z".into()]).unwrap();
-        let lin = super::super::linear::estimate(&df, &all, &treated, "o", &["z".into()]).unwrap();
+        let ipw = Ipw
+            .estimate(&df, &all, &treated, "o", &["z".into()])
+            .unwrap();
+        let lin = Linear
+            .estimate(&df, &all, &treated, "o", &["z".into()])
+            .unwrap();
         assert!(
             (ipw.cate - lin.cate).abs() < 1e-6,
             "ipw {} vs linear {}",
@@ -264,6 +247,6 @@ mod tests {
             .unwrap();
         let all = Mask::ones(20);
         let treated = Mask::from_indices(20, &[0, 1]);
-        assert!(estimate(&df, &all, &treated, "o", &[]).is_err());
+        assert!(Ipw.estimate(&df, &all, &treated, "o", &[]).is_err());
     }
 }

@@ -16,12 +16,10 @@
 //!   [`weighted_gram_score`] and [`arm_gram_xty`] stream column pairs in
 //!   `BLOCK`-row chunks, so both operand columns stay cache-resident
 //!   across the `k²/2` entry loop.
-//! * **Within-estimate parallelism** — the per-output-column loops fan out
-//!   as [`crate::exec`] task units. Each task owns exactly one output slot
-//!   and the per-entry accumulation order (ascending row within ascending
-//!   block) never depends on the worker count, so parallel results are
-//!   **bit-identical** to serial ones — property-tested in
-//!   `tests/prop_kernels.rs`.
+//!
+//! The kernels are plain single-threaded loops: the solve parallelizes one
+//! level up, across grouping patterns in Step 2, which already keeps every
+//! core busy with whole estimates.
 //!
 //! Numerical contract: kernels accumulate *every* term in ascending row
 //! order with no zero-skipping, which makes the result a pure function of
@@ -37,48 +35,12 @@
 
 use super::design;
 use crate::error::{CausalError, Result};
-use crate::exec;
 use crate::linalg::Matrix;
 use faircap_table::{Column, DataFrame, Mask};
-
-/// Subgroup size at or above which one estimate fans out across worker
-/// threads ([`auto_workers`]). Below it, thread spawn overhead would eat
-/// the win and everything runs serially.
-pub const PAR_MIN_ROWS: usize = 1 << 16;
 
 /// Row-block length of the blocked accumulation kernels. Two f64 columns
 /// of one block (2 × 32 KiB) fit comfortably in L2 next to the output.
 const BLOCK: usize = 4096;
-
-/// Worker threads for one estimate over `n_rows` design rows: 1 below
-/// [`PAR_MIN_ROWS`], otherwise [`exec::resolve_workers`]'s default (the
-/// `FAIRCAP_WORKERS` environment knob, falling back to the machine's
-/// available parallelism).
-pub fn auto_workers(n_rows: usize) -> usize {
-    if n_rows >= PAR_MIN_ROWS {
-        exec::resolve_workers(None)
-    } else {
-        1
-    }
-}
-
-/// Run `n_tasks` closures through the work-stealing executor, collecting
-/// outputs in task order, and count the fan-out in `tasks` when it
-/// actually went parallel. The task function must be a pure function of
-/// its index for the bit-identity contract to hold.
-pub(crate) fn fan_out<T: Send>(
-    n_tasks: usize,
-    workers: usize,
-    tasks: &mut u64,
-    task: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let effective = workers.max(1).min(n_tasks.max(1));
-    if effective > 1 {
-        *tasks += n_tasks as u64;
-    }
-    let (out, _) = exec::run_work_stealing(n_tasks, effective, task);
-    out
-}
 
 /// A design matrix stored column-major: `cols()[c][r]` is the value of
 /// design column `c` at (group-dense) row `r`. Column 0 is always the
@@ -122,15 +84,12 @@ impl ColumnDesign {
 /// column-major order with the fused word-at-a-time gather. With
 /// `treated = Some(t)`, column 1 is the 0/1 treatment indicator (the OLS
 /// layout); with `None` the covariate blocks start at column 1 (the
-/// propensity / per-arm / matching layout). Covariate blocks assemble in
-/// parallel (one task per adjustment column) when `workers > 1`.
+/// propensity / per-arm / matching layout).
 pub fn build_columns(
     df: &DataFrame,
     adjustment: &[String],
     group: &Mask,
     treated: Option<&Mask>,
-    workers: usize,
-    tasks: &mut u64,
 ) -> Result<ColumnDesign> {
     let n = group.count();
     let (blocks, z_width) = design::build_blocks(df, adjustment, group)?;
@@ -139,11 +98,8 @@ pub fn build_columns(
     if let Some(t) = treated {
         cols.push(indicator_column(group, t));
     }
-    let assembled = fan_out(blocks.len(), workers, tasks, |b| {
-        assemble_block(&blocks[b], group, n)
-    });
-    for block_cols in assembled {
-        cols.extend(block_cols);
+    for block in &blocks {
+        cols.extend(assemble_block(block, group, n));
     }
     Ok(ColumnDesign { cols })
 }
@@ -251,14 +207,14 @@ fn gather_rows(group: &Mask, value: impl Fn(usize) -> f64) -> Vec<f64> {
 }
 
 /// `XᵀX` over column-major design columns: blocked, no zero-skipping,
-/// ascending-row accumulation per entry. One executor task per output
-/// column `j` computes the entries `(i ≤ j, j)`; the symmetric mirror is
-/// filled afterwards. Bit-identical to [`super::reference::gram_naive`]
-/// for any block size and worker count.
-pub fn gram_columns(cols: &[Vec<f64>], workers: usize, tasks: &mut u64) -> Matrix {
+/// ascending-row accumulation per entry. The entries `(i ≤ j, j)` of
+/// column `j` accumulate together; the symmetric mirror is copied from
+/// them. Bit-identical to [`super::reference::gram_naive`] for any block
+/// size.
+pub fn gram_columns(cols: &[Vec<f64>]) -> Matrix {
     let k = cols.len();
-    let entries = fan_out(k, workers, tasks, |j| {
-        let cj = &cols[j];
+    let mut g = Matrix::zeros(k, k);
+    for (j, cj) in cols.iter().enumerate() {
         let n = cj.len();
         let mut acc = vec![0.0f64; j + 1];
         let mut start = 0;
@@ -275,23 +231,14 @@ pub fn gram_columns(cols: &[Vec<f64>], workers: usize, tasks: &mut u64) -> Matri
             }
             start = end;
         }
-        acc
-    });
-    let mut g = Matrix::zeros(k, k);
-    for (j, acc) in entries.iter().enumerate() {
-        for (i, &v) in acc.iter().enumerate() {
-            g.set(i, j, v);
-            g.set(j, i, v);
-        }
+        set_symmetric(&mut g, j, &acc);
     }
     g
 }
 
-/// `Xᵀy` over column-major design columns (blocked, no zero-skipping; one
-/// task per design column).
-pub fn xty_columns(cols: &[Vec<f64>], y: &[f64], workers: usize, tasks: &mut u64) -> Vec<f64> {
-    fan_out(cols.len(), workers, tasks, |j| {
-        let cj = &cols[j];
+/// `Xᵀy` over column-major design columns (blocked, no zero-skipping).
+pub fn xty_columns(cols: &[Vec<f64>], y: &[f64]) -> Vec<f64> {
+    let dot = |cj: &Vec<f64>| {
         let mut a = 0.0f64;
         let mut start = 0;
         while start < cj.len() {
@@ -302,26 +249,22 @@ pub fn xty_columns(cols: &[Vec<f64>], y: &[f64], workers: usize, tasks: &mut u64
             start = end;
         }
         a
-    })
+    };
+    cols.iter().map(dot).collect()
 }
 
 /// One IRLS step's reductions in a single fused pass: the weighted gram
-/// `Xᵀdiag(w)X` and the score `Xᵀr`. Task `j` owns gram column `j` and
-/// score entry `j`; each gram term accumulates as `(w·xᵢ)·xⱼ` in
+/// `Xᵀdiag(w)X` and the score `Xᵀr`. Gram column `j` and score entry `j`
+/// accumulate together; each gram term accumulates as `(w·xᵢ)·xⱼ` in
 /// ascending row order.
-pub fn weighted_gram_score(
-    cols: &[Vec<f64>],
-    w: &[f64],
-    resid: &[f64],
-    workers: usize,
-    tasks: &mut u64,
-) -> (Matrix, Vec<f64>) {
+pub fn weighted_gram_score(cols: &[Vec<f64>], w: &[f64], resid: &[f64]) -> (Matrix, Vec<f64>) {
     let k = cols.len();
-    let parts = fan_out(k, workers, tasks, |j| {
-        let cj = &cols[j];
+    let mut g = Matrix::zeros(k, k);
+    let mut score = vec![0.0f64; k];
+    for (j, cj) in cols.iter().enumerate() {
         let n = cj.len();
         let mut acc = vec![0.0f64; j + 1];
-        let mut score = 0.0f64;
+        let mut s = 0.0f64;
         let mut start = 0;
         while start < n {
             let end = (start + BLOCK).min(n);
@@ -336,20 +279,12 @@ pub fn weighted_gram_score(
                 *slot = a;
             }
             for (x, r) in cj_b.iter().zip(&resid[start..end]) {
-                score += x * r;
+                s += x * r;
             }
             start = end;
         }
-        (acc, score)
-    });
-    let mut g = Matrix::zeros(k, k);
-    let mut score = vec![0.0f64; k];
-    for (j, (acc, s)) in parts.iter().enumerate() {
-        score[j] = *s;
-        for (i, &v) in acc.iter().enumerate() {
-            g.set(i, j, v);
-            g.set(j, i, v);
-        }
+        set_symmetric(&mut g, j, &acc);
+        score[j] = s;
     }
     (g, score)
 }
@@ -359,16 +294,11 @@ pub fn weighted_gram_score(
 /// `(m·xᵢ)·xⱼ`, the right-hand side as `(m·xⱼ)·y`. Rows outside the arm
 /// contribute exact zeros, so the result equals the arm-only reduction
 /// while the loop stays branch-free and streaming.
-pub fn arm_gram_xty(
-    cols: &[Vec<f64>],
-    y: &[f64],
-    arm: &[f64],
-    workers: usize,
-    tasks: &mut u64,
-) -> (Matrix, Vec<f64>) {
+pub fn arm_gram_xty(cols: &[Vec<f64>], y: &[f64], arm: &[f64]) -> (Matrix, Vec<f64>) {
     let k = cols.len();
-    let parts = fan_out(k, workers, tasks, |j| {
-        let cj = &cols[j];
+    let mut g = Matrix::zeros(k, k);
+    let mut xty = vec![0.0f64; k];
+    for (j, cj) in cols.iter().enumerate() {
         let n = cj.len();
         let mut acc = vec![0.0f64; j + 1];
         let mut rhs = 0.0f64;
@@ -390,18 +320,19 @@ pub fn arm_gram_xty(
             }
             start = end;
         }
-        (acc, rhs)
-    });
-    let mut g = Matrix::zeros(k, k);
-    let mut xty = vec![0.0f64; k];
-    for (j, (acc, r)) in parts.iter().enumerate() {
-        xty[j] = *r;
-        for (i, &v) in acc.iter().enumerate() {
-            g.set(i, j, v);
-            g.set(j, i, v);
-        }
+        set_symmetric(&mut g, j, &acc);
+        xty[j] = rhs;
     }
     (g, xty)
+}
+
+/// Store column `j`'s upper-triangle entries (`acc[i]` is entry
+/// `(i, j)`) and their mirror images.
+fn set_symmetric(g: &mut Matrix, j: usize, acc: &[f64]) {
+    for (i, &v) in acc.iter().enumerate() {
+        g.set(i, j, v);
+        g.set(j, i, v);
+    }
 }
 
 /// `X·β` over column-major columns: per row, terms accumulate in
@@ -439,8 +370,7 @@ mod tests {
         let group = Mask::from_indices(8, &[0, 2, 3, 5, 7]);
         let treated = Mask::from_indices(8, &[0, 3, 5]);
         let adj = ["c".to_owned(), "x".to_owned()];
-        let mut tasks = 0;
-        let d = build_columns(&df, &adj, &group, Some(&treated), 1, &mut tasks).unwrap();
+        let d = build_columns(&df, &adj, &group, Some(&treated)).unwrap();
         let rows: Vec<usize> = group.iter_ones().collect();
         // Row-major reference: [1, T, onehot(c), x] per group row.
         let x = design::build_intercept_design(&df, &adj, &group, &rows).unwrap();
@@ -464,8 +394,7 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..4).map(|r| vec![cols[0][r], cols[1][r]]).collect();
         let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
         let dense = Matrix::from_rows(&row_refs).gram();
-        let mut tasks = 0;
-        let g = gram_columns(&cols, 1, &mut tasks);
+        let g = gram_columns(&cols);
         for i in 0..2 {
             for j in 0..2 {
                 assert_eq!(g.get(i, j).to_bits(), dense.get(i, j).to_bits());
@@ -478,40 +407,10 @@ mod tests {
         let cols = vec![vec![1.0; 5], vec![2.0, -1.0, 0.5, 3.0, 1.0]];
         let y = [10.0, 20.0, 30.0, 40.0, 50.0];
         let arm = [1.0, 0.0, 1.0, 0.0, 1.0];
-        let mut tasks = 0;
-        let (g, xty) = arm_gram_xty(&cols, &y, &arm, 1, &mut tasks);
+        let (g, xty) = arm_gram_xty(&cols, &y, &arm);
         assert_eq!(g.get(0, 0), 3.0);
         assert_eq!(xty[0], 90.0);
         assert_eq!(g.get(0, 1), 2.0 + 0.5 + 1.0);
         assert_eq!(xty[1], 2.0 * 10.0 + 0.5 * 30.0 + 1.0 * 50.0);
-    }
-
-    #[test]
-    fn parallel_fan_out_is_bit_identical_and_counted() {
-        let n = 5000;
-        let cols: Vec<Vec<f64>> = (0..3)
-            .map(|c| {
-                (0..n)
-                    .map(|r| ((r * 31 + c * 7) % 97) as f64 * 0.125 - 6.0)
-                    .collect()
-            })
-            .collect();
-        let mut t_serial = 0;
-        let serial = gram_columns(&cols, 1, &mut t_serial);
-        assert_eq!(t_serial, 0, "serial runs must not count fan-out tasks");
-        let mut t_par = 0;
-        let par = gram_columns(&cols, 3, &mut t_par);
-        assert_eq!(t_par, 3);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(par.get(i, j).to_bits(), serial.get(i, j).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn auto_workers_thresholds_on_rows() {
-        assert_eq!(auto_workers(PAR_MIN_ROWS - 1), 1);
-        assert!(auto_workers(PAR_MIN_ROWS) >= 1);
     }
 }

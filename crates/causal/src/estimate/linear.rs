@@ -92,42 +92,17 @@ pub const INFERENCE_TOLERANCE: f64 = 1e-9;
 /// constant outcomes) the exact row pass recomputes it.
 pub const EXACT_RSS_FRACTION: f64 = 1e-6;
 
-/// Estimate the CATE by linear regression with automatic worker
-/// selection. See module docs.
-pub fn estimate(
-    df: &DataFrame,
-    group: &Mask,
-    treated: &Mask,
-    outcome: &str,
-    adjustment: &[String],
-) -> Result<Estimate> {
-    let workers = kernel::auto_workers(group.count());
-    estimate_with(
-        df,
-        group,
-        treated,
-        outcome,
-        adjustment,
-        workers,
-        None,
-        &mut HotStats::default(),
-    )
-}
-
-/// Linear-regression estimate with an explicit worker count (used by the
-/// columnar path's kernels; the count path is serial) and hot-path cost
-/// accounting. With `caches` — the engine's group caches and the group and
-/// adjustment fingerprints keying them — the count path's [`GroupRows`]
-/// and [`CellTable`] come from the caches (built and cached on a miss);
-/// without, both are built for this estimate alone.
-#[allow(clippy::too_many_arguments)] // the estimator signature plus the cache handle
+/// Estimate the CATE by linear regression (see module docs), with
+/// hot-path cost accounting. With `caches` — the engine's group caches and
+/// the group and adjustment fingerprints keying them — the count path's
+/// [`GroupRows`] and [`CellTable`] come from the caches (built and cached
+/// on a miss); without, both are built for this estimate alone.
 pub fn estimate_with(
     df: &DataFrame,
     group: &Mask,
     treated: &Mask,
     outcome: &str,
     adjustment: &[String],
-    workers: usize,
     caches: Option<GroupCacheRef<'_>>,
     stats: &mut HotStats,
 ) -> Result<Estimate> {
@@ -160,20 +135,13 @@ pub fn estimate_with(
     // Column layout: [intercept, T, covariate blocks...], assembled
     // column-major with the fused word-at-a-time gather.
     let t0 = Instant::now();
-    let x = kernel::build_columns(
-        df,
-        adjustment,
-        group,
-        Some(treated),
-        workers,
-        &mut stats.tasks,
-    )?;
+    let x = kernel::build_columns(df, adjustment, group, Some(treated))?;
     let y = kernel::gather_outcome(df, outcome, group)?;
     stats.build_ns += t0.elapsed().as_nanos() as u64;
     check_rows(n, x.k())?;
 
-    let gram = kernel::gram_columns(x.cols(), workers, &mut stats.tasks);
-    let xty = kernel::xty_columns(x.cols(), &y, workers, &mut stats.tasks);
+    let gram = kernel::gram_columns(x.cols());
+    let xty = kernel::xty_columns(x.cols(), &y);
     fit(&gram, &xty, n, arms, |beta| {
         let fitted = kernel::mat_vec_columns(x.cols(), beta);
         residual_sum_of_squares(&y, |r| fitted[r])
@@ -549,7 +517,7 @@ impl CellTable {
     }
 
     /// Estimate the CATE of `treated` within `group` (the mask the table
-    /// was built from) — [`estimate`]'s answer, refusals included.
+    /// was built from) — [`estimate_with`]'s answer, refusals included.
     pub fn estimate(&self, group: &Mask, treated: &Mask) -> Result<Estimate> {
         let arms = arms(self.cell.len(), group, treated)?;
         self.fit(&self.walk(group, treated), group, treated, arms)
@@ -678,6 +646,7 @@ impl CellTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::{Estimator as _, EstimatorKind::Linear};
     use faircap_table::{CatColumn, DataFrame};
 
     /// Confounded data where the truth is known exactly:
@@ -745,7 +714,9 @@ mod tests {
     fn recovers_true_effect_under_confounding() {
         let (df, treated) = confounded_frame();
         let all = Mask::ones(df.n_rows());
-        let est = estimate(&df, &all, &treated, "o", &["z".into()]).unwrap();
+        let est = Linear
+            .estimate(&df, &all, &treated, "o", &["z".into()])
+            .unwrap();
         assert!((est.cate - 10.0).abs() < 1e-8, "cate = {}", est.cate);
         assert!(est.p_value < 1e-6);
         assert_eq!(est.n_treated, 40);
@@ -797,7 +768,7 @@ mod tests {
         let all = Mask::ones(df.n_rows());
         let adj = vec!["z".to_string()];
         let bits = |e: Estimate| [e.cate, e.std_err, e.t_stat, e.p_value].map(f64::to_bits);
-        let live = estimate(&df, &all, &treated, "o", &adj).unwrap();
+        let live = Linear.estimate(&df, &all, &treated, "o", &adj).unwrap();
         let naive = super::super::reference::linear_naive(&df, &all, &treated, "o", &adj);
         assert_eq!(bits(live), bits(naive.unwrap()));
     }
@@ -808,7 +779,7 @@ mod tests {
         let all = Mask::ones(df.n_rows());
         // No adjustment: E[O|T=1] = (10·10 + 30·60)/40 = 47.5,
         // E[O|T=0] = (30·0 + 10·50)/40 = 12.5 → naive effect 35.
-        let est = estimate(&df, &all, &treated, "o", &[]).unwrap();
+        let est = Linear.estimate(&df, &all, &treated, "o", &[]).unwrap();
         assert!((est.cate - 35.0).abs() < 1e-8, "naive = {}", est.cate);
     }
 
@@ -833,7 +804,9 @@ mod tests {
             .build()
             .unwrap();
         let all = Mask::ones(n);
-        let est = estimate(&df, &all, &treated, "o", &["age".into()]).unwrap();
+        let est = Linear
+            .estimate(&df, &all, &treated, "o", &["age".into()])
+            .unwrap();
         assert!((est.cate - 5.0).abs() < 1e-8, "cate = {}", est.cate);
     }
 
@@ -844,7 +817,7 @@ mod tests {
         let low = faircap_table::Pattern::of_eq(&[("z", "low".into())])
             .coverage(&df)
             .unwrap();
-        let est = estimate(&df, &low, &treated, "o", &[]).unwrap();
+        let est = Linear.estimate(&df, &low, &treated, "o", &[]).unwrap();
         assert!((est.cate - 10.0).abs() < 1e-8);
         assert_eq!(est.n_treated + est.n_control, 40);
     }
@@ -857,9 +830,9 @@ mod tests {
             .unwrap();
         let all = Mask::ones(20);
         let treated = Mask::from_indices(20, &[0, 1]); // 2 treated < MIN_ARM_SIZE
-        assert!(estimate(&df, &all, &treated, "o", &[]).is_err());
+        assert!(Linear.estimate(&df, &all, &treated, "o", &[]).is_err());
         let all_treated = Mask::ones(20);
-        assert!(estimate(&df, &all, &all_treated, "o", &[]).is_err());
+        assert!(Linear.estimate(&df, &all, &all_treated, "o", &[]).is_err());
     }
 
     #[test]
@@ -871,7 +844,7 @@ mod tests {
             .unwrap();
         let all = Mask::ones(20);
         let treated = Mask::from_indices(20, &(0..10).collect::<Vec<_>>());
-        assert!(estimate(&df, &all, &treated, "o", &[]).is_err());
+        assert!(Linear.estimate(&df, &all, &treated, "o", &[]).is_err());
     }
 
     #[test]
@@ -902,9 +875,9 @@ mod tests {
             .float("on", o_null)
             .build()
             .unwrap();
-        let sig = estimate(&df, &all, &treated, "oe", &[]).unwrap();
+        let sig = Linear.estimate(&df, &all, &treated, "oe", &[]).unwrap();
         assert!(sig.is_significant(0.01), "p = {}", sig.p_value);
-        let null = estimate(&df, &all, &treated, "on", &[]).unwrap();
+        let null = Linear.estimate(&df, &all, &treated, "on", &[]).unwrap();
         assert!(!null.is_significant(0.01), "p = {}", null.p_value);
     }
 }

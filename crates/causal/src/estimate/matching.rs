@@ -45,8 +45,7 @@
 //!    search; from its matched set of size `m` the key records the
 //!    imputed outcome — the mean of `y_j + μ̂(z_i) − μ̂(z_j)`, summed in
 //!    ascending unit order — `1/m`, and the distinct keys of the matched
-//!    units. Keys fan out as [`crate::exec`] task units over a fixed
-//!    partition.
+//!    units.
 //! 2. **One pass over the units.** Each unit takes its contrast `τ_i` from
 //!    its key's imputation and adds its key's `1/m` once to every target
 //!    key's match weight, over the fixed `MATCH_PARTS` partition of the
@@ -62,7 +61,7 @@
 //! at all (equal points, equal distances), so each key's weight sees the
 //! same sequence of additions each of its units' weights did. The
 //! per-unit `K_i`, the reuse correction, the standard error and the
-//! p-value follow unchanged. Results do not depend on the worker count.
+//! p-value follow unchanged.
 //! [`HotStats::tree_visits`] counts the nodes of one search per distinct
 //! (cell, arm) key per estimate.
 //!
@@ -107,11 +106,11 @@ pub const DEFAULT_MATCHING_BUDGET: u64 = 200_000_000;
 /// than tree traversal overhead.
 pub const BRUTE_ARM_MAX: usize = 128;
 
-/// Fixed number of unit partitions per estimate (and of key partitions
-/// the searches fan out over). The partition is a constant (never derived
-/// from the worker count), so the fold order of the per-partition
-/// match-weight accumulators — and therefore the CATE's variance — is
-/// bit-identical no matter how many workers ran.
+/// Fixed number of unit partitions per estimate. Match weights accumulate
+/// per partition and the partitions fold in order, so this constant fixes
+/// the summation order of the weights — and therefore the bits of the
+/// CATE's variance — shared by the live estimator and
+/// [`reference::matching_naive`](super::reference::matching_naive).
 pub(super) const MATCH_PARTS: usize = 8;
 
 /// The effective work budget: `FAIRCAP_MATCHING_BUDGET` when set to a
@@ -202,12 +201,10 @@ impl MatchIndex {
         group: &Mask,
         outcome: &str,
         adjustment: &[String],
-        workers: usize,
         stats: &mut HotStats,
     ) -> Result<MatchIndex> {
         let t0 = Instant::now();
-        let mut design =
-            kernel::build_columns(df, adjustment, group, None, workers, &mut stats.tasks)?;
+        let mut design = kernel::build_columns(df, adjustment, group, None)?;
         let y = kernel::gather_outcome(df, outcome, group)?;
         let n = design.n();
         for col in &mut design.cols_mut()[1..] {
@@ -332,40 +329,15 @@ pub struct MatchParams<'a> {
     pub index: Option<&'a MatchIndex>,
     /// Neighbor-search path selection.
     pub strategy: MatchStrategy,
-    /// Worker threads for within-estimate fan-out (`0`/`1` = serial).
-    pub workers: usize,
 }
 
-/// Estimate the CATE by k-NN covariate matching with bias adjustment,
-/// with automatic path selection and a throwaway index. See module docs.
-pub fn estimate(
-    df: &DataFrame,
-    group: &Mask,
-    treated: &Mask,
-    outcome: &str,
-    adjustment: &[String],
-) -> Result<Estimate> {
-    let params = MatchParams {
-        workers: kernel::auto_workers(group.count()),
-        ..MatchParams::default()
-    };
-    estimate_with(
-        df,
-        group,
-        treated,
-        outcome,
-        adjustment,
-        &params,
-        &mut HotStats::default(),
-    )
-}
-
-/// Full-control matching estimate: explicit index reuse, search strategy,
-/// and worker count, with hot-path cost accounting on `stats`.
+/// Estimate the CATE by k-NN covariate matching with bias adjustment (see
+/// module docs): explicit index reuse and search strategy, with hot-path
+/// cost accounting on `stats`.
 ///
 /// The result is a pure function of the data — bit-identical across
-/// strategies (brute vs. tree), worker counts, and index reuse vs.
-/// rebuild, and to the per-unit oracle
+/// strategies (brute vs. tree) and index reuse vs. rebuild, and to the
+/// per-unit oracle
 /// [`reference::matching_naive`](super::reference::matching_naive).
 pub fn estimate_with(
     df: &DataFrame,
@@ -414,7 +386,7 @@ pub(super) fn estimate_by(
     adjustment: &[String],
     params: &MatchParams<'_>,
     stats: &mut HotStats,
-    contrasts: impl FnOnce(&Fit<'_>, usize, &mut HotStats) -> (Vec<f64>, Vec<f64>),
+    contrasts: impl FnOnce(&Fit<'_>, &mut HotStats) -> (Vec<f64>, Vec<f64>),
 ) -> Result<Estimate> {
     let n = group.count();
     let n_treated = group.intersect_count(treated);
@@ -456,7 +428,7 @@ pub(super) fn estimate_by(
     let idx = match params.index {
         Some(idx) => idx,
         None => {
-            owned = MatchIndex::build(df, group, outcome, adjustment, params.workers, stats)?;
+            owned = MatchIndex::build(df, group, outcome, adjustment, stats)?;
             &owned
         }
     };
@@ -466,22 +438,8 @@ pub(super) fn estimate_by(
 
     // Bias-adjustment regressions, one per arm, on the standardized
     // design; predictions materialized once (ascending-column dot order).
-    let beta_t = aipw::fit_arm(
-        idx.design.cols(),
-        &idx.y,
-        &t,
-        true,
-        params.workers,
-        &mut stats.tasks,
-    )?;
-    let beta_c = aipw::fit_arm(
-        idx.design.cols(),
-        &idx.y,
-        &t,
-        false,
-        params.workers,
-        &mut stats.tasks,
-    )?;
+    let beta_t = aipw::fit_arm(idx.design.cols(), &idx.y, &t, true)?;
+    let beta_c = aipw::fit_arm(idx.design.cols(), &idx.y, &t, false)?;
     let fit = Fit {
         idx,
         pred_t: kernel::mat_vec_columns(idx.design.cols(), &beta_t),
@@ -489,7 +447,7 @@ pub(super) fn estimate_by(
         t,
         use_tree,
     };
-    let (tau, match_weight) = contrasts(&fit, params.workers, stats);
+    let (tau, match_weight) = contrasts(&fit, stats);
     let Fit {
         t, pred_t, pred_c, ..
     } = fit;
@@ -533,24 +491,10 @@ pub(super) fn estimate_by(
     })
 }
 
-/// One search part's results, per (cell, arm) key in key order.
-#[derive(Default)]
-struct Searched {
-    /// The key's imputed opposite-arm potential outcome.
-    imputed: Vec<f64>,
-    /// `1/m` for the key's matched-set size `m`.
-    inv_m: Vec<f64>,
-    /// The distinct keys of the key's matched units, ascending, all keys
-    /// of the part back to back; `ends[k]` closes key `k`'s run.
-    targets: Vec<u32>,
-    ends: Vec<usize>,
-    visited: u64,
-}
-
 /// The cell-level contrast pass (see "The hot path" in the module docs):
 /// one neighbour search and one imputation per distinct (cell, arm) key,
 /// then one pass over the units for `τ_i` and the match weights.
-fn cell_contrasts(fit: &Fit<'_>, workers: usize, stats: &mut HotStats) -> (Vec<f64>, Vec<f64>) {
+fn cell_contrasts(fit: &Fit<'_>, stats: &mut HotStats) -> (Vec<f64>, Vec<f64>) {
     let idx = fit.idx;
     let t = &fit.t;
     let n = idx.n();
@@ -574,78 +518,66 @@ fn cell_contrasts(fit: &Fit<'_>, workers: usize, stats: &mut HotStats) -> (Vec<f
 
     // Phase A: per key, the tie-inclusive matched set of its first unit,
     // the imputation accumulated exactly as the per-unit loop does, `1/m`
-    // and the distinct target keys. Keys fan out over a fixed partition;
-    // every key's results depend on that key alone.
+    // and the distinct target keys. `targets` holds every key's run back
+    // to back, ascending within a run; `bounds[k]..bounds[k + 1]` is key
+    // k's.
     let (treated_ids, control_ids): (Vec<u32>, Vec<u32>) = if fit.use_tree {
         Default::default()
     } else {
         (0..n as u32).partition(|&i| t[i as usize])
     };
-    let chunk = n_keys.div_ceil(MATCH_PARTS).max(1);
-    let parts = kernel::fan_out(n_keys.div_ceil(chunk), workers, &mut stats.tasks, |p| {
-        let mut out = Searched::default();
-        let mut matched: Vec<u32> = Vec::new();
-        let mut d2s: Vec<f64> = Vec::new();
-        let mut sel: Vec<f64> = Vec::new();
-        let mut keys: Vec<u32> = Vec::new();
-        for &i in &reps[p * chunk..((p + 1) * chunk).min(n_keys)] {
-            let i = i as usize;
-            let own_arm = t[i];
-            let q = &idx.points[i * idx.dim..][..idx.dim];
-            if fit.use_tree {
-                let tree = idx.tree.as_ref().expect("use_tree implies a tree");
-                out.visited += tree.query_ties(
-                    &idx.points,
-                    q,
-                    K_NEIGHBORS,
-                    |j| t[j as usize] != own_arm,
-                    &mut matched,
-                );
-            } else {
-                let pool = if own_arm { &control_ids } else { &treated_ids };
-                brute_ties(
-                    &idx.points,
-                    idx.dim,
-                    pool,
-                    q,
-                    &mut d2s,
-                    &mut sel,
-                    &mut matched,
-                );
-            }
-            // The opposite arm's regression imputes i's missing outcome.
-            let pred = if own_arm { &fit.pred_c } else { &fit.pred_t };
-            let pred_i = pred[i];
-            let mut acc = 0.0;
-            keys.clear();
-            for &j in &matched {
-                let j = j as usize;
-                acc += idx.y[j] + pred_i - pred[j];
-                if keys.last() != Some(&key_of[j]) {
-                    keys.push(key_of[j]);
-                }
-            }
-            let m = matched.len() as f64;
-            out.imputed.push(acc / m);
-            out.inv_m.push(1.0 / m);
-            keys.sort_unstable();
-            keys.dedup();
-            out.targets.extend_from_slice(&keys);
-            out.ends.push(out.targets.len());
-        }
-        out
-    });
     let mut imputed = Vec::with_capacity(n_keys);
     let mut inv_m = Vec::with_capacity(n_keys);
-    let mut targets = Vec::new();
+    let mut targets: Vec<u32> = Vec::new();
     let mut bounds = vec![0usize];
-    for part in parts {
-        let base = targets.len();
-        imputed.extend(part.imputed);
-        inv_m.extend(part.inv_m);
-        targets.extend(part.targets);
-        bounds.extend(part.ends.iter().map(|e| base + e));
-        stats.tree_visits += part.visited;
+    let mut matched: Vec<u32> = Vec::new();
+    let mut d2s: Vec<f64> = Vec::new();
+    let mut sel: Vec<f64> = Vec::new();
+    let mut keys: Vec<u32> = Vec::new();
+    for &i in &reps {
+        let i = i as usize;
+        let own_arm = t[i];
+        let q = &idx.points[i * idx.dim..][..idx.dim];
+        if fit.use_tree {
+            let tree = idx.tree.as_ref().expect("use_tree implies a tree");
+            stats.tree_visits += tree.query_ties(
+                &idx.points,
+                q,
+                K_NEIGHBORS,
+                |j| t[j as usize] != own_arm,
+                &mut matched,
+            );
+        } else {
+            let pool = if own_arm { &control_ids } else { &treated_ids };
+            brute_ties(
+                &idx.points,
+                idx.dim,
+                pool,
+                q,
+                &mut d2s,
+                &mut sel,
+                &mut matched,
+            );
+        }
+        // The opposite arm's regression imputes i's missing outcome.
+        let pred = if own_arm { &fit.pred_c } else { &fit.pred_t };
+        let pred_i = pred[i];
+        let mut acc = 0.0;
+        keys.clear();
+        for &j in &matched {
+            let j = j as usize;
+            acc += idx.y[j] + pred_i - pred[j];
+            if keys.last() != Some(&key_of[j]) {
+                keys.push(key_of[j]);
+            }
+        }
+        let m = matched.len() as f64;
+        imputed.push(acc / m);
+        inv_m.push(1.0 / m);
+        keys.sort_unstable();
+        keys.dedup();
+        targets.extend_from_slice(&keys);
+        bounds.push(targets.len());
     }
 
     // Phase B: per unit, its contrast from its key's imputation, and `1/m`
@@ -712,6 +644,10 @@ pub(super) fn brute_ties(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::{
+        Estimator as _,
+        EstimatorKind::{Matching, Stratified},
+    };
     use faircap_table::DataFrame;
 
     /// Same confounded fixture as the other estimators:
@@ -745,7 +681,9 @@ mod tests {
     fn recovers_true_effect_under_confounding() {
         let (df, treated) = confounded_frame();
         let all = Mask::ones(df.n_rows());
-        let est = estimate(&df, &all, &treated, "o", &["z".into()]).unwrap();
+        let est = Matching
+            .estimate(&df, &all, &treated, "o", &["z".into()])
+            .unwrap();
         assert!((est.cate - 10.0).abs() < 1e-9, "cate = {}", est.cate);
         assert_eq!(est.n_treated, 40);
         assert_eq!(est.n_control, 40);
@@ -755,9 +693,12 @@ mod tests {
     fn exact_matches_reproduce_stratification() {
         let (df, treated) = confounded_frame();
         let all = Mask::ones(df.n_rows());
-        let m = estimate(&df, &all, &treated, "o", &["z".into()]).unwrap();
-        let s =
-            super::super::stratified::estimate(&df, &all, &treated, "o", &["z".into()]).unwrap();
+        let m = Matching
+            .estimate(&df, &all, &treated, "o", &["z".into()])
+            .unwrap();
+        let s = Stratified
+            .estimate(&df, &all, &treated, "o", &["z".into()])
+            .unwrap();
         assert!(
             (m.cate - s.cate).abs() < 1e-9,
             "matching {} vs stratified {}",
@@ -770,7 +711,7 @@ mod tests {
     fn empty_adjustment_is_difference_in_means() {
         let (df, treated) = confounded_frame();
         let all = Mask::ones(df.n_rows());
-        let est = estimate(&df, &all, &treated, "o", &[]).unwrap();
+        let est = Matching.estimate(&df, &all, &treated, "o", &[]).unwrap();
         // Zero covariates → every opposite-arm unit ties at distance 0 →
         // imputation by the opposite arm mean: 47.5 − 12.5 = 35.
         assert!((est.cate - 35.0).abs() < 1e-9, "cate = {}", est.cate);
@@ -799,7 +740,9 @@ mod tests {
             .build()
             .unwrap();
         let all = Mask::ones(df.n_rows());
-        let est = estimate(&df, &all, &treated, "o", &["z".into()]).unwrap();
+        let est = Matching
+            .estimate(&df, &all, &treated, "o", &["z".into()])
+            .unwrap();
         assert!((est.cate - 5.0).abs() < 1e-9, "cate = {}", est.cate);
     }
 
@@ -846,7 +789,7 @@ mod tests {
         let all = Mask::ones(df.n_rows());
         let adj = ["z".to_owned()];
         let mut stats = HotStats::default();
-        let idx = MatchIndex::build(&df, &all, "o", &adj, 1, &mut stats).unwrap();
+        let idx = MatchIndex::build(&df, &all, "o", &adj, &mut stats).unwrap();
         assert!(idx.has_tree());
         let params = MatchParams {
             index: Some(&idx),
@@ -855,7 +798,7 @@ mod tests {
         // Same index serves the original intervention and its complement —
         // the index is treatment-independent.
         let a = estimate_with(&df, &all, &treated, "o", &adj, &params, &mut stats).unwrap();
-        let fresh = estimate(&df, &all, &treated, "o", &adj).unwrap();
+        let fresh = Matching.estimate(&df, &all, &treated, "o", &adj).unwrap();
         assert_eq!(a.cate.to_bits(), fresh.cate.to_bits());
         let flipped = !&treated;
         let b = estimate_with(&df, &all, &flipped, "o", &adj, &params, &mut stats).unwrap();
@@ -888,7 +831,7 @@ mod tests {
         let treated = Mask::from_bools(&t);
         let df = DataFrame::builder().float("o", o.clone()).build().unwrap();
         let all = Mask::ones(df.n_rows());
-        let est = estimate(&df, &all, &treated, "o", &[]).unwrap();
+        let est = Matching.estimate(&df, &all, &treated, "o", &[]).unwrap();
 
         let n = (n_t + n_c) as f64;
         let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
@@ -936,7 +879,9 @@ mod tests {
         // deterministic outcomes have zero within-stratum residuals.
         let (df, treated) = confounded_frame();
         let all = Mask::ones(df.n_rows());
-        let est = estimate(&df, &all, &treated, "o", &["z".into()]).unwrap();
+        let est = Matching
+            .estimate(&df, &all, &treated, "o", &["z".into()])
+            .unwrap();
         assert_eq!(est.p_value, 0.0, "deterministic outcome stays exact");
     }
 
@@ -952,7 +897,9 @@ mod tests {
         let df = DataFrame::builder().float("o", o).build().unwrap();
         let all = Mask::ones(n);
         let treated = Mask::from_bools(&t);
-        let err = estimate(&df, &all, &treated, "o", &[]).unwrap_err();
+        let err = Matching
+            .estimate(&df, &all, &treated, "o", &[])
+            .unwrap_err();
         match &err {
             crate::error::CausalError::EstimatorBudget {
                 estimator,
@@ -1013,6 +960,6 @@ mod tests {
             .unwrap();
         let all = Mask::ones(20);
         let treated = Mask::from_indices(20, &[0, 1]);
-        assert!(estimate(&df, &all, &treated, "o", &[]).is_err());
+        assert!(Matching.estimate(&df, &all, &treated, "o", &[]).is_err());
     }
 }

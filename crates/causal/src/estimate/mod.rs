@@ -28,10 +28,12 @@
 //!   KD-tree index ([`kdtree`]) over the standardized design.
 //!
 //! The estimators share a hot-path layer: [`kernel`] holds the blocked
-//! column-major design-assembly and reduction kernels (with within-estimate
-//! parallel fan-out through the work-stealing executor), and [`mod@reference`]
-//! preserves the naive row-major implementations the kernels are
-//! property-tested against bit for bit.
+//! column-major design-assembly and reduction kernels, and
+//! [`mod@reference`] preserves the naive row-major implementations the
+//! kernels are property-tested against bit for bit. Every estimate runs
+//! single-threaded on its caller's thread; a solve parallelizes across
+//! grouping patterns instead (Step 2's work-stealing fan-out in
+//! `faircap_core::exec`).
 //!
 //! `docs/estimators.md` in the repository root documents the assumptions
 //! and bias/variance trade-offs of each estimator and when the doubly
@@ -73,8 +75,8 @@ pub(crate) fn normal_inference(cate: f64, var: f64) -> (f64, f64, f64) {
 }
 
 /// Hot-path cost accounting for one estimate (or an aggregate over many):
-/// wall-clock nanoseconds split by pipeline stage, plus executor and tree
-/// counters. Estimators accumulate into a `&mut HotStats` threaded through
+/// wall-clock nanoseconds split by pipeline stage, plus the KD-tree visit
+/// counter. Estimators accumulate into a `&mut HotStats` threaded through
 /// [`EstimateCtx`]; the [`CateEngine`](crate::cate::CateEngine) aggregates
 /// them across queries and the serving layer surfaces the totals in
 /// `/v1/metrics`.
@@ -97,10 +99,6 @@ pub struct HotStats {
     /// solve, the fitted values and per-slot RSS of tier 2, and tier 3's
     /// exact row pass where it runs.
     pub solve_ns: u64,
-    /// Task units handed to the work-stealing executor by kernel fan-out
-    /// (zero when every kernel ran serially, and always zero for
-    /// `linear`'s serial count path).
-    pub tasks: u64,
     /// KD-tree nodes visited across matching queries — one query per
     /// distinct (covariate cell, arm) of the subgroup per estimate (zero
     /// for the brute path and the non-matching estimators).
@@ -108,16 +106,15 @@ pub struct HotStats {
 }
 
 /// Per-query context threaded through [`Estimator::estimate_with_ctx`]:
-/// the kernel worker count, the cost-accounting sink, and the engine's
-/// group caches together with the querying subgroup's fingerprint and the
-/// adjustment set's, so the matching estimator's KD-tree index and the
-/// linear estimator's cell table are built once per `(group fingerprint,
-/// adjustment fingerprint)` (the latter on one group entry per subgroup)
-/// and reused across the intervention sweep.
+/// the cost-accounting sink, and the engine's group caches together with
+/// the querying subgroup's fingerprint and the adjustment set's, so the
+/// matching estimator's KD-tree index and the linear estimator's cell
+/// table are built once per `(group fingerprint, adjustment fingerprint)`
+/// (the latter on one group entry per subgroup) and reused across the
+/// intervention sweep. The default context has no caches: every
+/// group-level structure is built for the one estimate.
+#[derive(Default)]
 pub struct EstimateCtx<'a> {
-    /// Worker count for kernel fan-out (1 = serial; results are
-    /// bit-identical either way).
-    pub workers: usize,
     /// Accumulated hot-path costs for this query.
     pub stats: HotStats,
     /// Group caches and the group and adjustment fingerprints keying them;
@@ -241,7 +238,9 @@ pub trait Estimator: Send + Sync {
     fn name(&self) -> &str;
 
     /// Estimate the CATE of `treated` vs. control within `group`, adjusting
-    /// for the backdoor set `adjustment`.
+    /// for the backdoor set `adjustment` (covariate column names). Both
+    /// masks are full-frame; only `treated`'s intersection with `group`
+    /// matters.
     fn estimate(
         &self,
         df: &DataFrame,
@@ -251,9 +250,9 @@ pub trait Estimator: Send + Sync {
         adjustment: &[String],
     ) -> Result<Estimate>;
 
-    /// [`estimate`](Self::estimate) with an [`EstimateCtx`]: an explicit
-    /// worker count, hot-path cost accounting, and (for index-aware
-    /// estimators) access to the engine's match-index cache. The default
+    /// [`estimate`](Self::estimate) with an [`EstimateCtx`]: hot-path cost
+    /// accounting and (for cache-aware estimators) access to the engine's
+    /// group caches. The default
     /// implementation ignores the context and delegates to
     /// [`estimate`](Self::estimate), so custom estimators keep working
     /// unchanged; the built-in [`EstimatorKind`] overrides it to thread the
@@ -291,7 +290,8 @@ impl Estimator for EstimatorKind {
         outcome: &str,
         adjustment: &[String],
     ) -> Result<Estimate> {
-        estimate_cate(*self, df, group, treated, outcome, adjustment)
+        let mut ctx = EstimateCtx::default();
+        self.estimate_with_ctx(&mut ctx, df, group, treated, outcome, adjustment)
     }
 
     fn estimate_with_ctx(
@@ -303,31 +303,19 @@ impl Estimator for EstimatorKind {
         outcome: &str,
         adjustment: &[String],
     ) -> Result<Estimate> {
-        let EstimateCtx {
-            workers,
-            stats,
-            group_cache,
-        } = ctx;
-        let workers = *workers;
+        let EstimateCtx { stats, group_cache } = ctx;
         match self {
-            EstimatorKind::Linear => linear::estimate_with(
-                df,
-                group,
-                treated,
-                outcome,
-                adjustment,
-                workers,
-                *group_cache,
-                stats,
-            ),
+            EstimatorKind::Linear => {
+                linear::estimate_with(df, group, treated, outcome, adjustment, *group_cache, stats)
+            }
             EstimatorKind::Stratified => {
                 stratified::estimate(df, group, treated, outcome, adjustment)
             }
             EstimatorKind::Ipw => {
-                ipw::estimate_with(df, group, treated, outcome, adjustment, workers, stats)
+                ipw::estimate_with(df, group, treated, outcome, adjustment, stats)
             }
             EstimatorKind::Aipw => {
-                aipw::estimate_with(df, group, treated, outcome, adjustment, workers, stats)
+                aipw::estimate_with(df, group, treated, outcome, adjustment, stats)
             }
             EstimatorKind::Matching => {
                 // One KD-tree index per (group, adjustment set)
@@ -341,7 +329,7 @@ impl Estimator for EstimatorKind {
                             cache.table_key(),
                             || -> Result<_> {
                                 let index = matching::MatchIndex::build(
-                                    df, group, outcome, adjustment, workers, stats,
+                                    df, group, outcome, adjustment, stats,
                                 )?;
                                 Ok(Arc::new(index))
                             },
@@ -353,34 +341,10 @@ impl Estimator for EstimatorKind {
                 let params = matching::MatchParams {
                     index,
                     strategy: matching::MatchStrategy::Auto,
-                    workers,
                 };
                 matching::estimate_with(df, group, treated, outcome, adjustment, &params, stats)
             }
         }
-    }
-}
-
-/// Estimate the CATE of `treated` vs. control within `group`.
-///
-/// * `group` — rows of the subpopulation (full-frame mask).
-/// * `treated` — rows satisfying the intervention pattern (full-frame mask;
-///   only its intersection with `group` matters).
-/// * `adjustment` — covariate column names (the backdoor set `Z`).
-pub fn estimate_cate(
-    kind: EstimatorKind,
-    df: &DataFrame,
-    group: &Mask,
-    treated: &Mask,
-    outcome: &str,
-    adjustment: &[String],
-) -> Result<Estimate> {
-    match kind {
-        EstimatorKind::Linear => linear::estimate(df, group, treated, outcome, adjustment),
-        EstimatorKind::Stratified => stratified::estimate(df, group, treated, outcome, adjustment),
-        EstimatorKind::Ipw => ipw::estimate(df, group, treated, outcome, adjustment),
-        EstimatorKind::Aipw => aipw::estimate(df, group, treated, outcome, adjustment),
-        EstimatorKind::Matching => matching::estimate(df, group, treated, outcome, adjustment),
     }
 }
 

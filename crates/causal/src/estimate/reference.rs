@@ -1,11 +1,11 @@
 //! Naive reference implementations of the estimator hot path.
 //!
 //! These are the straightforward row-major / per-entry loops the blocked
-//! columnar kernels in [`kernel`] replaced, and the per-unit matching
+//! columnar kernels in [`kernel`](super::kernel) replaced, and the per-unit matching
 //! loop the cell-level pass in [`matching`] replaced. They are kept —
 //! and kept public — for two reasons: `tests/prop_kernels.rs` property-tests
 //! every kernel against its naive counterpart **bit for bit** (the kernels
-//! promise identical f64 results for any worker count and block size; the
+//! promise identical f64 results for any block size; the
 //! one documented exception is the inference statistics of `linear`'s
 //! count path, held to [`linear::INFERENCE_TOLERANCE`](super::linear::INFERENCE_TOLERANCE)), and
 //! `estimator_bench` measures the kernels' speedups against them so the
@@ -16,7 +16,7 @@
 //! fast path is what these functions are *for*.
 
 use super::matching::{self, brute_ties, Fit, MatchParams, K_NEIGHBORS, MATCH_PARTS};
-use super::{design, kernel, normal_inference, Estimate, HotStats, MIN_ARM_SIZE};
+use super::{design, normal_inference, Estimate, HotStats, MIN_ARM_SIZE};
 use crate::error::{CausalError, Result};
 use crate::estimate::ipw::CLIP;
 use crate::linalg::{inverse_spd, solve_spd, Matrix};
@@ -25,7 +25,7 @@ use faircap_table::{DataFrame, Mask};
 
 /// Row-by-row design assembly (`[1, T?, Z…]`), transposed into column
 /// vectors so results compare directly against
-/// [`kernel::build_columns`].
+/// [`kernel::build_columns`](super::kernel::build_columns).
 pub fn design_columns_naive(
     df: &DataFrame,
     adjustment: &[String],
@@ -370,25 +370,25 @@ pub fn matching_naive(
 }
 
 /// Per-unit `τ_i` and match weights `K_i`, one matched set per unit.
-fn per_unit_contrasts(fit: &Fit<'_>, workers: usize, stats: &mut HotStats) -> (Vec<f64>, Vec<f64>) {
+fn per_unit_contrasts(fit: &Fit<'_>, _stats: &mut HotStats) -> (Vec<f64>, Vec<f64>) {
     let idx = fit.idx;
     let t = &fit.t;
     let n = idx.n();
     let treated_ids: Vec<u32> = (0..n as u32).filter(|&i| t[i as usize]).collect();
     let control_ids: Vec<u32> = (0..n as u32).filter(|&i| !t[i as usize]).collect();
     let part_len = n.div_ceil(MATCH_PARTS).max(1);
-    let n_parts = n.div_ceil(part_len);
-    let parts = kernel::fan_out(n_parts, workers, &mut stats.tasks, |p| {
-        let start = p * part_len;
-        let end = ((p + 1) * part_len).min(n);
-        let mut tau_part = Vec::with_capacity(end - start);
-        let mut weight = vec![0.0f64; n];
-        let mut matched: Vec<u32> = Vec::new();
-        let mut d2s: Vec<f64> = Vec::new();
-        let mut sel: Vec<f64> = Vec::new();
-        let mut memo: std::collections::HashMap<(u32, bool), Vec<u32>> =
-            std::collections::HashMap::new();
-        for i in start..end {
+    let mut tau = Vec::with_capacity(n);
+    let mut match_weight = vec![0.0f64; n];
+    let mut part_weight = vec![0.0f64; n];
+    let mut matched: Vec<u32> = Vec::new();
+    let mut d2s: Vec<f64> = Vec::new();
+    let mut sel: Vec<f64> = Vec::new();
+    let mut memo: std::collections::HashMap<(u32, bool), Vec<u32>> =
+        std::collections::HashMap::new();
+    for start in (0..n).step_by(part_len) {
+        part_weight.fill(0.0);
+        memo.clear();
+        for i in start..(start + part_len).min(n) {
             let (pool, pred) = if t[i] {
                 (&control_ids, &fit.pred_c)
             } else {
@@ -428,23 +428,16 @@ fn per_unit_contrasts(fit: &Fit<'_>, workers: usize, stats: &mut HotStats) -> (V
             for &j in &matched {
                 let j = j as usize;
                 acc += idx.y[j] + pred_i - pred[j];
-                weight[j] += 1.0 / m as f64;
+                part_weight[j] += 1.0 / m as f64;
             }
             let imputed = acc / m as f64;
-            tau_part.push(if t[i] {
+            tau.push(if t[i] {
                 idx.y[i] - imputed
             } else {
                 imputed - idx.y[i]
             });
         }
-        (tau_part, weight)
-    });
-
-    let mut tau = Vec::with_capacity(n);
-    let mut match_weight = vec![0.0f64; n];
-    for (tau_part, weight) in &parts {
-        tau.extend_from_slice(tau_part);
-        for (acc, w) in match_weight.iter_mut().zip(weight) {
+        for (acc, w) in match_weight.iter_mut().zip(&part_weight) {
             *acc += w;
         }
     }
@@ -456,6 +449,10 @@ fn per_unit_contrasts(fit: &Fit<'_>, workers: usize, stats: &mut HotStats) -> (V
 mod tests {
     use super::*;
     use crate::estimate::kernel;
+    use crate::estimate::{
+        Estimator as _,
+        EstimatorKind::{Ipw, Linear, Matching},
+    };
 
     fn fixture() -> (DataFrame, Mask, Mask) {
         let mut z = Vec::new();
@@ -482,7 +479,7 @@ mod tests {
         let adj = vec!["z".to_string()];
         for with_t in [None, Some(&treated)] {
             let naive = design_columns_naive(&df, &adj, &group, with_t).unwrap();
-            let fast = kernel::build_columns(&df, &adj, &group, with_t, 1, &mut 0).unwrap();
+            let fast = kernel::build_columns(&df, &adj, &group, with_t).unwrap();
             assert_eq!(naive.len(), fast.k());
             for (a, b) in naive.iter().zip(fast.cols()) {
                 let a_bits: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
@@ -496,14 +493,14 @@ mod tests {
     fn naive_reductions_match_kernels_bitwise() {
         let (df, group, treated) = fixture();
         let adj = vec!["z".to_string()];
-        let x = kernel::build_columns(&df, &adj, &group, Some(&treated), 1, &mut 0).unwrap();
+        let x = kernel::build_columns(&df, &adj, &group, Some(&treated)).unwrap();
         let y = kernel::gather_outcome(&df, "o", &group).unwrap();
         let k = x.k();
 
         let g_naive = gram_naive(x.cols());
-        let g_fast = kernel::gram_columns(x.cols(), 1, &mut 0);
+        let g_fast = kernel::gram_columns(x.cols());
         let xty_n = xty_naive(x.cols(), &y);
-        let xty_f = kernel::xty_columns(x.cols(), &y, 1, &mut 0);
+        let xty_f = kernel::xty_columns(x.cols(), &y);
         for i in 0..k {
             assert_eq!(xty_n[i].to_bits(), xty_f[i].to_bits());
             for j in 0..k {
@@ -514,10 +511,10 @@ mod tests {
         let w: Vec<f64> = (0..y.len()).map(|r| 0.1 + (r % 5) as f64 * 0.2).collect();
         let resid: Vec<f64> = y.iter().map(|v| v * 0.5 - 1.0).collect();
         let (wg_n, s_n) = weighted_gram_score_naive(x.cols(), &w, &resid);
-        let (wg_f, s_f) = kernel::weighted_gram_score(x.cols(), &w, &resid, 1, &mut 0);
+        let (wg_f, s_f) = kernel::weighted_gram_score(x.cols(), &w, &resid);
         let arm: Vec<f64> = (0..y.len()).map(|r| (r % 2 == 0) as u8 as f64).collect();
         let (ag_n, ay_n) = arm_gram_xty_naive(x.cols(), &y, &arm);
-        let (ag_f, ay_f) = kernel::arm_gram_xty(x.cols(), &y, &arm, 1, &mut 0);
+        let (ag_f, ay_f) = kernel::arm_gram_xty(x.cols(), &y, &arm);
         for i in 0..k {
             assert_eq!(s_n[i].to_bits(), s_f[i].to_bits());
             assert_eq!(ay_n[i].to_bits(), ay_f[i].to_bits());
@@ -542,7 +539,7 @@ mod tests {
         // `linear`'s count path: `cate` and arms exact, the inference
         // within its documented tolerance.
         let lin_n = linear_naive(&df, &group, &treated, "o", &adj).unwrap();
-        let lin_f = crate::estimate::linear::estimate(&df, &group, &treated, "o", &adj).unwrap();
+        let lin_f = Linear.estimate(&df, &group, &treated, "o", &adj).unwrap();
         let tol = crate::estimate::linear::INFERENCE_TOLERANCE;
         assert_eq!(lin_n.cate.to_bits(), lin_f.cate.to_bits());
         assert_eq!(
@@ -554,12 +551,11 @@ mod tests {
         assert!((lin_n.p_value - lin_f.p_value).abs() <= tol);
         let bits = |e: &Estimate| [e.cate, e.std_err, e.t_stat, e.p_value].map(f64::to_bits);
         let ipw_n = ipw_naive(&df, &group, &treated, "o", &adj).unwrap();
-        let ipw_f = crate::estimate::ipw::estimate(&df, &group, &treated, "o", &adj).unwrap();
+        let ipw_f = Ipw.estimate(&df, &group, &treated, "o", &adj).unwrap();
         assert!((ipw_n.cate - ipw_f.cate).abs() < 1e-9);
         let params = MatchParams::default();
         let match_n = matching_naive(&df, &group, &treated, "o", &adj, &params).unwrap();
-        let match_f =
-            crate::estimate::matching::estimate(&df, &group, &treated, "o", &adj).unwrap();
+        let match_f = Matching.estimate(&df, &group, &treated, "o", &adj).unwrap();
         assert_eq!(bits(&match_n), bits(&match_f));
     }
 }

@@ -164,6 +164,7 @@ fn quantile_bins(col: &Column, rows: &[usize]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::{Estimator as _, EstimatorKind::Linear};
     use faircap_table::DataFrame;
 
     /// Same confounded fixture as the linear estimator tests.
@@ -207,7 +208,9 @@ mod tests {
         let (df, treated) = confounded_frame();
         let all = Mask::ones(df.n_rows());
         let s = estimate(&df, &all, &treated, "o", &["z".into()]).unwrap();
-        let l = super::super::linear::estimate(&df, &all, &treated, "o", &["z".into()]).unwrap();
+        let l = Linear
+            .estimate(&df, &all, &treated, "o", &["z".into()])
+            .unwrap();
         assert!((s.cate - l.cate).abs() < 1e-6, "{} vs {}", s.cate, l.cate);
     }
 

@@ -11,14 +11,15 @@
 //!   doubly-robust AIPW, and k-NN matching — assumptions and trade-offs
 //!   are documented in `docs/estimators.md` at the repository root.
 //! * [`cate::CateEngine`] — cached high-level CATE queries for rules.
-//! * [`exec`] — deterministic work-stealing executor (re-exported as
-//!   `faircap_core::exec`) driving both solve-level fan-out and the
-//!   within-estimate parallelism of the columnar kernels.
 //! * [`discovery`] — PC-stable causal discovery (Table 6's "PC DAG").
 //! * [`scm`] — structural causal models for generating the synthetic
 //!   Stack Overflow / German Credit stand-ins with known ground truth.
 //! * [`truth`] — ground-truth recovery checks ([`truth::Recovery`]) used by
 //!   the `faircap-scenario` generator's planted-effect validation.
+//!
+//! Every estimator is a plain single-threaded function and the crate
+//! spawns no threads: callers parallelize across estimates, as the solve
+//! does across grouping patterns (`faircap_core::exec`).
 
 #![warn(missing_docs)]
 
@@ -27,7 +28,6 @@ pub mod cate;
 pub mod dsep;
 pub mod error;
 pub mod estimate;
-pub mod exec;
 pub mod graph;
 pub mod linalg;
 pub mod scm;
@@ -43,8 +43,7 @@ pub use cate::{
 pub use dsep::{d_separated, d_separated_names};
 pub use error::{CausalError, Result};
 pub use estimate::matching::{MatchIndex, MatchParams, MatchStrategy};
-pub use estimate::{estimate_cate, Estimate, EstimateCtx, Estimator, EstimatorKind, HotStats};
-pub use exec::ExecStats;
+pub use estimate::{Estimate, EstimateCtx, Estimator, EstimatorKind, HotStats};
 pub use graph::{Dag, NodeId};
 pub use scm::Scm;
 pub use truth::Recovery;

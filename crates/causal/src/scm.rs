@@ -285,6 +285,7 @@ pub fn bernoulli(rng: &mut StdRng, p: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::Estimator as _;
     use faircap_table::{Mask, Pattern};
 
     fn toy_scm() -> Scm {
@@ -412,25 +413,13 @@ mod tests {
             .coverage(&df)
             .unwrap();
         let all = Mask::ones(df.n_rows());
-        let adj = crate::estimate::estimate_cate(
-            crate::estimate::EstimatorKind::Linear,
-            &df,
-            &all,
-            &treated,
-            "income",
-            &["region".into()],
-        )
-        .unwrap();
+        let adj = crate::estimate::EstimatorKind::Linear
+            .estimate(&df, &all, &treated, "income", &["region".into()])
+            .unwrap();
         assert!((adj.cate - 20.0).abs() < 1.0, "adjusted = {}", adj.cate);
-        let naive = crate::estimate::estimate_cate(
-            crate::estimate::EstimatorKind::Linear,
-            &df,
-            &all,
-            &treated,
-            "income",
-            &[],
-        )
-        .unwrap();
+        let naive = crate::estimate::EstimatorKind::Linear
+            .estimate(&df, &all, &treated, "income", &[])
+            .unwrap();
         assert!(
             naive.cate > adj.cate + 2.0,
             "naive {} should exceed adjusted {}",

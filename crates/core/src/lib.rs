@@ -31,8 +31,10 @@
 //! # Ok::<(), faircap_core::Error>(())
 //! ```
 //!
-//! Step 2's fan-out runs on the [`exec`] work-stealing executor (worker
-//! count per request or via `FAIRCAP_WORKERS`), and a session's warmed
+//! Step 2's fan-out across grouping patterns runs on the [`exec`]
+//! work-stealing executor (worker count per request or via
+//! `FAIRCAP_WORKERS`) — the solve's one level of parallelism, since every
+//! CATE estimate is single-threaded — and a session's warmed
 //! caches can be persisted and restored across processes via
 //! [`snapshot`] — see [`PrescriptionSession::snapshot`] and
 //! [`SessionBuilder::warm_start`].

@@ -12,7 +12,7 @@
 use crate::error::Result;
 use crate::generate::GeneratedScenario;
 use crate::spec::TruthGroup;
-use faircap_causal::{estimate_cate, Estimator as _, EstimatorKind, Recovery};
+use faircap_causal::{Estimator as _, EstimatorKind, Recovery};
 use faircap_table::{Pattern, Value};
 
 /// What to grade and how tight.
@@ -108,14 +108,8 @@ pub fn check_recovery(
                 .truth_for(treatment, group)
                 .expect("truth table covers every flexible attribute");
             for &estimator in &options.estimators {
-                let est = estimate_cate(
-                    estimator,
-                    df,
-                    &mask,
-                    &treated,
-                    &sc.dataset.outcome,
-                    &adjustment,
-                )?;
+                let est =
+                    estimator.estimate(df, &mask, &treated, &sc.dataset.outcome, &adjustment)?;
                 let recovery = Recovery::of(&est, truth);
                 out.push(RecoveryCheck {
                     estimator,
@@ -138,8 +132,7 @@ pub fn check_recovery(
 pub fn naive_bias(sc: &GeneratedScenario, treatment: &str) -> Result<Recovery> {
     let df = &sc.dataset.df;
     let treated = Pattern::of_eq(&[(treatment, Value::from("yes"))]).coverage(df)?;
-    let est = estimate_cate(
-        EstimatorKind::Linear,
+    let est = EstimatorKind::Linear.estimate(
         df,
         &sc.group_mask(TruthGroup::All),
         &treated,

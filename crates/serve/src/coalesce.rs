@@ -126,7 +126,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn leader_then_attached_then_fan_out() {
+    fn leader_then_attached_then_taken() {
         let coalescer = Coalescer::new();
         let key: Key = ("german".into(), 42);
         assert_eq!(coalescer.attach(key.clone(), 1), Attach::Leader);

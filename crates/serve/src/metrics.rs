@@ -537,12 +537,11 @@ static SESSION: &[Metric<RegisteredSession>] = &[
     counter(
         "faircap_session_estimate_work_total",
         "estimate_timing.{}",
-        "Estimator work items (kind: estimates, tasks, tree_visits)",
+        "Estimator work items (kind: estimates, tree_visits)",
         Each("kind", |e| {
             let (estimates, hot) = e.session().engine().hot_stats();
             by_label([
                 ("estimates", estimates),
-                ("tasks", hot.tasks),
                 ("tree_visits", hot.tree_visits),
             ])
         }),

@@ -47,10 +47,11 @@
 //!
 //! ## Execution and caching layer
 //!
-//! Step 2's fan-out runs on a work-stealing executor
-//! ([`core::exec`]) — worker count set per request
-//! (`SolveRequest::workers`) or via `FAIRCAP_WORKERS` — with per-solve
-//! scheduling statistics on `SolutionReport::exec`. The estimate and
+//! Step 2's fan-out across grouping patterns runs on a work-stealing
+//! executor ([`core::exec`]) — worker count set per request
+//! (`SolveRequest::workers`) or via `FAIRCAP_WORKERS`, which size this
+//! fan-out only, as each CATE estimate runs single-threaded — with
+//! per-solve scheduling statistics on `SolutionReport::exec`. The estimate and
 //! grouping caches are sharded, LRU-bounded maps
 //! ([`table::cache::ShardedLruCache`]; bounds via
 //! `SolveRequest::estimate_cache_bound` / `grouping_cache_bound`), and a

@@ -1,7 +1,7 @@
 //! Failure-injection and edge-case tests: degenerate inputs must produce
 //! clean errors or empty solutions, never panics or nonsense.
 
-use faircap::causal::{estimate_cate, CateEngine, CausalError, Dag, EstimatorKind};
+use faircap::causal::{CateEngine, CausalError, Dag, Estimator as _, EstimatorKind};
 use faircap::core::FairCapConfig;
 use faircap::table::{DataFrame, Mask, Pattern, Value};
 use faircap::{FairCap, SolveRequest};
@@ -156,15 +156,15 @@ fn collinear_covariates_survive_via_ridge() {
         .build()
         .unwrap();
     let treated = Mask::from_bools(&t);
-    let est = estimate_cate(
-        EstimatorKind::Linear,
-        &df,
-        &Mask::ones(n),
-        &treated,
-        "o",
-        &["z1".into(), "z2".into()],
-    )
-    .unwrap();
+    let est = EstimatorKind::Linear
+        .estimate(
+            &df,
+            &Mask::ones(n),
+            &treated,
+            "o",
+            &["z1".into(), "z2".into()],
+        )
+        .unwrap();
     assert!((est.cate - 10.0).abs() < 0.5, "cate = {}", est.cate);
 }
 

@@ -8,7 +8,7 @@
 //! still gets right is *exactly* fitted, the doubly-robust score cancels
 //! the other model's bias to machine precision.
 
-use faircap::causal::{estimate_cate, Estimator, EstimatorKind};
+use faircap::causal::{Estimator, EstimatorKind};
 use faircap::data::german;
 use faircap::table::{DataFrame, Mask};
 use faircap::{FairCap, SolveRequest};
@@ -75,7 +75,7 @@ fn nonlogistic_propensity_frame() -> (DataFrame, Mask) {
 
 fn cate_of(kind: EstimatorKind, df: &DataFrame, treated: &Mask) -> f64 {
     let all = Mask::ones(df.n_rows());
-    estimate_cate(kind, df, &all, treated, "y", &["z".into()])
+    kind.estimate(df, &all, treated, "y", &["z".into()])
         .unwrap()
         .cate
 }
@@ -169,24 +169,12 @@ fn matching_agrees_with_stratification_on_exact_matches() {
         .unwrap();
     let all = Mask::ones(df.n_rows());
     let adjustment = vec!["a".to_string(), "b".to_string()];
-    let m = estimate_cate(
-        EstimatorKind::Matching,
-        &df,
-        &all,
-        &treated,
-        "y",
-        &adjustment,
-    )
-    .unwrap();
-    let s = estimate_cate(
-        EstimatorKind::Stratified,
-        &df,
-        &all,
-        &treated,
-        "y",
-        &adjustment,
-    )
-    .unwrap();
+    let m = EstimatorKind::Matching
+        .estimate(&df, &all, &treated, "y", &adjustment)
+        .unwrap();
+    let s = EstimatorKind::Stratified
+        .estimate(&df, &all, &treated, "y", &adjustment)
+        .unwrap();
     assert!(
         (m.cate - s.cate).abs() < 1e-9,
         "matching {} vs stratified {}",

@@ -7,7 +7,7 @@
 //! bit-reproducible at 10⁵ rows, and the
 //! replayer drives a real served instance end to end.
 
-use faircap::causal::{estimate_cate, CausalError, EstimatorKind};
+use faircap::causal::{CausalError, Estimator as _, EstimatorKind};
 use faircap::core::SessionRegistry;
 use faircap::scenario::{
     check_recovery, default_epsilon, generate, naive_bias, replay, Arrival, RecoveryOptions,
@@ -74,15 +74,15 @@ fn matching_budget_refuses_covariate_free_scenario_groups() {
     let treated = Pattern::of_eq(&[("f0", Value::from("yes"))])
         .coverage(&sc.dataset.df)
         .unwrap();
-    let err = estimate_cate(
-        EstimatorKind::Matching,
-        &sc.dataset.df,
-        &sc.group_mask(TruthGroup::All),
-        &treated,
-        &sc.dataset.outcome,
-        &[],
-    )
-    .unwrap_err();
+    let err = EstimatorKind::Matching
+        .estimate(
+            &sc.dataset.df,
+            &sc.group_mask(TruthGroup::All),
+            &treated,
+            &sc.dataset.outcome,
+            &[],
+        )
+        .unwrap_err();
     match err {
         CausalError::EstimatorBudget { work, budget, .. } => {
             assert!(work > budget, "{work} vs {budget}")

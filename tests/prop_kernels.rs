@@ -1,10 +1,10 @@
-//! Property tests pinning the hot-path kernel contract: every blocked,
-//! fused, or parallel code path in `faircap::causal::estimate::kernel` and
-//! the KD-tree matching engine must be **bit-identical** (`f64::to_bits`,
-//! not tolerance) to the naive reference implementations preserved in
+//! Property tests pinning the hot-path kernel contract: every blocked or
+//! fused code path in `faircap::causal::estimate::kernel` and the KD-tree
+//! matching engine must be **bit-identical** (`f64::to_bits`, not
+//! tolerance) to the naive reference implementations preserved in
 //! `faircap::causal::estimate::reference`. Bit-identity is what lets the
-//! engine pick block sizes, worker counts, and search strategies purely on
-//! cost grounds — the answer never depends on the path taken.
+//! engine pick block sizes and search strategies purely on cost grounds —
+//! the answer never depends on the path taken.
 //!
 //! One documented exception: `linear`'s count path sums the RSS per
 //! (cell, arm) slot, so its `std_err`, `t_stat` and `p_value` may differ
@@ -15,12 +15,9 @@
 //! `--include-ignored`) measures the deviations over 20k random designs.
 
 use faircap::causal::estimate::{kernel, linear, matching, reference};
-use faircap::causal::{Estimate, HotStats};
+use faircap::causal::{Estimate, Estimator as _, EstimatorKind, HotStats};
 use faircap::table::{Column, DataFrame, Mask};
 use proptest::prelude::*;
-
-/// Worker counts exercised against the serial (`workers = 1`) reference.
-const WORKER_GRID: [usize; 3] = [2, 3, 8];
 
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
@@ -218,10 +215,9 @@ fn assert_linear_agrees(
     Ok(())
 }
 
-/// The live linear estimator (serial and parallel kernels) must agree
-/// with `reference::linear_naive` — under `agreement` where the count path
-/// runs, bit for bit where the columnar path does — or refuse too.
-#[allow(clippy::too_many_arguments)] // the estimator's inputs plus the check's
+/// The live linear estimator must agree with `reference::linear_naive` —
+/// under `agreement` where the count path runs, bit for bit where the
+/// columnar path does — or refuse too.
 fn assert_linear_matches_naive(
     df: &DataFrame,
     group: &Mask,
@@ -229,7 +225,6 @@ fn assert_linear_matches_naive(
     outcome: &str,
     adjustment: &[String],
     agreement: Agreement,
-    workers: &[usize],
     dev: &mut Deviations,
 ) -> Result<(), TestCaseError> {
     let count_path = matches!(
@@ -241,21 +236,17 @@ fn assert_linear_matches_naive(
     } else {
         Agreement::Exact
     };
-    for &workers in workers {
-        let naive = reference::linear_naive(df, group, treated, outcome, adjustment);
-        let live = linear::estimate_with(
-            df,
-            group,
-            treated,
-            outcome,
-            adjustment,
-            workers,
-            None,
-            &mut HotStats::default(),
-        );
-        assert_linear_agrees(live, naive, agreement, dev, &(outcome, adjustment))?;
-    }
-    Ok(())
+    let naive = reference::linear_naive(df, group, treated, outcome, adjustment);
+    let live = linear::estimate_with(
+        df,
+        group,
+        treated,
+        outcome,
+        adjustment,
+        None,
+        &mut HotStats::default(),
+    );
+    assert_linear_agrees(live, naive, agreement, dev, &(outcome, adjustment))
 }
 
 /// One random linear design (the inputs of `linear_estimator_matches_naive`)
@@ -264,10 +255,10 @@ fn assert_linear_matches_naive(
 /// ridge ladder, subgroups that drop levels, arms under `MIN_ARM_SIZE`,
 /// and Float / Int / Bool outcomes within the tolerance contract; Float
 /// and Int outcomes without noise (near-perfect fits, so the exact row
-/// pass runs) bit for bit. With `fallbacks`, at 1 and 3 kernel workers,
-/// then the three inputs that fall back to the columnar path, bit for bit
-/// there: a numeric covariate, a non-finite outcome, and a cell space
-/// larger than the group (with `n ≤ k + 1` among them).
+/// pass runs) bit for bit. With `fallbacks`, also the three inputs that
+/// fall back to the columnar path, bit for bit there: a numeric covariate,
+/// a non-finite outcome, and a cell space larger than the group (with
+/// `n ≤ k + 1` among them).
 #[allow(clippy::too_many_arguments)] // the property's generated inputs
 fn check_linear_design(
     n: usize,
@@ -337,7 +328,6 @@ fn check_linear_design(
             .map(|r| codes[0][r] != 0 && !row_seed[r].is_multiple_of(3))
             .collect(),
     ];
-    let workers: &[usize] = if fallbacks { &[1, 3] } else { &[1] };
     for group in groups.iter().map(|g| Mask::from_bools(g)) {
         for (outcome, agreement) in [
             ("y", Tolerance),
@@ -346,9 +336,7 @@ fn check_linear_design(
             ("y_flat", Exact),
             ("y_flat_int", Exact),
         ] {
-            assert_linear_matches_naive(
-                &df, &group, &treated, outcome, &names, agreement, workers, dev,
-            )?;
+            assert_linear_matches_naive(&df, &group, &treated, outcome, &names, agreement, dev)?;
         }
         if !fallbacks {
             continue;
@@ -356,9 +344,7 @@ fn check_linear_design(
         // Fallbacks: a numeric covariate, an oversized cell space (most
         // of the time: a subgroup of complete row pairs fits it).
         for adjustment in [&with_num, &with_wide] {
-            assert_linear_matches_naive(
-                &df, &group, &treated, "y", adjustment, Tolerance, workers, dev,
-            )?;
+            assert_linear_matches_naive(&df, &group, &treated, "y", adjustment, Tolerance, dev)?;
         }
         // Fallback: a non-finite outcome on one group row.
         if let Some(row) = group.iter_ones().nth(n / 5) {
@@ -369,9 +355,7 @@ fn check_linear_design(
                 f64::NAN
             };
             let df_bad = df.with_column("y", Column::Float(y_bad)).unwrap();
-            assert_linear_matches_naive(
-                &df_bad, &group, &treated, "y", &names, Tolerance, workers, dev,
-            )?;
+            assert_linear_matches_naive(&df_bad, &group, &treated, "y", &names, Tolerance, dev)?;
         }
     }
     Ok(())
@@ -379,8 +363,7 @@ fn check_linear_design(
 
 /// The live matching estimator must give exactly
 /// `reference::matching_naive`'s estimate under each search strategy —
-/// at every worker count, with a fresh and with a prebuilt index — or
-/// refuse too.
+/// with a fresh and with a prebuilt index — or refuse too.
 fn assert_matching_matches_naive(
     df: &DataFrame,
     group: &Mask,
@@ -388,8 +371,7 @@ fn assert_matching_matches_naive(
     adjustment: &[String],
 ) -> Result<(), TestCaseError> {
     let index =
-        matching::MatchIndex::build(df, group, "y", adjustment, 1, &mut HotStats::default())
-            .unwrap();
+        matching::MatchIndex::build(df, group, "y", adjustment, &mut HotStats::default()).unwrap();
     for strategy in [
         matching::MatchStrategy::Auto,
         matching::MatchStrategy::Brute,
@@ -404,34 +386,29 @@ fn assert_matching_matches_naive(
             &matching::MatchParams {
                 index: None,
                 strategy,
-                workers: 1,
             },
         ));
-        for workers in [1, 2, 8] {
-            for index_opt in [None, Some(&index)] {
-                let live = verdict(matching::estimate_with(
-                    df,
-                    group,
-                    treated,
-                    "y",
-                    adjustment,
-                    &matching::MatchParams {
-                        index: index_opt,
-                        strategy,
-                        workers,
-                    },
-                    &mut HotStats::default(),
-                ));
-                prop_assert_eq!(
-                    live,
-                    naive,
-                    "{:?} workers {} prebuilt {} adjustment {:?}",
+        for index_opt in [None, Some(&index)] {
+            let live = verdict(matching::estimate_with(
+                df,
+                group,
+                treated,
+                "y",
+                adjustment,
+                &matching::MatchParams {
+                    index: index_opt,
                     strategy,
-                    workers,
-                    index_opt.is_some(),
-                    adjustment
-                );
-            }
+                },
+                &mut HotStats::default(),
+            ));
+            prop_assert_eq!(
+                live,
+                naive,
+                "{:?} prebuilt {} adjustment {:?}",
+                strategy,
+                index_opt.is_some(),
+                adjustment
+            );
         }
     }
     Ok(())
@@ -440,7 +417,7 @@ fn assert_matching_matches_naive(
 proptest! {
     /// Fused columnar design assembly == naive row-major assembly, for
     /// both the OLS layout (treatment column) and the covariate-only
-    /// layout, serial and parallel.
+    /// layout.
     #[test]
     fn design_assembly_matches_naive(
         z_codes in prop::collection::vec(0u8..3, 40..160),
@@ -460,21 +437,15 @@ proptest! {
         for treated_opt in [Some(&treated), None] {
             let naive = reference::design_columns_naive(&df, &adjustment, &group, treated_opt)
                 .unwrap();
-            for workers in [1, 2, 8] {
-                let fused = kernel::build_columns(
-                    &df, &adjustment, &group, treated_opt, workers, &mut 0,
-                )
-                .unwrap();
-                prop_assert_eq!(fused.k(), naive.len());
-                for (fc, nc) in fused.cols().iter().zip(&naive) {
-                    prop_assert_eq!(bits(fc), bits(nc));
-                }
+            let fused = kernel::build_columns(&df, &adjustment, &group, treated_opt).unwrap();
+            prop_assert_eq!(fused.k(), naive.len());
+            for (fc, nc) in fused.cols().iter().zip(&naive) {
+                prop_assert_eq!(bits(fc), bits(nc));
             }
         }
     }
 
-    /// Blocked X'X and X'y == naive entry-at-a-time loops, bitwise, at
-    /// every worker count.
+    /// Blocked X'X and X'y == naive entry-at-a-time loops, bitwise.
     #[test]
     fn reductions_match_naive(
         cols in (20usize..200, 1usize..6).prop_flat_map(|(n, k)| columns_strategy(n, k)),
@@ -484,17 +455,14 @@ proptest! {
         let y = &y_seed[..n];
         let naive_gram = reference::gram_naive(&cols);
         let naive_xty = reference::xty_naive(&cols, y);
-        for workers in std::iter::once(1).chain(WORKER_GRID) {
-            let gram = kernel::gram_columns(&cols, workers, &mut 0);
-            let xty = kernel::xty_columns(&cols, y, workers, &mut 0);
-            prop_assert_eq!(matrix_bits(&gram), matrix_bits(&naive_gram));
-            prop_assert_eq!(bits(&xty), bits(&naive_xty));
-        }
+        let gram = kernel::gram_columns(&cols);
+        let xty = kernel::xty_columns(&cols, y);
+        prop_assert_eq!(matrix_bits(&gram), matrix_bits(&naive_gram));
+        prop_assert_eq!(bits(&xty), bits(&naive_xty));
     }
 
     /// The fused IRLS reduction (weighted gram + score) and the per-arm
-    /// masked gram == their naive counterparts, bitwise, at every worker
-    /// count.
+    /// masked gram == their naive counterparts, bitwise.
     #[test]
     fn irls_and_arm_kernels_match_naive(
         cols in (20usize..200, 1usize..5).prop_flat_map(|(n, k)| columns_strategy(n, k)),
@@ -507,14 +475,12 @@ proptest! {
         let arm: Vec<f64> = arm_bits[..n].iter().map(|&b| b as u8 as f64).collect();
         let (naive_wg, naive_score) = reference::weighted_gram_score_naive(&cols, w, r);
         let (naive_ag, naive_rhs) = reference::arm_gram_xty_naive(&cols, r, &arm);
-        for workers in std::iter::once(1).chain(WORKER_GRID) {
-            let (wg, score) = kernel::weighted_gram_score(&cols, w, r, workers, &mut 0);
-            let (ag, rhs) = kernel::arm_gram_xty(&cols, r, &arm, workers, &mut 0);
-            prop_assert_eq!(matrix_bits(&wg), matrix_bits(&naive_wg));
-            prop_assert_eq!(bits(&score), bits(&naive_score));
-            prop_assert_eq!(matrix_bits(&ag), matrix_bits(&naive_ag));
-            prop_assert_eq!(bits(&rhs), bits(&naive_rhs));
-        }
+        let (wg, score) = kernel::weighted_gram_score(&cols, w, r);
+        let (ag, rhs) = kernel::arm_gram_xty(&cols, r, &arm);
+        prop_assert_eq!(matrix_bits(&wg), matrix_bits(&naive_wg));
+        prop_assert_eq!(bits(&score), bits(&naive_score));
+        prop_assert_eq!(matrix_bits(&ag), matrix_bits(&naive_ag));
+        prop_assert_eq!(bits(&rhs), bits(&naive_rhs));
     }
 
     /// Column-streaming X·β == naive per-row dot products, bitwise.
@@ -532,7 +498,7 @@ proptest! {
 
     /// KD-tree matching == brute-force matching, bitwise, on tie-heavy
     /// categorical designs (where tie-inclusive cutoffs do real work),
-    /// across worker counts and with a prebuilt, reused index.
+    /// with a fresh and with a prebuilt, reused index.
     #[test]
     fn tree_matching_matches_brute(
         z_codes in prop::collection::vec(0u8..3, 40..160),
@@ -549,32 +515,28 @@ proptest! {
             &matching::MatchParams {
                 index: None,
                 strategy: matching::MatchStrategy::Brute,
-                workers: 1,
             },
             &mut HotStats::default(),
         )
         .unwrap();
 
         let index = matching::MatchIndex::build(
-            &df, &group, "y", &adjustment, 1, &mut HotStats::default(),
+            &df, &group, "y", &adjustment, &mut HotStats::default(),
         )
         .unwrap();
-        for workers in [1, 2, 8] {
-            for index_opt in [None, Some(&index)] {
-                let tree = matching::estimate_with(
-                    &df, &group, &treated, "y", &adjustment,
-                    &matching::MatchParams {
-                        index: index_opt,
-                        strategy: matching::MatchStrategy::Tree,
-                        workers,
-                    },
-                    &mut HotStats::default(),
-                )
-                .unwrap();
-                prop_assert_eq!(estimate_bits(&tree), estimate_bits(&brute));
-                prop_assert_eq!(tree.n_treated, brute.n_treated);
-                prop_assert_eq!(tree.n_control, brute.n_control);
-            }
+        for index_opt in [None, Some(&index)] {
+            let tree = matching::estimate_with(
+                &df, &group, &treated, "y", &adjustment,
+                &matching::MatchParams {
+                    index: index_opt,
+                    strategy: matching::MatchStrategy::Tree,
+                },
+                &mut HotStats::default(),
+            )
+            .unwrap();
+            prop_assert_eq!(estimate_bits(&tree), estimate_bits(&brute));
+            prop_assert_eq!(tree.n_treated, brute.n_treated);
+            prop_assert_eq!(tree.n_control, brute.n_control);
         }
     }
 
@@ -641,7 +603,7 @@ proptest! {
                     let (live, agreement) = match &table {
                         Some(table) => (table.estimate(&group, &treated), agreement),
                         None => (
-                            linear::estimate(&df, &group, &treated, outcome, &names),
+                            EstimatorKind::Linear.estimate(&df, &group, &treated, outcome, &names),
                             Agreement::Exact,
                         ),
                     };
