@@ -15,15 +15,16 @@
 //!
 //! Results go to stdout *and* to `BENCH_serve.json` (CWD, or the
 //! directory given as the first argument) so CI can archive the trend.
-//! With `--gate BASELINE.json`, the run compares its keep-alive
-//! throughput against the committed baseline's and exits 1 on a >20%
-//! regression.
+//! With `--gate BASELINE.json`, the keep-alive phase's throughput goes
+//! through the shared gate ([`faircap_bench::enforce_gate`] with
+//! [`faircap_bench::SERVE_GATE`]): the run exits 1 when it falls more than
+//! 20% below the committed baseline's.
 //!
 //! ```sh
 //! cargo run --release -p faircap-bench --bin serve_bench [-- OUT_DIR] [--gate BASELINE.json]
 //! ```
 
-use faircap_bench::session_of;
+use faircap_bench::{enforce_gate, json_obj, session_of, write_json, BenchArgs, SERVE_GATE};
 use faircap_core::{Json, SessionRegistry};
 use faircap_serve::{ServeClient, ServeConfig, Server};
 use std::sync::Arc;
@@ -41,8 +42,6 @@ const COALESCE_REQUESTS: usize = 25;
 const COALESCE_DISTINCT: usize = 4;
 /// Data seed for the benchmark dataset, recorded in every result entry.
 const SEED: u64 = 42;
-/// Relative keep-alive throughput drop vs. the baseline that fails the gate.
-const GATE_MAX_REGRESSION: f64 = 0.20;
 
 struct PhaseResult {
     phase: &'static str,
@@ -61,7 +60,7 @@ struct PhaseResult {
 impl PhaseResult {
     fn to_json(&self) -> Json {
         let num = Json::Num;
-        let mut fields: Vec<(String, Json)> = [
+        let fields = [
             ("phase", Json::Str(self.phase.into())),
             ("concurrency", num(self.clients as f64)),
             ("requests", num(self.completed as f64)),
@@ -72,14 +71,9 @@ impl PhaseResult {
             ("p90_ms", num(self.p90)),
             ("p99_ms", num(self.p99)),
             ("max_ms", num(self.max)),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_owned(), v))
-        .collect();
-        if let Some(hits) = self.coalesce_hits {
-            fields.push(("coalesce_hits".to_owned(), num(hits as f64)));
-        }
-        Json::Obj(fields)
+        ];
+        let hits = self.coalesce_hits.map(|h| ("coalesce_hits", num(h as f64)));
+        json_obj(fields.into_iter().chain(hits))
     }
 }
 
@@ -173,32 +167,8 @@ fn coalesce_hits(client: &ServeClient) -> u64 {
     }
 }
 
-/// The committed baseline's keep-alive throughput, if the file parses.
-fn baseline_keepalive_rps(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let doc = Json::parse(&text).ok()?;
-    let Json::Arr(phases) = doc.get("phases")? else {
-        return None;
-    };
-    phases
-        .iter()
-        .find_map(|p| match (p.get("phase"), p.get("throughput_rps")) {
-            (Some(Json::Str(name)), Some(Json::Num(rps))) if name == "keepalive" => Some(*rps),
-            _ => None,
-        })
-}
-
 fn main() {
-    let mut out_dir = ".".to_owned();
-    let mut gate: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--gate" {
-            gate = Some(args.next().expect("--gate needs a baseline path"));
-        } else {
-            out_dir = arg;
-        }
-    }
+    let args = BenchArgs::from_env("serve_bench", &[]);
 
     let ds = faircap_data::german::generate(faircap_data::german::GERMAN_DEFAULT_ROWS, SEED);
     let rows = ds.df.n_rows();
@@ -265,62 +235,33 @@ fn main() {
     );
 
     let num = Json::Num;
-    let doc = Json::Obj(
-        [
-            ("benchmark", Json::Str("serve".into())),
-            ("dataset", Json::Str("german".into())),
-            ("rows", num(rows as f64)),
-            ("seed", num(SEED as f64)),
-            ("warm", Json::Bool(true)),
-            // Schema note: percentiles are log-bucketed-histogram
-            // quantiles shared with the serve layer, not exact
-            // sorted-sample ranks as in pre-observability rows.
-            (
-                "quantile_method",
-                Json::Str(faircap_obs::QUANTILE_METHOD.into()),
-            ),
-            (
-                "phases",
-                Json::Arr(vec![
-                    per_conn.to_json(),
-                    keepalive.to_json(),
-                    coalesce.to_json(),
-                ]),
-            ),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_owned(), v))
-        .collect(),
-    );
-    let path = std::path::Path::new(&out_dir).join("BENCH_serve.json");
-    std::fs::write(&path, doc.render()).expect("writing BENCH_serve.json");
-    println!("serve_bench: wrote {}", path.display());
+    let doc = json_obj([
+        ("benchmark", Json::Str("serve".into())),
+        ("dataset", Json::Str("german".into())),
+        ("rows", num(rows as f64)),
+        ("seed", num(SEED as f64)),
+        ("warm", Json::Bool(true)),
+        // Schema note: percentiles are log-bucketed-histogram quantiles
+        // shared with the serve layer, not exact sorted-sample ranks as in
+        // pre-observability rows.
+        (
+            "quantile_method",
+            Json::Str(faircap_obs::QUANTILE_METHOD.into()),
+        ),
+        (
+            "phases",
+            Json::Arr(vec![
+                per_conn.to_json(),
+                keepalive.to_json(),
+                coalesce.to_json(),
+            ]),
+        ),
+    ]);
+    write_json("serve_bench", &args.out_dir, "BENCH_serve.json", &doc);
     server.shutdown();
 
-    if let Some(gate_path) = gate {
-        match baseline_keepalive_rps(&gate_path) {
-            Some(baseline) => {
-                let floor = baseline * (1.0 - GATE_MAX_REGRESSION);
-                println!(
-                    "serve_bench: gate — keepalive {:.1} req/s vs baseline {:.1} req/s (floor {:.1})",
-                    keepalive.throughput, baseline, floor
-                );
-                if keepalive.throughput < floor {
-                    eprintln!(
-                        "serve_bench: FAIL — keep-alive throughput regressed more than {:.0}%",
-                        GATE_MAX_REGRESSION * 100.0
-                    );
-                    std::process::exit(1);
-                }
-            }
-            None => {
-                // A missing or pre-phase-format baseline cannot gate; flag
-                // it loudly but let the run (which writes the new format)
-                // succeed so the baseline can be established.
-                eprintln!(
-                    "serve_bench: warning — no keepalive baseline in {gate_path}; gate skipped"
-                );
-            }
-        }
+    if let Some(gate_path) = &args.gate {
+        let measured = [(vec![keepalive.phase.to_owned()], keepalive.throughput)];
+        enforce_gate("serve_bench", &SERVE_GATE, gate_path, &measured);
     }
 }

@@ -22,34 +22,30 @@
 //!
 //! Results go to stdout *and* `BENCH_solve.json` (CWD, or the directory
 //! given as the first argument). With `--gate BASELINE.json`, each
-//! (case, dataset) entry's best-of-reps time is compared against the
-//! committed baseline's and the run exits 1 on a >20% regression (plus a
-//! 1 ms absolute slack for timer noise); entries missing from the
-//! baseline warn and skip so new datasets can land before their baseline.
+//! (case, dataset) entry's best-of-reps time goes through the shared gate
+//! ([`faircap_bench::enforce_gate`] with [`faircap_bench::SOLVE_GATE`]):
+//! the run exits 1 when one exceeds its baseline by more than 20% plus
+//! 1 ms, and entries missing from the baseline warn and skip so new
+//! datasets can land before their baseline.
 //!
 //! ```sh
 //! cargo run --release -p faircap-bench --bin solve_bench \
 //!     [-- OUT_DIR] [--gate BASELINE.json]
 //! ```
 
-use faircap_bench::session_of;
+use faircap_bench::{
+    best_of, enforce_gate, json_obj, session_of, write_json, BenchArgs, SOLVE_GATE,
+};
 use faircap_core::{
     FairnessConstraint, FairnessScope, Json, PrescriptionSession, SolutionReport, SolveRequest,
 };
 use faircap_data::{german, so, Dataset};
-use std::time::Instant;
 
 /// Timed repetitions per case (best-of is what the gate compares). Five
 /// reps because the warm sweep is fast enough that a single descheduling
 /// can double a rep's wall-clock; best-of-5 keeps the gate about
 /// regressions rather than scheduler luck.
 const REPS: usize = 5;
-/// Relative min-time increase vs. the baseline that fails the gate.
-const GATE_MAX_REGRESSION: f64 = 0.20;
-/// Absolute slack added to every gate ceiling: the warm sweep runs in
-/// well under a millisecond, where scheduler jitter swamps any 20%
-/// relative band. Irrelevant for the multi-ms cold cases.
-const GATE_ABS_SLACK_MS: f64 = 1.0;
 /// The cached warm sweep must beat the uncached warm sweep by at least
 /// this factor or the run fails — the property this PR's solve caches
 /// were built to deliver.
@@ -66,19 +62,14 @@ struct Entry {
 
 impl Entry {
     fn to_json(&self) -> Json {
-        Json::Obj(
-            [
-                ("case", Json::Str(self.case.clone())),
-                ("dataset", Json::Str(self.dataset.clone())),
-                ("rows", Json::Num(self.rows as f64)),
-                ("reps", Json::Num(self.reps as f64)),
-                ("min_ms", Json::Num(self.min_ms)),
-                ("mean_ms", Json::Num(self.mean_ms)),
-            ]
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-        )
+        json_obj([
+            ("case", Json::Str(self.case.clone())),
+            ("dataset", Json::Str(self.dataset.clone())),
+            ("rows", Json::Num(self.rows as f64)),
+            ("reps", Json::Num(self.reps as f64)),
+            ("min_ms", Json::Num(self.min_ms)),
+            ("mean_ms", Json::Num(self.mean_ms)),
+        ])
     }
 }
 
@@ -112,22 +103,15 @@ fn run_sweep(session: &PrescriptionSession, use_solve_cache: bool) -> Vec<Soluti
         .collect()
 }
 
-/// Time one case: `reps` timed runs, best-of and mean recorded.
-fn bench_case(
+/// Time one sweep case; the reports are the best-of rep's.
+fn time_case(
     case: &str,
     dataset: &str,
     rows: usize,
-    mut f: impl FnMut() -> Vec<SolutionReport>,
+    f: impl FnMut() -> Vec<SolutionReport>,
 ) -> (Entry, Vec<SolutionReport>) {
-    let mut times_ms = Vec::with_capacity(REPS);
-    let mut reports = Vec::new();
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        reports = f();
-        times_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    let min_ms = times_ms.iter().copied().fold(f64::INFINITY, f64::min);
-    let mean_ms = times_ms.iter().sum::<f64>() / times_ms.len() as f64;
+    let timed = best_of(REPS, f);
+    let (min_ms, mean_ms) = (timed.min_ms(), timed.mean_ms);
     println!(
         "solve_bench: {dataset} ({rows} rows) {case:<20} min {min_ms:9.3} ms  mean {mean_ms:9.3} ms"
     );
@@ -139,7 +123,7 @@ fn bench_case(
         min_ms,
         mean_ms,
     };
-    (entry, reports)
+    (entry, timed.best)
 }
 
 /// Assert two sweeps produced bit-identical rulesets: same rules in the
@@ -170,7 +154,7 @@ fn run_dataset(name: &str, ds: &Dataset, entries: &mut Vec<Entry>, speedups: &mu
     let rows = ds.df.n_rows();
 
     // Cold: a fresh session per repetition, so nothing carries over.
-    let (cold, _) = bench_case("cold_sweep", name, rows, || {
+    let (cold, _) = time_case("cold_sweep", name, rows, || {
         let session = session_of(ds).expect("dataset is well-formed");
         run_sweep(&session, true)
     });
@@ -180,10 +164,10 @@ fn run_dataset(name: &str, ds: &Dataset, entries: &mut Vec<Entry>, speedups: &mu
     let session = session_of(ds).expect("dataset is well-formed");
     run_sweep(&session, true);
 
-    let (nocache, nocache_reports) = bench_case("warm_sweep_nocache", name, rows, || {
+    let (nocache, nocache_reports) = time_case("warm_sweep_nocache", name, rows, || {
         run_sweep(&session, false)
     });
-    let (warm, warm_reports) = bench_case("warm_sweep", name, rows, || run_sweep(&session, true));
+    let (warm, warm_reports) = time_case("warm_sweep", name, rows, || run_sweep(&session, true));
 
     assert_sweeps_identical(
         &warm_reports,
@@ -215,35 +199,8 @@ fn run_dataset(name: &str, ds: &Dataset, entries: &mut Vec<Entry>, speedups: &mu
     entries.push(warm);
 }
 
-/// The committed baseline's `(case, dataset) → min_ms` map, if the file
-/// parses as a solve-benchmark document.
-fn baseline_times(path: &str) -> Option<Vec<(String, String, f64)>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let doc = Json::parse(&text).ok()?;
-    let Json::Arr(items) = doc.get("entries")? else {
-        return None;
-    };
-    let mut out = Vec::new();
-    for item in items {
-        if let (Some(Json::Str(case)), Some(Json::Str(dataset)), Some(Json::Num(min))) =
-            (item.get("case"), item.get("dataset"), item.get("min_ms"))
-        {
-            out.push((case.clone(), dataset.clone(), *min));
-        }
-    }
-    Some(out)
-}
-
 fn main() {
-    let mut out_dir = ".".to_owned();
-    let mut gate: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--gate" => gate = Some(args.next().expect("--gate needs a baseline path")),
-            _ => out_dir = arg,
-        }
-    }
+    let args = BenchArgs::from_env("solve_bench", &[]);
 
     let mut entries = Vec::new();
     let mut speedups = Vec::new();
@@ -268,53 +225,13 @@ fn main() {
         ),
         ("speedups".into(), Json::Arr(speedups)),
     ]);
-    let out_dir = out_dir.trim_end_matches('/');
-    std::fs::create_dir_all(out_dir).expect("creating the output directory");
-    let path = format!("{out_dir}/BENCH_solve.json");
-    std::fs::write(&path, doc.render()).expect("writing BENCH_solve.json");
-    println!("solve_bench: wrote {path}");
+    write_json("solve_bench", &args.out_dir, "BENCH_solve.json", &doc);
 
-    if let Some(gate_path) = gate {
-        match baseline_times(&gate_path) {
-            Some(baseline) if !baseline.is_empty() => {
-                let mut regressed = false;
-                for entry in &entries {
-                    let Some((_, _, base_min)) = baseline
-                        .iter()
-                        .find(|(c, d, _)| *c == entry.case && *d == entry.dataset)
-                    else {
-                        eprintln!(
-                            "solve_bench: warning — no baseline for {} @ {}; skipped",
-                            entry.case, entry.dataset
-                        );
-                        continue;
-                    };
-                    let ceiling = base_min * (1.0 + GATE_MAX_REGRESSION) + GATE_ABS_SLACK_MS;
-                    let verdict = if entry.min_ms > ceiling {
-                        regressed = true;
-                        "REGRESSED"
-                    } else {
-                        "ok"
-                    };
-                    println!(
-                        "solve_bench: gate {} @ {} — {:.3} ms vs baseline {:.3} ms (ceiling {:.3}): {}",
-                        entry.case, entry.dataset, entry.min_ms, base_min, ceiling, verdict
-                    );
-                }
-                if regressed {
-                    eprintln!(
-                        "solve_bench: FAIL — at least one case regressed more than {:.0}% \
-                         vs {gate_path}",
-                        GATE_MAX_REGRESSION * 100.0
-                    );
-                    std::process::exit(1);
-                }
-            }
-            _ => {
-                eprintln!(
-                    "solve_bench: warning — no baseline entries in {gate_path}; gate skipped"
-                );
-            }
-        }
+    if let Some(gate_path) = &args.gate {
+        let measured: Vec<_> = entries
+            .iter()
+            .map(|e| (vec![e.case.clone(), e.dataset.clone()], e.min_ms))
+            .collect();
+        enforce_gate("solve_bench", &SOLVE_GATE, gate_path, &measured);
     }
 }

@@ -449,20 +449,49 @@ fn await_metrics(client: &ServeClient, what: &str, ready: impl Fn(&Json) -> bool
 
 #[test]
 fn pipelined_identical_solves_coalesce_into_one_underlying_solve() {
-    // One worker and a deep queue: the cold solve is slow, so every
-    // pipelined duplicate arrives (and is parsed, on the reactor thread,
-    // in one pass) long before the leader's solve completes.
-    let (server, client) = boot(ServeConfig {
-        max_concurrent_solves: 1,
-        solve_queue_depth: 16,
-        ..ServeConfig::default()
+    // One worker and a deep queue. A cold solve of a second, 30k-row
+    // session holds the only worker first, so the leader of the pipelined
+    // batch is admitted and queued behind it, and every duplicate attaches
+    // to the queued leader in the coalescer. The leader's own solve time no
+    // longer has to outlast the parse of its duplicates.
+    let registry = Arc::new(SessionRegistry::new());
+    registry.register("so", so_session(2_000));
+    registry.register("blocker", so_session(30_000));
+    let server = Server::start(
+        ServeConfig {
+            max_concurrent_solves: 1,
+            solve_queue_depth: 16,
+            ..ServeConfig::default()
+        },
+        registry,
+    )
+    .unwrap();
+    let client = server.client();
+    client.wait_ready(Duration::from_secs(30)).unwrap();
+    let blocker = {
+        let client = client.clone();
+        std::thread::spawn(move || {
+            let mut conn = client.connect().unwrap();
+            conn.request(
+                "POST",
+                "/v1/solve",
+                Some(r#"{"session": "blocker", "max_rules": 4}"#),
+            )
+            .unwrap()
+        })
+    };
+    await_metrics(&client, "the blocker to hold the worker", |m| {
+        field(m, "admission.in_flight") == 1.0
     });
+
     let n = 6;
-    let body = r#"{"max_rules": 4}"#;
+    let body = r#"{"session": "so", "max_rules": 4}"#;
     let mut conn = client.connect().unwrap();
     let requests: Vec<(&str, &str, Option<&str>)> =
         (0..n).map(|_| ("POST", "/v1/solve", Some(body))).collect();
     let responses = conn.pipeline(&requests).unwrap();
+    let blocked = blocker.join().unwrap();
+    assert_eq!(blocked.status, 200, "{}", blocked.body);
 
     assert_eq!(responses.len(), n);
     for response in &responses {
@@ -484,8 +513,9 @@ fn pipelined_identical_solves_coalesce_into_one_underlying_solve() {
         (n - 1) as f64
     );
     assert_eq!(metric(&client, "requests.coalesce_hits"), (n - 1) as f64);
-    // Delivered-response accounting still counts every waiter.
-    assert_eq!(metric(&client, "requests.solves_ok"), n as f64);
+    // Delivered-response accounting still counts every waiter, plus the
+    // blocker's own response.
+    assert_eq!(metric(&client, "requests.solves_ok"), (n + 1) as f64);
     assert_eq!(metric(&client, "admission.coalesce_in_flight"), 0.0);
     server.shutdown();
 }
