@@ -75,15 +75,21 @@ pub fn adapt_if_clauses(
             let cov_np = everyone.andnot(protected_mask);
             let group = GroupHandle::new(&everyone);
             let (group_p, group_np) = (GroupHandle::new(&cov_p), GroupHandle::new(&cov_np));
+            let mut walk = query.walk();
             for intervention in &clauses {
-                let Some(est) = query.cate_in(group, intervention) else {
+                // The clause's coverage is the treated rows of all three
+                // queries.
+                let treated = intervention.coverage(df)?;
+                let Some(est) = walk.cate(group, intervention, &treated) else {
                     continue;
                 };
                 if est.cate <= 0.0 {
                     continue; // negative-utility rules are discarded (§4.3)
                 }
-                let utility = |sub: GroupHandle<'_>| {
-                    subgroup_utility(sub.mask(), est.cate, || query.cate_in(sub, intervention))
+                let mut utility = |sub: GroupHandle<'_>| {
+                    subgroup_utility(sub.mask(), est.cate, || {
+                        walk.cate(sub, intervention, &treated)
+                    })
                 };
                 let (u_p, u_np) = (utility(group_p), utility(group_np));
                 let utility = RuleUtility {
@@ -263,14 +269,10 @@ mod tests {
     fn unknown_clause_column_is_a_typed_error() {
         let s = session();
         let clauses = vec![Pattern::of_eq(&[("ghost", Value::from("x"))])];
-        let err = adapt_if_clauses(
-            &s,
-            &clauses,
-            IfClauseRole::Grouping,
-            "x",
-            &FairCapConfig::default(),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("ghost"));
+        for role in [IfClauseRole::Grouping, IfClauseRole::Intervention] {
+            let err =
+                adapt_if_clauses(&s, &clauses, role, "x", &FairCapConfig::default()).unwrap_err();
+            assert!(err.to_string().contains("ghost"), "{role:?}: {err}");
+        }
     }
 }

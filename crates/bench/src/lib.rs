@@ -29,7 +29,6 @@ use faircap_core::{
 use faircap_data::Dataset;
 use faircap_table::Pattern;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Build a [`PrescriptionSession`] from a dataset bundle (frame and DAG are
@@ -38,23 +37,6 @@ pub fn session_of(ds: &Dataset) -> faircap_core::Result<PrescriptionSession> {
     FairCap::builder()
         .data(ds.df.clone())
         .dag(ds.dag.clone())
-        .outcome(&ds.outcome)
-        .immutable(ds.immutable.iter().cloned())
-        .mutable(ds.mutable.iter().cloned())
-        .protected(ds.protected.clone())
-        .build()
-}
-
-/// Build a session that shares (rather than clones) an already-`Arc`ed
-/// frame and DAG — what a serving deployment would do.
-pub fn session_of_shared(
-    df: Arc<faircap_table::DataFrame>,
-    dag: Arc<faircap_causal::Dag>,
-    ds: &Dataset,
-) -> faircap_core::Result<PrescriptionSession> {
-    FairCap::builder()
-        .data(df)
-        .dag(dag)
         .outcome(&ds.outcome)
         .immutable(ds.immutable.iter().cloned())
         .mutable(ds.mutable.iter().cloned())

@@ -7,15 +7,13 @@
 //! supplied per query (see [`Estimator`]), so one long-lived engine serves
 //! repeated solves under different estimators while sharing its caches.
 //!
-//! Six caches persist across queries, all of one type, the sharded LRU
+//! Five caches persist across queries, all of one type, the sharded LRU
 //! [`ShardedLruCache`]: a lookup locks one of its shards, never the whole
 //! engine.
 //!
 //! * adjustment sets ([`Adjustment`]: the covariate names and their 64-bit
 //!   FNV fingerprint), derived from the DAG once per treatment-attribute
 //!   set;
-//! * treated-row masks, one per intervention pattern a pattern-only query
-//!   ([`CateQuery::cate_in`]) asked about;
 //! * KD-tree match indices ([`MatchIndexCache`]), one per
 //!   `(group fingerprint, adjustment fingerprint)` — the matching
 //!   estimator's standardized design and tree are built once and reused
@@ -37,20 +35,21 @@
 //!   a map slot writes only that word. The cache's entry count can be
 //!   bounded ([`CateEngine::set_estimate_cache_capacity`]) with
 //!   least-recently-used eviction for long-lived serving deployments; the
-//!   other five hold one entry per key ever queried, or a fixed LRU bound
-//!   for the three group caches, whose entries hold O(rows) data.
+//!   adjustment cache holds one entry per treatment-attribute set ever
+//!   queried, and the three group caches, whose entries hold O(rows)
+//!   data, a fixed LRU bound.
 //!
 //! There are two ways in, and one estimation path behind them:
 //!
-//! * [`CateQuery::cate_in`] answers from the intervention pattern alone:
-//!   on an estimate-cache miss it looks up the adjustment set and the
-//!   treated mask in the engine's caches (computing them on first use);
 //! * a [`CateWalk`] ([`CateQuery::walk`]) serves one group's lattice walk
 //!   and its sub-coverage queries. The caller passes the treated mask it
 //!   already holds — any mask that agrees with the pattern's rows inside
 //!   the group, such as a lattice node's `coverage ∧ pattern` — and the
 //!   walk resolves each treatment-attribute set's adjustment once, in a
-//!   memo of its own. It never touches the treated-mask cache.
+//!   memo of its own;
+//! * [`CateEngine::cate`] answers one query from the intervention pattern
+//!   alone: on an estimate-cache miss it looks up the adjustment set and
+//!   computes the pattern's coverage, which nothing caches.
 //!
 //! Each estimator name has one bookkeeping record on the engine, resolved
 //! once per [`CateQuery`] ([`CateEngine::with_estimator`]) and carried by
@@ -64,7 +63,7 @@
 //! [`CateEngine::estimate_histograms`]); the session integration tests
 //! assert on them.
 //!
-//! The full cache state (adjustment sets, treated masks, estimates) can be
+//! The persistent cache state (adjustment sets and estimates) can be
 //! exported and re-imported ([`CateEngine::export_state`] /
 //! [`CateEngine::import_state`]) — the substrate of
 //! `PrescriptionSession::snapshot()` warm-starts.
@@ -86,9 +85,9 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Number of lock shards of the estimate and treated-mask caches. Step-2
-/// mining fans out across worker threads that all funnel their CATE
-/// queries through one engine; 16 shards keep them off each other's locks.
+/// Number of lock shards of the estimate cache. Step-2 mining fans out
+/// across worker threads that all funnel their CATE queries through one
+/// engine; 16 shards keep them off each other's locks.
 const ESTIMATE_CACHE_SHARDS: usize = 16;
 
 /// Default entry bound of the match-index cache. Indices are heavy
@@ -350,8 +349,6 @@ pub struct CateEngineState {
     /// Backdoor adjustment sets per treatment-attribute set (`None` =
     /// identification failed).
     pub adjustments: Vec<(Vec<String>, Option<Vec<String>>)>,
-    /// Treated-row masks per intervention pattern.
-    pub treated: Vec<(Pattern, Mask)>,
     /// Cached estimates: `(estimator name, group fingerprint, intervention,
     /// estimate-or-not-estimable)`.
     pub estimates: Vec<(String, u64, Pattern, Option<Estimate>)>,
@@ -363,7 +360,6 @@ pub struct CateEngine {
     dag: Arc<Dag>,
     outcome: String,
     adjustment_cache: ShardedLruCache<Vec<String>, Option<Arc<Adjustment>>>,
-    treated_cache: ShardedLruCache<Pattern, Mask>,
     /// Estimates and not-estimable verdicts, sharded and LRU-bounded.
     estimate_cache: ShardedLruCache<EstimateKey, Option<Estimate>>,
     /// Match indices and cell tables, shared across each group's
@@ -406,7 +402,6 @@ impl CateEngine {
             dag,
             outcome,
             adjustment_cache: ShardedLruCache::unbounded(GROUP_CACHE_SHARDS),
-            treated_cache: ShardedLruCache::unbounded(ESTIMATE_CACHE_SHARDS),
             estimate_cache: ShardedLruCache::unbounded(ESTIMATE_CACHE_SHARDS),
             group_caches: GroupCaches {
                 match_index: ShardedLruCache::new(MATCH_INDEX_CACHE_CAPACITY, GROUP_CACHE_SHARDS),
@@ -496,30 +491,34 @@ impl CateEngine {
         computed
     }
 
-    /// Mask of rows satisfying an intervention pattern (cached).
-    pub fn treated_mask(&self, intervention: &Pattern) -> Result<Mask> {
-        if let Some(hit) = self.treated_cache.get(intervention) {
-            return Ok(hit);
-        }
-        let m = intervention.coverage(&self.df)?;
-        self.treated_cache.insert(intervention.clone(), m.clone());
-        Ok(m)
-    }
-
     /// CATE of `intervention` within `group` under `estimator`
     /// (Definition 4.4 utilities).
     ///
     /// Returns `None` when the effect is not estimable: unidentified
     /// adjustment, insufficient overlap, or a degenerate design. Both
     /// estimable and non-estimable answers are cached per
-    /// `(estimator, group, intervention)`.
+    /// `(estimator, group, intervention)`. Only a miss resolves the
+    /// adjustment set and then computes the pattern's coverage as the
+    /// treated rows; a caller that already holds them, or queries many
+    /// patterns against one group, uses a [`CateQuery::walk`] instead.
     pub fn cate(
         &self,
         group: &Mask,
         intervention: &Pattern,
         estimator: &dyn Estimator,
     ) -> Option<Estimate> {
-        self.with_estimator(estimator).cate(group, intervention)
+        let query = self.with_estimator(estimator);
+        let group = GroupHandle::new(group);
+        query.cached(group, intervention, || {
+            let attrs: Vec<String> = intervention
+                .attributes()
+                .into_iter()
+                .map(str::to_owned)
+                .collect();
+            let adjustment = self.adjustment_for(&attrs)?;
+            let treated = intervention.coverage(&self.df).ok()?;
+            query.estimate_uncached(group, &treated, &adjustment)
+        })
     }
 
     /// Per-estimator estimate-duration histograms (nanoseconds per
@@ -530,11 +529,6 @@ impl CateEngine {
         let ran = records.values().filter(|r| r.durations.count() > 0);
         ran.map(|r| (r.name.to_string(), r.durations.snapshot()))
             .collect()
-    }
-
-    /// Number of cached estimates (diagnostics).
-    pub fn cache_len(&self) -> usize {
-        self.estimate_cache.len()
     }
 
     /// Hot-path cost accounting across every estimation run this engine
@@ -576,11 +570,6 @@ impl CateEngine {
     /// The engine starts unbounded (`usize::MAX`).
     pub fn set_estimate_cache_capacity(&self, capacity: usize) {
         charge_evictions(self.estimate_cache.set_capacity(capacity));
-    }
-
-    /// The estimate cache's configured entry bound.
-    pub fn estimate_cache_capacity(&self) -> usize {
-        self.estimate_cache.capacity()
     }
 
     /// Estimate-cache hit/miss counters since the engine was built,
@@ -642,17 +631,14 @@ impl CateEngine {
         record.map_or_else(CacheCounters::default, |r| r.counters())
     }
 
-    /// Export every cache the engine has warmed — adjustment sets, treated
-    /// masks, and estimates — for persistence. The inverse of
+    /// Export the caches a warm restart needs — adjustment sets and
+    /// estimates — for persistence. The inverse of
     /// [`import_state`](Self::import_state).
     pub fn export_state(&self) -> CateEngineState {
         let mut adjustments = Vec::with_capacity(self.adjustment_cache.len());
         self.adjustment_cache.for_each(|k, v| {
             adjustments.push((k.clone(), v.as_ref().map(|a| a.names.clone())));
         });
-        let mut treated = Vec::with_capacity(self.treated_cache.len());
-        self.treated_cache
-            .for_each(|k, v| treated.push((k.clone(), v.clone())));
         let mut estimates = Vec::with_capacity(self.estimate_cache.len());
         self.estimate_cache.for_each(|key, est| {
             estimates.push((
@@ -664,7 +650,6 @@ impl CateEngine {
         });
         CateEngineState {
             adjustments,
-            treated,
             estimates,
         }
     }
@@ -678,9 +663,6 @@ impl CateEngine {
         for (k, v) in state.adjustments {
             self.adjustment_cache
                 .insert(k, v.map(|names| Arc::new(Adjustment::new(names))));
-        }
-        for (k, v) in state.treated {
-            self.treated_cache.insert(k, v);
         }
         for (name, group_fp, intervention, est) in state.estimates {
             let record = self.record(&name);
@@ -735,30 +717,6 @@ impl<'a> CateQuery<'a> {
     /// See [`CateEngine::affects_outcome`].
     pub fn affects_outcome(&self, attr: &str) -> bool {
         self.engine.affects_outcome(attr)
-    }
-
-    /// See [`CateEngine::cate`].
-    pub fn cate(&self, group: &Mask, intervention: &Pattern) -> Option<Estimate> {
-        self.cate_in(GroupHandle::new(group), intervention)
-    }
-
-    /// [`cate`](Self::cate) against a group fingerprinted once by its
-    /// [`GroupHandle`], for a sweep of interventions over one group, when
-    /// the caller holds only the pattern: an estimation takes the
-    /// adjustment set and the treated mask from the engine's caches. A
-    /// caller that already holds the treated rows uses a
-    /// [`walk`](Self::walk) instead.
-    pub fn cate_in(&self, group: GroupHandle<'_>, intervention: &Pattern) -> Option<Estimate> {
-        self.cached(group, intervention, || {
-            let attrs: Vec<String> = intervention
-                .attributes()
-                .into_iter()
-                .map(str::to_owned)
-                .collect();
-            let adjustment = self.engine.adjustment_for(&attrs)?;
-            let treated = self.engine.treated_mask(intervention).ok()?;
-            self.estimate_uncached(group, &treated, &adjustment)
-        })
     }
 
     /// Start a walk: the entry point for one group's lattice walk and its
@@ -852,13 +810,13 @@ impl<'a> CateQuery<'a> {
 
 /// One group's walk through a [`CateQuery`]: the lattice walk over the
 /// group and the queries of its protected and non-protected
-/// sub-coverages. Answers are cached exactly as [`CateQuery::cate_in`]'s,
+/// sub-coverages. Answers are cached exactly as [`CateEngine::cate`]'s,
 /// under the same keys, and are bit-identical to them.
 ///
 /// What the walk saves is the bookkeeping around an estimate. The caller
 /// passes the treated mask it already holds (a lattice node's
-/// `coverage ∧ pattern`) instead of having the engine look up or compute
-/// the pattern's full-frame mask, and the walk keeps a small memo from
+/// `coverage ∧ pattern`) instead of having the engine compute the
+/// pattern's full-frame mask, and the walk keeps a small memo from
 /// treatment-attribute set to [`Adjustment`], so each set's names and
 /// fingerprint are resolved once per walk rather than once per estimate.
 /// A walk is meant for one thread; make one per group.
@@ -915,7 +873,7 @@ impl CateWalk<'_, '_> {
 /// caches the group's estimates and group tables. Fingerprinting hashes
 /// every word of the mask, so a caller that queries many interventions
 /// against one group builds the handle once and passes it to
-/// [`CateQuery::cate_in`].
+/// [`CateWalk::cate`].
 #[derive(Debug, Clone, Copy)]
 pub struct GroupHandle<'m> {
     mask: &'m Mask,
@@ -1036,7 +994,7 @@ mod tests {
         engine.cate(&all, &p, &EstimatorKind::Linear);
         engine.cate(&all, &p, &EstimatorKind::Stratified);
         assert_eq!(engine.cache_stats().misses, 2);
-        assert_eq!(engine.cache_len(), 2);
+        assert_eq!(engine.cache_stats().entries, 2);
         // Re-querying either is a hit.
         engine.cate(&all, &p, &EstimatorKind::Stratified);
         assert_eq!(engine.cache_stats().hits, 1);
@@ -1147,7 +1105,6 @@ mod tests {
             for t in 0..2 {
                 let (engine, keys, start, estimators) = (&engine, &keys, &start, &estimators);
                 scope.spawn(move || {
-                    let queries = estimators.each_ref().map(|e| engine.with_estimator(e));
                     start.wait();
                     for _ in 0..ROUNDS {
                         // The threads walk the keys in opposite orders, so
@@ -1155,8 +1112,8 @@ mod tests {
                         // other's entries.
                         for i in 0..keys.len() {
                             let (group, p) = &keys[if t == 0 { i } else { keys.len() - 1 - i }];
-                            for q in &queries {
-                                q.cate(group, p);
+                            for e in estimators {
+                                engine.cate(group, p, e);
                             }
                         }
                     }
@@ -1239,11 +1196,11 @@ mod tests {
     }
 
     /// The walk entry point, handed `coverage ∧ pattern` as the treated
-    /// mask, answers bit for bit as `cate_in` with the full-frame mask —
-    /// for every estimator, on a group and on its protected and
-    /// non-protected sub-coverages, refusals included.
+    /// mask, answers bit for bit as the engine's pattern-only `cate` with
+    /// the full-frame mask — for every estimator, on a group and on its
+    /// protected and non-protected sub-coverages, refusals included.
     #[test]
-    fn walk_with_coverage_masks_matches_cate_in() {
+    fn walk_with_coverage_masks_matches_cate() {
         let (df, dag) = fixture();
         let n = df.n_rows();
         let coverage = Mask::from_indices(n, &(0..n).filter(|r| r % 3 != 0).collect::<Vec<_>>());
@@ -1274,10 +1231,7 @@ mod tests {
         for kind in EstimatorKind::ALL {
             let by_pattern = CateEngine::new(Arc::clone(&df), Arc::clone(&dag), "income").unwrap();
             let by_walk = CateEngine::new(Arc::clone(&df), Arc::clone(&dag), "income").unwrap();
-            let (q_pattern, q_walk) = (
-                by_pattern.with_estimator(&kind),
-                by_walk.with_estimator(&kind),
-            );
+            let q_walk = by_walk.with_estimator(&kind);
             let mut walk = q_walk.walk();
             let (mut estimated, mut refused) = (0, 0);
             for p in &interventions {
@@ -1286,10 +1240,9 @@ mod tests {
                     Err(_) => Mask::zeros(n),
                 };
                 for sub in &subs {
-                    let group = GroupHandle::new(sub);
-                    let expected = q_pattern.cate_in(group, p);
+                    let expected = by_pattern.cate(sub, p, &kind);
                     assert_eq!(
-                        bits(walk.cate(group, p, &treated)),
+                        bits(walk.cate(GroupHandle::new(sub), p, &treated)),
                         bits(expected),
                         "{kind:?} {p} on {} rows",
                         sub.count()
@@ -1304,8 +1257,6 @@ mod tests {
                 estimated >= 5 && refused >= 9,
                 "{kind:?}: {estimated}/{refused}"
             );
-            // The walk reads no treated mask from the engine.
-            assert!(by_walk.export_state().treated.is_empty());
             assert_eq!(
                 by_walk.cache_stats().misses,
                 by_pattern.cache_stats().misses
@@ -1348,7 +1299,6 @@ mod tests {
         let state = engine.export_state();
         assert_eq!(state.estimates.len(), 2);
         assert!(!state.adjustments.is_empty());
-        assert!(!state.treated.is_empty());
 
         let (df, dag) = fixture();
         let fresh = CateEngine::new(df, dag, "income").unwrap();
@@ -1454,8 +1404,9 @@ mod tests {
         let engine = engine();
         let all = Mask::ones(engine.df().n_rows());
         let p = Pattern::of_eq(&[("educated", Value::Bool(true))]);
+        let treated = p.coverage(engine.df()).unwrap();
         let q = engine.with_estimator(&EstimatorKind::Linear);
-        let a = q.cate(&all, &p);
+        let a = q.walk().cate(GroupHandle::new(&all), &p, &treated);
         let b = engine.cate(&all, &p, &EstimatorKind::Linear);
         assert_eq!(a, b);
         let stats = engine.cache_stats();

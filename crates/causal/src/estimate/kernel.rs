@@ -72,12 +72,6 @@ impl ColumnDesign {
     pub(crate) fn cols_mut(&mut self) -> &mut [Vec<f64>] {
         &mut self.cols
     }
-
-    /// Wrap pre-built columns (the reference implementations build theirs
-    /// row by row).
-    pub fn from_cols(cols: Vec<Vec<f64>>) -> ColumnDesign {
-        ColumnDesign { cols }
-    }
 }
 
 /// Assemble the `[1, (T,) Z…]` design over the rows of `group` in

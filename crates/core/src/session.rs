@@ -13,9 +13,8 @@
 //!   solves, so re-solving under a new fairness constraint performs **no
 //!   redundant CATE estimation** (observable via
 //!   [`PrescriptionSession::cache_stats`]). Step 2 hands each estimate the
-//!   lattice node's own mask as its treated rows, so only pattern-only
-//!   queries (the baselines' adaptations, [`CateEngine::cate`]) fill the
-//!   engine's treated-mask cache;
+//!   lattice node's own mask as its treated rows, so no estimate
+//!   recomputes a pattern's coverage over the whole frame;
 //! * grouping-pattern mining output is cached per effective Apriori
 //!   parameters;
 //! * the estimator is chosen per request ([`SolveRequest::estimator`]), so
@@ -134,12 +133,10 @@ impl SessionBuilder {
 
     /// Warm-start the session from a [`SessionSnapshot`] taken on an
     /// earlier session over the same data and outcome (see
-    /// [`PrescriptionSession::snapshot`]). The snapshot's adjustment sets,
-    /// treated masks, and estimates are imported into the engine caches, so
-    /// the first solve behaves like a re-solve: a solve repeating the
-    /// snapshotted workload performs **zero** estimate-cache misses. The
-    /// estimates are what make it so; treated masks, present only for
-    /// pattern-only queries, spare those queries recomputing a mask.
+    /// [`PrescriptionSession::snapshot`]). The snapshot's adjustment sets
+    /// and estimates are imported into the engine caches, so the first
+    /// solve behaves like a re-solve: a solve repeating the snapshotted
+    /// workload performs **zero** estimate-cache misses.
     ///
     /// `build` fails with [`Error::Snapshot`] when the snapshot's outcome
     /// or row count disagrees with the session being built.
@@ -206,8 +203,8 @@ impl SessionBuilder {
                     df.n_rows()
                 )));
             }
-            // Adjustment sets are DAG-derived and treated masks / estimates
-            // are data-derived: importing either under a changed DAG or
+            // Adjustment sets are DAG-derived and estimates are
+            // data-derived: importing either under a changed DAG or
             // changed data would silently produce wrong causal answers, so
             // a mismatched snapshot is refused outright.
             if snapshot.dag_fp != crate::snapshot::dag_fingerprint(&dag) {
@@ -507,8 +504,8 @@ impl SolveHotStats {
 
 /// A validated, long-lived Prescription Ruleset Selection instance.
 ///
-/// Owns the data, the DAG, the [`CateEngine`] (with its adjustment /
-/// treated-mask / estimate caches), and the grouping-pattern mining cache.
+/// Owns the data, the DAG, the [`CateEngine`] (with its adjustment-set
+/// and estimate caches), and the grouping-pattern mining cache.
 /// Build once via [`FairCap::builder`], then call
 /// [`solve`](Self::solve) repeatedly — each call may change constraints,
 /// estimator, and rule budget while reusing every cache the previous calls
@@ -672,17 +669,11 @@ impl PrescriptionSession {
         *self.hot.lock()
     }
 
-    /// Capture the session's warmed caches — adjustment sets, treated
-    /// masks, and all CATE estimates — as a [`SessionSnapshot`] that can be
-    /// serialized ([`SessionSnapshot::encode`]) and restored into a new
-    /// session over the same data via
-    /// [`SessionBuilder::warm_start`]. A restored session re-solving the
-    /// same workload performs zero estimate-cache misses.
-    ///
-    /// Solves leave the treated-mask cache empty (Step 2 estimates against
-    /// each lattice node's own mask), so the snapshot's treated masks are
-    /// those of pattern-only queries on the engine, such as
-    /// [`CateEngine::cate`], and none after solves alone.
+    /// Capture the session's warmed caches — adjustment sets and all CATE
+    /// estimates — as a [`SessionSnapshot`] that can be serialized
+    /// ([`SessionSnapshot::encode`]) and restored into a new session over
+    /// the same data via [`SessionBuilder::warm_start`]. A restored session
+    /// re-solving the same workload performs zero estimate-cache misses.
     pub fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
             outcome: self.outcome.clone(),
@@ -1377,12 +1368,10 @@ mod tests {
         assert_eq!(report_cold.summary, report_warm.summary);
     }
 
-    /// Step 2 hands the estimator each lattice node's own mask, so a solve
-    /// leaves the engine's treated-mask cache empty: a snapshot carries
-    /// only the masks of pattern-only queries, and its estimates alone
-    /// still make the warm re-solve miss nothing.
+    /// A snapshot's adjustment sets and estimates alone make the warm
+    /// re-solve miss nothing and reproduce the cold ruleset.
     #[test]
-    fn snapshot_after_solve_carries_only_pattern_query_masks() {
+    fn snapshot_after_solve_warm_starts_without_misses() {
         let (df, dag, prot) = fixture();
         let build = || {
             FairCap::builder()
@@ -1398,24 +1387,11 @@ mod tests {
         let snapshot = cold.snapshot();
         assert!(!snapshot.state.estimates.is_empty());
         assert!(!snapshot.state.adjustments.is_empty());
-        assert!(snapshot.state.treated.is_empty());
-
-        // A pattern-only query caches its treated mask, and a snapshot
-        // taken after it carries that mask alone.
-        let big = Pattern::of_eq(&[("big", Value::from("yes"))]);
-        let everyone = Mask::ones(df.n_rows());
-        cold.engine()
-            .cate(&everyone, &big, &EstimatorKind::Linear)
-            .expect("estimable");
-        let treated = cold.snapshot().state.treated;
-        assert_eq!(treated.len(), 1);
-        assert_eq!(treated[0], (big.clone(), big.coverage(&df).unwrap()));
 
         let decoded = SessionSnapshot::decode(&snapshot.encode()).unwrap();
         let warm = build().warm_start(decoded).build().unwrap();
         let report_warm = warm.solve(&SolveRequest::default()).unwrap();
         assert_eq!(warm.cache_stats().misses, 0);
-        assert!(warm.snapshot().state.treated.is_empty());
         let rules = |r: &SolutionReport| r.rules.iter().map(|r| r.to_string()).collect::<Vec<_>>();
         assert_eq!(rules(&report_cold), rules(&report_warm));
     }
@@ -1470,8 +1446,8 @@ mod tests {
             matches!(err, Error::Snapshot(ref msg) if msg.contains("DAG")),
             "{err}"
         );
-        // … and so does changed data with the same shape (treated masks and
-        // estimates are data-derived): same SCM, different sampling seed.
+        // … and so does changed data with the same shape (estimates are
+        // data-derived): same SCM, different sampling seed.
         let (df2, dag2, prot2) = fixture_with_seed(29);
         let err = FairCap::builder()
             .data(df2)

@@ -2,9 +2,9 @@
 //! restore them into a new session (warm start).
 //!
 //! A snapshot captures everything estimation-related that a session learns
-//! while solving — backdoor adjustment sets, treated-row masks, and CATE
-//! estimates keyed by `(estimator name, subgroup fingerprint, intervention
-//! pattern)`, including the negative "not estimable" verdicts. Restoring it
+//! while solving — backdoor adjustment sets and CATE estimates keyed by
+//! `(estimator name, subgroup fingerprint, intervention pattern)`,
+//! including the negative "not estimable" verdicts. Restoring it
 //! into a session built over the *same* data and outcome
 //! ([`SessionBuilder::warm_start`]) makes the first solve behave like a
 //! re-solve: zero estimate-cache misses (asserted by
@@ -13,7 +13,7 @@
 //! # Format and versioning
 //!
 //! The wire format is a line-oriented, token-escaped text format with an
-//! explicit version header (`faircap-snapshot v2`). The compatibility
+//! explicit version header (`faircap-snapshot v3`). The compatibility
 //! policy is:
 //!
 //! * decoding rejects any snapshot whose major version is unknown with a
@@ -25,8 +25,8 @@
 //! * restoring validates the outcome name, row count, DAG fingerprint, and
 //!   data-content fingerprint against the session being built — a snapshot
 //!   taken under a different DAG or different data is refused, because its
-//!   adjustment sets, treated masks, and estimates would be silently wrong
-//!   for the new instance.
+//!   adjustment sets and estimates would be silently wrong for the new
+//!   instance.
 //!
 //! Floats are serialized as IEEE-754 bit patterns (hex), so estimates —
 //! including infinities produced by degenerate designs — round-trip
@@ -38,7 +38,7 @@
 
 use crate::error::{Error, Result};
 use faircap_causal::{CateEngineState, Dag, Estimate};
-use faircap_table::{CmpOp, DataFrame, FnvHasher, Mask, Pattern, Predicate, Value};
+use faircap_table::{CmpOp, DataFrame, FnvHasher, Pattern, Predicate, Value};
 use std::fmt::Write as _;
 
 /// Serialized-cache bundle of one session. Produced by
@@ -56,10 +56,10 @@ pub struct SessionSnapshot {
     /// DAG-derived, so a changed DAG invalidates the whole snapshot).
     pub dag_fp: u64,
     /// Fingerprint of the originating session's data contents
-    /// ([`data_fingerprint`]; validated on restore — treated masks and
-    /// estimates are data-derived).
+    /// ([`data_fingerprint`]; validated on restore — estimates are
+    /// data-derived).
     pub data_fp: u64,
-    /// The engine cache state: adjustments, treated masks, estimates.
+    /// The engine cache state: adjustments and estimates.
     pub state: CateEngineState,
 }
 
@@ -117,14 +117,19 @@ pub fn dag_fingerprint(dag: &Dag) -> u64 {
     h.finish64()
 }
 
-/// Current snapshot format version (the `v2` of the header line).
+/// Current snapshot format version (the `v3` of the header line).
 ///
 /// v1 → v2: every persisted fingerprint (group, DAG, data) moved from
 /// `DefaultHasher` — whose output is only stable within one Rust compiler
 /// release — to the in-repo FNV-1a, so snapshots survive toolchain
-/// upgrades. v1 snapshots are refused with a typed error rather than
-/// silently degrading to partial warm starts.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// upgrades.
+///
+/// v2 → v3: the `treated` section of per-pattern treated-row masks is
+/// gone, along with the engine cache it restored.
+///
+/// Older snapshots are refused with a typed error rather than silently
+/// degrading to partial warm starts; re-solving and re-saving writes v3.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 const HEADER: &str = "faircap-snapshot";
 
@@ -152,16 +157,6 @@ impl SessionSnapshot {
                         let _ = write!(line, " {}", esc(attr));
                     }
                 }
-            }
-            let _ = writeln!(out, "{line}");
-        }
-        let _ = writeln!(out, "treated {}", self.state.treated.len());
-        for (pattern, mask) in &self.state.treated {
-            let mut line = String::from("t");
-            push_pattern(&mut line, pattern);
-            let _ = write!(line, " {}", mask.len());
-            for word in mask.as_words() {
-                let _ = write!(line, " {word:x}");
             }
             let _ = writeln!(out, "{line}");
         }
@@ -202,7 +197,7 @@ impl SessionSnapshot {
             .ok_or_else(|| snap_err(format!("not a faircap snapshot (header `{header}`)")))?;
         if version != SNAPSHOT_VERSION {
             let hint = if version < SNAPSHOT_VERSION {
-                "; pre-v2 snapshots used toolchain-dependent fingerprints — re-solve and re-save to regenerate"
+                "; re-solve and re-save to regenerate it"
             } else {
                 ""
             };
@@ -249,16 +244,6 @@ impl SessionSnapshot {
                 }
             };
             snapshot.state.adjustments.push((treatment, adjustment));
-        }
-
-        let n: usize = section_count(&mut lines, "treated")?;
-        for _ in 0..n {
-            let line = next_line(&mut lines, "treated-mask record")?;
-            let mut toks = Tokens::new(&line, "treated-mask record");
-            toks.literal("t")?;
-            let pattern = toks.pattern()?;
-            let mask = toks.mask(n_rows)?;
-            snapshot.state.treated.push((pattern, mask));
         }
 
         let n: usize = section_count(&mut lines, "estimates")?;
@@ -518,23 +503,6 @@ impl<'a> Tokens<'a> {
         }
         Ok(Pattern::new(preds))
     }
-
-    /// A treated mask over the header's `rows` rows.
-    fn mask(&mut self, rows: usize) -> Result<Mask> {
-        let len: usize = self.num("mask length")?;
-        if len != rows {
-            return Err(snap_err(format!(
-                "{}: mask length {len} differs from the header's {rows} rows",
-                self.what
-            )));
-        }
-        let mut words = Vec::new();
-        for _ in 0..len.div_ceil(64) {
-            words.push(self.bits("mask word")?);
-        }
-        Mask::from_words(len, words)
-            .ok_or_else(|| snap_err(format!("{}: inconsistent mask words", self.what)))
-    }
 }
 
 #[cfg(test)]
@@ -577,10 +545,6 @@ mod tests {
                     ),
                     (vec!["x".into(), "y".into()], None),
                 ],
-                treated: vec![
-                    (p1.clone(), Mask::from_indices(130, &[0, 63, 64, 129])),
-                    (p2.clone(), Mask::zeros(130)),
-                ],
                 estimates: vec![
                     ("linear".into(), 0xdead_beef, p1, Some(est)),
                     ("matching".into(), 7, p2, Some(degenerate)),
@@ -600,7 +564,6 @@ mod tests {
         assert_eq!(back.dag_fp, snap.dag_fp);
         assert_eq!(back.data_fp, snap.data_fp);
         assert_eq!(back.state.adjustments, snap.state.adjustments);
-        assert_eq!(back.state.treated, snap.state.treated);
         assert_eq!(back.state.estimates.len(), snap.state.estimates.len());
         for (a, b) in back.state.estimates.iter().zip(&snap.state.estimates) {
             assert_eq!(a.0, b.0);
@@ -625,7 +588,7 @@ mod tests {
     #[test]
     fn unknown_version_is_rejected() {
         let snap = sample();
-        let text = snap.encode().replacen("v2", "v99", 1);
+        let text = snap.encode().replacen("v3", "v99", 1);
         let err = SessionSnapshot::decode(&text).unwrap_err();
         assert!(matches!(err, Error::Snapshot(_)));
         assert!(err.to_string().contains("v99"), "{err}");
@@ -636,7 +599,7 @@ mod tests {
         // A v1 snapshot (pre-FNV fingerprints) must be refused outright —
         // its persisted group/data/DAG fingerprints were DefaultHasher
         // output, valid only for the toolchain that wrote them.
-        let text = sample().encode().replacen("v2", "v1", 1);
+        let text = sample().encode().replacen("v3", "v1", 1);
         let err = SessionSnapshot::decode(&text).unwrap_err();
         assert!(matches!(err, Error::Snapshot(_)));
         assert!(err.to_string().contains("v1"), "{err}");
@@ -662,9 +625,11 @@ mod tests {
         for bad in [
             "",
             "not a snapshot",
-            "faircap-snapshot v2\noutcome o\nrows x",
-            "faircap-snapshot v2\noutcome o\nrows 10\nadjustments 1\n",
-            "faircap-snapshot v2\noutcome o\nrows 10\nadjustments 0\ntreated 0\nestimates 1\ne linear zz 0 -",
+            "faircap-snapshot v3\noutcome o\nrows x",
+            "faircap-snapshot v3\noutcome o\nrows 10\nadjustments 1\n",
+            "faircap-snapshot v3\noutcome o\nrows 10\ndag 0\ndata 0\nadjustments 0\nestimates 1\ne linear zz 0 -",
+            // A v2 `treated` section is not part of v3.
+            "faircap-snapshot v3\noutcome o\nrows 10\ndag 0\ndata 0\nadjustments 0\ntreated 0\nestimates 0",
         ] {
             assert!(
                 matches!(SessionSnapshot::decode(bad), Err(Error::Snapshot(_))),

@@ -112,7 +112,6 @@ impl TraceInner {
             id,
             depth,
             slot,
-            start_ns,
         }
     }
 
@@ -241,7 +240,6 @@ pub struct Span {
     /// Reserved index into the trace's span list; `None` when the span
     /// was opened past [`MAX_SPANS`] and only counts as dropped.
     slot: Option<usize>,
-    start_ns: u64,
 }
 
 impl Span {
@@ -264,11 +262,6 @@ impl Span {
 
     /// Close the span now (equivalent to dropping it).
     pub fn finish(self) {}
-
-    /// Elapsed time since the span opened, in nanoseconds.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.inner.now_ns().saturating_sub(self.start_ns)
-    }
 }
 
 impl Drop for Span {

@@ -88,7 +88,7 @@ pub use client::{ClientConnection, ClientResponse, ServeClient};
 
 use coalesce::{Attach, Coalescer};
 use faircap_core::wire::{solution_report_to_json, solve_request_from_json};
-use faircap_core::{Error, Json, RegisteredSession, SessionRegistry};
+use faircap_core::{Error, Json, RegisteredSession, SessionRegistry, SolveRequest};
 use faircap_obs::{FinishedTrace, Trace, TraceRing};
 use http::{ParseError, Request, Response};
 use metrics::{ConnGauges, ServerMetrics};
@@ -292,7 +292,7 @@ impl Inner {
             Ok(entry) => entry,
             Err(response) => return Dispatch::Immediate(response),
         };
-        let solve_request = match solve_request_from_json(&body) {
+        let solve_request = match admitted_solve_request(&body) {
             Ok(r) => r,
             Err(e) => return Dispatch::Immediate(Response::error(400, e.to_string())),
         };
@@ -624,9 +624,26 @@ fn finished_trace_json(t: &FinishedTrace) -> Json {
     ])
 }
 
-/// `GET /v1/trace`: recent and slowest traces, filterable with
-/// `?session=<name>` and `?min_ms=<float>`.
-fn trace_response(inner: &Inner, query: Option<&str>) -> Response {
+/// Parse a `POST /v1/solve` body into the request the server runs. Its
+/// `workers` is capped at the machine's cores, because one solve spawns up
+/// to that many threads and a thread that fails to spawn panics. The cap
+/// applies before the coalescing key is taken, so requests that differ
+/// only above it share a solve. The library and the CLI leave `workers`
+/// as given.
+fn admitted_solve_request(body: &Json) -> faircap_core::Result<SolveRequest> {
+    let mut request = solve_request_from_json(body)?;
+    if let Some(workers) = &mut request.workers {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        *workers = (*workers).min(cores);
+    }
+    Ok(request)
+}
+
+/// Parse the query string of `GET /v1/trace` into its `session` filter
+/// and its `min_ms` threshold (0 when absent). Later values of a
+/// parameter win. An unknown parameter, or a `min_ms` that is not a
+/// finite non-negative number, is an `Err` carrying the 400 message.
+pub fn parse_trace_query(query: Option<&str>) -> Result<(Option<String>, f64), String> {
     let mut session: Option<String> = None;
     let mut min_ms = 0.0f64;
     for pair in query.unwrap_or("").split('&').filter(|p| !p.is_empty()) {
@@ -635,18 +652,21 @@ fn trace_response(inner: &Inner, query: Option<&str>) -> Response {
             "session" => session = Some(v.to_owned()),
             "min_ms" => match v.parse::<f64>() {
                 Ok(ms) if ms >= 0.0 && ms.is_finite() => min_ms = ms,
-                _ => {
-                    return Response::error(
-                        400,
-                        format!("`min_ms` must be a non-negative number, got `{v}`"),
-                    )
-                }
+                _ => return Err(format!("`min_ms` must be a non-negative number, got `{v}`")),
             },
-            other => {
-                return Response::error(400, format!("unknown query parameter `{other}`"));
-            }
+            other => return Err(format!("unknown query parameter `{other}`")),
         }
     }
+    Ok((session, min_ms))
+}
+
+/// `GET /v1/trace`: recent and slowest traces, filterable with
+/// `?session=<name>` and `?min_ms=<float>`.
+fn trace_response(inner: &Inner, query: Option<&str>) -> Response {
+    let (session, min_ms) = match parse_trace_query(query) {
+        Ok(filters) => filters,
+        Err(message) => return Response::error(400, message),
+    };
     let traces: Vec<Json> = inner
         .traces
         .snapshot(session.as_deref(), (min_ms * 1e6) as u64)
@@ -654,4 +674,30 @@ fn trace_response(inner: &Inner, query: Option<&str>) -> Response {
         .map(finished_trace_json)
         .collect();
     Response::json(200, &Json::Obj(vec![("traces".into(), Json::Arr(traces))]))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn admission_caps_request_workers_at_the_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = |body: &str| {
+            admitted_solve_request(&Json::parse(body).unwrap())
+                .unwrap()
+                .workers
+        };
+        assert_eq!(workers(r#"{"workers": 1000000}"#), Some(cores));
+        assert_eq!(workers(r#"{"workers": 1}"#), Some(1));
+        assert_eq!(workers("{}"), None);
+        // Requests differing only above the cap share a coalescing key.
+        let key = |body: &str| {
+            let request = admitted_solve_request(&Json::parse(body).unwrap()).unwrap();
+            coalesce::fingerprint("so", &request)
+        };
+        let capped = key(&format!(r#"{{"workers": {cores}}}"#));
+        assert!(capped.is_some());
+        assert_eq!(key(r#"{"workers": 1000000}"#), capped);
+    }
 }

@@ -2,7 +2,7 @@
 //!
 //! [`ShardedLruCache`] is the one caching type of the workspace: every
 //! cache of the CATE engine in `faircap-causal` (estimates, adjustment
-//! sets, treated masks, group tables) and of the solve session in
+//! sets, group tables) and of the solve session in
 //! `faircap-core` (grouping patterns, intervention evaluations) is an
 //! instance of it. Keys are distributed
 //! over `N` independently locked shards by hash, so concurrent solve

@@ -210,37 +210,6 @@ impl Column {
         };
         Some(sum / n as f64)
     }
-
-    /// Sum and sum-of-squares of the selected rows, for variance computations.
-    pub fn sum_sumsq(&self, mask: &Mask) -> Option<(f64, f64)> {
-        let mut sum = 0.0;
-        let mut sumsq = 0.0;
-        match self {
-            Column::Int(v) => {
-                for i in mask.iter_ones() {
-                    let x = v[i] as f64;
-                    sum += x;
-                    sumsq += x * x;
-                }
-            }
-            Column::Float(v) => {
-                for i in mask.iter_ones() {
-                    sum += v[i];
-                    sumsq += v[i] * v[i];
-                }
-            }
-            Column::Bool(v) => {
-                for i in mask.iter_ones() {
-                    if v[i] {
-                        sum += 1.0;
-                        sumsq += 1.0;
-                    }
-                }
-            }
-            Column::Cat(_) => return None,
-        }
-        Some((sum, sumsq))
-    }
 }
 
 #[cfg(test)]
@@ -317,13 +286,5 @@ mod tests {
             c.unique(),
             vec![Value::Int(1), Value::Int(2), Value::Int(3)]
         );
-    }
-
-    #[test]
-    fn sum_sumsq() {
-        let c = Column::Float(vec![1.0, 2.0, 3.0]);
-        let (s, ss) = c.sum_sumsq(&Mask::ones(3)).unwrap();
-        assert_eq!(s, 6.0);
-        assert_eq!(ss, 14.0);
     }
 }

@@ -201,8 +201,9 @@ impl Mask {
         v
     }
 
-    /// The backing `u64` words, least-significant bit = row 0. Exposed for
-    /// serialization (session snapshots persist treated-row masks verbatim).
+    /// The backing `u64` words, least-significant bit = row 0; bits past
+    /// [`len`](Self::len) in the last word are zero. Read by the
+    /// word-at-a-time kernels and by mask fingerprinting.
     pub fn as_words(&self) -> &[u64] {
         &self.words
     }
@@ -215,18 +216,6 @@ impl Mask {
             words: &self.words,
             len: self.len,
         }
-    }
-
-    /// Rebuild a mask from its length and backing words (the inverse of
-    /// [`Self::as_words`]). Returns `None` when `words` has the wrong
-    /// length for `len`; bits beyond `len` in the last word are cleared.
-    pub fn from_words(len: usize, words: Vec<u64>) -> Option<Self> {
-        if words.len() != len.div_ceil(BITS) {
-            return None;
-        }
-        let mut m = Mask { words, len };
-        m.clear_tail();
-        Some(m)
     }
 
     fn clear_tail(&mut self) {
@@ -461,18 +450,6 @@ mod tests {
     fn and_length_mismatch_panics() {
         let mut a = Mask::zeros(4);
         a.and_inplace(&Mask::zeros(5));
-    }
-
-    #[test]
-    fn words_round_trip() {
-        let m = Mask::from_indices(130, &[0, 63, 64, 129]);
-        let words = m.as_words().to_vec();
-        let back = Mask::from_words(130, words).unwrap();
-        assert_eq!(back, m);
-        // Wrong word count is rejected; tail bits are cleared.
-        assert!(Mask::from_words(130, vec![0; 2]).is_none());
-        let noisy = Mask::from_words(65, vec![u64::MAX, u64::MAX]).unwrap();
-        assert_eq!(noisy.count(), 65);
     }
 
     #[test]

@@ -21,8 +21,8 @@ fn main() -> Result<(), faircap::Error> {
         ds.protected
     );
     // One validated session serves the whole sweep; only the estimator
-    // changes per request, so grouping patterns, adjustment sets, and
-    // treated masks are all computed once.
+    // changes per request, so grouping patterns and adjustment sets are
+    // computed once.
     let session = FairCap::builder()
         .data(ds.df)
         .dag(ds.dag)

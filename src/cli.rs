@@ -146,7 +146,7 @@ in docs/estimators.md.
 
 --workers pins the Step-2 fan-out worker count (default: FAIRCAP_WORKERS,
 then all cores). --save-cache writes the warmed CATE caches (adjustment
-sets, treated masks, estimates) to a versioned snapshot after solving;
+sets and estimates) to a versioned snapshot after solving;
 --load-cache warm-starts from one, so an identical re-solve performs zero
 new estimations. Either flag makes the tool print an `estimate-cache:` line
 with the solve's hit/miss counters.";
@@ -609,8 +609,8 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeCliOptions, String> {
 
 /// Build one dataset group's session, warm-booting from
 /// `DIR/<name>.fc` when a snapshot directory is configured and the file
-/// exists. An unreadable or incompatible snapshot (e.g. the refused
-/// pre-v2 format) is reported on stderr and the session boots cold —
+/// exists. An unreadable or incompatible snapshot (e.g. a refused
+/// pre-v3 format) is reported on stderr and the session boots cold —
 /// availability beats a stale cache. A successful warm boot returns its
 /// provenance (snapshot path, wall-clock restore duration) for the
 /// observability endpoints.
@@ -1276,6 +1276,7 @@ mod tests {
         let a: Vec<String> = cold_report.rules.iter().map(|r| r.to_string()).collect();
         let b: Vec<String> = warm_report.rules.iter().map(|r| r.to_string()).collect();
         assert_eq!(a, b, "warm CLI solve must reproduce the cold ruleset");
+        let saved = std::fs::read_to_string(&snap).unwrap();
         // A corrupt snapshot is a typed, readable config-class error
         // (exit 2), carried as the Snapshot variant so the serve warm-boot
         // fallback can distinguish it from broken data/DAG inputs.
@@ -1289,10 +1290,18 @@ mod tests {
         let mut broken = warm.clone();
         broken.data = "/no/such/file.csv".into();
         assert!(matches!(execute(&broken).unwrap_err(), CliError::Config(_)));
-        // … and so is a refused pre-v2 snapshot, with the regeneration hint.
-        std::fs::write(&snap, "faircap-snapshot v1\n").unwrap();
-        let err = execute(&warm).unwrap_err();
-        assert!(err.to_string().contains("re-save"), "{err}");
+        // … and so is a refused older snapshot, with the regeneration hint:
+        // a bare v1 header, and the saved file relabelled v2.
+        for old in [
+            "faircap-snapshot v1\n".to_string(),
+            saved.replacen("v3", "v2", 1),
+        ] {
+            std::fs::write(&snap, old).unwrap();
+            let err = execute(&warm).unwrap_err();
+            assert!(matches!(err, CliError::Snapshot(_)), "{err:?}");
+            assert_eq!(err.exit_code(), 2);
+            assert!(err.to_string().contains("re-solve and re-save"), "{err}");
+        }
     }
 
     #[test]

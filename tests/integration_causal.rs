@@ -2,7 +2,7 @@
 //! planted ground truth, including the Table 6 DAG variants and PC
 //! discovery.
 
-use faircap::causal::{CateEngine, CateQuery, EstimatorKind};
+use faircap::causal::{CateEngine, EstimatorKind};
 use faircap::data::{build_dag_variant, german, so, DagVariant};
 use faircap::table::{Mask, Pattern, Value};
 use std::sync::Arc;
@@ -12,8 +12,6 @@ fn linear_and_stratified_agree_on_so() {
     let ds = so::generate(12_000, 5);
     let engine =
         CateEngine::new(Arc::new(ds.df.clone()), Arc::new(ds.dag.clone()), "salary").unwrap();
-    let linear: CateQuery<'_> = engine.with_estimator(&EstimatorKind::Linear);
-    let strat: CateQuery<'_> = engine.with_estimator(&EstimatorKind::Stratified);
     let all = Mask::ones(ds.df.n_rows());
     for (attr, value) in [
         ("certifications", "yes"),
@@ -21,8 +19,10 @@ fn linear_and_stratified_agree_on_so() {
         ("training", "yes"),
     ] {
         let p = Pattern::of_eq(&[(attr, Value::from(value))]);
-        let a = linear.cate(&all, &p).expect("linear estimable").cate;
-        let b = strat.cate(&all, &p).expect("stratified estimable").cate;
+        let linear = engine.cate(&all, &p, &EstimatorKind::Linear);
+        let strat = engine.cate(&all, &p, &EstimatorKind::Stratified);
+        let a = linear.expect("linear estimable").cate;
+        let b = strat.expect("stratified estimable").cate;
         let scale = a.abs().max(1_000.0);
         assert!(
             (a - b).abs() / scale < 0.5,
@@ -36,13 +36,13 @@ fn ipw_agrees_with_linear_on_so() {
     let ds = so::generate(12_000, 5);
     let engine =
         CateEngine::new(Arc::new(ds.df.clone()), Arc::new(ds.dag.clone()), "salary").unwrap();
-    let linear: CateQuery<'_> = engine.with_estimator(&EstimatorKind::Linear);
-    let ipw: CateQuery<'_> = engine.with_estimator(&EstimatorKind::Ipw);
     let all = Mask::ones(ds.df.n_rows());
     for (attr, value) in [("certifications", "yes"), ("training", "yes")] {
         let p = Pattern::of_eq(&[(attr, Value::from(value))]);
-        let a = linear.cate(&all, &p).expect("linear estimable").cate;
-        let b = ipw.cate(&all, &p).expect("ipw estimable").cate;
+        let linear = engine.cate(&all, &p, &EstimatorKind::Linear);
+        let ipw = engine.cate(&all, &p, &EstimatorKind::Ipw);
+        let a = linear.expect("linear estimable").cate;
+        let b = ipw.expect("ipw estimable").cate;
         assert!((a - b).abs() < 2_000.0, "{attr}: linear {a} vs ipw {b}");
     }
 }
@@ -50,9 +50,12 @@ fn ipw_agrees_with_linear_on_so() {
 #[test]
 fn planted_effects_recovered_within_tolerance() {
     let ds = so::generate(25_000, 13);
-    let owner =
+    let engine =
         CateEngine::new(Arc::new(ds.df.clone()), Arc::new(ds.dag.clone()), "salary").unwrap();
-    let engine = owner.with_estimator(&EstimatorKind::Linear);
+    let linear = |group: &Mask, p: &Pattern| {
+        let est = engine.cate(group, p, &EstimatorKind::Linear);
+        est.expect("estimable").cate
+    };
     let prot = ds.protected_mask();
     let nonprot = !&prot;
     // (pattern, group, planted effect)
@@ -64,8 +67,8 @@ fn planted_effects_recovered_within_tolerance() {
     ];
     for (attr, (effect_np, effect_p)) in cases {
         let p = Pattern::of_eq(&[(attr, Value::from("yes"))]);
-        let est_np = engine.cate(&nonprot, &p).expect("estimable").cate;
-        let est_p = engine.cate(&prot, &p).expect("estimable").cate;
+        let est_np = linear(&nonprot, &p);
+        let est_p = linear(&prot, &p);
         assert!(
             (est_np - effect_np).abs() < 2_000.0,
             "{attr} non-protected: {est_np} vs planted {effect_np}"
@@ -88,12 +91,16 @@ fn adjustment_matters_education_is_confounded() {
         CateEngine::new(Arc::clone(&df), Arc::new(ds.dag.clone()), "salary").unwrap();
     let naive_engine =
         CateEngine::new(Arc::clone(&df), Arc::new(one_layer.clone()), "salary").unwrap();
-    let adjusted = adjusted_engine.with_estimator(&EstimatorKind::Linear);
-    let naive = naive_engine.with_estimator(&EstimatorKind::Linear);
     let nonprot = !&ds.protected_mask();
     let p = Pattern::of_eq(&[("education", Value::from("phd"))]);
-    let est_adj = adjusted.cate(&nonprot, &p).expect("estimable").cate;
-    let est_naive = naive.cate(&nonprot, &p).expect("estimable").cate;
+    let est_adj = adjusted_engine
+        .cate(&nonprot, &p, &EstimatorKind::Linear)
+        .expect("estimable")
+        .cate;
+    let est_naive = naive_engine
+        .cate(&nonprot, &p, &EstimatorKind::Linear)
+        .expect("estimable")
+        .cate;
     // Ground truth: CATE contrasts phd against the *control mix* of
     // education levels, so the planted phd premium (18k vs `none`) minus
     // the control rows' average planted premium is the target.

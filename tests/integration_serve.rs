@@ -314,6 +314,26 @@ fn request_validation_and_routing_errors() {
     server.shutdown();
 }
 
+/// A request's `workers` is capped at the machine's cores before the solve
+/// runs: a million asked for still answers 200, and the executor reports
+/// no more workers than there are cores.
+#[test]
+fn oversized_worker_requests_are_capped_at_the_cores() {
+    let (server, client) = boot(ServeConfig::default());
+    let response = client
+        .post_json("/v1/solve", r#"{"workers": 1000000}"#)
+        .unwrap();
+    assert_eq!(response.status, 200, "{}", response.body);
+    let doc = Json::parse(&response.body).unwrap();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = field(&doc, "exec.workers");
+    assert!(
+        workers >= 1.0 && workers <= cores as f64,
+        "{workers} workers on {cores} cores"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn snapshot_endpoint_writes_and_warm_boot_reuses() {
     let dir = std::env::temp_dir().join("faircap_serve_snapshot_test");

@@ -3,6 +3,9 @@
 //! fragmentation, pipelined back-to-back requests, oversized and malformed
 //! headers, and chunked garbage must never panic or mis-frame.
 //!
+//! The `GET /v1/trace` query-string parser reads untrusted bytes too: any
+//! query decodes to its filters or to a 400 message, never a panic.
+//!
 //! The central invariant is **split independence**: because
 //! `parse_request` is a pure function of the accumulated buffer, feeding a
 //! byte stream in any fragmentation must yield exactly the requests that
@@ -10,6 +13,7 @@
 //! this to be correct under every possible packet boundary.
 
 use faircap::serve::http::{parse_request, ParseError, Parsed, Request};
+use faircap::serve::parse_trace_query;
 use proptest::prelude::*;
 
 /// Drain every complete request out of a buffer, exactly like the
@@ -99,7 +103,73 @@ fn request_strategy() -> impl Strategy<Value = (String, String, Vec<(String, Str
     )
 }
 
+/// One `key=value` pair of a `/v1/trace` query: the two known keys or an
+/// arbitrary one, with values that are sometimes valid thresholds. Neither
+/// side holds `&`, and keys hold no `=`.
+fn trace_pair_strategy() -> impl Strategy<Value = (String, String)> {
+    (
+        prop_oneof![
+            Just("session".to_string()),
+            Just("min_ms".to_string()),
+            "[a-z_]{0,8}",
+        ],
+        prop_oneof![
+            "[ -%'-~]{0,10}",
+            "[0-9]{1,4}",
+            "-[0-9]{1,3}",
+            "[0-9]{1,3}.[0-9]{1,3}",
+            Just("inf".to_string()),
+            Just("NaN".to_string()),
+            Just("1e400".to_string()),
+        ],
+    )
+}
+
 proptest! {
+    /// Arbitrary bytes as a `/v1/trace` query never panic the parser; an
+    /// accepted threshold is a finite non-negative number and a refusal
+    /// carries a message.
+    #[test]
+    fn trace_query_parser_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+        let query = String::from_utf8_lossy(&bytes);
+        for query in [Some(query.as_ref()), None] {
+            match parse_trace_query(query) {
+                Ok((_, min_ms)) => prop_assert!(min_ms.is_finite() && min_ms >= 0.0),
+                Err(message) => prop_assert!(!message.is_empty()),
+            }
+        }
+    }
+
+    /// Well-formed pairs decode as a pair-by-pair reading says: the last
+    /// `session` and `min_ms` win, and the first unknown key or bad
+    /// threshold is refused.
+    #[test]
+    fn trace_query_parser_reads_pairs_in_order(
+        pairs in prop::collection::vec(trace_pair_strategy(), 0..6),
+    ) {
+        let query: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let query = query.join("&");
+        let mut expected = Ok((None, 0.0));
+        for (k, v) in &pairs {
+            let Ok((session, min_ms)) = &mut expected else { break };
+            match k.as_str() {
+                "session" => *session = Some(v.clone()),
+                "min_ms" => match v.parse::<f64>() {
+                    Ok(ms) if ms.is_finite() && ms >= 0.0 => *min_ms = ms,
+                    _ => expected = Err(v.clone()),
+                },
+                _ => expected = Err(k.clone()),
+            }
+        }
+        match (parse_trace_query(Some(&query)), expected) {
+            (Ok(got), Ok(want)) => prop_assert_eq!(got, want, "query `{}`", query),
+            (Err(message), Err(culprit)) => {
+                prop_assert!(message.contains(&format!("`{culprit}`")), "{}", message)
+            }
+            (got, want) => prop_assert!(false, "query `{}`: got {:?}, want {:?}", query, got, want),
+        }
+    }
+
     /// parse(concat) == parse(fragments) for arbitrary split points: the
     /// same requests, fields, and bodies come out no matter how the bytes
     /// arrive.

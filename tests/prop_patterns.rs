@@ -59,7 +59,7 @@ proptest! {
     }
 
     #[test]
-    fn pattern_coverage_is_predicate_intersection(
+    fn pattern_coverage_is_the_intersection_of_its_predicates(
         df in frame_strategy(),
         preds in prop::collection::vec(predicate_strategy(), 0..4),
     ) {

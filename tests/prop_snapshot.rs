@@ -7,7 +7,7 @@
 
 use faircap::causal::{CateEngineState, Estimate};
 use faircap::core::{Error, SessionSnapshot};
-use faircap::table::{CmpOp, Mask, Pattern, Predicate, Value};
+use faircap::table::{CmpOp, Pattern, Predicate, Value};
 use proptest::prelude::*;
 
 const ROWS: usize = 130;
@@ -38,10 +38,6 @@ fn sample() -> SessionSnapshot {
                 (vec!["training".into()], Some(vec!["country".into()])),
                 (vec!["x".into(), "y".into()], None),
             ],
-            treated: vec![
-                (p1.clone(), Mask::from_indices(ROWS, &[0, 63, 64, 129])),
-                (p2.clone(), Mask::zeros(ROWS)),
-            ],
             estimates: vec![
                 ("linear".into(), 0xdead_beef, p1, Some(est)),
                 ("matching".into(), 7, p2, None),
@@ -59,11 +55,12 @@ fn decodes_or_rejects(text: &str) -> Result<(), TestCaseError> {
     }
 }
 
-/// A minimal v2 snapshot whose only record is one treated-mask line.
-fn with_treated_record(rows: &str, record: &str) -> String {
+/// A minimal snapshot of format `version` whose only record is one
+/// estimate line.
+fn with_estimate_record(version: &str, record: &str) -> String {
     format!(
-        "faircap-snapshot v2\noutcome o\nrows {rows}\ndag 0\ndata 0\n\
-         adjustments 0\ntreated 1\n{record}\nestimates 0\n"
+        "faircap-snapshot {version}\noutcome o\nrows 130\ndag 0\ndata 0\n\
+         adjustments 0\nestimates 1\n{record}\n"
     )
 }
 
@@ -75,26 +72,28 @@ fn assert_rejected(text: &str) {
 }
 
 #[test]
-fn oversized_mask_length_is_rejected_without_allocating() {
-    assert_rejected(&with_treated_record("130", "t 0 1000000000000000000 1"));
-    // Even when the header agrees with the claimed length, the words run
-    // out long before anything that size could be reserved.
-    assert_rejected(&with_treated_record(
-        "1000000000000000000",
-        "t 0 1000000000000000000 1",
+fn oversized_predicate_count_is_rejected_without_allocating() {
+    assert!(SessionSnapshot::decode(&with_estimate_record("v3", "e linear 0 1 a eq i1 -")).is_ok());
+    assert_rejected(&with_estimate_record(
+        "v3",
+        "e linear 0 1000000000000000000 a eq i1 -",
     ));
 }
 
 #[test]
-fn oversized_predicate_count_is_rejected_without_allocating() {
-    assert_rejected(&with_treated_record("130", "t 1000000000000000000 a eq i1"));
-}
-
-#[test]
-fn mask_length_must_match_the_header_rows() {
-    assert!(SessionSnapshot::decode(&with_treated_record("64", "t 0 64 ff")).is_ok());
-    assert_rejected(&with_treated_record("130", "t 0 64 ff"));
-    assert_rejected(&with_treated_record("63", "t 0 64 ff"));
+fn v2_snapshots_are_refused_with_a_regeneration_hint() {
+    // v2 carried a treated-mask section; this build reads v3 only.
+    let v2 = "faircap-snapshot v2\noutcome o\nrows 130\ndag 0\ndata 0\n\
+              adjustments 0\ntreated 0\nestimates 0\n";
+    for text in [v2.to_string(), with_estimate_record("v2", "e linear 0 0 -")] {
+        match SessionSnapshot::decode(&text) {
+            Err(Error::Snapshot(msg)) => {
+                assert!(msg.contains("v2") && msg.contains("v3"), "{msg}");
+                assert!(msg.contains("re-solve and re-save"), "{msg}");
+            }
+            other => panic!("expected a snapshot error, got {other:?}"),
+        }
+    }
 }
 
 /// Counts and lengths a hostile file might claim.
@@ -135,7 +134,7 @@ proptest! {
     #[test]
     fn oversized_counts_decode_or_reject(which in 0usize..256, count in huge_count()) {
         // Overwrite one decimal token (a section count, predicate count,
-        // mask length, row count or arm size) with a huge value.
+        // row count or arm size) with a huge value.
         let text = sample().encode();
         let numeric: usize = text
             .split_whitespace()
