@@ -183,13 +183,19 @@ fn run_dataset(
         &nocache_reports,
         &format!("{name}: cached vs uncached warm sweep"),
     );
-    let hot = session.solve_hot_stats();
-    let cache = session.intervention_cache_stats();
+    let hits: u64 = warm_reports
+        .iter()
+        .map(|r| r.stats.intervention_cache_hits)
+        .sum();
+    let misses: u64 = warm_reports
+        .iter()
+        .map(|r| r.stats.intervention_cache_misses)
+        .sum();
     println!(
-        "solve_bench: {name} session counters — solves {} / intervention-cache {} hits {} misses",
-        hot.solves, cache.hits, cache.misses
+        "solve_bench: {name} warm sweep — solves {} / intervention-cache {hits} hits {misses} misses",
+        warm_reports.len()
     );
-    assert!(cache.hits > 0, "{name}: warm sweep must hit the cache");
+    assert!(hits > 0, "{name}: warm sweep must hit the cache");
 
     let speedup = nocache.min_ms / warm.min_ms.max(1e-9);
     println!("solve_bench: {name} warm speedup (cached vs uncached): {speedup:.1}x");

@@ -32,12 +32,13 @@
 //!   intervention)` — the cache the greedy phase and repeated constraint
 //!   re-solves hit hardest. A key carries one FNV hash of all three,
 //!   computed once when the key is built; hashing the key for a shard or
-//!   a map slot writes only that word. The cache's entry count can be
-//!   bounded ([`CateEngine::set_estimate_cache_capacity`]) with
-//!   least-recently-used eviction for long-lived serving deployments; the
-//!   adjustment cache holds one entry per treatment-attribute set ever
-//!   queried, and the three group caches, whose entries hold O(rows)
-//!   data, a fixed LRU bound.
+//!   a map slot writes only that word.
+//!
+//! Every capacity is fixed when the engine is built. The estimate and
+//! adjustment caches are unbounded: they keep every estimate and every
+//! treatment-attribute set's adjustment the engine has computed. The three
+//! group caches, whose entries hold O(rows) data, have fixed LRU bounds.
+//! An estimate-cache eviction is charged to the estimator whose entry left.
 //!
 //! There are two ways in, and one estimation path behind them:
 //!
@@ -565,13 +566,6 @@ impl CateEngine {
         self.group_caches.group_rows.counters()
     }
 
-    /// Bound the estimate cache to at most `capacity` entries, evicting
-    /// least-recently-used estimates immediately if it is over the bound.
-    /// The engine starts unbounded (`usize::MAX`).
-    pub fn set_estimate_cache_capacity(&self, capacity: usize) {
-        charge_evictions(self.estimate_cache.set_capacity(capacity));
-    }
-
     /// Estimate-cache hit/miss counters since the engine was built,
     /// aggregated over all estimators.
     ///
@@ -656,9 +650,8 @@ impl CateEngine {
 
     /// Warm the engine's caches from a previously exported state. Imported
     /// entries count toward per-estimator `entries` but not hits or misses;
-    /// if the estimate cache is bounded and the import overflows it, the
-    /// overflow is evicted LRU-first (imports are applied in order, so
-    /// later records survive).
+    /// an import that overflows a bounded estimate cache evicts, and
+    /// charges, like any other insert.
     pub fn import_state(&self, state: CateEngineState) {
         for (k, v) in state.adjustments {
             self.adjustment_cache
@@ -959,6 +952,13 @@ mod tests {
         CateEngine::new(df, dag, "income").unwrap()
     }
 
+    /// An engine whose estimate cache holds at most `capacity` entries.
+    fn engine_with_estimate_capacity(capacity: usize) -> CateEngine {
+        let mut engine = engine();
+        engine.estimate_cache = ShardedLruCache::new(capacity, ESTIMATE_CACHE_SHARDS);
+        engine
+    }
+
     #[test]
     fn engine_recovers_planted_effect() {
         let engine = engine();
@@ -1048,8 +1048,7 @@ mod tests {
 
     #[test]
     fn bounded_cache_evicts_and_counts() {
-        let engine = engine();
-        engine.set_estimate_cache_capacity(2);
+        let engine = engine_with_estimate_capacity(2);
         let all = Mask::ones(engine.df().n_rows());
         let north = Pattern::of_eq(&[("region", Value::from("north"))])
             .coverage(engine.df())
@@ -1084,8 +1083,7 @@ mod tests {
 
     #[test]
     fn concurrent_estimators_keep_exact_books() {
-        let engine = engine();
-        engine.set_estimate_cache_capacity(4);
+        let engine = engine_with_estimate_capacity(4);
         let df = engine.df();
         let region = |r: &str| Pattern::of_eq(&[("region", Value::from(r))]);
         let groups = [
@@ -1311,6 +1309,46 @@ mod tests {
         assert_eq!(stats.misses, 0, "warm queries must all hit");
         assert_eq!(stats.hits, 2);
         assert_eq!(fresh.cache_stats_for("linear").entries, 2);
+    }
+
+    /// A snapshot bigger than a bounded estimate cache imports within the
+    /// bound: the overflow is evicted and charged to its estimator, and
+    /// what stays cached is the snapshot's own records.
+    #[test]
+    fn import_into_bounded_cache_keeps_the_bound() {
+        let engine = engine();
+        let df = engine.df();
+        let region = |r: &str| Pattern::of_eq(&[("region", Value::from(r))]);
+        let groups = [
+            Mask::ones(df.n_rows()),
+            region("north").coverage(df).unwrap(),
+            region("south").coverage(df).unwrap(),
+        ];
+        for educated in [true, false] {
+            let p = Pattern::of_eq(&[("educated", Value::Bool(educated))]);
+            for group in &groups {
+                for kind in [EstimatorKind::Linear, EstimatorKind::Stratified] {
+                    engine.cate(group, &p, &kind);
+                }
+            }
+        }
+        let state = engine.export_state();
+        assert_eq!(state.estimates.len(), 12);
+        let exported = state.estimates.clone();
+
+        let bounded = engine_with_estimate_capacity(4);
+        bounded.import_state(state);
+        let stats = bounded.cache_stats();
+        assert_eq!((stats.entries, stats.evictions), (4, 8));
+        assert_eq!((stats.hits, stats.misses), (0, 0));
+        for name in ["linear", "stratified"] {
+            let c = bounded.cache_stats_for(name);
+            assert_eq!(c.entries as u64 + c.evictions, 6, "{name}: {c:?}");
+        }
+        assert_breakdown_sums(&bounded);
+        for record in bounded.export_state().estimates {
+            assert!(exported.contains(&record), "{record:?}");
+        }
     }
 
     #[test]

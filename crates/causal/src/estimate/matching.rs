@@ -83,6 +83,7 @@ use crate::error::{CausalError, Result};
 use faircap_table::{DataFrame, Mask};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Number of opposite-arm neighbors matched per unit (before tie
@@ -113,17 +114,23 @@ pub const BRUTE_ARM_MAX: usize = 128;
 /// [`reference::matching_naive`](super::reference::matching_naive).
 pub(super) const MATCH_PARTS: usize = 8;
 
-/// The effective work budget: `FAIRCAP_MATCHING_BUDGET` when set to a
-/// valid unit count (`0` disables the guard), otherwise
-/// [`DEFAULT_MATCHING_BUDGET`].
+/// The effective work budget, from `FAIRCAP_MATCHING_BUDGET` as read once
+/// per process: a unit count, `0` to disable the guard, and
+/// [`DEFAULT_MATCHING_BUDGET`] when the variable is unset or not a number.
 pub fn matching_budget() -> u64 {
-    match std::env::var("FAIRCAP_MATCHING_BUDGET") {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(0) => u64::MAX,
-            Ok(n) => n,
-            Err(_) => DEFAULT_MATCHING_BUDGET,
-        },
-        Err(_) => DEFAULT_MATCHING_BUDGET,
+    static BUDGET: OnceLock<u64> = OnceLock::new();
+    *BUDGET.get_or_init(|| {
+        parse_matching_budget(std::env::var("FAIRCAP_MATCHING_BUDGET").ok().as_deref())
+    })
+}
+
+/// The budget a `FAIRCAP_MATCHING_BUDGET` value sets; see
+/// [`matching_budget`].
+fn parse_matching_budget(value: Option<&str>) -> u64 {
+    match value.map(|v| v.trim().parse::<u64>()) {
+        Some(Ok(0)) => u64::MAX,
+        Some(Ok(n)) => n,
+        _ => DEFAULT_MATCHING_BUDGET,
     }
 }
 
@@ -940,16 +947,16 @@ mod tests {
 
     #[test]
     fn budget_env_override_parses() {
-        // Only values safely above every other fixture's work estimate are
-        // set here (tests share the process environment).
-        assert_eq!(matching_budget(), DEFAULT_MATCHING_BUDGET);
-        std::env::set_var("FAIRCAP_MATCHING_BUDGET", "2000000");
-        assert_eq!(matching_budget(), 2_000_000);
-        std::env::set_var("FAIRCAP_MATCHING_BUDGET", "0");
-        assert_eq!(matching_budget(), u64::MAX, "0 disables the guard");
-        std::env::set_var("FAIRCAP_MATCHING_BUDGET", "lots");
-        assert_eq!(matching_budget(), DEFAULT_MATCHING_BUDGET);
-        std::env::remove_var("FAIRCAP_MATCHING_BUDGET");
+        assert_eq!(parse_matching_budget(None), DEFAULT_MATCHING_BUDGET);
+        assert_eq!(parse_matching_budget(Some("2000000")), 2_000_000);
+        assert_eq!(parse_matching_budget(Some(" 7 ")), 7);
+        assert_eq!(
+            parse_matching_budget(Some("0")),
+            u64::MAX,
+            "0 disables the guard"
+        );
+        assert_eq!(parse_matching_budget(Some("lots")), DEFAULT_MATCHING_BUDGET);
+        assert_eq!(parse_matching_budget(Some("-1")), DEFAULT_MATCHING_BUDGET);
     }
 
     #[test]

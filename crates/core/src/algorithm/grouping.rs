@@ -5,7 +5,8 @@ use crate::config::{CoverageConstraint, FairCapConfig};
 use faircap_mining::{apriori_with_stats, AprioriConfig, FrequentPattern, MiningStats};
 use faircap_table::{DataFrame, Mask, Result};
 
-/// Mine candidate grouping patterns.
+/// Mine candidate grouping patterns, with the Apriori [`MiningStats`]
+/// (candidate pipeline accounting for the solve report).
 ///
 /// The Apriori support threshold is the configured τ, raised to the rule-
 /// coverage θ when a rule-coverage constraint is active (§5.4: "we set the
@@ -13,17 +14,6 @@ use faircap_table::{DataFrame, Mask, Result};
 /// sufficient number of individuals"). Patterns failing the per-rule
 /// protected-coverage requirement are filtered here too, so later steps
 /// never waste CATE estimations on them.
-pub fn mine_grouping_patterns(
-    df: &DataFrame,
-    immutable: &[String],
-    protected: &Mask,
-    config: &FairCapConfig,
-) -> Result<Vec<FrequentPattern>> {
-    mine_grouping_patterns_with_stats(df, immutable, protected, config).map(|(out, _)| out)
-}
-
-/// [`mine_grouping_patterns`] plus the Apriori [`MiningStats`] (candidate
-/// pipeline accounting for the solve report).
 pub fn mine_grouping_patterns_with_stats(
     df: &DataFrame,
     immutable: &[String],
@@ -82,11 +72,17 @@ mod tests {
         Mask::from_indices(40, &(0..8).collect::<Vec<_>>())
     }
 
+    fn mine(immutable: &[&str], cfg: &FairCapConfig) -> Vec<FrequentPattern> {
+        let immutable: Vec<String> = immutable.iter().map(|a| a.to_string()).collect();
+        mine_grouping_patterns_with_stats(&df(), &immutable, &protected(), cfg)
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn mines_with_default_threshold() {
         let cfg = FairCapConfig::default();
-        let pats = mine_grouping_patterns(&df(), &["age".into(), "grp".into()], &protected(), &cfg)
-            .unwrap();
+        let pats = mine(&["age", "grp"], &cfg);
         assert!(!pats.is_empty());
         // Every pattern covers ≥ 10% of 40 = 4 rows.
         assert!(pats.iter().all(|p| p.count() >= 4));
@@ -99,14 +95,14 @@ mod tests {
             theta: 0.45,
             theta_protected: 0.0,
         };
-        let pats = mine_grouping_patterns(&df(), &["age".into()], &protected(), &cfg).unwrap();
+        let pats = mine(&["age"], &cfg);
         // Both "young" (20) and "old" (20) meet 45% of 40 = 18.
         assert_eq!(pats.len(), 2);
         cfg.coverage = CoverageConstraint::Rule {
             theta: 0.55,
             theta_protected: 0.0,
         };
-        let pats = mine_grouping_patterns(&df(), &["age".into()], &protected(), &cfg).unwrap();
+        let pats = mine(&["age"], &cfg);
         assert!(pats.is_empty());
     }
 
@@ -119,13 +115,13 @@ mod tests {
         };
         // protected rows 0..8 are split: young = {0,2,4,6} (4 of 8 = 50%),
         // old = {1,3,5,7} (50%). Requiring 60% kills both.
-        let pats = mine_grouping_patterns(&df(), &["age".into()], &protected(), &cfg).unwrap();
+        let pats = mine(&["age"], &cfg);
         assert!(pats.is_empty());
         cfg.coverage = CoverageConstraint::Rule {
             theta: 0.1,
             theta_protected: 0.5,
         };
-        let pats = mine_grouping_patterns(&df(), &["age".into()], &protected(), &cfg).unwrap();
+        let pats = mine(&["age"], &cfg);
         assert_eq!(pats.len(), 2);
     }
 }

@@ -77,7 +77,7 @@ pub use faircap_mining::MiningStats;
 pub use registry::{RegisteredSession, SessionRegistry, WarmBootInfo};
 pub use report::{SolutionReport, SolveStats, StepTimings};
 pub use rule::{Rule, RuleUtility};
-pub use session::{FairCap, PrescriptionSession, SessionBuilder, SolveHotStats, SolveRequest};
+pub use session::{FairCap, PrescriptionSession, SessionBuilder, SolveRequest};
 pub use snapshot::{SessionSnapshot, SNAPSHOT_VERSION};
 pub use utility::{ruleset_utility, RulesetUtility};
 pub use wire::{solution_report_to_json, solve_request_from_json, Json};

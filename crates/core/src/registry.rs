@@ -5,12 +5,14 @@
 //! are `Sync`, so any number of request workers can call
 //! [`RegisteredSession::solve`] concurrently against the same entry while
 //! sharing its CATE and grouping caches. The registry wraps each session
-//! with serving-oriented bookkeeping (solve counters, the last solve's
-//! [`ExecStats`]) that the `/v1/metrics` endpoint reports.
+//! with serving-oriented bookkeeping (solve counters, the sums of the
+//! solves' own [`StepTimings`] and [`SolveStats`], the last solve's
+//! [`ExecStats`]) that the `/v1/metrics` endpoint reports. An entry is the
+//! one ledger of its session's solves.
 
 use crate::error::Result;
 use crate::exec::ExecStats;
-use crate::report::SolutionReport;
+use crate::report::{SolutionReport, SolveStats, StepTimings};
 use crate::session::{PrescriptionSession, SolveRequest};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
@@ -39,8 +41,16 @@ pub struct RegisteredSession {
     solves_ok: AtomicU64,
     solves_err: AtomicU64,
     solves_coalesced: AtomicU64,
-    last_exec: Mutex<Option<ExecStats>>,
+    ledger: Mutex<Ledger>,
     warm_boot: Mutex<Option<WarmBootInfo>>,
+}
+
+/// What [`RegisteredSession::solve`] folds in from each completed report.
+#[derive(Default)]
+struct Ledger {
+    timings: StepTimings,
+    stats: SolveStats,
+    last_exec: Option<ExecStats>,
 }
 
 impl RegisteredSession {
@@ -79,7 +89,14 @@ impl RegisteredSession {
 
     /// Executor statistics of the most recent parallel solve, if any.
     pub fn last_exec(&self) -> Option<ExecStats> {
-        self.last_exec.lock().clone()
+        self.ledger.lock().last_exec.clone()
+    }
+
+    /// Per-step times and work counters summed over the completed solves'
+    /// reports.
+    pub fn solve_totals(&self) -> (StepTimings, SolveStats) {
+        let ledger = self.ledger.lock();
+        (ledger.timings, ledger.stats)
     }
 
     /// Record that the wrapped session was warm-booted from a snapshot.
@@ -92,14 +109,18 @@ impl RegisteredSession {
         self.warm_boot.lock().clone()
     }
 
-    /// Solve on the wrapped session, recording outcome counters and the
-    /// run's executor statistics.
+    /// Solve on the wrapped session, recording outcome counters and
+    /// folding the report's timings, work counters and executor statistics
+    /// into the ledger.
     pub fn solve(&self, request: &SolveRequest) -> Result<SolutionReport> {
         match self.session.solve(request) {
             Ok(report) => {
                 self.solves_ok.fetch_add(1, Ordering::Relaxed);
+                let mut ledger = self.ledger.lock();
+                ledger.timings.merge(&report.timings);
+                ledger.stats.merge(&report.stats);
                 if let Some(exec) = &report.exec {
-                    *self.last_exec.lock() = Some(exec.clone());
+                    ledger.last_exec = Some(exec.clone());
                 }
                 Ok(report)
             }
@@ -144,7 +165,7 @@ impl SessionRegistry {
             solves_ok: AtomicU64::new(0),
             solves_err: AtomicU64::new(0),
             solves_coalesced: AtomicU64::new(0),
-            last_exec: Mutex::new(None),
+            ledger: Mutex::default(),
             warm_boot: Mutex::new(None),
         });
         entries.insert(name, Arc::clone(&entry));
@@ -254,10 +275,20 @@ mod tests {
         let report = entry.solve(&SolveRequest::default().workers(2)).unwrap();
         assert_eq!(entry.solves_ok(), 1);
         assert_eq!(entry.last_exec().is_some(), report.exec.is_some());
-        // An invalid request is counted as a failure.
+        // The ledger sums each report's own timings and work counters.
+        let again = entry
+            .solve(&SolveRequest::default().use_solve_cache(false))
+            .unwrap();
+        let (mut timings, mut stats) = (report.timings, report.stats);
+        timings.merge(&again.timings);
+        stats.merge(&again.stats);
+        assert_eq!(entry.solve_totals(), (timings, stats));
+        assert!(stats.grouping.candidates > report.stats.grouping.candidates);
+        // An invalid request is counted as a failure and adds nothing.
         let mut bad = SolveRequest::default();
         bad.config.apriori_threshold = f64::NAN;
         assert!(entry.solve(&bad).is_err());
         assert_eq!(entry.solves_err(), 1);
+        assert_eq!(entry.solve_totals(), (timings, stats));
     }
 }

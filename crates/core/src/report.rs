@@ -9,7 +9,7 @@ use std::fmt;
 use std::time::Duration;
 
 /// Wall-clock time per algorithm step (the series of the paper's Figure 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepTimings {
     /// Step 1 — grouping-pattern mining.
     pub grouping: Duration,
@@ -23,6 +23,13 @@ impl StepTimings {
     /// Total across the three steps.
     pub fn total(&self) -> Duration {
         self.grouping + self.intervention + self.greedy
+    }
+
+    /// Add another solve's step times to these.
+    pub fn merge(&mut self, other: &StepTimings) {
+        self.grouping += other.grouping;
+        self.intervention += other.intervention;
+        self.greedy += other.greedy;
     }
 }
 
@@ -45,6 +52,19 @@ pub struct SolveStats {
     pub intervention_cache_hits: u64,
     /// Groups evaluated from scratch (and inserted into the cache).
     pub intervention_cache_misses: u64,
+}
+
+impl SolveStats {
+    /// Add another solve's counters to these.
+    pub fn merge(&mut self, other: &SolveStats) {
+        self.grouping.merge(&other.grouping);
+        self.lattice.merge(&other.lattice);
+        self.greedy.evaluations += other.greedy.evaluations;
+        self.greedy.reevaluations += other.greedy.reevaluations;
+        self.greedy.rounds += other.greedy.rounds;
+        self.intervention_cache_hits += other.intervention_cache_hits;
+        self.intervention_cache_misses += other.intervention_cache_misses;
+    }
 }
 
 /// The result of one FairCap run.

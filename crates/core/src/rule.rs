@@ -1,6 +1,6 @@
 //! Prescription rules (Definition 4.3) and their per-rule statistics.
 
-use faircap_table::{DataFrame, Mask, Pattern, Value};
+use faircap_table::{Mask, Pattern};
 use serde::Serialize;
 use std::fmt;
 
@@ -76,32 +76,10 @@ impl fmt::Display for Rule {
     }
 }
 
-/// Build an equality pattern quickly in tests and examples.
-pub fn eq_pattern(pairs: &[(&str, &str)]) -> Pattern {
-    Pattern::of_eq(
-        &pairs
-            .iter()
-            .map(|(a, v)| (*a, Value::from(*v)))
-            .collect::<Vec<_>>(),
-    )
-}
-
-/// Materialize the coverage masks of a grouping pattern against a frame and
-/// protected mask.
-pub fn coverage_masks(
-    df: &DataFrame,
-    grouping: &Pattern,
-    protected: &Mask,
-) -> faircap_table::Result<(Mask, Mask)> {
-    let coverage = grouping.coverage(df)?;
-    let coverage_protected = &coverage & protected;
-    Ok((coverage, coverage_protected))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faircap_table::DataFrame;
+    use faircap_table::{DataFrame, Value};
 
     fn frame() -> DataFrame {
         DataFrame::builder()
@@ -110,16 +88,6 @@ mod tests {
             .cat("grp", &["p", "np", "p", "np"])
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn coverage_masks_split_protected() {
-        let df = frame();
-        let protected = eq_pattern(&[("grp", "p")]).coverage(&df).unwrap();
-        let grouping = eq_pattern(&[("age", "young")]);
-        let (cov, cov_p) = coverage_masks(&df, &grouping, &protected).unwrap();
-        assert_eq!(cov.to_indices(), vec![0, 1]);
-        assert_eq!(cov_p.to_indices(), vec![0]);
     }
 
     #[test]
@@ -136,12 +104,15 @@ mod tests {
     #[test]
     fn display_and_describe() {
         let df = frame();
-        let protected = eq_pattern(&[("grp", "p")]).coverage(&df).unwrap();
-        let grouping = eq_pattern(&[("age", "young")]);
-        let (coverage, coverage_protected) = coverage_masks(&df, &grouping, &protected).unwrap();
+        let protected = Pattern::of_eq(&[("grp", Value::from("p"))])
+            .coverage(&df)
+            .unwrap();
+        let grouping = Pattern::of_eq(&[("age", Value::from("young"))]);
+        let coverage = grouping.coverage(&df).unwrap();
+        let coverage_protected = &coverage & &protected;
         let r = Rule {
             grouping,
-            intervention: eq_pattern(&[("edu", "phd")]),
+            intervention: Pattern::of_eq(&[("edu", Value::from("phd"))]),
             coverage,
             coverage_protected,
             utility: RuleUtility {

@@ -32,7 +32,6 @@ use faircap_causal::{CateEngine, Dag, Estimator, EstimatorKind};
 use faircap_mining::{FrequentPattern, MiningStats};
 use faircap_obs::SpanHandle;
 use faircap_table::{CacheCounters, DataFrame, Mask, Pattern, ShardedLruCache};
-use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -231,7 +230,6 @@ impl SessionBuilder {
             engine,
             groupings: ShardedLruCache::unbounded(GROUPING_CACHE_SHARDS),
             interventions: ShardedLruCache::unbounded(INTERVENTION_CACHE_SHARDS),
-            hot: Mutex::default(),
         })
     }
 }
@@ -274,17 +272,6 @@ pub struct SolveRequest {
     /// `FAIRCAP_WORKERS` environment variable, then to
     /// `available_parallelism` (see [`crate::exec::resolve_workers`]).
     pub workers: Option<usize>,
-    /// LRU bound on the session's CATE estimate cache, applied before the
-    /// solve runs. `None` leaves the current bound (unbounded by default).
-    pub estimate_cache_bound: Option<usize>,
-    /// LRU bound on the session's grouping-pattern cache, applied before
-    /// the solve runs. `None` leaves the current bound (unbounded by
-    /// default).
-    pub grouping_cache_bound: Option<usize>,
-    /// LRU bound on the session's intervention-evaluation cache, applied
-    /// before the solve runs. `None` leaves the current bound (unbounded
-    /// by default).
-    pub intervention_cache_bound: Option<usize>,
     /// Whether this solve may read and populate the session's mining
     /// caches (grouping patterns and intervention evaluations). On by
     /// default; benchmarks turn it off to measure the uncached path.
@@ -307,9 +294,6 @@ impl Default for SolveRequest {
             config: FairCapConfig::default(),
             estimator: None,
             workers: None,
-            estimate_cache_bound: None,
-            grouping_cache_bound: None,
-            intervention_cache_bound: None,
             use_solve_cache: true,
             trace: false,
             span: None,
@@ -360,26 +344,6 @@ impl SolveRequest {
         self
     }
 
-    /// Bound the estimate cache to at most `n` entries (LRU eviction).
-    pub fn estimate_cache_bound(mut self, n: usize) -> Self {
-        self.estimate_cache_bound = Some(n);
-        self
-    }
-
-    /// Bound the grouping-pattern cache to at most `n` entries (LRU
-    /// eviction).
-    pub fn grouping_cache_bound(mut self, n: usize) -> Self {
-        self.grouping_cache_bound = Some(n);
-        self
-    }
-
-    /// Bound the intervention-evaluation cache to at most `n` entries (LRU
-    /// eviction).
-    pub fn intervention_cache_bound(mut self, n: usize) -> Self {
-        self.intervention_cache_bound = Some(n);
-        self
-    }
-
     /// Enable or disable the session's mining caches for this solve.
     pub fn use_solve_cache(mut self, on: bool) -> Self {
         self.use_solve_cache = on;
@@ -419,9 +383,6 @@ impl std::fmt::Debug for SolveRequest {
                 &self.estimator.as_ref().map(|e| e.name().to_owned()),
             )
             .field("workers", &self.workers)
-            .field("estimate_cache_bound", &self.estimate_cache_bound)
-            .field("grouping_cache_bound", &self.grouping_cache_bound)
-            .field("intervention_cache_bound", &self.intervention_cache_bound)
             .field("use_solve_cache", &self.use_solve_cache)
             .field("trace", &self.trace)
             .field("span", &self.span.is_some())
@@ -455,50 +416,6 @@ impl GroupingKey {
             max_len: config.max_group_len,
             protected_need,
         }
-    }
-}
-
-/// Cumulative solve-path counters over a session's lifetime, in the style
-/// of the causal engine's `HotStats`: where solve wall-clock went and how
-/// much candidate work the mining/selection steps performed. Snapshot via
-/// [`PrescriptionSession::solve_hot_stats`]; surfaced by the serving
-/// layer's `/v1/metrics`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolveHotStats {
-    /// Completed solves.
-    pub solves: u64,
-    /// Nanoseconds in Step 1 (grouping-pattern mining, cache included).
-    pub mine_ns: u64,
-    /// Nanoseconds in Step 2 (intervention mining, cache included).
-    pub intervene_ns: u64,
-    /// Nanoseconds in Step 3 (greedy selection).
-    pub select_ns: u64,
-    /// Mining candidates generated (Apriori + lattice, all solves).
-    pub candidates: u64,
-    /// Mining candidates pruned before evaluation.
-    pub pruned: u64,
-    /// Mining candidates materialized / evaluated.
-    pub evaluated: u64,
-    /// Greedy candidate-score evaluations.
-    pub greedy_evaluations: u64,
-    /// Greedy stale-heap-entry re-evaluations.
-    pub greedy_reevaluations: u64,
-}
-
-impl SolveHotStats {
-    /// Fold one solve's timings and work counts into the totals.
-    fn add(&mut self, timings: &StepTimings, stats: &SolveStats) {
-        let mut mining = stats.grouping;
-        mining.merge(&stats.lattice);
-        self.solves += 1;
-        self.mine_ns += timings.grouping.as_nanos() as u64;
-        self.intervene_ns += timings.intervention.as_nanos() as u64;
-        self.select_ns += timings.greedy.as_nanos() as u64;
-        self.candidates += mining.candidates;
-        self.pruned += mining.pruned();
-        self.evaluated += mining.evaluated;
-        self.greedy_evaluations += stats.greedy.evaluations;
-        self.greedy_reevaluations += stats.greedy.reevaluations;
     }
 }
 
@@ -563,8 +480,6 @@ pub struct PrescriptionSession {
     engine: CateEngine,
     groupings: ShardedLruCache<GroupingKey, Arc<Vec<FrequentPattern>>>,
     interventions: InterventionCache,
-    /// Totals over completed solves, folded in once per solve.
-    hot: Mutex<SolveHotStats>,
 }
 
 impl std::fmt::Debug for PrescriptionSession {
@@ -662,13 +577,6 @@ impl PrescriptionSession {
         self.interventions.counters()
     }
 
-    /// Cumulative solve-path counters (per-step wall-clock, mining
-    /// candidate pipeline, greedy heap activity) over all solves on this
-    /// session.
-    pub fn solve_hot_stats(&self) -> SolveHotStats {
-        *self.hot.lock()
-    }
-
     /// Capture the session's warmed caches — adjustment sets and all CATE
     /// estimates — as a [`SessionSnapshot`] that can be serialized
     /// ([`SessionSnapshot::encode`]) and restored into a new session over
@@ -692,15 +600,6 @@ impl PrescriptionSession {
     pub fn solve(&self, request: &SolveRequest) -> Result<SolutionReport> {
         let config = &request.config;
         validate_config(config)?;
-        if let Some(bound) = request.estimate_cache_bound {
-            self.engine.set_estimate_cache_capacity(bound);
-        }
-        if let Some(bound) = request.grouping_cache_bound {
-            self.groupings.set_capacity(bound);
-        }
-        if let Some(bound) = request.intervention_cache_bound {
-            self.interventions.set_capacity(bound);
-        }
         let estimator: &dyn Estimator = request.estimator.as_deref().unwrap_or(&config.estimator);
         let query = self.engine.with_estimator(estimator);
         let span = request.span.as_ref();
@@ -758,7 +657,6 @@ impl PrescriptionSession {
             intervention_cache_hits: step2.cache_hits,
             intervention_cache_misses: step2.cache_misses,
         };
-        self.hot.lock().add(&timings, &stats);
 
         Ok(SolutionReport {
             label: config.label(),
@@ -1216,8 +1114,9 @@ mod tests {
     }
 
     #[test]
-    fn grouping_cache_bound_evicts_lru() {
-        let s = session();
+    fn bounded_grouping_cache_evicts_lru() {
+        let mut s = session();
+        s.groupings = ShardedLruCache::new(1, GROUPING_CACHE_SHARDS);
         // Three distinct grouping keys under a bound of 1.
         for theta in [0.15, 0.2, 0.25] {
             let mut cfg = FairCapConfig::default();
@@ -1225,8 +1124,7 @@ mod tests {
                 theta,
                 theta_protected: 0.0,
             };
-            s.solve(&SolveRequest::from(cfg).grouping_cache_bound(1))
-                .unwrap();
+            s.solve(&SolveRequest::from(cfg)).unwrap();
             assert!(s.groupings.len() <= 1, "bound violated");
         }
         assert_eq!(s.grouping_cache_stats().evictions, 2);
@@ -1272,55 +1170,14 @@ mod tests {
     }
 
     #[test]
-    fn intervention_cache_bound_evicts() {
-        let s = session();
-        let report = s
-            .solve(&SolveRequest::default().intervention_cache_bound(1))
-            .unwrap();
+    fn bounded_intervention_cache_evicts() {
+        let mut s = session();
+        s.interventions = ShardedLruCache::new(1, INTERVENTION_CACHE_SHARDS);
+        let report = s.solve(&SolveRequest::default()).unwrap();
         assert!(report.n_grouping_patterns > 1);
         let counters = s.intervention_cache_stats();
         assert!(counters.entries <= 1, "bound violated");
         assert!(counters.evictions > 0);
-    }
-
-    #[test]
-    fn solve_hot_stats_accumulate() {
-        let s = session();
-        assert_eq!(s.solve_hot_stats(), SolveHotStats::default());
-        let r1 = s.solve(&SolveRequest::default()).unwrap();
-        let after_one = s.solve_hot_stats();
-        assert_eq!(after_one.solves, 1);
-        assert!(after_one.intervene_ns > 0);
-        assert!(after_one.candidates > 0);
-        assert_eq!(
-            after_one.evaluated,
-            r1.stats.grouping.evaluated + r1.stats.lattice.evaluated
-        );
-        assert_eq!(after_one.greedy_evaluations, r1.stats.greedy.evaluations);
-        s.solve(&SolveRequest::default().max_rules(3)).unwrap();
-        let after_two = s.solve_hot_stats();
-        assert_eq!(after_two.solves, 2);
-        assert!(after_two.select_ns >= after_one.select_ns);
-    }
-
-    #[test]
-    fn estimate_cache_bound_is_enforced_during_solve() {
-        let s = session();
-        let bound = 8;
-        s.solve(&SolveRequest::default().estimate_cache_bound(bound))
-            .unwrap();
-        let stats = s.cache_stats();
-        assert!(
-            stats.entries <= bound,
-            "estimate cache held {} entries over bound {bound}",
-            stats.entries
-        );
-        assert!(stats.evictions > 0, "a full solve must overflow 8 entries");
-        // Unbounded sessions keep everything.
-        let fresh = session();
-        fresh.solve(&SolveRequest::default()).unwrap();
-        assert!(fresh.cache_stats().entries > bound);
-        assert_eq!(fresh.cache_stats().evictions, 0);
     }
 
     #[test]

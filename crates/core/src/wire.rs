@@ -422,9 +422,6 @@ fn bad(msg: impl Into<String>) -> Error {
 ///   "apriori_threshold": 0.1,
 ///   "parallel": true,
 ///   "workers": 4,
-///   "estimate_cache_bound": 10000,
-///   "grouping_cache_bound": 64,
-///   "intervention_cache_bound": 256,
 ///   "use_solve_cache": true,
 ///   "trace": false
 /// }
@@ -463,16 +460,6 @@ pub fn solve_request_from_json(json: &Json) -> Result<SolveRequest> {
                     .ok_or_else(|| bad("`parallel` must be a boolean"))?
             }
             "workers" => request.workers = Some(usize_field(value, "workers")?),
-            "estimate_cache_bound" => {
-                request.estimate_cache_bound = Some(usize_field(value, "estimate_cache_bound")?)
-            }
-            "grouping_cache_bound" => {
-                request.grouping_cache_bound = Some(usize_field(value, "grouping_cache_bound")?)
-            }
-            "intervention_cache_bound" => {
-                request.intervention_cache_bound =
-                    Some(usize_field(value, "intervention_cache_bound")?)
-            }
             "use_solve_cache" => {
                 request.use_solve_cache = value
                     .as_bool()
@@ -657,18 +644,6 @@ pub fn solve_request_to_canonical_json(request: &SolveRequest) -> Json {
         ),
         ("parallel", Json::Bool(config.parallel)),
         ("workers", opt_usize(request.workers)),
-        (
-            "estimate_cache_bound",
-            opt_usize(request.estimate_cache_bound),
-        ),
-        (
-            "grouping_cache_bound",
-            opt_usize(request.grouping_cache_bound),
-        ),
-        (
-            "intervention_cache_bound",
-            opt_usize(request.intervention_cache_bound),
-        ),
         ("use_solve_cache", Json::Bool(request.use_solve_cache)),
         ("trace", Json::Bool(request.trace)),
     ])
@@ -919,9 +894,7 @@ mod tests {
             "max_rules": 7,
             "apriori_threshold": 0.15,
             "parallel": false,
-            "workers": 3,
-            "estimate_cache_bound": 100,
-            "grouping_cache_bound": 8
+            "workers": 3
         }"#;
         let request = solve_request_from_json(&Json::parse(body).unwrap()).unwrap();
         assert!(matches!(
@@ -940,8 +913,6 @@ mod tests {
         assert_eq!(request.config.apriori_threshold, 0.15);
         assert!(!request.config.parallel);
         assert_eq!(request.workers, Some(3));
-        assert_eq!(request.estimate_cache_bound, Some(100));
-        assert_eq!(request.grouping_cache_bound, Some(8));
     }
 
     #[test]
@@ -955,6 +926,14 @@ mod tests {
     fn bad_requests_are_typed_errors() {
         for (body, needle) in [
             (r#"{"bogus": 1}"#, "unknown request field"),
+            // A request configures one solve; cache sizes are fixed when
+            // the session's caches are built.
+            (r#"{"estimate_cache_bound": 0}"#, "unknown request field"),
+            (r#"{"grouping_cache_bound": 64}"#, "unknown request field"),
+            (
+                r#"{"intervention_cache_bound": 256}"#,
+                "unknown request field",
+            ),
             (r#"{"estimator": "dowhy"}"#, "unknown estimator"),
             (r#"{"fairness": {"kind": "sp"}}"#, "epsilon"),
             (r#"{"fairness": {"kind": "zz"}}"#, "fairness kind"),
@@ -1013,9 +992,6 @@ mod tests {
             "apriori_threshold",
             "parallel",
             "workers",
-            "estimate_cache_bound",
-            "grouping_cache_bound",
-            "intervention_cache_bound",
             "use_solve_cache",
             "trace",
         ] {

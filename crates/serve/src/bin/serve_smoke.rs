@@ -11,19 +11,21 @@
 //! 1. waits for `/healthz` (boot synchronization, up to 120 s);
 //! 2. runs one warm-up solve and a second request on the same keep-alive
 //!    connection (persistent-connection conformance);
-//! 3. fires 8 concurrent `POST /v1/solve` requests — every response must be
+//! 3. posts a solve carrying a cache bound, which a request cannot set:
+//!    it must be refused with `400` naming an unknown request field;
+//! 4. fires 8 concurrent `POST /v1/solve` requests — every response must be
 //!    `200` with a **non-empty** ruleset, and all rulesets must be
 //!    identical (one shared warm session serves all of them; identical
 //!    in-flight requests may coalesce into one underlying solve);
-//! 4. `GET /v1/metrics` must be `200` and report **nonzero estimate-cache
+//! 5. `GET /v1/metrics` must be `200` and report **nonzero estimate-cache
 //!    hits**, ≥8 delivered solves, and the `coalesce_hits` counter;
-//! 5. a solve with `"trace": true` must return an embedded span tree
+//! 6. a solve with `"trace": true` must return an embedded span tree
 //!    covering the full pipeline (queue wait, Step 1/2/3, an estimate
 //!    span), echo `X-Faircap-Trace-Id`, and land in `GET /v1/trace`;
-//! 6. `GET /metrics` must parse as valid Prometheus exposition, pass the
+//! 7. `GET /metrics` must parse as valid Prometheus exposition, pass the
 //!    `faircap_` naming gate, and its solve-latency p99 must agree with
 //!    `/v1/metrics` within one log-bucket's relative error;
-//! 7. `POST /v1/shutdown` asks the server to drain so the CI job's
+//! 8. `POST /v1/shutdown` asks the server to drain so the CI job's
 //!    background process exits cleanly.
 
 use faircap_core::Json;
@@ -129,6 +131,19 @@ fn main() {
     }
     drop(conn);
     println!("serve_smoke: warm-up solve + keep-alive reuse OK");
+
+    // A request configures one solve; cache sizes are not request fields.
+    let refused = client
+        .post_json("/v1/solve", r#"{"estimate_cache_bound": 0}"#)
+        .unwrap_or_else(|e| fail(format_args!("cache-bound request failed: {e}")));
+    if refused.status != 400 || !refused.body.contains("unknown request field") {
+        fail(format_args!(
+            "cache-bound request returned {}, expected 400 naming an unknown request field: {}",
+            refused.status, refused.body
+        ));
+    }
+    println!("serve_smoke: cache-bound request refused with 400");
+
     let rulesets: Vec<Vec<String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CONCURRENCY)
             .map(|_| {

@@ -10,7 +10,7 @@
 //! it to render `/v1/metrics`, `/v1/sessions` and `/metrics`, so a new row
 //! appears on all of them. The table only reads state; the counters stay
 //! with whatever updates them (this module, the solve pool, the coalescer,
-//! the session's caches and hot-path stats).
+//! the session's caches and its registry entry's solve ledger).
 //!
 //! ## Units
 //!
@@ -510,11 +510,12 @@ static SESSION: &[Metric<RegisteredSession>] = &[
         "solve_stats.{}_ms",
         "Cumulative per-step solve time (step: mine, intervene, select)",
         Each("step", |e| {
-            let h = e.session().solve_hot_stats();
+            let (t, _) = e.solve_totals();
+            let ns = |d: Duration| d.as_nanos() as u64;
             by_label([
-                ("mine", h.mine_ns),
-                ("intervene", h.intervene_ns),
-                ("select", h.select_ns),
+                ("mine", ns(t.grouping)),
+                ("intervene", ns(t.intervention)),
+                ("select", ns(t.greedy)),
             ])
         }),
     ),
@@ -523,14 +524,16 @@ static SESSION: &[Metric<RegisteredSession>] = &[
         "solve_stats.{}",
         "Solve-path work items (kind: solves, candidates, pruned, evaluated, greedy_evaluations, greedy_reevaluations)",
         Each("kind", |e| {
-            let h = e.session().solve_hot_stats();
+            let (_, s) = e.solve_totals();
+            let mut mining = s.grouping;
+            mining.merge(&s.lattice);
             by_label([
-                ("solves", h.solves),
-                ("candidates", h.candidates),
-                ("pruned", h.pruned),
-                ("evaluated", h.evaluated),
-                ("greedy_evaluations", h.greedy_evaluations),
-                ("greedy_reevaluations", h.greedy_reevaluations),
+                ("solves", e.solves_ok()),
+                ("candidates", mining.candidates),
+                ("pruned", mining.pruned()),
+                ("evaluated", mining.evaluated),
+                ("greedy_evaluations", s.greedy.evaluations),
+                ("greedy_reevaluations", s.greedy.reevaluations),
             ])
         }),
     ),

@@ -9,14 +9,15 @@
 //! workers contend on `1/N`-th of the cache instead of a single mutex; a
 //! global capacity bounds the total entry count, with least-recently-used
 //! eviction (exact within a shard, approximate across shards — see
-//! [`ShardedLruCache::insert`]).
+//! [`ShardedLruCache::insert`]). The capacity is fixed when the cache is
+//! built ([`ShardedLruCache::new`] / [`ShardedLruCache::unbounded`]).
 //!
 //! Hit / miss / eviction counters are maintained per shard and summed on
 //! demand ([`ShardedLruCache::counters`]), so reading statistics never
 //! serializes the hot path. Recency is a single cache-wide atomic clock,
-//! which keeps last-use ticks comparable across shards (needed when
-//! [`set_capacity`](ShardedLruCache::set_capacity) shrinks the cache and
-//! must evict globally-oldest entries first).
+//! which keeps last-use ticks comparable across shards (needed when an
+//! insert into a sparse cache sweeps every shard for the globally oldest
+//! entry).
 
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
@@ -101,7 +102,7 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
 pub struct ShardedLruCache<K, V> {
     shards: Box<[Mutex<Shard<K, V>>]>,
     shard_bits: u32,
-    capacity: AtomicUsize,
+    capacity: usize,
     entries: AtomicUsize,
     tick: AtomicU64,
 }
@@ -109,7 +110,7 @@ pub struct ShardedLruCache<K, V> {
 impl<K: Hash + Eq + Clone, V: Clone> std::fmt::Debug for ShardedLruCache<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedLruCache")
-            .field("capacity", &self.capacity())
+            .field("capacity", &self.capacity)
             .field("counters", &self.counters())
             .finish_non_exhaustive()
     }
@@ -123,7 +124,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
         ShardedLruCache {
             shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
             shard_bits: n.trailing_zeros(),
-            capacity: AtomicUsize::new(capacity),
+            capacity,
             entries: AtomicUsize::new(0),
             tick: AtomicU64::new(0),
         }
@@ -137,11 +138,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     /// Number of lock shards.
     pub fn n_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The configured entry bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
     }
 
     /// Entries currently held across all shards.
@@ -216,11 +212,10 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
     /// globally ordered sweep when that shard holds at most the fresh entry
     /// itself — which only happens while the cache is sparse, exactly when
     /// the global sweep is cheap. Cross-shard LRU order is therefore
-    /// approximate at steady state (exact for a single-shard cache and for
-    /// [`set_capacity`](Self::set_capacity) shrinks). Under concurrent
-    /// inserts the bound can be overshot transiently, but every inserting
-    /// thread evicts until the bound holds again. An unbounded cache (the
-    /// default) never evicts.
+    /// approximate at steady state (exact for a single-shard cache). Under
+    /// concurrent inserts the bound can be overshot transiently, but every
+    /// inserting thread evicts until the bound holds again. An unbounded
+    /// cache never evicts.
     pub fn insert(&self, key: K, value: V) -> Inserted<K, V> {
         let tick = self.next_tick();
         let shard_idx = self.shard_index(&key);
@@ -232,26 +227,18 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
                 self.entries.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let evicted = self.enforce_capacity(self.capacity(), Some(shard_idx));
+        let evicted = self.enforce_capacity(shard_idx);
         Inserted { replaced, evicted }
     }
 
-    /// Change the entry bound, immediately evicting globally
-    /// least-recently-used entries if the cache is over the new bound.
-    /// Returns everything evicted.
-    pub fn set_capacity(&self, capacity: usize) -> Vec<(K, V)> {
-        self.capacity.store(capacity, Ordering::Relaxed);
-        self.enforce_capacity(capacity, None)
-    }
-
-    /// Evict until at most `capacity` entries remain, preferring the LRU
-    /// entry of `prefer_shard` while it holds other entries besides the
-    /// freshest one. Locks one shard at a time.
-    fn enforce_capacity(&self, capacity: usize, prefer_shard: Option<usize>) -> Vec<(K, V)> {
+    /// Evict until the capacity bound holds, preferring the LRU entry of
+    /// `prefer_shard` while it holds other entries besides the freshest
+    /// one. Locks one shard at a time.
+    fn enforce_capacity(&self, prefer_shard: usize) -> Vec<(K, V)> {
         let mut evicted = Vec::new();
-        while self.entries.load(Ordering::Relaxed) > capacity {
-            if let Some(i) = prefer_shard {
-                let mut shard = self.shards[i].lock();
+        while self.entries.load(Ordering::Relaxed) > self.capacity {
+            {
+                let mut shard = self.shards[prefer_shard].lock();
                 if shard.map.len() > 1 {
                     if let Some(pair) = shard.evict_lru() {
                         self.entries.fetch_sub(1, Ordering::Relaxed);
@@ -390,24 +377,29 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_capacity_evicts_globally_oldest() {
-        let cache: ShardedLruCache<u64, u64> = ShardedLruCache::unbounded(4);
-        for i in 0..20 {
+    fn sparse_insert_evicts_globally_oldest() {
+        // Ten entries over 64 shards leave most shards empty. An insert
+        // into an empty shard has nothing of its own to evict, so it
+        // sweeps every shard for the globally oldest entry.
+        let cache: ShardedLruCache<u64, u64> = ShardedLruCache::new(10, 64);
+        for i in 0..10 {
             cache.insert(i, i);
         }
-        // Refresh the first ten so the second ten are oldest.
-        for i in 0..10 {
+        // Refresh all but 7, so 7 is the oldest.
+        for i in (0..10).filter(|&i| i != 7) {
             cache.get(&i);
         }
-        let evicted = cache.set_capacity(10);
-        assert_eq!(evicted.len(), 10);
+        let fresh = (10..)
+            .find(|k| cache.shards[cache.shard_index(k)].lock().map.is_empty())
+            .unwrap();
+        let evicted: Vec<u64> = cache
+            .insert(fresh, fresh)
+            .evicted
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(evicted, vec![7]);
         assert_eq!(cache.len(), 10);
-        for (k, _) in &evicted {
-            assert!(*k >= 10, "refreshed entry {k} evicted before older ones");
-        }
-        for i in 0..10 {
-            assert!(cache.get(&i).is_some());
-        }
     }
 
     #[test]

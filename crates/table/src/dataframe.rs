@@ -187,36 +187,6 @@ impl DataFrame {
         }
     }
 
-    /// Group rows by the joint values of several columns, restricted to
-    /// `within`. Returns masks in deterministic (lexicographic value) order.
-    pub fn group_masks_multi(&self, names: &[&str], within: &Mask) -> Result<Vec<Mask>> {
-        if names.is_empty() {
-            return Ok(vec![within.clone()]);
-        }
-        let cols: Vec<&Column> = names
-            .iter()
-            .map(|n| self.column(n))
-            .collect::<Result<_>>()?;
-        let mut groups: std::collections::BTreeMap<Vec<Value>, Mask> =
-            std::collections::BTreeMap::new();
-        for i in within.iter_ones() {
-            let key: Vec<Value> = cols.iter().map(|c| c.get(i)).collect();
-            groups
-                .entry(key)
-                .or_insert_with(|| Mask::zeros(self.n_rows))
-                .set(i, true);
-        }
-        Ok(groups.into_values().collect())
-    }
-
-    /// Count of rows where the named column equals `value`, within `mask`.
-    pub fn count_eq(&self, name: &str, value: &Value, mask: &Mask) -> Result<usize> {
-        let col = self.column(name)?;
-        let eq = crate::predicate::Predicate::eq(name, value.clone());
-        let m = eq.eval_column(col, self.n_rows);
-        Ok(m.intersect_count(mask))
-    }
-
     /// The first `k` rows rendered as an ASCII table (for examples/debugging).
     pub fn head(&self, k: usize) -> String {
         let k = k.min(self.n_rows);
@@ -408,31 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn group_masks_multi_partitions() {
-        let df = sample();
-        let groups = df
-            .group_masks_multi(&["country", "student"], &Mask::ones(5))
-            .unwrap();
-        let total: usize = groups.iter().map(|m| m.count()).sum();
-        assert_eq!(total, 5);
-        // partition: pairwise disjoint
-        for i in 0..groups.len() {
-            for j in i + 1..groups.len() {
-                assert_eq!(groups[i].intersect_count(&groups[j]), 0);
-            }
-        }
-    }
-
-    #[test]
-    fn group_masks_multi_empty_names_is_single_group() {
-        let df = sample();
-        let within = Mask::from_indices(5, &[0, 1]);
-        let g = df.group_masks_multi(&[], &within).unwrap();
-        assert_eq!(g.len(), 1);
-        assert_eq!(g[0], within);
-    }
-
-    #[test]
     fn select_and_with_column() {
         let df = sample();
         let s = df.select(&["salary", "age"]).unwrap();
@@ -453,23 +398,6 @@ mod tests {
         let s = df.head(2);
         assert!(s.contains("country") && s.contains("US"));
         assert_eq!(s.lines().count(), 3);
-    }
-
-    #[test]
-    fn count_eq_counts() {
-        let df = sample();
-        let n = df
-            .count_eq("country", &Value::from("IN"), &Mask::ones(5))
-            .unwrap();
-        assert_eq!(n, 2);
-        let n = df
-            .count_eq(
-                "country",
-                &Value::from("IN"),
-                &Mask::from_indices(5, &[0, 1]),
-            )
-            .unwrap();
-        assert_eq!(n, 1);
     }
 
     #[test]

@@ -252,18 +252,10 @@ pub fn welch_t_test(
     })
 }
 
-/// Chi-square test of independence on an `r × c` contingency table given in
-/// row-major order. Returns `None` for degenerate tables (a zero margin).
-pub fn chi2_independence(table: &[u64], rows: usize, cols: usize) -> Option<TestResult> {
-    contingency_test(table, rows, cols, false)
-}
-
-/// G² (log-likelihood ratio) test of independence on an `r × c` table.
+/// G² (log-likelihood ratio) test of independence on an `r × c`
+/// contingency table given in row-major order. Returns `None` for
+/// degenerate tables (fewer than two non-empty rows or columns).
 pub fn g2_independence(table: &[u64], rows: usize, cols: usize) -> Option<TestResult> {
-    contingency_test(table, rows, cols, true)
-}
-
-fn contingency_test(table: &[u64], rows: usize, cols: usize, g2: bool) -> Option<TestResult> {
     assert_eq!(table.len(), rows * cols, "table shape mismatch");
     let mut row_sum = vec![0u64; rows];
     let mut col_sum = vec![0u64; cols];
@@ -295,13 +287,8 @@ fn contingency_test(table: &[u64], rows: usize, cols: usize, g2: bool) -> Option
             }
             let expected = row_sum[r] as f64 * col_sum[c] as f64 / total as f64;
             let observed = table[r * cols + c] as f64;
-            if g2 {
-                if observed > 0.0 {
-                    stat += 2.0 * observed * (observed / expected).ln();
-                }
-            } else {
-                let d = observed - expected;
-                stat += d * d / expected;
+            if observed > 0.0 {
+                stat += 2.0 * observed * (observed / expected).ln();
             }
         }
     }
@@ -490,31 +477,29 @@ mod tests {
     }
 
     #[test]
-    fn chi2_independence_independent_table() {
+    fn g2_independence_independent_table() {
         // Perfectly proportional table → statistic 0, p = 1.
         let t = [10, 20, 30, 60];
-        let r = chi2_independence(&t, 2, 2).unwrap();
+        let r = g2_independence(&t, 2, 2).unwrap();
         assert!(r.statistic.abs() < 1e-9);
         assert!(close(r.p_value, 1.0, 1e-9));
     }
 
     #[test]
-    fn chi2_independence_dependent_table() {
+    fn g2_independence_dependent_table() {
         let t = [50, 5, 5, 50];
-        let r = chi2_independence(&t, 2, 2).unwrap();
+        let r = g2_independence(&t, 2, 2).unwrap();
         assert!(r.p_value < 1e-9);
         assert_eq!(r.df, 1.0);
-        let g = g2_independence(&t, 2, 2).unwrap();
-        assert!(g.p_value < 1e-9);
     }
 
     #[test]
     fn contingency_degenerate_margins() {
         // One empty row → cannot test.
         let t = [0, 0, 5, 5];
-        assert!(chi2_independence(&t, 2, 2).is_none());
+        assert!(g2_independence(&t, 2, 2).is_none());
         let t = [0, 0, 0, 0];
-        assert!(chi2_independence(&t, 2, 2).is_none());
+        assert!(g2_independence(&t, 2, 2).is_none());
     }
 
     #[test]

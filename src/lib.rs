@@ -51,11 +51,11 @@
 //! executor ([`core::exec`]) — worker count set per request
 //! (`SolveRequest::workers`) or via `FAIRCAP_WORKERS`, which size this
 //! fan-out only, as each CATE estimate runs single-threaded — with
-//! per-solve scheduling statistics on `SolutionReport::exec`. The estimate and
-//! grouping caches are sharded, LRU-bounded maps
-//! ([`table::cache::ShardedLruCache`]; bounds via
-//! `SolveRequest::estimate_cache_bound` / `grouping_cache_bound`), and a
-//! session's warmed caches persist across processes:
+//! per-solve scheduling statistics on `SolutionReport::exec`. Every cache
+//! is a sharded map with LRU eviction
+//! ([`table::cache::ShardedLruCache`]) whose capacity is fixed when it is
+//! built; a solve request configures that one solve and never resizes the
+//! session's caches. A session's warmed caches persist across processes:
 //! [`PrescriptionSession::snapshot`] serializes them to a versioned format
 //! and `FairCap::builder().warm_start(snapshot)` restores them, so a
 //! restarted server re-solves with zero new estimations (CLI:

@@ -19,7 +19,7 @@
 //!   request.
 
 use faircap::causal::Dag;
-use faircap::core::{FairCap, PrescriptionSession, SessionRegistry, SolveRequest};
+use faircap::core::{FairCap, PrescriptionSession, SessionRegistry, SolutionReport, SolveRequest};
 use faircap::core::{Json, SessionSnapshot};
 use faircap::serve::{ServeClient, ServeConfig, Server};
 use faircap::table::{DataFrame, Pattern, Value};
@@ -311,6 +311,101 @@ fn request_validation_and_routing_errors() {
     assert_eq!(list.len(), 1);
     assert_eq!(list[0].get("name").unwrap().as_str(), Some("so"));
     assert_eq!(list[0].get("outcome").unwrap().as_str(), Some("salary"));
+    server.shutdown();
+}
+
+/// A request configures one solve: a body that tries to size the session's
+/// caches is refused with a 400 naming the field, and leaves the warm
+/// caches as they were, so the next plain solve estimates nothing new.
+#[test]
+fn cache_bound_fields_are_refused_and_leave_the_caches_warm() {
+    let (server, client) = boot(ServeConfig::default());
+    let plain = client.post_json("/v1/solve", "{}").unwrap();
+    assert_eq!(plain.status, 200, "{}", plain.body);
+    let misses = metric(&client, "sessions.so.estimate_cache.misses");
+    assert!(misses > 0.0, "the cold solve estimates");
+    for body in [
+        r#"{"estimate_cache_bound": 0}"#,
+        r#"{"grouping_cache_bound": 0}"#,
+        r#"{"intervention_cache_bound": 0}"#,
+    ] {
+        let field = body.split('"').nth(1).unwrap();
+        let response = client.post_json("/v1/solve", body).unwrap();
+        assert_eq!(response.status, 400, "{body}: {}", response.body);
+        assert!(
+            response
+                .body
+                .contains(&format!("unknown request field `{field}`")),
+            "{body}: {}",
+            response.body
+        );
+    }
+    let plain = client.post_json("/v1/solve", "{}").unwrap();
+    assert_eq!(plain.status, 200, "{}", plain.body);
+    assert_eq!(
+        metric(&client, "sessions.so.estimate_cache.misses"),
+        misses,
+        "a warm plain solve must not estimate again"
+    );
+    server.shutdown();
+}
+
+/// A session's `solve_stats` are its registry entry's ledger: the sums of
+/// the completed solves' own report timings and work counters.
+#[test]
+fn solve_stats_are_the_sums_of_the_reports() {
+    let registry = Arc::new(SessionRegistry::new());
+    let entry = registry.register("so", so_session(2_000)).unwrap();
+    let server = Server::start(ServeConfig::default(), registry).unwrap();
+    let client = server.client();
+    client.wait_ready(Duration::from_secs(30)).unwrap();
+    let requests = [
+        SolveRequest::default(),
+        SolveRequest::default().max_rules(3),
+        SolveRequest::default().use_solve_cache(false),
+    ];
+    let reports: Vec<SolutionReport> = requests.iter().map(|r| entry.solve(r).unwrap()).collect();
+    let doc = Json::parse(&client.get("/v1/metrics").unwrap().body).unwrap();
+    let sum = |read: fn(&SolutionReport) -> u64| reports.iter().map(read).sum::<u64>() as f64;
+    for (key, total) in [
+        ("solves", reports.len() as f64),
+        (
+            "candidates",
+            sum(|r| r.stats.grouping.candidates + r.stats.lattice.candidates),
+        ),
+        (
+            "pruned",
+            sum(|r| r.stats.grouping.pruned() + r.stats.lattice.pruned()),
+        ),
+        (
+            "evaluated",
+            sum(|r| r.stats.grouping.evaluated + r.stats.lattice.evaluated),
+        ),
+        ("greedy_evaluations", sum(|r| r.stats.greedy.evaluations)),
+        (
+            "greedy_reevaluations",
+            sum(|r| r.stats.greedy.reevaluations),
+        ),
+        (
+            "mine_ms",
+            sum(|r| r.timings.grouping.as_nanos() as u64) / 1e6,
+        ),
+        (
+            "intervene_ms",
+            sum(|r| r.timings.intervention.as_nanos() as u64) / 1e6,
+        ),
+        (
+            "select_ms",
+            sum(|r| r.timings.greedy.as_nanos() as u64) / 1e6,
+        ),
+    ] {
+        let read = field(&doc, &format!("sessions.so.solve_stats.{key}"));
+        assert!(
+            (read - total).abs() <= 1e-9 * total.max(1.0),
+            "{key}: {read} vs {total}"
+        );
+    }
+    assert!(field(&doc, "sessions.so.solve_stats.candidates") > 0.0);
     server.shutdown();
 }
 

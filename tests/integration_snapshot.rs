@@ -87,28 +87,3 @@ fn warm_start_covers_constraint_sweeps_seen_before_the_snapshot() {
         "the snapshot covers the whole sweep, not just the last solve"
     );
 }
-
-#[test]
-fn estimate_cache_bound_holds_under_warm_start_and_solve() {
-    let ds = dataset();
-    let cold = session(&ds).build().unwrap();
-    cold.solve(&SolveRequest::default()).unwrap();
-    let snapshot = cold.snapshot();
-    let full = snapshot.state.estimates.len();
-    assert!(
-        full > 16,
-        "fixture must be big enough to overflow the bound"
-    );
-
-    // Restoring a big snapshot into a bounded session keeps the bound.
-    let warm = session(&ds).warm_start(snapshot).build().unwrap();
-    warm.solve(&SolveRequest::default().estimate_cache_bound(16))
-        .unwrap();
-    let stats = warm.cache_stats();
-    assert!(
-        stats.entries <= 16,
-        "entry count {} exceeds the configured LRU bound",
-        stats.entries
-    );
-    assert!(stats.evictions > 0);
-}
