@@ -10,12 +10,15 @@
 //!    the estimator, the lattice depth, and the significance level α —
 //!    **not** on the fairness/coverage constraints or the cost model.
 //! 2. [`rules_from_evaluation`] — cost feasibility, fairness-penalized
-//!    benefit, the individual-fairness filter, and the top-`k` truncation:
+//!    benefit, the individual-fairness filter, and the top-`k` selection:
 //!    pure arithmetic over phase 1's numbers, re-run cheaply per solve.
+//!    Nodes are scored in place; only the top `k` survivors are
+//!    materialized as [`Rule`]s (patterns and masks cloned), so a group
+//!    with no survivor allocates no mask at all.
 
 use crate::benefit::benefit;
 use crate::config::FairCapConfig;
-use crate::constraints::rule_satisfies_fairness;
+use crate::constraints::utility_satisfies_fairness;
 use crate::rule::{Rule, RuleUtility};
 use faircap_causal::{CateQuery, Estimate, GroupHandle};
 use faircap_mining::{positive_lattice_with_stats, single_attribute_items, MiningStats};
@@ -36,6 +39,18 @@ pub struct EvaluatedIntervention {
     pub u_protected: f64,
     /// Utility on the non-protected sub-coverage.
     pub u_non_protected: f64,
+}
+
+impl EvaluatedIntervention {
+    /// The node's utility triple, as its rule would carry it.
+    pub(crate) fn utility(&self) -> RuleUtility {
+        RuleUtility {
+            overall: self.cate,
+            protected: self.u_protected,
+            non_protected: self.u_non_protected,
+            p_value: self.p_value,
+        }
+    }
 }
 
 /// Phase-1 output for one grouping pattern: every positive, significant,
@@ -136,6 +151,11 @@ pub fn evaluate_group_interventions(
 
 /// Phase 2: turn a [`GroupEvaluation`] into the group's top-`k` rules under
 /// the request's constraints and cost model. No estimation happens here.
+///
+/// Every node is scored in place — cost, feasibility, utility, the
+/// individual-fairness verdict and the benefit — and only the top `k`
+/// survivors, ranked by benefit descending (`total_cmp`) then intervention
+/// pattern ascending, become [`Rule`]s. Equal keys keep lattice order.
 pub fn rules_from_evaluation(
     evaluation: &GroupEvaluation,
     grouping: &Pattern,
@@ -144,45 +164,53 @@ pub fn rules_from_evaluation(
     config: &FairCapConfig,
     k: usize,
 ) -> Vec<Rule> {
-    if k == 0 || evaluation.nodes.is_empty() {
+    if k == 0 {
         return Vec::new();
     }
-    let coverage_p = coverage & protected;
-    let mut candidates: Vec<Rule> = Vec::new();
-    for node in &evaluation.nodes {
-        // §8 extension: infeasible (over-budget) interventions are skipped.
-        let cost = config.cost_model.pattern_cost(&node.pattern);
-        if !config.cost_policy.is_feasible(cost) {
-            continue;
-        }
-        let utility = RuleUtility {
-            overall: node.cate,
-            protected: node.u_protected,
-            non_protected: node.u_non_protected,
-            p_value: node.p_value,
-        };
-        let rule = Rule {
+    // (benefit, lattice index, node): the index makes the order total, so
+    // the unstable selection below returns what a stable sort would.
+    type Scored<'a> = (f64, usize, &'a EvaluatedIntervention);
+    let mut ranked: Vec<Scored<'_>> = evaluation
+        .nodes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, node)| {
+            // §8 extension: infeasible (over-budget) interventions are skipped.
+            let cost = config.cost_model.pattern_cost(&node.pattern);
+            if !config.cost_policy.is_feasible(cost) {
+                return None;
+            }
+            let utility = node.utility();
+            if !utility_satisfies_fairness(&utility, &config.fairness) {
+                return None;
+            }
+            let benefit = config
+                .cost_policy
+                .adjust_benefit(benefit(&utility, &config.fairness), cost);
+            Some((benefit, i, node))
+        })
+        .collect();
+    let order = |a: &Scored<'_>, b: &Scored<'_>| {
+        b.0.total_cmp(&a.0)
+            .then_with(|| a.2.pattern.cmp(&b.2.pattern))
+            .then(a.1.cmp(&b.1))
+    };
+    if ranked.len() > k {
+        ranked.select_nth_unstable_by(k - 1, order);
+        ranked.truncate(k);
+    }
+    ranked.sort_unstable_by(order);
+    ranked
+        .into_iter()
+        .map(|(benefit, _, node)| Rule {
             grouping: grouping.clone(),
             intervention: node.pattern.clone(),
             coverage: coverage.clone(),
-            coverage_protected: coverage_p.clone(),
-            utility,
-            benefit: config
-                .cost_policy
-                .adjust_benefit(benefit(&utility, &config.fairness), cost),
-        };
-        if !rule_satisfies_fairness(&rule, &config.fairness) {
-            continue;
-        }
-        candidates.push(rule);
-    }
-    candidates.sort_by(|a, b| {
-        b.benefit
-            .total_cmp(&a.benefit)
-            .then_with(|| a.intervention.cmp(&b.intervention))
-    });
-    candidates.truncate(k);
-    candidates
+            coverage_protected: coverage & protected,
+            utility: node.utility(),
+            benefit,
+        })
+        .collect()
 }
 
 /// Mine the best intervention for one grouping pattern.
@@ -262,9 +290,11 @@ pub fn subgroup_utility(
 mod tests {
     use super::*;
     use crate::config::{FairnessConstraint, FairnessScope};
+    use crate::cost::{CostModel, CostPolicy};
     use faircap_causal::scm::{bernoulli, normal, Scm};
     use faircap_causal::{CateEngine, Dag, EstimatorKind};
     use faircap_table::{DataFrame, Value};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     /// Two binary treatments: `big` has a large but unfair effect
@@ -467,5 +497,173 @@ mod tests {
             &cfg,
         );
         assert!(rule.is_none());
+    }
+
+    /// Phase 2 as it was first written — materialize every feasible, fair
+    /// node as a [`Rule`], sort, truncate — kept as the oracle for the
+    /// in-place scoring of [`rules_from_evaluation`].
+    fn rules_from_evaluation_oracle(
+        evaluation: &GroupEvaluation,
+        grouping: &Pattern,
+        coverage: &Mask,
+        protected: &Mask,
+        config: &FairCapConfig,
+        k: usize,
+    ) -> Vec<Rule> {
+        use crate::constraints::rule_satisfies_fairness;
+        if k == 0 || evaluation.nodes.is_empty() {
+            return Vec::new();
+        }
+        let coverage_p = coverage & protected;
+        let mut candidates: Vec<Rule> = Vec::new();
+        for node in &evaluation.nodes {
+            let cost = config.cost_model.pattern_cost(&node.pattern);
+            if !config.cost_policy.is_feasible(cost) {
+                continue;
+            }
+            let utility = RuleUtility {
+                overall: node.cate,
+                protected: node.u_protected,
+                non_protected: node.u_non_protected,
+                p_value: node.p_value,
+            };
+            let rule = Rule {
+                grouping: grouping.clone(),
+                intervention: node.pattern.clone(),
+                coverage: coverage.clone(),
+                coverage_protected: coverage_p.clone(),
+                utility,
+                benefit: config
+                    .cost_policy
+                    .adjust_benefit(benefit(&utility, &config.fairness), cost),
+            };
+            if !rule_satisfies_fairness(&rule, &config.fairness) {
+                continue;
+            }
+            candidates.push(rule);
+        }
+        candidates.sort_by(|a, b| {
+            b.benefit
+                .total_cmp(&a.benefit)
+                .then_with(|| a.intervention.cmp(&b.intervention))
+        });
+        candidates.truncate(k);
+        candidates
+    }
+
+    const ROWS: usize = 40;
+    const ATTRS: [&str; 3] = ["a", "b", "c"];
+
+    /// A node drawn from small value sets, so patterns repeat and benefits
+    /// and utilities tie across nodes.
+    fn node_strategy() -> impl Strategy<Value = EvaluatedIntervention> {
+        let level = |i: u32| [-2.0, 0.0, 0.5, 1.0, 2.0, 4.0][i as usize];
+        (
+            0usize..3,
+            0i64..3,
+            0usize..3,
+            0i64..3,
+            2u32..6,
+            0u32..6,
+            0u32..6,
+        )
+            .prop_map(move |(a1, v1, a2, v2, cate, u_p, u_np)| {
+                let mut pairs = vec![(ATTRS[a1], Value::Int(v1))];
+                // a second predicate on another attribute, or none
+                if a2 != 0 {
+                    pairs.push((ATTRS[(a1 + a2) % 3], Value::Int(v2)));
+                }
+                EvaluatedIntervention {
+                    pattern: Pattern::of_eq(&pairs),
+                    cate: level(cate),
+                    p_value: 0.01,
+                    u_protected: level(u_p),
+                    u_non_protected: level(u_np),
+                }
+            })
+    }
+
+    fn mask_strategy() -> impl Strategy<Value = Mask> {
+        prop::collection::vec(any::<bool>(), ROWS).prop_map(|bits| Mask::from_bools(&bits))
+    }
+
+    /// Per-assignment, per-attribute and default costs, drawn from a few
+    /// levels so costs (and penalized benefits) tie too.
+    fn cost_model_strategy() -> impl Strategy<Value = CostModel> {
+        (0u32..4, 0u32..4, 0u32..4, 0u32..4).prop_map(|(on_a1, on_a2, on_b, default)| {
+            let level = |i: u32| f64::from(i) * 0.5;
+            CostModel::with_default(level(default))
+                .set("a", Value::Int(1), level(on_a1))
+                .set("a", Value::Int(2), level(on_a2))
+                .set_attribute("b", level(on_b))
+        })
+    }
+
+    fn every_fairness() -> Vec<FairnessConstraint> {
+        let mut all = vec![FairnessConstraint::None];
+        for scope in [FairnessScope::Group, FairnessScope::Individual] {
+            all.push(FairnessConstraint::StatisticalParity {
+                scope,
+                epsilon: 1.0,
+            });
+            all.push(FairnessConstraint::BoundedGroupLoss { scope, tau: 1.0 });
+        }
+        all
+    }
+
+    fn every_cost_policy() -> [CostPolicy; 3] {
+        [
+            CostPolicy::Ignore,
+            CostPolicy::Budget { max_rule_cost: 1.0 },
+            CostPolicy::Penalize { weight: 0.5 },
+        ]
+    }
+
+    fn same_rule(a: &Rule, b: &Rule) -> bool {
+        let bits = |u: &RuleUtility| {
+            [u.overall, u.protected, u.non_protected, u.p_value].map(f64::to_bits)
+        };
+        a.grouping == b.grouping
+            && a.intervention == b.intervention
+            && a.coverage == b.coverage
+            && a.coverage_protected == b.coverage_protected
+            && bits(&a.utility) == bits(&b.utility)
+            && a.benefit.to_bits() == b.benefit.to_bits()
+    }
+
+    proptest! {
+        /// In-place scoring returns exactly the oracle's rules, in its order,
+        /// under every fairness kind × scope, cost policy and `k`.
+        #[test]
+        fn phase2_matches_the_materializing_oracle(
+            nodes in prop::collection::vec(node_strategy(), 0..40),
+            coverage in mask_strategy(),
+            protected in mask_strategy(),
+            cost_model in cost_model_strategy(),
+        ) {
+            let evaluation = GroupEvaluation { nodes };
+            let grouping = Pattern::of_eq(&[("g", Value::Int(1))]);
+            let n = evaluation.nodes.len();
+            for fairness in every_fairness() {
+                for cost_policy in every_cost_policy() {
+                    let mut config = FairCapConfig::default();
+                    config.fairness = fairness;
+                    config.cost_model = cost_model.clone();
+                    config.cost_policy = cost_policy;
+                    for k in [0, 1, 2, 3, n + 1] {
+                        let got = rules_from_evaluation(
+                            &evaluation, &grouping, &coverage, &protected, &config, k,
+                        );
+                        let want = rules_from_evaluation_oracle(
+                            &evaluation, &grouping, &coverage, &protected, &config, k,
+                        );
+                        prop_assert_eq!(got.len(), want.len(), "k = {}, {:?}", k, config.fairness);
+                        for (g, w) in got.iter().zip(&want) {
+                            prop_assert!(same_rule(g, w), "k = {}: {:?} vs {:?}", k, g, w);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

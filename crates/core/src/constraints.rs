@@ -1,23 +1,30 @@
 //! Constraint validity checks (`R ⊨ F`, `R ⊨ C` of Definition 4.6).
 
 use crate::config::{CoverageConstraint, FairnessConstraint, FairnessScope};
-use crate::rule::Rule;
+use crate::rule::{Rule, RuleUtility};
 use crate::utility::RulesetUtility;
 
-/// Does a single rule satisfy an **individual-scope** fairness constraint?
-/// Group-scope (and `None`) constraints never reject individual rules here.
-pub fn rule_satisfies_fairness(rule: &Rule, fairness: &FairnessConstraint) -> bool {
+/// Does a rule with this utility triple satisfy an **individual-scope**
+/// fairness constraint? Group-scope (and `None`) constraints never reject
+/// individual rules here. Step 2 asks this before it builds the rule.
+pub fn utility_satisfies_fairness(utility: &RuleUtility, fairness: &FairnessConstraint) -> bool {
     match fairness {
         FairnessConstraint::StatisticalParity {
             scope: FairnessScope::Individual,
             epsilon,
-        } => rule.utility.gap() <= *epsilon,
+        } => utility.gap() <= *epsilon,
         FairnessConstraint::BoundedGroupLoss {
             scope: FairnessScope::Individual,
             tau,
-        } => rule.utility.protected >= *tau,
+        } => utility.protected >= *tau,
         _ => true,
     }
+}
+
+/// Does a single rule satisfy an **individual-scope** fairness constraint?
+/// See [`utility_satisfies_fairness`].
+pub fn rule_satisfies_fairness(rule: &Rule, fairness: &FairnessConstraint) -> bool {
+    utility_satisfies_fairness(&rule.utility, fairness)
 }
 
 /// Does a single rule satisfy a **rule-scope** coverage constraint?
@@ -89,7 +96,6 @@ pub fn solution_is_valid(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rule::RuleUtility;
     use faircap_table::{Mask, Pattern};
 
     fn rule(cov: usize, cov_p: usize, prot: f64, np: f64) -> Rule {

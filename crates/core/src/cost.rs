@@ -22,9 +22,13 @@ use std::collections::HashMap;
 ///
 /// Unknown assignments fall back to an attribute-level default, then to the
 /// global default (so a partially specified model stays usable).
+///
+/// Assignment costs are keyed by attribute, then by value, so a lookup
+/// borrows the predicate's `&str` and `&Value` and allocates nothing:
+/// Step 2 prices every cached lattice node on every re-solve.
 #[derive(Debug, Clone, Default)]
 pub struct CostModel {
-    by_assignment: HashMap<(String, Value), f64>,
+    by_assignment: HashMap<String, HashMap<Value, f64>>,
     by_attribute: HashMap<String, f64>,
     default: f64,
 }
@@ -40,7 +44,10 @@ impl CostModel {
 
     /// Set the cost of one `attr = value` assignment.
     pub fn set(mut self, attr: &str, value: Value, cost: f64) -> CostModel {
-        self.by_assignment.insert((attr.to_owned(), value), cost);
+        self.by_assignment
+            .entry(attr.to_owned())
+            .or_default()
+            .insert(value, cost);
         self
     }
 
@@ -52,7 +59,11 @@ impl CostModel {
 
     /// Cost of one assignment.
     pub fn assignment_cost(&self, attr: &str, value: &Value) -> f64 {
-        if let Some(&c) = self.by_assignment.get(&(attr.to_owned(), value.clone())) {
+        if let Some(&c) = self
+            .by_assignment
+            .get(attr)
+            .and_then(|by_value| by_value.get(value))
+        {
             return c;
         }
         self.by_attribute.get(attr).copied().unwrap_or(self.default)
@@ -128,6 +139,36 @@ mod tests {
         );
         // global default
         assert_eq!(m.assignment_cost("remote_work", &Value::from("yes")), 1.0);
+    }
+
+    #[test]
+    fn assignment_cost_is_per_attribute() {
+        let m = CostModel::with_default(1.0).set("a", Value::from("v"), 7.0);
+        assert_eq!(m.assignment_cost("a", &Value::from("v")), 7.0);
+        // the same value under another attribute takes that attribute's
+        // fallback, not `a = v`'s cost
+        assert_eq!(m.assignment_cost("b", &Value::from("v")), 1.0);
+    }
+
+    #[test]
+    fn later_set_overrides_earlier() {
+        let m =
+            CostModel::default()
+                .set("a", Value::from("v"), 7.0)
+                .set("a", Value::from("v"), 2.0);
+        assert_eq!(m.assignment_cost("a", &Value::from("v")), 2.0);
+    }
+
+    #[test]
+    fn attribute_with_assignments_falls_back_for_other_values() {
+        let m = model();
+        // `education` has assignment entries but no attribute cost: any
+        // other value takes the global default
+        assert_eq!(m.assignment_cost("education", &Value::from("none")), 1.0);
+        // with an attribute cost, other values take it instead
+        let m = m.set_attribute("education", 3.0);
+        assert_eq!(m.assignment_cost("education", &Value::from("none")), 3.0);
+        assert_eq!(m.assignment_cost("education", &Value::from("phd")), 10.0);
     }
 
     #[test]

@@ -345,7 +345,7 @@ impl Inner {
         let job_key = key.clone();
         let job_entry = Arc::clone(&entry);
         let job_trace = trace.clone();
-        let submitted = self.solve_pool.try_submit(move || {
+        let submitted = self.solve_pool.try_submit(move |in_flight| {
             job_inner.metrics.queue_wait.record(queued_at.elapsed());
             drop(queue_span);
             let solve_span = root.as_ref().map(|r| r.child("solve"));
@@ -395,6 +395,9 @@ impl Inner {
                 Some(k) => job_inner.coalescer.take(k),
                 None => vec![waiter],
             };
+            // Leave the in-flight count before anyone can see the response,
+            // so a client's next metrics scrape never counts its own solve.
+            drop(in_flight);
             job_inner
                 .completions
                 .complete(Completion { waiters, response });

@@ -16,12 +16,39 @@
 //! * **Graceful drain.** [`WorkerPool::shutdown`] stops admission, lets the
 //!   workers finish every job already admitted (queued *and* in flight),
 //!   then joins them — no accepted request is ever dropped on the floor.
+//!
+//! A job receives its [`InFlight`] claim and drops it before it makes its
+//! completion visible, so no one who has seen a job finish can still count
+//! it in [`WorkerPool::in_flight`].
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+type Job = Box<dyn FnOnce(InFlight<'_>) + Send + 'static>;
+
+/// A running job's share of [`WorkerPool::in_flight`], released on drop.
+///
+/// The worker takes it out when it picks the job up and hands it to the
+/// job. A job drops it before it publishes its result; one that never
+/// does releases it when it returns or panics.
+pub struct InFlight<'a> {
+    shared: &'a Shared,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        // Runs while a panicking job unwinds, so it must not panic itself;
+        // every update of `State` is one field at a time, so a poisoned
+        // guard still holds valid counts.
+        let mut state = self
+            .shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        state.in_flight -= 1;
+    }
+}
 
 /// Why [`WorkerPool::try_submit`] refused a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,8 +120,12 @@ impl WorkerPool {
     }
 
     /// Enqueue a job without blocking. Admission control lives here: a full
-    /// queue or a draining pool is an immediate typed refusal.
-    pub fn try_submit(&self, job: impl FnOnce() + Send + 'static) -> Result<(), SubmitError> {
+    /// queue or a draining pool is an immediate typed refusal. The job runs
+    /// with its [`InFlight`] claim.
+    pub fn try_submit(
+        &self,
+        job: impl FnOnce(InFlight<'_>) + Send + 'static,
+    ) -> Result<(), SubmitError> {
         let mut state = self.shared.state.lock().expect("pool state lock");
         if state.shutdown {
             return Err(SubmitError::ShuttingDown);
@@ -191,11 +222,10 @@ fn worker_loop(shared: &Shared) {
                 state = shared.work_cv.wait(state).expect("pool cv wait");
             }
         };
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err();
-        let mut state = shared.state.lock().expect("pool state lock");
-        state.in_flight -= 1;
-        if panicked {
-            state.panics += 1;
+        let claim = InFlight { shared };
+        let run = std::panic::AssertUnwindSafe(move || job(claim));
+        if std::panic::catch_unwind(run).is_err() {
+            shared.state.lock().expect("pool state lock").panics += 1;
         }
     }
 }
@@ -213,7 +243,7 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..50 {
             let counter = Arc::clone(&counter);
-            pool.try_submit(move || {
+            pool.try_submit(move |_| {
                 counter.fetch_add(1, Ordering::Relaxed);
             })
             .unwrap();
@@ -221,7 +251,7 @@ mod tests {
         pool.shutdown();
         assert_eq!(counter.load(Ordering::Relaxed), 50, "shutdown must drain");
         assert!(matches!(
-            pool.try_submit(|| {}),
+            pool.try_submit(|_| {}),
             Err(SubmitError::ShuttingDown)
         ));
     }
@@ -231,13 +261,13 @@ mod tests {
         let pool = WorkerPool::new("t", 1, 2);
         let (release_tx, release_rx) = mpsc::channel::<()>();
         // Occupy the single worker...
-        pool.try_submit(move || {
+        pool.try_submit(move |_| {
             let _ = release_rx.recv_timeout(Duration::from_secs(10));
         })
         .unwrap();
         // ...then fill the 2-slot queue; further submissions must bounce.
         while pool.queue_depth() < 2 {
-            match pool.try_submit(|| {}) {
+            match pool.try_submit(|_| {}) {
                 Ok(()) => {}
                 Err(SubmitError::QueueFull) => break,
                 Err(e) => panic!("{e}"),
@@ -245,7 +275,7 @@ mod tests {
         }
         let mut saw_full = false;
         for _ in 0..10 {
-            if pool.try_submit(|| {}) == Err(SubmitError::QueueFull) {
+            if pool.try_submit(|_| {}) == Err(SubmitError::QueueFull) {
                 saw_full = true;
                 break;
             }
@@ -257,11 +287,36 @@ mod tests {
     }
 
     #[test]
+    fn a_job_leaves_in_flight_before_it_publishes() {
+        let pool = WorkerPool::new("t", 1, 8);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        let (exit_tx, exit_rx) = mpsc::channel::<()>();
+        pool.try_submit(move |claim| {
+            started_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+            drop(claim);
+            done_tx.send(()).unwrap();
+            // still running on the worker, but no longer counted
+            exit_rx.recv().unwrap();
+        })
+        .unwrap();
+        started_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(pool.in_flight(), 1);
+        release_tx.send(()).unwrap();
+        done_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(pool.in_flight(), 0, "seen finished, still in flight");
+        exit_tx.send(()).unwrap();
+        pool.shutdown();
+    }
+
+    #[test]
     fn panicking_job_does_not_kill_the_worker() {
         let pool = WorkerPool::new("t", 1, 8);
-        pool.try_submit(|| panic!("boom")).unwrap();
+        pool.try_submit(|_| panic!("boom")).unwrap();
         let (tx, rx) = mpsc::channel();
-        pool.try_submit(move || {
+        pool.try_submit(move |_| {
             tx.send(42).unwrap();
         })
         .unwrap();
