@@ -23,8 +23,11 @@
 //! naming every dataset that missed the factor.
 //!
 //! Results go to stdout *and* `BENCH_solve.json` (CWD, or the directory
-//! given as the first argument). With `--gate BASELINE.json`, each
-//! (case, dataset) entry's best-of-reps time goes through the shared gate
+//! given as the first argument). Each entry also carries
+//! `greedy_evaluations`, the Step 3 candidate evaluations summed over the
+//! sweep's reports: a deterministic work count, written but not gated.
+//! With `--gate BASELINE.json`, each (case, dataset) entry's best-of-reps
+//! time goes through the shared gate
 //! ([`faircap_bench::enforce_gate`] with [`faircap_bench::SOLVE_GATE`]):
 //! the run exits 1 when one exceeds its baseline by more than 20% plus
 //! 1 ms, and entries missing from the baseline warn and skip so new
@@ -60,6 +63,9 @@ struct Entry {
     reps: usize,
     min_ms: f64,
     mean_ms: f64,
+    /// Step 3 candidate evaluations summed over the sweep's reports: a
+    /// work count that does not move with the machine. Written, not gated.
+    greedy_evaluations: u64,
 }
 
 impl Entry {
@@ -71,6 +77,10 @@ impl Entry {
             ("reps", Json::Num(self.reps as f64)),
             ("min_ms", Json::Num(self.min_ms)),
             ("mean_ms", Json::Num(self.mean_ms)),
+            (
+                "greedy_evaluations",
+                Json::Num(self.greedy_evaluations as f64),
+            ),
         ])
     }
 }
@@ -114,8 +124,10 @@ fn time_case(
 ) -> (Entry, Vec<SolutionReport>) {
     let timed = best_of(REPS, f);
     let (min_ms, mean_ms) = (timed.min_ms(), timed.mean_ms);
+    let greedy_evaluations = timed.best.iter().map(|r| r.stats.greedy.evaluations).sum();
     println!(
-        "solve_bench: {dataset} ({rows} rows) {case:<20} min {min_ms:9.3} ms  mean {mean_ms:9.3} ms"
+        "solve_bench: {dataset} ({rows} rows) {case:<20} min {min_ms:9.3} ms  mean {mean_ms:9.3} ms  \
+         greedy evaluations {greedy_evaluations}"
     );
     let entry = Entry {
         case: case.to_owned(),
@@ -124,6 +136,7 @@ fn time_case(
         reps: REPS,
         min_ms,
         mean_ms,
+        greedy_evaluations,
     };
     (entry, timed.best)
 }

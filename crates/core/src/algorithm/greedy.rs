@@ -17,11 +17,14 @@
 //! their stale scores and only the top is re-evaluated until a candidate's
 //! fresh score still tops the heap. The bound holds term by term:
 //!
-//! * the coverage term only shrinks — rows never become uncovered, so a
-//!   candidate's newly-covered count is non-increasing, and the whole term
+//! * the coverage term only shrinks — rows never become uncovered, so the
+//!   uncovered rows a candidate reaches only shrink, and the whole term
 //!   drops (it is non-negative) once coverage is met, which is permanent;
-//! * the `ΔExpUtility` term only shrinks — each covered row contributes
-//!   `max(0, u − best[row])` and `best[row]` is non-decreasing;
+//! * the `ΔExpUtility` term only shrinks — it is `(u − b) · |cov ∧ class|`
+//!   summed over the [coverage classes](#coverage-classes) of value
+//!   `b < u`, and a commit only moves rows into a class of a higher value,
+//!   so each row's share `max(0, u − b)` is non-increasing and so is every
+//!   class's sum of them;
 //! * the `benefit` tie-break term is constant.
 //!
 //! Group-scope *validity* is not monotone, so candidates failing the
@@ -29,8 +32,45 @@
 //! score, still an upper bound) and retried in later rounds. Ties resolve
 //! to the lowest candidate index, exactly like the eager scan's strict
 //! `>` comparison — selections are **bit-identical** to
-//! [`reference::greedy_select`], the retained eager oracle (property-tested
-//! in `tests/prop_greedy_celf.rs`).
+//! [`reference::greedy_select`], the retained eager oracle, which scores on
+//! the same state (property-tested in `tests/prop_greedy_celf.rs`).
+//!
+//! # Coverage classes
+//!
+//! Next to its per-row `best` and `worst` arrays, the state keeps the
+//! covered rows partitioned into classes by their `best` value, and the
+//! rows some committed rule's protected coverage reached partitioned by
+//! their `worst` value. Each class is a row mask plus its value. A commit
+//! moves the rows the new rule improves into one new class and drops the
+//! classes it empties, so after `j` commits there are at most `j` classes
+//! of each kind. A preview is then word-level AND and popcount:
+//!
+//! ```text
+//! Δ best (protected) = n_new · u + Σ_{classes b < u} (u − b) · |cov ∧ class ∧ P|
+//! ```
+//!
+//! with its `¬P` twin, and the `worst` twin over `coverage_protected` and
+//! the classes `w > u_protected`: O(classes × words) per evaluation instead
+//! of two unpredictable branches per covered row. A class the rule reaches
+//! no row of adds no term, so an infinite or NaN utility never meets a
+//! `0 · ∞`.
+//!
+//! The covered counts are exact. The sums are not the row walk's, which
+//! adds one term `tᵢ` per row in row order; with `n` such terms, `m` one
+//! more than the number of classes and `ε = f64::EPSILON`,
+//!
+//! ```text
+//! |class Δ − row Δ| ≤ (n + m) · ε · Σ|tᵢ|
+//! ```
+//!
+//! (recursive summation of `n` terms errs by at most `γ_{n−1}·Σ|tᵢ|`; the
+//! class form rounds each product once and sums at most `m` of them; and
+//! `γ_k ≤ 1.01·k·ε/2` for `k·ε ≪ 1`). With integer-valued utilities (and
+//! sums below 2⁵³) both sums are exact and equal. A commit still adds its
+//! terms one row at a time in row order, so a selection's summary is
+//! bit-identical to a row walk's; only previews whose scores lie within the
+//! bound of each other could select differently. The row walk is the
+//! oracle of this module's tests.
 
 use crate::config::FairCapConfig;
 use crate::constraints::{
@@ -67,16 +107,144 @@ pub struct GreedyStats {
     pub rounds: u64,
 }
 
+/// Rows that hold one value: a row mask plus the value (`best` or `worst`)
+/// every one of its rows holds.
+struct Class {
+    value: f64,
+    rows: Vec<u64>,
+}
+
+/// A per-row value (`best` or `worst`) together with the rows some
+/// committed rule reached, partitioned into [`Class`]es by that value.
+/// Every commit adds at most one class (the rows that took the new rule's
+/// value), so after `j` commits there are at most `j`.
+struct Classes {
+    /// The value of a row no committed rule reached.
+    unreached: f64,
+    /// Per-row value: `unreached` outside `reached`, else the row's class
+    /// value.
+    values: Vec<f64>,
+    /// Union of the classes' rows.
+    reached: Vec<u64>,
+    classes: Vec<Class>,
+    /// Row buffers of emptied classes, reused by later commits.
+    spare: Vec<Vec<u64>>,
+}
+
+impl Classes {
+    fn new(n_rows: usize, unreached: f64) -> Self {
+        Classes {
+            unreached,
+            values: vec![unreached; n_rows],
+            reached: vec![0; n_rows.div_ceil(64)],
+            classes: Vec::new(),
+            spare: Vec::new(),
+        }
+    }
+
+    /// The rows of `cov` that no class holds or whose class value
+    /// `improves` accepts: the rows a rule would move.
+    fn gains(&mut self, cov: &[u64], improves: impl Fn(f64) -> bool) -> Vec<u64> {
+        let mut gains = self.spare.pop().unwrap_or_default();
+        gains.clear();
+        gains.extend(cov.iter().zip(&self.reached).map(|(&c, &r)| c & !r));
+        for class in self.classes.iter().filter(|k| improves(k.value)) {
+            for ((g, &k), &c) in gains.iter_mut().zip(&class.rows).zip(cov) {
+                *g |= k & c;
+            }
+        }
+        gains
+    }
+
+    /// Add one term per set bit of `rows`, in row order, to `sum` —
+    /// `value` for an unreached row, else `value − old` — and set those
+    /// rows' values to `value`.
+    fn add_terms(&mut self, sum: &mut f64, rows: impl Iterator<Item = u64>, value: f64) {
+        for (w, mut bits) in rows.enumerate() {
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let old = self.values[i];
+                *sum += if old == self.unreached {
+                    value
+                } else {
+                    value - old
+                };
+                self.values[i] = value;
+            }
+        }
+    }
+
+    /// Move `rows` into a new class holding `value`, dropping the classes
+    /// this empties. A `value` equal to `unreached` leaves every row where
+    /// it is: `values` still reads those rows as unreached.
+    fn commit(&mut self, rows: Vec<u64>, value: f64) {
+        if value == self.unreached {
+            self.spare.push(rows);
+            return;
+        }
+        for (r, &g) in self.reached.iter_mut().zip(&rows) {
+            *r |= g;
+        }
+        let spare = &mut self.spare;
+        self.classes.retain_mut(|class| {
+            let mut left = 0;
+            for (k, &g) in class.rows.iter_mut().zip(&rows) {
+                *k &= !g;
+                left |= *k;
+            }
+            if left == 0 {
+                spare.push(std::mem::take(&mut class.rows));
+            }
+            left != 0
+        });
+        if rows.iter().any(|&w| w != 0) {
+            self.classes.push(Class { value, rows });
+        } else {
+            self.spare.push(rows);
+        }
+    }
+}
+
+/// `acc += count · x`, adding nothing for an empty count: `0 · ∞` would be
+/// NaN where the row walk adds no term at all.
+fn add_scaled(acc: &mut f64, count: usize, x: f64) {
+    if count > 0 {
+        *acc += count as f64 * x;
+    }
+}
+
+/// `(|cov ∧ rows ∧ p|, |cov ∧ rows ∧ ¬p|)`.
+fn count_split(cov: &[u64], rows: impl Iterator<Item = u64>, p: &[u64]) -> (usize, usize) {
+    let (mut in_p, mut all) = (0u32, 0u32);
+    for ((&c, k), &p) in cov.iter().zip(rows).zip(p) {
+        let x = c & k;
+        in_p += (x & p).count_ones();
+        all += x.count_ones();
+    }
+    (in_p as usize, (all - in_p) as usize)
+}
+
+/// `|cov ∧ rows|`.
+fn count(cov: &[u64], rows: impl Iterator<Item = u64>) -> usize {
+    cov.iter()
+        .zip(rows)
+        .map(|(&c, k)| (c & k).count_ones() as usize)
+        .sum()
+}
+
 /// Incrementally maintained Eq. 5–7 state for the selected ruleset, with
-/// O(|coverage(r)|) candidate previews instead of full recomputation.
+/// O(classes × words) candidate previews instead of full recomputation.
 struct RulesetState<'a> {
     protected: &'a Mask,
     n_rows: usize,
     n_protected: usize,
-    /// Per-row best overall utility (NEG_INFINITY = uncovered).
-    best: Vec<f64>,
-    /// Per-row worst protected utility (INFINITY = uncovered).
-    worst: Vec<f64>,
+    /// Per-row best overall utility (NEG_INFINITY = uncovered), and the
+    /// covered rows by that value.
+    best: Classes,
+    /// Per-row worst protected utility (INFINITY = unreached), and the rows
+    /// some committed rule's protected coverage reached by that value.
+    worst: Classes,
     sum_best_protected: f64,
     sum_best_non_protected: f64,
     sum_worst_protected: f64,
@@ -90,8 +258,8 @@ impl<'a> RulesetState<'a> {
             protected,
             n_rows,
             n_protected: protected.count(),
-            best: vec![f64::NEG_INFINITY; n_rows],
-            worst: vec![f64::INFINITY; n_rows],
+            best: Classes::new(n_rows, f64::NEG_INFINITY),
+            worst: Classes::new(n_rows, f64::INFINITY),
             sum_best_protected: 0.0,
             sum_best_non_protected: 0.0,
             sum_worst_protected: 0.0,
@@ -156,74 +324,64 @@ impl<'a> RulesetState<'a> {
         )
     }
 
-    /// Add `rule` to the state.
+    /// Add `rule` to the state. The sums take one term per row the rule
+    /// improves, added in row order (protected and non-protected rows feed
+    /// separate sums), so a selection's summary does not depend on how its
+    /// previews were scored.
     fn commit(&mut self, rule: &Rule) {
         let u = rule.utility.overall;
         let up = rule.utility.protected;
-        for i in rule.coverage.iter_ones() {
-            let is_p = self.protected.get(i);
-            if self.best[i] == f64::NEG_INFINITY {
-                // newly covered
-                if is_p {
-                    self.n_cov_protected += 1;
-                    self.sum_best_protected += u;
-                } else {
-                    self.n_cov_non_protected += 1;
-                    self.sum_best_non_protected += u;
-                }
-                self.best[i] = u;
-            } else if u > self.best[i] {
-                let delta = u - self.best[i];
-                if is_p {
-                    self.sum_best_protected += delta;
-                } else {
-                    self.sum_best_non_protected += delta;
-                }
-                self.best[i] = u;
-            }
-        }
-        for i in rule.coverage_protected.iter_ones() {
-            if self.worst[i] == f64::INFINITY {
-                self.worst[i] = up;
-                self.sum_worst_protected += up;
-            } else if up < self.worst[i] {
-                self.sum_worst_protected += up - self.worst[i];
-                self.worst[i] = up;
-            }
-        }
+        let p = self.protected.as_words();
+        let gains = self.best.gains(rule.coverage.as_words(), |b| u > b);
+        let unreached = self.best.reached.iter().map(|r| !r);
+        let (new_p, new_np) = count_split(&gains, unreached, p);
+        self.n_cov_protected += new_p;
+        self.n_cov_non_protected += new_np;
+        let in_p = gains.iter().zip(p).map(|(&g, &p)| g & p);
+        self.best.add_terms(&mut self.sum_best_protected, in_p, u);
+        let out_p = gains.iter().zip(p).map(|(&g, &p)| g & !p);
+        self.best
+            .add_terms(&mut self.sum_best_non_protected, out_p, u);
+        self.best.commit(gains, u);
+
+        let gains = self
+            .worst
+            .gains(rule.coverage_protected.as_words(), |w| up < w);
+        let rows = gains.iter().copied();
+        self.worst
+            .add_terms(&mut self.sum_worst_protected, rows, up);
+        self.worst.commit(gains, up);
     }
 
-    /// Aggregate deltas from adding `rule` (same walk as [`commit`], no
-    /// mutation).
+    /// Aggregate deltas from adding `rule`, without mutation, as
+    /// `(Δ best protected, Δ best non-protected, Δ worst protected,
+    /// newly covered protected, newly covered non-protected)`. Each class
+    /// the rule improves adds `(value gap) · (rows of the class it
+    /// covers)`. The counts are exact; the sums lie within the module
+    /// docs' bound of the row-order sums [`commit`](Self::commit) adds.
     fn deltas(&self, rule: &Rule) -> (f64, f64, f64, usize, usize) {
         let u = rule.utility.overall;
         let up = rule.utility.protected;
-        let (mut d_bp, mut d_bnp, mut d_wp) = (0.0, 0.0, 0.0);
-        let (mut d_cp, mut d_cnp) = (0usize, 0usize);
-        for i in rule.coverage.iter_ones() {
-            let is_p = self.protected.get(i);
-            if self.best[i] == f64::NEG_INFINITY {
-                if is_p {
-                    d_cp += 1;
-                    d_bp += u;
-                } else {
-                    d_cnp += 1;
-                    d_bnp += u;
-                }
-            } else if u > self.best[i] {
-                if is_p {
-                    d_bp += u - self.best[i];
-                } else {
-                    d_bnp += u - self.best[i];
-                }
-            }
+        let cov = rule.coverage.as_words();
+        let p = self.protected.as_words();
+        let best = &self.best;
+        let (d_cp, d_cnp) = count_split(cov, best.reached.iter().map(|r| !r), p);
+        let (mut d_bp, mut d_bnp) = (0.0, 0.0);
+        add_scaled(&mut d_bp, d_cp, u);
+        add_scaled(&mut d_bnp, d_cnp, u);
+        for class in best.classes.iter().filter(|k| u > k.value) {
+            let (cp, cnp) = count_split(cov, class.rows.iter().copied(), p);
+            add_scaled(&mut d_bp, cp, u - class.value);
+            add_scaled(&mut d_bnp, cnp, u - class.value);
         }
-        for i in rule.coverage_protected.iter_ones() {
-            if self.worst[i] == f64::INFINITY {
-                d_wp += up;
-            } else if up < self.worst[i] {
-                d_wp += up - self.worst[i];
-            }
+        let cov_p = rule.coverage_protected.as_words();
+        let worst = &self.worst;
+        let mut d_wp = 0.0;
+        let fresh = count(cov_p, worst.reached.iter().map(|r| !r));
+        add_scaled(&mut d_wp, fresh, up);
+        for class in worst.classes.iter().filter(|k| up < k.value) {
+            let n = count(cov_p, class.rows.iter().copied());
+            add_scaled(&mut d_wp, n, up - class.value);
         }
         (d_bp, d_bnp, d_wp, d_cp, d_cnp)
     }
@@ -232,12 +390,27 @@ impl<'a> RulesetState<'a> {
 /// Pre-filter and order the candidate pool, and compute the utility
 /// normalizer — shared verbatim by the lazy and reference selectors so both
 /// see the same indices and floating-point inputs.
+///
+/// # Panics
+/// Panics unless `protected` and every candidate's `coverage` and
+/// `coverage_protected` range over `n_rows` rows: the class previews zip
+/// their words and would silently drop the rows of a longer mask.
 fn prepare(
     mut candidates: Vec<Rule>,
     config: &FairCapConfig,
     n_rows: usize,
-    n_protected: usize,
+    protected: &Mask,
 ) -> (Vec<Rule>, f64) {
+    assert_eq!(protected.len(), n_rows, "protected mask length != n_rows");
+    for r in &candidates {
+        assert!(
+            r.coverage.len() == n_rows && r.coverage_protected.len() == n_rows,
+            "rule {r}: coverage masks of {} and {} rows, expected {n_rows}",
+            r.coverage.len(),
+            r.coverage_protected.len()
+        );
+    }
+    let n_protected = protected.count();
     // Matroid-style pre-filters: individual fairness + rule coverage +
     // positive utility (Definition 4.4's "discard rules with negative
     // utility").
@@ -350,8 +523,8 @@ pub fn greedy_select_with_stats(
     n_rows: usize,
     protected: &Mask,
 ) -> (GreedyOutcome, GreedyStats) {
+    let (candidates, u_norm) = prepare(candidates, config, n_rows, protected);
     let n_protected = protected.count();
-    let (candidates, u_norm) = prepare(candidates, config, n_rows, n_protected);
 
     let mut state = RulesetState::new(n_rows, protected);
     let mut selected: Vec<Rule> = Vec::new();
@@ -437,8 +610,8 @@ pub mod reference {
         n_rows: usize,
         protected: &Mask,
     ) -> GreedyOutcome {
+        let (candidates, u_norm) = prepare(candidates, config, n_rows, protected);
         let n_protected = protected.count();
-        let (candidates, u_norm) = prepare(candidates, config, n_rows, n_protected);
 
         let mut state = RulesetState::new(n_rows, protected);
         let mut selected: Vec<Rule> = Vec::new();
@@ -485,7 +658,8 @@ mod tests {
     use crate::config::{CoverageConstraint, FairnessConstraint, FairnessScope};
     use crate::rule::RuleUtility;
     use crate::utility::ruleset_utility;
-    use faircap_table::Pattern;
+    use faircap_table::{Pattern, Value};
+    use proptest::prelude::*;
 
     fn rule(tag: &str, cov: &[usize], cov_p: &[usize], overall: f64, prot: f64, np: f64) -> Rule {
         Rule {
@@ -666,5 +840,298 @@ mod tests {
         let s1: Vec<String> = o1.selected.iter().map(|r| r.to_string()).collect();
         let s2: Vec<String> = o2.selected.iter().map(|r| r.to_string()).collect();
         assert_eq!(s1, s2);
+    }
+
+    /// The oracle of [`RulesetState`]: per-row arrays and sums that commits
+    /// update, and deltas that previews sum, by a walk over every covered
+    /// row.
+    struct RowWalk {
+        protected: Mask,
+        best: Vec<f64>,
+        worst: Vec<f64>,
+        /// Best protected, best non-protected, worst protected.
+        sums: [f64; 3],
+        /// Covered protected, covered non-protected.
+        covered: [usize; 2],
+    }
+
+    impl RowWalk {
+        fn new(protected: &Mask) -> Self {
+            RowWalk {
+                protected: protected.clone(),
+                best: vec![f64::NEG_INFINITY; protected.len()],
+                worst: vec![f64::INFINITY; protected.len()],
+                sums: [0.0; 3],
+                covered: [0; 2],
+            }
+        }
+
+        /// The terms adding `rule` contributes, in row order, per sum (best
+        /// protected, best non-protected, worst protected), each with
+        /// whether its row is newly reached.
+        fn terms(&self, rule: &Rule) -> [Vec<(f64, bool)>; 3] {
+            let u = rule.utility.overall;
+            let up = rule.utility.protected;
+            let mut terms = [Vec::new(), Vec::new(), Vec::new()];
+            for i in rule.coverage.iter_ones() {
+                let k = usize::from(!self.protected.get(i));
+                if self.best[i] == f64::NEG_INFINITY {
+                    terms[k].push((u, true));
+                } else if u > self.best[i] {
+                    terms[k].push((u - self.best[i], false));
+                }
+            }
+            for i in rule.coverage_protected.iter_ones() {
+                if self.worst[i] == f64::INFINITY {
+                    terms[2].push((up, true));
+                } else if up < self.worst[i] {
+                    terms[2].push((up - self.worst[i], false));
+                }
+            }
+            terms
+        }
+
+        /// [`RulesetState::deltas`] as the row walk sums them.
+        fn deltas(&self, rule: &Rule) -> (f64, f64, f64, usize, usize) {
+            let [p, np, w] = self.terms(rule);
+            let sum = |t: &[(f64, bool)]| t.iter().fold(0.0, |acc, &(x, _)| acc + x);
+            let new = |t: &[(f64, bool)]| t.iter().filter(|&&(_, new)| new).count();
+            (sum(&p), sum(&np), sum(&w), new(&p), new(&np))
+        }
+
+        /// The module docs' bound on |class Δ − row Δ| for each float
+        /// delta: `(n + m) · ε · Σ|tᵢ|` over the `n` row terms `tᵢ`, with
+        /// `m` one more than the number of classes of that sum's kind.
+        fn bounds(&self, rule: &Rule, state: &RulesetState<'_>) -> [f64; 3] {
+            let terms = self.terms(rule);
+            let m = [&state.best, &state.best, &state.worst].map(|c| c.classes.len() + 1);
+            [0, 1, 2].map(|k| {
+                let abs: f64 = terms[k].iter().map(|(x, _)| x.abs()).sum();
+                (terms[k].len() + m[k]) as f64 * f64::EPSILON * abs
+            })
+        }
+
+        fn commit(&mut self, rule: &Rule) {
+            let u = rule.utility.overall;
+            let up = rule.utility.protected;
+            for i in rule.coverage.iter_ones() {
+                let k = usize::from(!self.protected.get(i));
+                if self.best[i] == f64::NEG_INFINITY {
+                    self.covered[k] += 1;
+                    self.sums[k] += u;
+                    self.best[i] = u;
+                } else if u > self.best[i] {
+                    self.sums[k] += u - self.best[i];
+                    self.best[i] = u;
+                }
+            }
+            for i in rule.coverage_protected.iter_ones() {
+                if self.worst[i] == f64::INFINITY {
+                    self.worst[i] = up;
+                    self.sums[2] += up;
+                } else if up < self.worst[i] {
+                    self.sums[2] += up - self.worst[i];
+                    self.worst[i] = up;
+                }
+            }
+        }
+
+        /// Sums, counts and per-row values all equal `state`'s, bit for bit.
+        fn check(&self, state: &RulesetState<'_>) -> Result<(), TestCaseError> {
+            let sums = [
+                state.sum_best_protected,
+                state.sum_best_non_protected,
+                state.sum_worst_protected,
+            ];
+            prop_assert_eq!(sums.map(f64::to_bits), self.sums.map(f64::to_bits), "sums");
+            let covered = [state.n_cov_protected, state.n_cov_non_protected];
+            prop_assert_eq!(covered, self.covered, "covered counts");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&state.best.values), bits(&self.best), "best");
+            prop_assert_eq!(bits(&state.worst.values), bits(&self.worst), "worst");
+            Ok(())
+        }
+    }
+
+    /// The classes partition the reached rows, every class is non-empty,
+    /// and each row's class value is the value `values` holds for it; a
+    /// row is reached exactly when its value is not `unreached`.
+    fn check_partition(classes: &Classes, commits: usize) -> Result<(), TestCaseError> {
+        prop_assert!(
+            classes.classes.len() <= commits,
+            "more classes than commits"
+        );
+        let mut union = vec![0u64; classes.reached.len()];
+        for class in &classes.classes {
+            prop_assert!(class.rows.iter().any(|&w| w != 0), "an empty class is kept");
+            for (u, &k) in union.iter_mut().zip(&class.rows) {
+                prop_assert_eq!(*u & k, 0, "classes overlap");
+                *u |= k;
+            }
+        }
+        prop_assert_eq!(
+            &union,
+            &classes.reached,
+            "the classes' union is not `reached`"
+        );
+        let bit = |words: &[u64], i: usize| (words[i / 64] >> (i % 64)) & 1 == 1;
+        for (i, &v) in classes.values.iter().enumerate() {
+            let reached = bit(&classes.reached, i);
+            prop_assert_eq!(
+                reached,
+                v != classes.unreached,
+                "row {} reached ≠ its value {}",
+                i,
+                v
+            );
+            if let Some(class) = classes.classes.iter().find(|k| bit(&k.rows, i)) {
+                prop_assert_eq!(class.value.to_bits(), v.to_bits(), "row {} class value", i);
+            }
+        }
+        Ok(())
+    }
+
+    /// A frame of 1..=200 rows with random protection, a pool of rules on
+    /// it, and a commit sequence of pool indices (repeats allowed).
+    /// Integer-valued utilities make every sum exact.
+    fn commit_case(integer: bool) -> impl Strategy<Value = (Mask, Vec<Rule>, Vec<usize>)> {
+        (1usize..=200, 1usize..8)
+            .prop_flat_map(move |(n, k)| {
+                let utility = move || -> BoxedStrategy<f64> {
+                    if integer {
+                        (-20i64..50).prop_map(|v| v as f64).boxed()
+                    } else {
+                        (-20.0f64..50.0).boxed()
+                    }
+                };
+                let rule = (
+                    prop::collection::vec(any::<bool>(), n),
+                    utility(),
+                    utility(),
+                );
+                (
+                    prop::collection::vec(any::<bool>(), n),
+                    prop::collection::vec(rule, k),
+                    prop::collection::vec(0..k, 0..12),
+                )
+            })
+            .prop_map(|(p, pool, seq)| {
+                let protected = Mask::from_bools(&p);
+                let rules = pool
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (cov, overall, prot))| {
+                        let coverage = Mask::from_bools(&cov);
+                        Rule {
+                            grouping: Pattern::of_eq(&[("g", Value::Int(i as i64))]),
+                            intervention: Pattern::of_eq(&[("t", Value::Int(i as i64))]),
+                            coverage_protected: &coverage & &protected,
+                            coverage,
+                            utility: RuleUtility {
+                                overall,
+                                protected: prot,
+                                non_protected: overall,
+                                p_value: 0.01,
+                            },
+                            benefit: overall,
+                        }
+                    })
+                    .collect();
+                (protected, rules, seq)
+            })
+    }
+
+    /// Commit `seq` one rule at a time; before each commit and after the
+    /// last, every pool rule's class deltas must match the row walk's —
+    /// counts exactly, sums within the bound or (`exact`) bit for bit —
+    /// both class sets must partition their rows, and the committed state
+    /// must equal the row walk's bit for bit.
+    fn check_against_row_walk(
+        (protected, rules, seq): &(Mask, Vec<Rule>, Vec<usize>),
+        exact: bool,
+    ) -> Result<(), TestCaseError> {
+        let mut state = RulesetState::new(protected.len(), protected);
+        let mut walk = RowWalk::new(protected);
+        for step in 0..=seq.len() {
+            walk.check(&state)?;
+            check_partition(&state.best, step)?;
+            check_partition(&state.worst, step)?;
+            for rule in rules {
+                let class = state.deltas(rule);
+                let row = walk.deltas(rule);
+                prop_assert_eq!((class.3, class.4), (row.3, row.4), "covered counts");
+                let bounds = walk.bounds(rule, &state);
+                for (name, c, r, bound) in [
+                    ("best protected", class.0, row.0, bounds[0]),
+                    ("best non-protected", class.1, row.1, bounds[1]),
+                    ("worst protected", class.2, row.2, bounds[2]),
+                ] {
+                    if exact {
+                        prop_assert_eq!(c.to_bits(), r.to_bits(), "Δ {}: {} vs {}", name, c, r);
+                    } else {
+                        prop_assert!(
+                            (c - r).abs() <= bound,
+                            "Δ {}: |{} − {}| exceeds the bound {}",
+                            name,
+                            c,
+                            r,
+                            bound
+                        );
+                    }
+                }
+            }
+            if let Some(&i) = seq.get(step) {
+                state.commit(&rules[i]);
+                walk.commit(&rules[i]);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn class_deltas_stay_within_the_bound_of_the_row_walk(case in commit_case(false)) {
+            check_against_row_walk(&case, false)?;
+        }
+
+        #[test]
+        fn class_deltas_equal_the_row_walk_on_integer_utilities(case in commit_case(true)) {
+            check_against_row_walk(&case, true)?;
+        }
+    }
+
+    #[test]
+    fn a_class_the_rule_misses_adds_no_term() {
+        let p = protected();
+        let mut state = RulesetState::new(20, &p);
+        let mut walk = RowWalk::new(&p);
+        let a = rule("a", &[0, 5], &[0], 1.0, 5.0, 1.0);
+        state.commit(&a);
+        walk.commit(&a);
+        // Improves on both of a's classes but covers none of their rows:
+        // `0 · ∞` would turn the infinite sums into NaN.
+        let r = rule("b", &[1, 6], &[1], f64::INFINITY, f64::NEG_INFINITY, 0.0);
+        let class = state.deltas(&r);
+        let row = walk.deltas(&r);
+        assert_eq!(
+            (class.0, class.1, class.2),
+            (f64::INFINITY, f64::INFINITY, f64::NEG_INFINITY)
+        );
+        assert_eq!((class.0, class.1, class.2), (row.0, row.1, row.2));
+        assert_eq!((class.3, class.4), (row.3, row.4));
+    }
+
+    #[test]
+    #[should_panic(expected = "coverage masks")]
+    fn a_coverage_mask_of_another_length_is_refused() {
+        let mut short = rule("a", &[0, 5], &[0], 10.0, 10.0, 10.0);
+        short.coverage = Mask::from_indices(19, &[0, 5]);
+        greedy_select_with_stats(vec![short], &FairCapConfig::default(), 20, &protected());
+    }
+
+    #[test]
+    #[should_panic(expected = "protected mask length")]
+    fn a_protected_mask_of_another_length_is_refused() {
+        greedy_select_with_stats(Vec::new(), &FairCapConfig::default(), 21, &protected());
     }
 }
