@@ -4,7 +4,9 @@
 //! patterns* applied to the entire population.
 
 use faircap_causal::GroupHandle;
-use faircap_core::algorithm::intervention::{mine_intervention, subgroup_utility};
+use faircap_core::algorithm::intervention::{
+    evaluate_group_interventions, rules_from_evaluation, subgroup_utility,
+};
 use faircap_core::{
     ruleset_utility, FairCapConfig, PrescriptionSession, Result, Rule, RuleUtility, SolutionReport,
     StepTimings,
@@ -57,16 +59,22 @@ pub fn adapt_if_clauses(
         IfClauseRole::Grouping => {
             for grouping in &clauses {
                 let coverage = grouping.coverage(df)?;
-                if let Some(rule) = mine_intervention(
+                let (evaluation, _) = evaluate_group_interventions(
                     &query,
-                    grouping,
                     &coverage,
                     protected_mask,
                     session.mutable(),
+                    config.max_intervention_len,
+                    config.alpha,
+                );
+                rules.extend(rules_from_evaluation(
+                    &evaluation,
+                    grouping,
+                    &coverage,
+                    protected_mask,
                     config,
-                ) {
-                    rules.push(rule);
-                }
+                    1,
+                ));
             }
         }
         IfClauseRole::Intervention => {

@@ -64,10 +64,11 @@
 //! [`CateEngine::estimate_histograms`]); the session integration tests
 //! assert on them.
 //!
-//! The persistent cache state (adjustment sets and estimates) can be
-//! exported and re-imported ([`CateEngine::export_state`] /
-//! [`CateEngine::import_state`]) — the substrate of
-//! `PrescriptionSession::snapshot()` warm-starts.
+//! The estimate cache can be exported and re-imported
+//! ([`CateEngine::export_state`] / [`CateEngine::import_state`]) — the
+//! substrate of `PrescriptionSession::snapshot()` warm-starts. Nothing else
+//! is: a warm hit is answered before any adjustment-set lookup, and a miss
+//! re-derives its set from the DAG.
 
 use crate::backdoor::find_adjustment_set_names;
 use crate::error::{CausalError, Result};
@@ -340,16 +341,13 @@ impl Hash for EstimateKey {
     }
 }
 
-/// Exported cache state of a [`CateEngine`] — everything a warm restart
+/// Exported estimate cache of a [`CateEngine`] — everything a warm restart
 /// needs (see [`CateEngine::export_state`]). Estimates are keyed by
 /// estimator *name*, group fingerprint, and intervention pattern; `None`
 /// estimates record "not estimable" answers so a warm solve does not
 /// re-discover them.
 #[derive(Debug, Clone, Default)]
 pub struct CateEngineState {
-    /// Backdoor adjustment sets per treatment-attribute set (`None` =
-    /// identification failed).
-    pub adjustments: Vec<(Vec<String>, Option<Vec<String>>)>,
     /// Cached estimates: `(estimator name, group fingerprint, intervention,
     /// estimate-or-not-estimable)`.
     pub estimates: Vec<(String, u64, Pattern, Option<Estimate>)>,
@@ -625,14 +623,9 @@ impl CateEngine {
         record.map_or_else(CacheCounters::default, |r| r.counters())
     }
 
-    /// Export the caches a warm restart needs — adjustment sets and
-    /// estimates — for persistence. The inverse of
-    /// [`import_state`](Self::import_state).
+    /// Export the cache a warm restart needs — the estimates — for
+    /// persistence. The inverse of [`import_state`](Self::import_state).
     pub fn export_state(&self) -> CateEngineState {
-        let mut adjustments = Vec::with_capacity(self.adjustment_cache.len());
-        self.adjustment_cache.for_each(|k, v| {
-            adjustments.push((k.clone(), v.as_ref().map(|a| a.names.clone())));
-        });
         let mut estimates = Vec::with_capacity(self.estimate_cache.len());
         self.estimate_cache.for_each(|key, est| {
             estimates.push((
@@ -642,10 +635,7 @@ impl CateEngine {
                 *est,
             ));
         });
-        CateEngineState {
-            adjustments,
-            estimates,
-        }
+        CateEngineState { estimates }
     }
 
     /// Warm the engine's caches from a previously exported state. Imported
@@ -653,10 +643,6 @@ impl CateEngine {
     /// an import that overflows a bounded estimate cache evicts, and
     /// charges, like any other insert.
     pub fn import_state(&self, state: CateEngineState) {
-        for (k, v) in state.adjustments {
-            self.adjustment_cache
-                .insert(k, v.map(|names| Arc::new(Adjustment::new(names))));
-        }
         for (name, group_fp, intervention, est) in state.estimates {
             let record = self.record(&name);
             let key = EstimateKey::new(Arc::clone(&record), group_fp, intervention);
@@ -1296,7 +1282,6 @@ mod tests {
         assert!(engine.cate(&all, &ghost, &EstimatorKind::Linear).is_none());
         let state = engine.export_state();
         assert_eq!(state.estimates.len(), 2);
-        assert!(!state.adjustments.is_empty());
 
         let (df, dag) = fixture();
         let fresh = CateEngine::new(df, dag, "income").unwrap();

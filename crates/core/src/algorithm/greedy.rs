@@ -437,7 +437,6 @@ fn score_candidate(
     current: &RulesetUtility,
     coverage_unmet: bool,
     rule: &Rule,
-    config: &FairCapConfig,
     u_norm: f64,
 ) -> (f64, RulesetUtility) {
     let preview = state.preview(rule);
@@ -446,7 +445,7 @@ fn score_candidate(
         score += (preview.coverage - current.coverage)
             + (preview.coverage_protected - current.coverage_protected);
     }
-    score += config.lambda_utility * (preview.expected - current.expected) / u_norm;
+    score += (preview.expected - current.expected) / u_norm;
     score += rule.benefit / u_norm * 0.1; // quality tie-break term
     (score, preview)
 }
@@ -561,7 +560,6 @@ pub fn greedy_select_with_stats(
                 &current,
                 coverage_unmet,
                 &candidates[top.idx],
-                config,
                 u_norm,
             );
             stats.evaluations += 1;
@@ -627,7 +625,7 @@ pub mod reference {
                     continue;
                 }
                 let (score, preview) =
-                    score_candidate(&state, &current, coverage_unmet, rule, config, u_norm);
+                    score_candidate(&state, &current, coverage_unmet, rule, u_norm);
                 if !summary_satisfies_fairness(&preview, &config.fairness) {
                     continue;
                 }

@@ -128,9 +128,9 @@ pub fn evaluate_group_interventions(
             continue;
         }
         // Utilities for the protected / non-protected sub-coverages
-        // (Definition 4.4: 0 when the sub-coverage is empty; when it is
-        // non-empty but too small to estimate, the overall CATE is the best
-        // available prediction for those rows — see DESIGN.md).
+        // (Definition 4.4: 0 when the sub-coverage is empty; when its
+        // estimate is refused, the overall CATE stands in — see
+        // "Sub-coverage utilities" in `docs/architecture.md`, Step 2).
         let mut utility = |sub: GroupHandle<'_>| {
             subgroup_utility(sub.mask(), est.cate, || {
                 walk.cate(sub, &node.pattern, &node.mask)
@@ -213,67 +213,13 @@ pub fn rules_from_evaluation(
         .collect()
 }
 
-/// Mine the best intervention for one grouping pattern.
-///
-/// * Items come from the mutable attributes that have a causal path to the
-///   outcome (§5.2 optimization (i)), with values from the active domain
-///   inside the group's coverage.
-/// * The lattice is expanded only below treatments with positive overall
-///   CATE (§5.2's materialization rule).
-/// * Every positive, statistically significant node becomes a candidate;
-///   its protected / non-protected utilities are then estimated and the
-///   node with the highest fairness-penalized [`benefit`] that satisfies
-///   any individual-scope fairness constraint wins.
-///
-/// Returns `None` when no estimable positive treatment exists.
-pub fn mine_intervention(
-    query: &CateQuery<'_>,
-    grouping: &Pattern,
-    coverage: &Mask,
-    protected: &Mask,
-    mutable: &[String],
-    config: &FairCapConfig,
-) -> Option<Rule> {
-    mine_top_interventions(query, grouping, coverage, protected, mutable, config, 1)
-        .into_iter()
-        .next()
-}
-
-/// Mine the `k` best interventions for one grouping pattern, ordered by
-/// descending benefit (ties broken by pattern order).
-///
-/// The paper's Algorithm 1 keeps only the single best treatment per group
-/// (`k = 1`); larger `k` hands the greedy phase a richer candidate pool at
-/// extra estimation cost — exposed as the `interventions_per_group` knob
-/// and evaluated by the `ablation_lattice` bench.
-pub fn mine_top_interventions(
-    query: &CateQuery<'_>,
-    grouping: &Pattern,
-    coverage: &Mask,
-    protected: &Mask,
-    mutable: &[String],
-    config: &FairCapConfig,
-    k: usize,
-) -> Vec<Rule> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let (evaluation, _) = evaluate_group_interventions(
-        query,
-        coverage,
-        protected,
-        mutable,
-        config.max_intervention_len,
-        config.alpha,
-    );
-    rules_from_evaluation(&evaluation, grouping, coverage, protected, config, k)
-}
-
 /// Utility of an intervention on a sub-coverage: the CATE `estimate`
 /// returns when available, the paper's 0 convention for an empty
 /// sub-coverage (without calling `estimate`), and the overall CATE as the
-/// fallback prediction for a non-empty sub-coverage that is too small to
-/// estimate on its own.
+/// fallback for a non-empty sub-coverage whose estimate is refused. The
+/// sub-estimate's p-value is not used. The rule is written down in the
+/// "Sub-coverage utilities" part of the Step 2 section of
+/// `docs/architecture.md`.
 pub fn subgroup_utility(
     sub_coverage: &Mask,
     overall: f64,
@@ -348,6 +294,33 @@ mod tests {
         vec!["big".into(), "fair".into()]
     }
 
+    /// Both phases for the group `⊤` over `coverage`: its top `k` rules.
+    fn mine_top(
+        query: &CateQuery<'_>,
+        coverage: &Mask,
+        protected: &Mask,
+        mutable: &[String],
+        config: &FairCapConfig,
+        k: usize,
+    ) -> Vec<Rule> {
+        let (evaluation, _) = evaluate_group_interventions(
+            query,
+            coverage,
+            protected,
+            mutable,
+            config.max_intervention_len,
+            config.alpha,
+        );
+        rules_from_evaluation(
+            &evaluation,
+            &Pattern::empty(),
+            coverage,
+            protected,
+            config,
+            k,
+        )
+    }
+
     #[test]
     fn unconstrained_picks_highest_cate() {
         let (df, dag, protected) = fixture();
@@ -355,15 +328,10 @@ mod tests {
         let query = engine.with_estimator(&EstimatorKind::Linear);
         let cfg = FairCapConfig::default();
         let all = Mask::ones(df.n_rows());
-        let rule = mine_intervention(
-            &query,
-            &Pattern::empty(),
-            &all,
-            &protected,
-            &mutables(),
-            &cfg,
-        )
-        .expect("should find a treatment");
+        let rule = mine_top(&query, &all, &protected, &mutables(), &cfg, 1)
+            .into_iter()
+            .next()
+            .expect("should find a treatment");
         assert!(
             rule.intervention.to_string().contains("big"),
             "unconstrained should pick the big treatment, got {}",
@@ -383,15 +351,10 @@ mod tests {
             epsilon: 5.0,
         };
         let all = Mask::ones(df.n_rows());
-        let rule = mine_intervention(
-            &query,
-            &Pattern::empty(),
-            &all,
-            &protected,
-            &mutables(),
-            &cfg,
-        )
-        .expect("should find a treatment");
+        let rule = mine_top(&query, &all, &protected, &mutables(), &cfg, 1)
+            .into_iter()
+            .next()
+            .expect("should find a treatment");
         assert!(
             rule.intervention.to_string().starts_with("fair"),
             "SP benefit should pick the parity treatment, got {}",
@@ -412,15 +375,10 @@ mod tests {
             epsilon: 4.0,
         };
         let all = Mask::ones(df.n_rows());
-        let rule = mine_intervention(
-            &query,
-            &Pattern::empty(),
-            &all,
-            &protected,
-            &mutables(),
-            &cfg,
-        )
-        .expect("the fair treatment satisfies ε=4");
+        let rule = mine_top(&query, &all, &protected, &mutables(), &cfg, 1)
+            .into_iter()
+            .next()
+            .expect("the fair treatment satisfies ε=4");
         assert!(rule.utility.gap() <= 4.0);
         assert!(rule.intervention.to_string().starts_with("fair"));
     }
@@ -432,31 +390,18 @@ mod tests {
         let query = engine.with_estimator(&EstimatorKind::Linear);
         let cfg = FairCapConfig::default();
         let all = Mask::ones(df.n_rows());
-        let rules = mine_top_interventions(
-            &query,
-            &Pattern::empty(),
-            &all,
-            &protected,
-            &mutables(),
-            &cfg,
-            3,
-        );
+        let rules = mine_top(&query, &all, &protected, &mutables(), &cfg, 3);
         assert!(rules.len() >= 2, "both treatments are positive");
         // descending benefit, distinct patterns
         for w in rules.windows(2) {
             assert!(w[0].benefit >= w[1].benefit);
             assert_ne!(w[0].intervention, w[1].intervention);
         }
-        // k = 1 equals the single-best wrapper
-        let single = mine_intervention(
-            &query,
-            &Pattern::empty(),
-            &all,
-            &protected,
-            &mutables(),
-            &cfg,
-        )
-        .unwrap();
+        // k = 1 keeps the first of them
+        let single = mine_top(&query, &all, &protected, &mutables(), &cfg, 1)
+            .into_iter()
+            .next()
+            .unwrap();
         assert_eq!(single.intervention, rules[0].intervention);
     }
 
@@ -469,15 +414,8 @@ mod tests {
         let all = Mask::ones(df.n_rows());
         // "grp" is immutable here, but pretend it's the only mutable: it has
         // a path to outcome, so use a truly disconnected name instead.
-        let rule = mine_intervention(
-            &query,
-            &Pattern::empty(),
-            &all,
-            &protected,
-            &["nonexistent".into()],
-            &cfg,
-        );
-        assert!(rule.is_none());
+        let rules = mine_top(&query, &all, &protected, &["nonexistent".into()], &cfg, 1);
+        assert!(rules.is_empty());
     }
 
     #[test]
@@ -488,15 +426,8 @@ mod tests {
         let cfg = FairCapConfig::default();
         // a 6-row group: too small for both arms of any treatment
         let tiny = Mask::from_indices(df.n_rows(), &[0, 1, 2, 3, 4, 5]);
-        let rule = mine_intervention(
-            &query,
-            &Pattern::empty(),
-            &tiny,
-            &protected,
-            &mutables(),
-            &cfg,
-        );
-        assert!(rule.is_none());
+        let rules = mine_top(&query, &tiny, &protected, &mutables(), &cfg, 1);
+        assert!(rules.is_empty());
     }
 
     /// Phase 2 as it was first written — materialize every feasible, fair

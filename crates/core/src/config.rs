@@ -126,10 +126,6 @@ pub struct FairCapConfig {
     pub max_group_len: usize,
     /// Maximum predicates per intervention pattern.
     pub max_intervention_len: usize,
-    /// Objective weight λ1 on ruleset smallness.
-    pub lambda_size: f64,
-    /// Objective weight λ2 on expected utility.
-    pub lambda_utility: f64,
     /// Hard cap on selected rules (the paper's tables report ≤ 20).
     pub max_rules: usize,
     /// Greedy stop threshold: stop when the marginal score of the best rule
@@ -138,7 +134,8 @@ pub struct FairCapConfig {
     /// Significance level for the per-rule effect filter.
     pub alpha: f64,
     /// Treatments kept per grouping pattern in step 2 (the paper keeps 1;
-    /// larger values hand step 3 a richer pool — see `ablation_lattice`).
+    /// larger values hand step 3 a richer pool at no extra estimation
+    /// cost, since phase 1 evaluates the whole lattice either way).
     pub interventions_per_group: usize,
     /// Which CATE estimator to use.
     #[serde(skip)]
@@ -161,8 +158,6 @@ impl Default for FairCapConfig {
             apriori_threshold: 0.1,
             max_group_len: 2,
             max_intervention_len: 2,
-            lambda_size: 1.0,
-            lambda_utility: 1.0,
             max_rules: 20,
             min_marginal_gain: 0.01,
             alpha: 0.05,

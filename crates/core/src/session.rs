@@ -31,7 +31,7 @@ use crate::snapshot::SessionSnapshot;
 use faircap_causal::{CateEngine, Dag, Estimator, EstimatorKind};
 use faircap_mining::{FrequentPattern, MiningStats};
 use faircap_obs::SpanHandle;
-use faircap_table::{CacheCounters, DataFrame, Mask, Pattern, ShardedLruCache};
+use faircap_table::{frame_fingerprint, CacheCounters, DataFrame, Mask, Pattern, ShardedLruCache};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -132,13 +132,14 @@ impl SessionBuilder {
 
     /// Warm-start the session from a [`SessionSnapshot`] taken on an
     /// earlier session over the same data and outcome (see
-    /// [`PrescriptionSession::snapshot`]). The snapshot's adjustment sets
-    /// and estimates are imported into the engine caches, so the first
-    /// solve behaves like a re-solve: a solve repeating the snapshotted
-    /// workload performs **zero** estimate-cache misses.
+    /// [`PrescriptionSession::snapshot`]). The snapshot's estimates are
+    /// imported into the engine's estimate cache, so the first solve
+    /// behaves like a re-solve: a solve repeating the snapshotted workload
+    /// performs **zero** estimate-cache misses.
     ///
-    /// `build` fails with [`Error::Snapshot`] when the snapshot's outcome
-    /// or row count disagrees with the session being built.
+    /// `build` fails with [`Error::Snapshot`] when the snapshot's outcome,
+    /// row count, DAG or data fingerprint disagrees with the session being
+    /// built.
     pub fn warm_start(mut self, snapshot: SessionSnapshot) -> Self {
         self.warm_start = Some(snapshot);
         self
@@ -202,16 +203,16 @@ impl SessionBuilder {
                     df.n_rows()
                 )));
             }
-            // Adjustment sets are DAG-derived and estimates are
-            // data-derived: importing either under a changed DAG or
-            // changed data would silently produce wrong causal answers, so
-            // a mismatched snapshot is refused outright.
+            // Estimates are data-derived and adjusted by DAG-derived sets:
+            // importing them under a changed DAG or changed data would
+            // silently produce wrong causal answers, so a mismatched
+            // snapshot is refused outright.
             if snapshot.dag_fp != crate::snapshot::dag_fingerprint(&dag) {
                 return Err(Error::Snapshot(
                     "snapshot was taken under a different causal DAG".into(),
                 ));
             }
-            if snapshot.data_fp != crate::snapshot::data_fingerprint(&df) {
+            if snapshot.data_fp != frame_fingerprint(&df) {
                 return Err(Error::Snapshot(
                     "snapshot was taken over different data contents".into(),
                 ));
@@ -577,8 +578,8 @@ impl PrescriptionSession {
         self.interventions.counters()
     }
 
-    /// Capture the session's warmed caches — adjustment sets and all CATE
-    /// estimates — as a [`SessionSnapshot`] that can be serialized
+    /// Capture the session's CATE estimates — including not-estimable
+    /// verdicts — as a [`SessionSnapshot`] that can be serialized
     /// ([`SessionSnapshot::encode`]) and restored into a new session over
     /// the same data via [`SessionBuilder::warm_start`]. A restored session
     /// re-solving the same workload performs zero estimate-cache misses.
@@ -587,7 +588,7 @@ impl PrescriptionSession {
             outcome: self.outcome.clone(),
             n_rows: self.df.n_rows(),
             dag_fp: crate::snapshot::dag_fingerprint(&self.dag),
-            data_fp: crate::snapshot::data_fingerprint(&self.df),
+            data_fp: frame_fingerprint(&self.df),
             state: self.engine.export_state(),
         }
     }
@@ -1225,34 +1226,6 @@ mod tests {
         assert_eq!(report_cold.summary, report_warm.summary);
     }
 
-    /// A snapshot's adjustment sets and estimates alone make the warm
-    /// re-solve miss nothing and reproduce the cold ruleset.
-    #[test]
-    fn snapshot_after_solve_warm_starts_without_misses() {
-        let (df, dag, prot) = fixture();
-        let build = || {
-            FairCap::builder()
-                .data(df.clone())
-                .dag(dag.clone())
-                .outcome("outcome")
-                .immutable(["segment", "grp"])
-                .mutable(["big", "fair"])
-                .protected(prot.clone())
-        };
-        let cold = build().build().unwrap();
-        let report_cold = cold.solve(&SolveRequest::default()).unwrap();
-        let snapshot = cold.snapshot();
-        assert!(!snapshot.state.estimates.is_empty());
-        assert!(!snapshot.state.adjustments.is_empty());
-
-        let decoded = SessionSnapshot::decode(&snapshot.encode()).unwrap();
-        let warm = build().warm_start(decoded).build().unwrap();
-        let report_warm = warm.solve(&SolveRequest::default()).unwrap();
-        assert_eq!(warm.cache_stats().misses, 0);
-        let rules = |r: &SolutionReport| r.rules.iter().map(|r| r.to_string()).collect::<Vec<_>>();
-        assert_eq!(rules(&report_cold), rules(&report_warm));
-    }
-
     #[test]
     fn warm_start_rejects_mismatched_snapshot() {
         let s = session();
@@ -1284,8 +1257,8 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, Error::Snapshot(_)), "{err}");
-        // A changed DAG invalidates the snapshot (adjustment sets are
-        // DAG-derived) …
+        // A changed DAG invalidates the snapshot (estimates are adjusted by
+        // DAG-derived sets) …
         let mut other_dag = dag.clone();
         other_dag.ensure_node("extra");
         other_dag.add_edge_by_name("extra", "outcome").unwrap();

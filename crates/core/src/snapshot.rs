@@ -1,19 +1,20 @@
-//! Session snapshots: persist a [`PrescriptionSession`]'s warmed caches and
-//! restore them into a new session (warm start).
+//! Session snapshots: persist a [`PrescriptionSession`]'s estimate cache
+//! and restore it into a new session (warm start).
 //!
-//! A snapshot captures everything estimation-related that a session learns
-//! while solving — backdoor adjustment sets and CATE estimates keyed by
-//! `(estimator name, subgroup fingerprint, intervention pattern)`,
-//! including the negative "not estimable" verdicts. Restoring it
-//! into a session built over the *same* data and outcome
-//! ([`SessionBuilder::warm_start`]) makes the first solve behave like a
-//! re-solve: zero estimate-cache misses (asserted by
-//! `tests/integration_snapshot.rs` and by the CI round-trip job).
+//! A snapshot holds the CATE estimates a session computed while solving,
+//! keyed by `(estimator name, subgroup fingerprint, intervention pattern)`
+//! and including the negative "not estimable" verdicts, plus the checks
+//! that tie them to one instance. Restoring it into a session built over
+//! the *same* data, DAG and outcome ([`SessionBuilder::warm_start`]) makes
+//! the first solve behave like a re-solve: zero estimate-cache misses
+//! (asserted by `tests/integration_snapshot.rs` and by the CI round-trip
+//! job). Nothing else is persisted: a warm hit is answered before any
+//! adjustment-set lookup, and a miss re-derives its set from the DAG.
 //!
 //! # Format and versioning
 //!
 //! The wire format is a line-oriented, token-escaped text format with an
-//! explicit version header (`faircap-snapshot v3`). The compatibility
+//! explicit version header (`faircap-snapshot v4`). The compatibility
 //! policy is:
 //!
 //! * decoding rejects any snapshot whose major version is unknown with a
@@ -23,9 +24,9 @@
 //! * within a version, unknown *sections* are rejected too (the format is
 //!   a closed enumeration per version);
 //! * restoring validates the outcome name, row count, DAG fingerprint, and
-//!   data-content fingerprint against the session being built — a snapshot
-//!   taken under a different DAG or different data is refused, because its
-//!   adjustment sets and estimates would be silently wrong for the new
+//!   data fingerprint ([`frame_fingerprint`]) against the session being
+//!   built — a snapshot taken under a different DAG or different data is
+//!   refused, because its estimates would be silently wrong for the new
 //!   instance.
 //!
 //! Floats are serialized as IEEE-754 bit patterns (hex), so estimates —
@@ -35,10 +36,11 @@
 //!
 //! [`PrescriptionSession`]: crate::session::PrescriptionSession
 //! [`SessionBuilder::warm_start`]: crate::session::SessionBuilder::warm_start
+//! [`frame_fingerprint`]: faircap_table::frame_fingerprint
 
 use crate::error::{Error, Result};
 use faircap_causal::{CateEngineState, Dag, Estimate};
-use faircap_table::{CmpOp, DataFrame, FnvHasher, Pattern, Predicate, Value};
+use faircap_table::{CmpOp, FnvHasher, Pattern, Predicate, Value};
 use std::fmt::Write as _;
 
 /// Serialized-cache bundle of one session. Produced by
@@ -52,72 +54,28 @@ pub struct SessionSnapshot {
     /// Row count of the originating session's frame (validated on restore).
     pub n_rows: usize,
     /// Fingerprint of the originating session's DAG
-    /// ([`dag_fingerprint`]; validated on restore — adjustment sets are
-    /// DAG-derived, so a changed DAG invalidates the whole snapshot).
+    /// ([`dag_fingerprint`]; validated on restore — every estimate was
+    /// adjusted by a DAG-derived set, so a changed DAG invalidates the
+    /// whole snapshot).
     pub dag_fp: u64,
     /// Fingerprint of the originating session's data contents
-    /// ([`data_fingerprint`]; validated on restore — estimates are
-    /// data-derived).
+    /// ([`frame_fingerprint`](faircap_table::frame_fingerprint); validated
+    /// on restore — estimates are data-derived).
     pub data_fp: u64,
-    /// The engine cache state: adjustments and estimates.
+    /// The engine's estimate cache.
     pub state: CateEngineState,
-}
-
-/// Order-sensitive fingerprint of a frame's column names and full contents.
-/// One pass over every cell — microseconds to low milliseconds at this
-/// workload's scale, paid once per snapshot/restore.
-///
-/// Computed with the in-repo stable [`FnvHasher`], never `DefaultHasher`:
-/// these fingerprints are persisted inside snapshots, so they must be
-/// identical across processes, platforms, and Rust toolchain versions.
-pub fn data_fingerprint(df: &DataFrame) -> u64 {
-    let mut h = FnvHasher::new();
-    h.write_u64_stable(df.n_rows() as u64);
-    for name in df.names() {
-        h.write_str_stable(name);
-        let col = df.column(name).expect("iterating the frame's own names");
-        for row in 0..df.n_rows() {
-            write_value_stable(&mut h, &col.get(row));
-        }
-    }
-    h.finish64()
-}
-
-/// Feed one cell value into a stable digest: a one-byte type tag followed
-/// by a fixed-width (or length-prefixed) encoding, so values of different
-/// types can never collide byte-wise.
-fn write_value_stable(h: &mut FnvHasher, value: &Value) {
-    match value {
-        Value::Null => h.write_u8_stable(0),
-        Value::Int(v) => {
-            h.write_u8_stable(1);
-            h.write_i64_stable(*v);
-        }
-        Value::Float(v) => {
-            h.write_u8_stable(2);
-            h.write_u64_stable(v.to_bits());
-        }
-        Value::Bool(b) => {
-            h.write_u8_stable(3);
-            h.write_u8_stable(u8::from(*b));
-        }
-        Value::Str(s) => {
-            h.write_u8_stable(4);
-            h.write_str_stable(s);
-        }
-    }
 }
 
 /// Fingerprint of a DAG's node and edge structure (via its DOT rendering,
 /// which lists nodes and edges deterministically), using the same stable
-/// [`FnvHasher`] as [`data_fingerprint`].
+/// [`FnvHasher`] as the data fingerprint.
 pub fn dag_fingerprint(dag: &Dag) -> u64 {
     let mut h = FnvHasher::new();
     h.write_str_stable(&dag.to_dot());
     h.finish64()
 }
 
-/// Current snapshot format version (the `v3` of the header line).
+/// Current snapshot format version (the `v4` of the header line).
 ///
 /// v1 → v2: every persisted fingerprint (group, DAG, data) moved from
 /// `DefaultHasher` — whose output is only stable within one Rust compiler
@@ -127,9 +85,13 @@ pub fn dag_fingerprint(dag: &Dag) -> u64 {
 /// v2 → v3: the `treated` section of per-pattern treated-row masks is
 /// gone, along with the engine cache it restored.
 ///
+/// v3 → v4: the `adjustments` section is gone (no warm solve read it),
+/// and the data fingerprint is `faircap_table::frame_fingerprint`, which
+/// digests the same frame differently from the v3 one.
+///
 /// Older snapshots are refused with a typed error rather than silently
-/// degrading to partial warm starts; re-solving and re-saving writes v3.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// degrading to partial warm starts; re-solving and re-saving writes v4.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 const HEADER: &str = "faircap-snapshot";
 
@@ -143,23 +105,6 @@ impl SessionSnapshot {
         let _ = writeln!(out, "rows {}", self.n_rows);
         let _ = writeln!(out, "dag {:x}", self.dag_fp);
         let _ = writeln!(out, "data {:x}", self.data_fp);
-        let _ = writeln!(out, "adjustments {}", self.state.adjustments.len());
-        for (treatment, adjustment) in &self.state.adjustments {
-            let mut line = format!("a {}", treatment.len());
-            for attr in treatment {
-                let _ = write!(line, " {}", esc(attr));
-            }
-            match adjustment {
-                None => line.push_str(" -"),
-                Some(attrs) => {
-                    let _ = write!(line, " {}", attrs.len());
-                    for attr in attrs {
-                        let _ = write!(line, " {}", esc(attr));
-                    }
-                }
-            }
-            let _ = writeln!(out, "{line}");
-        }
         let _ = writeln!(out, "estimates {}", self.state.estimates.len());
         for (name, group_fp, pattern, estimate) in &self.state.estimates {
             let mut line = format!("e {} {group_fp:x}", esc(name));
@@ -222,29 +167,6 @@ impl SessionSnapshot {
             data_fp,
             state: CateEngineState::default(),
         };
-
-        let n: usize = section_count(&mut lines, "adjustments")?;
-        for _ in 0..n {
-            let line = next_line(&mut lines, "adjustment record")?;
-            let mut toks = Tokens::new(&line, "adjustment record");
-            toks.literal("a")?;
-            let n_treat: usize = toks.num("treatment-attr count")?;
-            let treatment: Vec<String> = (0..n_treat)
-                .map(|_| toks.string("treatment attr"))
-                .collect::<Result<_>>()?;
-            let adjustment = match toks.raw("adjustment-set count")? {
-                "-" => None,
-                count => {
-                    let n_adj: usize = parse_num(count, "adjustment-set count")?;
-                    Some(
-                        (0..n_adj)
-                            .map(|_| toks.string("adjustment attr"))
-                            .collect::<Result<Vec<String>>>()?,
-                    )
-                }
-            };
-            snapshot.state.adjustments.push((treatment, adjustment));
-        }
 
         let n: usize = section_count(&mut lines, "estimates")?;
         for _ in 0..n {
@@ -538,13 +460,6 @@ mod tests {
             dag_fp: 0x1234_5678_9abc_def0,
             data_fp: 0x0fed_cba9_8765_4321,
             state: CateEngineState {
-                adjustments: vec![
-                    (
-                        vec!["training".into()],
-                        Some(vec!["country".into(), "a b".into()]),
-                    ),
-                    (vec!["x".into(), "y".into()], None),
-                ],
                 estimates: vec![
                     ("linear".into(), 0xdead_beef, p1, Some(est)),
                     ("matching".into(), 7, p2, Some(degenerate)),
@@ -563,7 +478,6 @@ mod tests {
         assert_eq!(back.n_rows, snap.n_rows);
         assert_eq!(back.dag_fp, snap.dag_fp);
         assert_eq!(back.data_fp, snap.data_fp);
-        assert_eq!(back.state.adjustments, snap.state.adjustments);
         assert_eq!(back.state.estimates.len(), snap.state.estimates.len());
         for (a, b) in back.state.estimates.iter().zip(&snap.state.estimates) {
             assert_eq!(a.0, b.0);
@@ -588,34 +502,37 @@ mod tests {
     #[test]
     fn unknown_version_is_rejected() {
         let snap = sample();
-        let text = snap.encode().replacen("v3", "v99", 1);
+        let text = snap.encode().replacen("v4", "v99", 1);
         let err = SessionSnapshot::decode(&text).unwrap_err();
         assert!(matches!(err, Error::Snapshot(_)));
         assert!(err.to_string().contains("v99"), "{err}");
     }
 
     #[test]
-    fn outdated_v1_is_refused_with_regeneration_hint() {
-        // A v1 snapshot (pre-FNV fingerprints) must be refused outright —
-        // its persisted group/data/DAG fingerprints were DefaultHasher
-        // output, valid only for the toolchain that wrote them.
-        let text = sample().encode().replacen("v3", "v1", 1);
-        let err = SessionSnapshot::decode(&text).unwrap_err();
-        assert!(matches!(err, Error::Snapshot(_)));
-        assert!(err.to_string().contains("v1"), "{err}");
-        assert!(err.to_string().contains("re-save"), "{err}");
+    fn outdated_versions_are_refused_with_regeneration_hint() {
+        // Every older format is refused outright: v1 fingerprints were
+        // DefaultHasher output, valid only for the toolchain that wrote
+        // them, and v2/v3 data fingerprints are not today's frame digest.
+        for old in ["v1", "v2", "v3"] {
+            let text = sample().encode().replacen("v4", old, 1);
+            let err = SessionSnapshot::decode(&text).unwrap_err();
+            assert!(matches!(err, Error::Snapshot(_)));
+            assert!(err.to_string().contains(old), "{err}");
+            assert!(err.to_string().contains("re-save"), "{err}");
+        }
     }
 
     #[test]
     fn fingerprints_are_toolchain_stable_constants() {
         // Pinned digests: if either ever changes, the snapshot format has
         // silently forked and SNAPSHOT_VERSION must be bumped.
+        use faircap_table::{frame_fingerprint, DataFrame};
         let df = DataFrame::builder()
             .cat("grp", &["a", "b"])
             .float("o", vec![1.5, -2.0])
             .build()
             .unwrap();
-        assert_eq!(data_fingerprint(&df), 0x93c9_bd47_487b_79df);
+        assert_eq!(frame_fingerprint(&df), 0x119f_a154_7cb9_4a17);
         let dag = Dag::parse_edge_list("grp -> o").unwrap();
         assert_eq!(dag_fingerprint(&dag), 0xfafb_3992_c436_be05);
     }
@@ -625,11 +542,11 @@ mod tests {
         for bad in [
             "",
             "not a snapshot",
-            "faircap-snapshot v3\noutcome o\nrows x",
-            "faircap-snapshot v3\noutcome o\nrows 10\nadjustments 1\n",
-            "faircap-snapshot v3\noutcome o\nrows 10\ndag 0\ndata 0\nadjustments 0\nestimates 1\ne linear zz 0 -",
-            // A v2 `treated` section is not part of v3.
-            "faircap-snapshot v3\noutcome o\nrows 10\ndag 0\ndata 0\nadjustments 0\ntreated 0\nestimates 0",
+            "faircap-snapshot v4\noutcome o\nrows x",
+            "faircap-snapshot v4\noutcome o\nrows 10\nestimates 1\n",
+            "faircap-snapshot v4\noutcome o\nrows 10\ndag 0\ndata 0\nestimates 1\ne linear zz 0 -",
+            // A v3 `adjustments` section is not part of v4.
+            "faircap-snapshot v4\noutcome o\nrows 10\ndag 0\ndata 0\nadjustments 0\nestimates 0",
         ] {
             assert!(
                 matches!(SessionSnapshot::decode(bad), Err(Error::Snapshot(_))),

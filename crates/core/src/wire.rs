@@ -634,8 +634,6 @@ pub fn solve_request_to_canonical_json(request: &SolveRequest) -> Json {
             "max_intervention_len",
             Json::Num(config.max_intervention_len as f64),
         ),
-        ("lambda_size", Json::Num(config.lambda_size)),
-        ("lambda_utility", Json::Num(config.lambda_utility)),
         ("min_marginal_gain", Json::Num(config.min_marginal_gain)),
         ("alpha", Json::Num(config.alpha)),
         (

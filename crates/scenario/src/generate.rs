@@ -6,7 +6,7 @@ use faircap_causal::scm::{bernoulli, normal};
 use faircap_causal::Scm;
 use faircap_core::PrescriptionSession;
 use faircap_data::Dataset;
-use faircap_table::{Column, DataFrame, FnvHasher, Mask, Value};
+use faircap_table::{frame_fingerprint, Mask, Value};
 
 /// Index of level string `v{l}` (our own generator's vocabulary, so a
 /// malformed level simply maps to 0 — it cannot occur in sampled data).
@@ -175,43 +175,6 @@ impl GeneratedScenario {
     pub fn fingerprint(&self) -> u64 {
         frame_fingerprint(&self.dataset.df)
     }
-}
-
-/// FNV-1a digest of an entire frame; see
-/// [`GeneratedScenario::fingerprint`].
-pub fn frame_fingerprint(df: &DataFrame) -> u64 {
-    let mut h = FnvHasher::new();
-    h.write_u64_stable(df.n_rows() as u64);
-    for name in df.names() {
-        h.write_str_stable(name);
-        match df.column(name).expect("name comes from the frame") {
-            Column::Int(v) => {
-                h.write_str_stable("int");
-                for &x in v {
-                    h.write_i64_stable(x);
-                }
-            }
-            Column::Float(v) => {
-                h.write_str_stable("float");
-                for &x in v {
-                    h.write_u64_stable(x.to_bits());
-                }
-            }
-            Column::Bool(v) => {
-                h.write_str_stable("bool");
-                for &x in v {
-                    h.write_u8_stable(u8::from(x));
-                }
-            }
-            Column::Cat(c) => {
-                h.write_str_stable("cat");
-                for &code in c.codes() {
-                    h.write_str_stable(c.value_of(code));
-                }
-            }
-        }
-    }
-    h.finish64()
 }
 
 #[cfg(test)]

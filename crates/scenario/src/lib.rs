@@ -12,7 +12,8 @@
 //! * [`mod@generate`] — sample 10⁵–10⁷-row datasets ([`GeneratedScenario`]);
 //!   bit-reproducible per `(spec, seed)` across platforms (the rand shim's
 //!   stream is pinned; see `shims/rand`), with a pinned frame
-//!   [`frame_fingerprint`] guarding the contract.
+//!   [`frame_fingerprint`] (defined in `faircap-table`, re-exported here)
+//!   guarding the contract.
 //! * [`store`] — persist/load a scenario directory (`scenario.csv`,
 //!   `scenario.dag`, `scenario.json` with the truth table) whose CSV+DAG
 //!   half feeds `faircap solve`/`faircap serve` directly.
@@ -39,7 +40,8 @@ pub mod store;
 pub mod verify;
 
 pub use error::{Result, ScenarioError};
-pub use generate::{build_scm, frame_fingerprint, generate, GeneratedScenario};
+pub use faircap_table::frame_fingerprint;
+pub use generate::{build_scm, generate, GeneratedScenario};
 pub use replay::{
     default_epsilon, replay, Arrival, ReplayOptions, ReplayReport, ReplayTarget, RequestVariant,
     WorkloadMix,

@@ -19,6 +19,7 @@ use crate::spec::{ScenarioSpec, TruthEntry, TruthGroup};
 use faircap_causal::Dag;
 use faircap_core::Json;
 use faircap_data::Dataset;
+use faircap_table::DataFrame;
 use std::path::Path;
 
 /// Format tag written into `scenario.json`; bump when the generator's
@@ -161,6 +162,7 @@ pub fn load(dir: &Path) -> Result<GeneratedScenario> {
     let doc = Json::parse(&text).map_err(|e| bad(format!("{}: {e}", json_path.display())))?;
     let (spec, truth) = metadata_from_json(&doc)?;
     let df = faircap_table::csv::read_csv(dir.join("scenario.csv"))?;
+    check_counts(&spec, &df)?;
     let dag_text = std::fs::read_to_string(dir.join("scenario.dag"))?;
     let dag = Dag::parse_edge_list(&dag_text)?;
     let dataset = Dataset {
@@ -177,6 +179,50 @@ pub fn load(dir: &Path) -> Result<GeneratedScenario> {
         dataset,
         truth,
     })
+}
+
+/// Refuse a `scenario.json` whose `rows`, `stable` or `flexible` disagree
+/// with the loaded `scenario.csv`, whose attribute columns are exactly
+/// `s0..s{stable-1}` and `f0..f{flexible-1}`. The counts come from the
+/// file, so each is bounded by the column count before any name is
+/// generated from it: a claimed `"stable": 1e12` is refused here instead of
+/// allocating 10¹² names.
+fn check_counts(spec: &ScenarioSpec, df: &DataFrame) -> Result<()> {
+    if spec.rows != df.n_rows() {
+        return Err(bad(format!(
+            "`spec.rows` is {} but scenario.csv holds {} rows",
+            spec.rows,
+            df.n_rows()
+        )));
+    }
+    type AttrName = fn(&ScenarioSpec, usize) -> String;
+    let roles: [(&str, usize, AttrName); 2] = [
+        ("spec.stable", spec.stable, ScenarioSpec::stable_attr),
+        ("spec.flexible", spec.flexible, ScenarioSpec::flexible_attr),
+    ];
+    for (field, count, attr) in roles {
+        if count > df.n_cols() {
+            return Err(bad(format!(
+                "`{field}` is {count} but scenario.csv has {} columns",
+                df.n_cols()
+            )));
+        }
+        if let Some(missing) = (0..count)
+            .map(|i| attr(spec, i))
+            .find(|a| !df.has_column(a))
+        {
+            return Err(bad(format!(
+                "`{field}` is {count} but scenario.csv has no column `{missing}`"
+            )));
+        }
+        let next = attr(spec, count);
+        if df.has_column(&next) {
+            return Err(bad(format!(
+                "`{field}` is {count} but scenario.csv also has column `{next}`"
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -239,6 +285,37 @@ mod tests {
         std::fs::write(&path, hacked).unwrap();
         let err = load(&dir).unwrap_err();
         assert!(err.to_string().contains("v999"), "{err}");
+    }
+
+    #[test]
+    fn counts_that_disagree_with_the_csv_are_refused_by_name() {
+        let sc = generate(&ScenarioSpec {
+            rows: 50,
+            ..Default::default()
+        })
+        .unwrap();
+        let dir = tmp_dir("counts");
+        save(&sc, &dir).unwrap();
+        let path = dir.join("scenario.json");
+        let original = std::fs::read_to_string(&path).unwrap();
+        for (field, claim) in [
+            ("stable", "1e12"),
+            ("flexible", "1e12"),
+            ("rows", "1e12"),
+            ("stable", "2"),
+            ("flexible", "4"),
+        ] {
+            let saved = format!("\"{field}\":{}", if field == "rows" { 50 } else { 3 });
+            assert!(original.contains(&saved), "{saved} not in {original}");
+            let hacked = original.replacen(&saved, &format!("\"{field}\":{claim}"), 1);
+            std::fs::write(&path, hacked).unwrap();
+            match load(&dir) {
+                Err(ScenarioError::Format(msg)) => {
+                    assert!(msg.contains(&format!("`spec.{field}`")), "{msg}")
+                }
+                other => panic!("{field}={claim}: expected a format error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! a toolchain upgrade would silently degrade every existing snapshot to a
 //! partial warm start.
 //!
+//! [`frame_fingerprint`] is the whole-frame digest built on it.
+//!
 //! [`FnvHasher`] is the 64-bit Fowler–Noll–Vo 1a function, implemented
 //! here so its output is fixed forever:
 //!
@@ -22,6 +24,8 @@
 //! hash maps, but persistent fingerprints should stick to the explicit
 //! `*_stable` feeding methods: the `Hash` **trait**'s mapping from values
 //! to `write` calls is itself not guaranteed stable across std versions.
+
+use crate::{Column, DataFrame};
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -124,6 +128,46 @@ impl std::hash::Hasher for FnvHasher {
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FnvHasher::new();
     h.write_bytes(bytes);
+    h.finish64()
+}
+
+/// FNV-1a digest of an entire frame: the row count, then per column its
+/// name, dtype and every cell (floats as IEEE-754 bits, categorical cells
+/// as their level strings). Equal digests ⇔ bit-identical data. It is the
+/// one frame digest of the workspace: scenario reproducibility checks and
+/// session snapshots both validate data against it.
+pub fn frame_fingerprint(df: &DataFrame) -> u64 {
+    let mut h = FnvHasher::new();
+    h.write_u64_stable(df.n_rows() as u64);
+    for name in df.names() {
+        h.write_str_stable(name);
+        match df.column(name).expect("name comes from the frame") {
+            Column::Int(v) => {
+                h.write_str_stable("int");
+                for &x in v {
+                    h.write_i64_stable(x);
+                }
+            }
+            Column::Float(v) => {
+                h.write_str_stable("float");
+                for &x in v {
+                    h.write_u64_stable(x.to_bits());
+                }
+            }
+            Column::Bool(v) => {
+                h.write_str_stable("bool");
+                for &x in v {
+                    h.write_u8_stable(u8::from(x));
+                }
+            }
+            Column::Cat(c) => {
+                h.write_str_stable("cat");
+                for &code in c.codes() {
+                    h.write_str_stable(c.value_of(code));
+                }
+            }
+        }
+    }
     h.finish64()
 }
 

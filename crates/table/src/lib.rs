@@ -47,7 +47,7 @@ pub use cache::{CacheCounters, ShardedLruCache};
 pub use column::{CatColumn, Column};
 pub use dataframe::{DataFrame, DataFrameBuilder};
 pub use error::{Result, TableError};
-pub use fnv::FnvHasher;
+pub use fnv::{frame_fingerprint, FnvHasher};
 pub use mask::{Mask, MaskView};
 pub use pattern::Pattern;
 pub use predicate::{CmpOp, Predicate};

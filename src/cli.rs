@@ -145,8 +145,8 @@ none | group:THETA:THETA_P | rule:THETA:THETA_P. Estimators are documented
 in docs/estimators.md.
 
 --workers pins the Step-2 fan-out worker count (default: FAIRCAP_WORKERS,
-then all cores). --save-cache writes the warmed CATE caches (adjustment
-sets and estimates) to a versioned snapshot after solving;
+then all cores). --save-cache writes the warmed CATE estimate cache to a
+versioned snapshot after solving;
 --load-cache warm-starts from one, so an identical re-solve performs zero
 new estimations. Either flag makes the tool print an `estimate-cache:` line
 with the solve's hit/miss counters.";
@@ -610,7 +610,7 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeCliOptions, String> {
 /// Build one dataset group's session, warm-booting from
 /// `DIR/<name>.fc` when a snapshot directory is configured and the file
 /// exists. An unreadable or incompatible snapshot (e.g. a refused
-/// pre-v3 format) is reported on stderr and the session boots cold —
+/// pre-v4 format) is reported on stderr and the session boots cold —
 /// availability beats a stale cache. A successful warm boot returns its
 /// provenance (snapshot path, wall-clock restore duration) for the
 /// observability endpoints.
@@ -1291,10 +1291,10 @@ mod tests {
         broken.data = "/no/such/file.csv".into();
         assert!(matches!(execute(&broken).unwrap_err(), CliError::Config(_)));
         // … and so is a refused older snapshot, with the regeneration hint:
-        // a bare v1 header, and the saved file relabelled v2.
+        // a bare v1 header, and the saved file relabelled v3.
         for old in [
             "faircap-snapshot v1\n".to_string(),
-            saved.replacen("v3", "v2", 1),
+            saved.replacen("faircap-snapshot v4", "faircap-snapshot v3", 1),
         ] {
             std::fs::write(&snap, old).unwrap();
             let err = execute(&warm).unwrap_err();

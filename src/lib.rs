@@ -10,9 +10,8 @@
 //! Selection instance once, get a long-lived [`PrescriptionSession`], and
 //! re-solve it under changing fairness/coverage constraints, estimators,
 //! and rule budgets. Every cross-solve cache (backdoor adjustment sets,
-//! treated-row masks, CATE estimates, grouping patterns) lives on the
-//! session, so constraint sweeps — the paper's Tables 4–6 workload — pay
-//! for estimation once:
+//! CATE estimates, grouping patterns) lives on the session, so constraint
+//! sweeps — the paper's Tables 4–6 workload — pay for estimation once:
 //!
 //! ```no_run
 //! use faircap::{FairCap, SolveRequest};

@@ -3,6 +3,7 @@
 //! into a fresh session, and re-solve with **zero** estimate-cache misses
 //! and a bit-identical ruleset.
 
+use faircap::causal::EstimatorKind;
 use faircap::core::{SessionSnapshot, SolutionReport};
 use faircap::data::{german, Dataset};
 use faircap::{FairCap, PrescriptionSession, SolveRequest};
@@ -86,4 +87,34 @@ fn warm_start_covers_constraint_sweeps_seen_before_the_snapshot() {
         0,
         "the snapshot covers the whole sweep, not just the last solve"
     );
+}
+
+/// A snapshot carries estimates only, so a warm session asked for an
+/// estimator the snapshot never ran re-derives each adjustment set from the
+/// DAG and estimates exactly what a cold session would.
+#[test]
+fn warm_start_with_an_unsnapshotted_estimator_matches_a_cold_session() {
+    let ds = dataset();
+    let linear = SolveRequest::default().estimator_kind(EstimatorKind::Linear);
+    let stratified = SolveRequest::default().estimator_kind(EstimatorKind::Stratified);
+
+    let snapshotted = session(&ds).build().unwrap();
+    snapshotted.solve(&linear).unwrap();
+    let text = snapshotted.snapshot().encode();
+    assert!(text.starts_with("faircap-snapshot v4\n"), "{}", &text[..40]);
+    let snapshot = SessionSnapshot::decode(&text).unwrap();
+    assert!(snapshot.state.estimates.iter().all(|e| e.0 == "linear"));
+
+    let warm = session(&ds).warm_start(snapshot).build().unwrap();
+    let warm_report = warm.solve(&stratified).unwrap();
+    let cold = session(&ds).build().unwrap();
+    let cold_report = cold.solve(&stratified).unwrap();
+
+    assert!(cold.cache_stats().misses > 0, "the cold solve estimates");
+    assert_eq!(
+        warm.cache_stats().misses,
+        cold.cache_stats().misses,
+        "the warm session estimates exactly what the cold one does"
+    );
+    assert_eq!(fingerprint(&warm_report), fingerprint(&cold_report));
 }

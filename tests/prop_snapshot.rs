@@ -34,10 +34,6 @@ fn sample() -> SessionSnapshot {
         dag_fp: 0x1234_5678_9abc_def0,
         data_fp: 0x0fed_cba9_8765_4321,
         state: CateEngineState {
-            adjustments: vec![
-                (vec!["training".into()], Some(vec!["country".into()])),
-                (vec!["x".into(), "y".into()], None),
-            ],
             estimates: vec![
                 ("linear".into(), 0xdead_beef, p1, Some(est)),
                 ("matching".into(), 7, p2, None),
@@ -60,7 +56,7 @@ fn decodes_or_rejects(text: &str) -> Result<(), TestCaseError> {
 fn with_estimate_record(version: &str, record: &str) -> String {
     format!(
         "faircap-snapshot {version}\noutcome o\nrows 130\ndag 0\ndata 0\n\
-         adjustments 0\nestimates 1\n{record}\n"
+         estimates 1\n{record}\n"
     )
 }
 
@@ -73,22 +69,30 @@ fn assert_rejected(text: &str) {
 
 #[test]
 fn oversized_predicate_count_is_rejected_without_allocating() {
-    assert!(SessionSnapshot::decode(&with_estimate_record("v3", "e linear 0 1 a eq i1 -")).is_ok());
+    assert!(SessionSnapshot::decode(&with_estimate_record("v4", "e linear 0 1 a eq i1 -")).is_ok());
     assert_rejected(&with_estimate_record(
-        "v3",
+        "v4",
         "e linear 0 1000000000000000000 a eq i1 -",
     ));
 }
 
 #[test]
-fn v2_snapshots_are_refused_with_a_regeneration_hint() {
-    // v2 carried a treated-mask section; this build reads v3 only.
+fn pre_v4_snapshots_are_refused_with_a_regeneration_hint() {
+    // v2 carried a treated-mask section and v3 an adjustment section; this
+    // build reads v4 only, whatever the body holds.
     let v2 = "faircap-snapshot v2\noutcome o\nrows 130\ndag 0\ndata 0\n\
               adjustments 0\ntreated 0\nestimates 0\n";
-    for text in [v2.to_string(), with_estimate_record("v2", "e linear 0 0 -")] {
+    let v3 = "faircap-snapshot v3\noutcome o\nrows 130\ndag 0\ndata 0\n\
+              adjustments 1\na 1 training 1 country\nestimates 0\n";
+    for (version, text) in [
+        ("v2", v2.to_string()),
+        ("v2", with_estimate_record("v2", "e linear 0 0 -")),
+        ("v3", v3.to_string()),
+        ("v3", with_estimate_record("v3", "e linear 0 0 -")),
+    ] {
         match SessionSnapshot::decode(&text) {
             Err(Error::Snapshot(msg)) => {
-                assert!(msg.contains("v2") && msg.contains("v3"), "{msg}");
+                assert!(msg.contains(version) && msg.contains("v4"), "{msg}");
                 assert!(msg.contains("re-solve and re-save"), "{msg}");
             }
             other => panic!("expected a snapshot error, got {other:?}"),
