@@ -88,7 +88,8 @@ pub fn adapt_if_clauses(
                 // The clause's coverage is the treated rows of all three
                 // queries.
                 let treated = intervention.coverage(df)?;
-                let Some(est) = walk.cate(group, intervention, &treated) else {
+                let codes = session.engine().pattern_codes(intervention);
+                let Some(est) = walk.cate(group, codes.iter().copied(), &treated) else {
                     continue;
                 };
                 if est.cate <= 0.0 {
@@ -96,7 +97,7 @@ pub fn adapt_if_clauses(
                 }
                 let mut utility = |sub: GroupHandle<'_>| {
                     subgroup_utility(sub.mask(), est.cate, || {
-                        walk.cate(sub, intervention, &treated)
+                        walk.cate(sub, codes.iter().copied(), &treated)
                     })
                 };
                 let (u_p, u_np) = (utility(group_p), utility(group_np));

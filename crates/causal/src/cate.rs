@@ -29,10 +29,21 @@
 //!   group takes the columnar path. Each intervention then only walks its
 //!   treated rows;
 //! * full estimates, keyed by `(estimator, group fingerprint,
-//!   intervention)` — the cache the greedy phase and repeated constraint
-//!   re-solves hit hardest. A key carries one FNV hash of all three,
-//!   computed once when the key is built; hashing the key for a shard or
-//!   a map slot writes only that word.
+//!   intervention)` — the cache Step 2's re-walks hit hardest. The
+//!   intervention is keyed by the codes of its predicates in the engine's
+//!   predicate table ([`CateEngine::predicate_code`]), held inline for
+//!   short patterns, so a lookup compares integers and reads no `String`.
+//!   A key carries one FNV hash of the estimator's name, the fingerprint
+//!   and the predicates' content hashes, computed once when the key is
+//!   built; hashing the key for a shard or a map slot writes only that
+//!   word, and the hash is the same in every run.
+//!
+//! Beside the caches the engine keeps two append-only tables: the
+//! predicate table, code → predicate and back, which spells a key out as
+//! a [`Pattern`] only on a miss and on export; and per attribute with few
+//! levels, the full-frame mask of each level ([`CateEngine::level_masks`]),
+//! built at the first walk that needs it, from which Step 2 builds a
+//! group's items by word AND.
 //!
 //! Every capacity is fixed when the engine is built. The estimate and
 //! adjustment caches are unbounded: they keep every estimate and every
@@ -43,21 +54,24 @@
 //! There are two ways in, and one estimation path behind them:
 //!
 //! * a [`CateWalk`] ([`CateQuery::walk`]) serves one group's lattice walk
-//!   and its sub-coverage queries. The caller passes the treated mask it
-//!   already holds — any mask that agrees with the pattern's rows inside
-//!   the group, such as a lattice node's `coverage ∧ pattern` — and the
-//!   walk resolves each treatment-attribute set's adjustment once, in a
-//!   memo of its own;
+//!   and its sub-coverage queries. The caller names the intervention by
+//!   its predicate codes and passes the treated mask it already holds —
+//!   any mask that agrees with the pattern's rows inside the group, such
+//!   as a lattice node's `coverage ∧ pattern` — and the walk resolves each
+//!   treatment-attribute set's adjustment once, in a memo of its own;
 //! * [`CateEngine::cate`] answers one query from the intervention pattern
-//!   alone: on an estimate-cache miss it looks up the adjustment set and
-//!   computes the pattern's coverage, which nothing caches.
+//!   alone: it codes the pattern's predicates to build the same key, and
+//!   on an estimate-cache miss it looks up the adjustment set and computes
+//!   the pattern's coverage, which nothing caches.
 //!
 //! Each estimator name has one bookkeeping record on the engine, resolved
-//! once per [`CateQuery`] ([`CateEngine::with_estimator`]) and carried by
-//! every estimate-cache key it inserts: its hit/miss/entry/eviction
-//! counters, the duration histogram of its estimation runs, and the
-//! hot-path totals of those runs, all atomics. A cache hit thus costs one
-//! shard lock, and an estimation no lock beyond its caches' shards. The
+//! once per [`CateQuery`] ([`CateEngine::with_estimator`]) and named by
+//! its id in every estimate-cache key it inserts: its
+//! hit/miss/entry/eviction counters, the duration histogram of its
+//! estimation runs, and the hot-path totals of those runs, all atomics. A
+//! cache hit thus costs one shard lock and clones nothing; a walk counts
+//! its hits itself and adds them to the record once, when it ends. An
+//! estimation takes no lock beyond its caches' shards. The
 //! records make reuse observable per estimator
 //! ([`CateEngine::cache_stats_by_estimator`]) and in aggregate
 //! ([`CateEngine::cache_stats`], [`CateEngine::hot_stats`],
@@ -78,10 +92,11 @@ use crate::estimate::{Estimate, EstimateCtx, Estimator, HotStats};
 use crate::graph::Dag;
 use faircap_obs::{Histogram, HistogramSnapshot, SpanHandle};
 use faircap_table::{
-    CacheCounters, DataFrame, DataType, FnvHasher, Mask, Pattern, ShardedLruCache,
+    CacheCounters, Codes, DataFrame, DataType, FnvHasher, LevelMasks, Mask, Pattern, Predicate,
+    ShardedLruCache,
 };
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use parking_lot::{Mutex, RwLock};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -247,6 +262,8 @@ impl Adjustment {
 #[derive(Default)]
 struct EstimatorRecord {
     name: Arc<str>,
+    /// The record's index in [`Estimators::by_id`]; estimate keys carry it.
+    id: u32,
     /// FNV state after the name: estimate keys continue from it.
     name_hash: FnvHasher,
     hits: AtomicU64,
@@ -280,46 +297,100 @@ impl EstimatorRecord {
     }
 }
 
-/// Charge entries the estimate cache evicted to their estimators' records.
-fn charge_evictions(evicted: Vec<(EstimateKey, Option<Estimate>)>) {
-    for (key, _) in evicted {
-        key.estimator.entries.fetch_sub(1, Relaxed);
-        key.estimator.evictions.fetch_add(1, Relaxed);
+/// The engine's estimator records, by name and by id.
+#[derive(Default)]
+struct Estimators {
+    by_name: BTreeMap<Arc<str>, Arc<EstimatorRecord>>,
+    by_id: Vec<Arc<EstimatorRecord>>,
+}
+
+/// A predicate's code in its engine's predicate table, with a 64-bit FNV
+/// hash of the predicate's content ([`CateEngine::predicate_code`]).
+/// Codes are handed out in first-use order, which varies with thread
+/// timing; the hash does not, and it is the hash, never the code, that
+/// places an estimate key in the cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PredicateCode {
+    code: u32,
+    hash: u64,
+}
+
+/// The engine's append-only predicate table: code → predicate, and back.
+#[derive(Default)]
+struct PredicateTable {
+    codes: HashMap<Predicate, PredicateCode>,
+    predicates: Vec<Predicate>,
+}
+
+impl PredicateTable {
+    /// The pattern whose predicates carry `codes`.
+    fn pattern(&self, codes: &[u32]) -> Pattern {
+        Pattern::new(
+            codes
+                .iter()
+                .map(|&c| self.predicates[c as usize].clone())
+                .collect(),
+        )
     }
 }
 
 /// Key of one cached estimate: estimator, subgroup fingerprint,
-/// intervention pattern. The key carries its estimator's record, so an
-/// eviction is charged to the right estimator without a lookup, and
-/// compares records by identity, as the engine keeps one record per name.
-/// The group is a 64-bit fingerprint of the mask, which together with the
-/// full `Pattern` makes the key — deliberately — serialization-friendly:
-/// `(name, fingerprint, pattern)` round-trips through the session snapshot
-/// format.
+/// intervention pattern. The estimator is its record's id and the pattern
+/// the codes of its predicates (inline for up to [`Codes::INLINE`]
+/// predicates), sorted by `(predicate hash, code)`, so comparing two keys
+/// compares integers only and reads no `String`. The group is a 64-bit
+/// fingerprint of the mask. A snapshot spells a key out as
+/// `(name, fingerprint, pattern)` ([`CateEngine::export_state`]).
 ///
 /// The key's hash is one FNV digest of the estimator's name, the group
-/// fingerprint and the pattern, taken when the key is built. Its `Hash`
-/// writes only that word, so the cache's shard choice and its map slot
-/// cost no pass over the pattern; and as it hashes the name, not the
-/// record, a bounded cache evicts the same entries in every run.
+/// fingerprint and the predicates' content hashes in that sorted order,
+/// taken when the key is built. Its `Hash` writes only that word, so the
+/// cache's shard choice and its map slot cost no pass over the pattern;
+/// and as it hashes names and content, not ids or codes, a bounded cache
+/// evicts the same entries in every run, whatever order the codes were
+/// handed out in.
 #[derive(Clone)]
 struct EstimateKey {
-    estimator: Arc<EstimatorRecord>,
-    group_fp: u64,
-    intervention: Pattern,
     hash: u64,
+    group_fp: u64,
+    estimator: u32,
+    pattern: Codes,
 }
 
 impl EstimateKey {
-    fn new(estimator: Arc<EstimatorRecord>, group_fp: u64, intervention: Pattern) -> Self {
+    fn new(
+        estimator: &EstimatorRecord,
+        group_fp: u64,
+        pattern: impl IntoIterator<Item = PredicateCode>,
+    ) -> Self {
+        // Up to `Codes::INLINE` codes are sorted on the stack; a longer
+        // pattern spills to the heap.
+        let mut inline = [PredicateCode { code: 0, hash: 0 }; Codes::INLINE];
+        let mut n = 0;
+        let mut iter = pattern.into_iter();
+        for (slot, code) in inline.iter_mut().zip(&mut iter) {
+            *slot = code;
+            n += 1;
+        }
+        let mut spill: Vec<PredicateCode>;
+        let codes: &mut [PredicateCode] = if n < Codes::INLINE {
+            &mut inline[..n]
+        } else {
+            spill = inline.to_vec();
+            spill.extend(iter);
+            &mut spill
+        };
+        codes.sort_unstable_by_key(|c| (c.hash, c.code));
         let mut h = estimator.name_hash;
         h.write_u64_stable(group_fp);
-        intervention.hash(&mut h);
+        for c in codes.iter() {
+            h.write_u64_stable(c.hash);
+        }
         EstimateKey {
             hash: h.finish64(),
-            estimator,
             group_fp,
-            intervention,
+            estimator: estimator.id,
+            pattern: codes.iter().map(|c| c.code).collect(),
         }
     }
 }
@@ -328,8 +399,8 @@ impl PartialEq for EstimateKey {
     fn eq(&self, other: &Self) -> bool {
         self.hash == other.hash
             && self.group_fp == other.group_fp
-            && Arc::ptr_eq(&self.estimator, &other.estimator)
-            && self.intervention == other.intervention
+            && self.estimator == other.estimator
+            && self.pattern == other.pattern
     }
 }
 
@@ -353,6 +424,10 @@ pub struct CateEngineState {
     pub estimates: Vec<(String, u64, Pattern, Option<Estimate>)>,
 }
 
+/// Level masks per `(attribute, level bound)`; `None` where the column
+/// has more levels or none to mask.
+type LevelMasksByAttr = HashMap<(String, usize), Option<Arc<LevelMasks>>>;
+
 /// Engine answering CATE queries against one dataset + DAG.
 pub struct CateEngine {
     df: Arc<DataFrame>,
@@ -364,10 +439,17 @@ pub struct CateEngine {
     /// Match indices and cell tables, shared across each group's
     /// intervention sweep.
     group_caches: GroupCaches,
-    /// One record per estimator name, in name order. Locked when a
-    /// [`CateQuery`] is bound, on import, and by the readers — never per
-    /// query.
-    estimators: Mutex<BTreeMap<Arc<str>, Arc<EstimatorRecord>>>,
+    /// Every predicate an estimate key has named, by code. Locked to code
+    /// a predicate (read, or write on first sight), to spell a key out on
+    /// a miss, and on export — never per cache hit.
+    predicates: RwLock<PredicateTable>,
+    /// Full-frame level masks per `(attribute, level bound)`
+    /// ([`CateEngine::level_masks`]), built on first use.
+    level_masks: Mutex<LevelMasksByAttr>,
+    /// One record per estimator name. Locked when a [`CateQuery`] is
+    /// bound, on import and export, to charge evictions, and by the
+    /// readers — never per query.
+    estimators: Mutex<Estimators>,
 }
 
 impl std::fmt::Debug for CateEngine {
@@ -407,7 +489,9 @@ impl CateEngine {
                 cell_table: ShardedLruCache::new(CELL_TABLE_CACHE_CAPACITY, GROUP_CACHE_SHARDS),
                 group_rows: ShardedLruCache::new(GROUP_ROWS_CACHE_CAPACITY, GROUP_CACHE_SHARDS),
             },
-            estimators: Mutex::new(BTreeMap::new()),
+            predicates: RwLock::new(PredicateTable::default()),
+            level_masks: Mutex::new(HashMap::new()),
+            estimators: Mutex::new(Estimators::default()),
         })
     }
 
@@ -442,7 +526,7 @@ impl CateEngine {
     /// The record of estimator `name`, created on first use.
     fn record(&self, name: &str) -> Arc<EstimatorRecord> {
         let mut records = self.estimators.lock();
-        if let Some(record) = records.get(name) {
+        if let Some(record) = records.by_name.get(name) {
             return Arc::clone(record);
         }
         let mut name_hash = FnvHasher::new();
@@ -450,11 +534,81 @@ impl CateEngine {
         let name: Arc<str> = Arc::from(name);
         let record = Arc::new(EstimatorRecord {
             name: Arc::clone(&name),
+            id: u32::try_from(records.by_id.len()).expect("fewer than 2^32 estimators"),
             name_hash,
             ..EstimatorRecord::default()
         });
-        records.insert(name, Arc::clone(&record));
+        records.by_name.insert(name, Arc::clone(&record));
+        records.by_id.push(Arc::clone(&record));
         record
+    }
+
+    /// Charge entries the estimate cache evicted to their estimators'
+    /// records.
+    fn charge_evictions(&self, evicted: Vec<(EstimateKey, Option<Estimate>)>) {
+        if evicted.is_empty() {
+            return;
+        }
+        let records = self.estimators.lock();
+        for (key, _) in evicted {
+            let record = &records.by_id[key.estimator as usize];
+            record.entries.fetch_sub(1, Relaxed);
+            record.evictions.fetch_add(1, Relaxed);
+        }
+    }
+
+    /// The code of `predicate` in this engine's predicate table, handed
+    /// out on first sight. Equal predicates get equal codes, so a
+    /// pattern's codes are an exact identity of the pattern within the
+    /// engine; estimate keys are built from them.
+    pub fn predicate_code(&self, predicate: &Predicate) -> PredicateCode {
+        if let Some(&code) = self.predicates.read().codes.get(predicate) {
+            return code;
+        }
+        let mut table = self.predicates.write();
+        if let Some(&code) = table.codes.get(predicate) {
+            return code;
+        }
+        let mut hash = FnvHasher::new();
+        predicate.hash(&mut hash);
+        let code = PredicateCode {
+            code: u32::try_from(table.predicates.len()).expect("fewer than 2^32 predicates"),
+            hash: hash.finish64(),
+        };
+        table.predicates.push(predicate.clone());
+        table.codes.insert(predicate.clone(), code);
+        code
+    }
+
+    /// The codes of `pattern`'s predicates ([`predicate_code`](Self::predicate_code)),
+    /// in pattern order: what a [`CateWalk`] is queried with.
+    pub fn pattern_codes(&self, pattern: &Pattern) -> Vec<PredicateCode> {
+        pattern
+            .predicates()
+            .iter()
+            .map(|p| self.predicate_code(p))
+            .collect()
+    }
+
+    /// Full-frame masks of `attr`'s levels when it has at most
+    /// `max_levels` of them ([`DataFrame::level_masks`]), built on first
+    /// use and kept for the engine's lifetime; `None` for a float column,
+    /// one with more levels, or an unknown attribute. Step 2 builds a
+    /// group's items from them by one word AND per level.
+    pub fn level_masks(&self, attr: &str, max_levels: usize) -> Option<Arc<LevelMasks>> {
+        let mut built = self.level_masks.lock();
+        let key = (attr.to_owned(), max_levels);
+        if let Some(levels) = built.get(&key) {
+            return levels.clone();
+        }
+        let levels = self
+            .df
+            .level_masks(attr, max_levels)
+            .ok()
+            .flatten()
+            .map(Arc::new);
+        built.insert(key, levels.clone());
+        levels
     }
 
     /// Whether an attribute has any causal path to the outcome — the paper's
@@ -496,7 +650,8 @@ impl CateEngine {
     /// Returns `None` when the effect is not estimable: unidentified
     /// adjustment, insufficient overlap, or a degenerate design. Both
     /// estimable and non-estimable answers are cached per
-    /// `(estimator, group, intervention)`. Only a miss resolves the
+    /// `(estimator, group, intervention)`, under the key a [`CateWalk`]
+    /// builds from the pattern's codes. Only a miss resolves the
     /// adjustment set and then computes the pattern's coverage as the
     /// treated rows; a caller that already holds them, or queries many
     /// patterns against one group, uses a [`CateQuery::walk`] instead.
@@ -508,7 +663,13 @@ impl CateEngine {
     ) -> Option<Estimate> {
         let query = self.with_estimator(estimator);
         let group = GroupHandle::new(group);
-        query.cached(group, intervention, || {
+        let codes = intervention
+            .predicates()
+            .iter()
+            .map(|p| self.predicate_code(p));
+        let key = EstimateKey::new(&query.record, group.fp, codes);
+        let mut hits = 0;
+        let result = query.cached(key, &mut hits, |_| {
             let attrs: Vec<String> = intervention
                 .attributes()
                 .into_iter()
@@ -517,7 +678,11 @@ impl CateEngine {
             let adjustment = self.adjustment_for(&attrs)?;
             let treated = intervention.coverage(&self.df).ok()?;
             query.estimate_uncached(group, &treated, &adjustment)
-        })
+        });
+        if hits > 0 {
+            query.record.hits.fetch_add(hits, Relaxed);
+        }
+        result
     }
 
     /// Per-estimator estimate-duration histograms (nanoseconds per
@@ -525,7 +690,7 @@ impl CateEngine {
     /// Estimators never run on this engine are absent.
     pub fn estimate_histograms(&self) -> Vec<(String, HistogramSnapshot)> {
         let records = self.estimators.lock();
-        let ran = records.values().filter(|r| r.durations.count() > 0);
+        let ran = records.by_name.values().filter(|r| r.durations.count() > 0);
         ran.map(|r| (r.name.to_string(), r.durations.snapshot()))
             .collect()
     }
@@ -536,7 +701,7 @@ impl CateEngine {
     /// their per-stage nanoseconds and KD-tree visit totals.
     pub fn hot_stats(&self) -> (u64, HotStats) {
         let records = self.estimators.lock();
-        let sum = |field: fn(&EstimatorRecord) -> u64| records.values().map(|r| field(r)).sum();
+        let sum = |field: fn(&EstimatorRecord) -> u64| records.by_id.iter().map(|r| field(r)).sum();
         let total_ns: u64 = sum(|r| r.durations.sum());
         let build_ns = sum(|r| r.build_ns.load(Relaxed));
         let index_ns = sum(|r| r.index_ns.load(Relaxed));
@@ -608,9 +773,14 @@ impl CateEngine {
     /// per-name `hits`/`misses`/`entries` sum to the aggregate
     /// [`cache_stats`](Self::cache_stats) (entries may transiently differ
     /// under concurrent insertion, since the aggregate recounts the cache).
+    /// A [`CateWalk`] adds its hits to its estimator's record when it is
+    /// dropped, so a walk still in progress is not yet counted here.
     pub fn cache_stats_by_estimator(&self) -> BTreeMap<String, CacheCounters> {
         let records = self.estimators.lock();
-        let counted = records.values().map(|r| (r.name.to_string(), r.counters()));
+        let counted = records
+            .by_name
+            .values()
+            .map(|r| (r.name.to_string(), r.counters()));
         counted
             .filter(|(_, c)| *c != CacheCounters::default())
             .collect()
@@ -619,22 +789,33 @@ impl CateEngine {
     /// Estimate-cache counters for one estimator name; zeros if the
     /// estimator was never queried on this engine.
     pub fn cache_stats_for(&self, name: &str) -> CacheCounters {
-        let record = self.estimators.lock().get(name).map(Arc::clone);
+        let record = self.estimators.lock().by_name.get(name).map(Arc::clone);
         record.map_or_else(CacheCounters::default, |r| r.counters())
     }
 
     /// Export the cache a warm restart needs — the estimates — for
-    /// persistence. The inverse of [`import_state`](Self::import_state).
+    /// persistence, sorted by (estimator name, group fingerprint,
+    /// pattern), so two engines holding the same estimates export the
+    /// same records in the same order. The inverse of
+    /// [`import_state`](Self::import_state).
     pub fn export_state(&self) -> CateEngineState {
+        let names: Vec<Arc<str>> = {
+            let records = self.estimators.lock();
+            records.by_id.iter().map(|r| Arc::clone(&r.name)).collect()
+        };
         let mut estimates = Vec::with_capacity(self.estimate_cache.len());
-        self.estimate_cache.for_each(|key, est| {
-            estimates.push((
-                key.estimator.name.to_string(),
-                key.group_fp,
-                key.intervention.clone(),
-                *est,
-            ));
-        });
+        {
+            let table = self.predicates.read();
+            self.estimate_cache.for_each(|key, est| {
+                estimates.push((
+                    names[key.estimator as usize].to_string(),
+                    key.group_fp,
+                    table.pattern(&key.pattern),
+                    *est,
+                ));
+            });
+        }
+        estimates.sort_by(|a, b| (&a.0, a.1, &a.2).cmp(&(&b.0, b.1, &b.2)));
         CateEngineState { estimates }
     }
 
@@ -645,12 +826,16 @@ impl CateEngine {
     pub fn import_state(&self, state: CateEngineState) {
         for (name, group_fp, intervention, est) in state.estimates {
             let record = self.record(&name);
-            let key = EstimateKey::new(Arc::clone(&record), group_fp, intervention);
+            let codes = intervention
+                .predicates()
+                .iter()
+                .map(|p| self.predicate_code(p));
+            let key = EstimateKey::new(&record, group_fp, codes);
             let inserted = self.estimate_cache.insert(key, est);
             if !inserted.replaced {
                 record.entries.fetch_add(1, Relaxed);
             }
-            charge_evictions(inserted.evicted);
+            self.charge_evictions(inserted.evicted);
         }
     }
 }
@@ -703,26 +888,26 @@ impl<'a> CateQuery<'a> {
     pub fn walk(&self) -> CateWalk<'_, 'a> {
         CateWalk {
             query: self,
-            adjustments: Vec::new(),
+            adjustments: AdjustmentMemo::default(),
+            hits: 0,
         }
     }
 
-    /// Answer from the estimate cache, or run `estimate` on a miss and
-    /// cache its answer. When a span is attached (a traced solve) every
-    /// query emits a child span: `estimate_hit:<name>` for a lookup
-    /// answered from the estimate cache, `estimate:<name>` covering the
-    /// actual estimation on a miss. An empty intervention is not
-    /// estimable.
+    /// Answer `key` from the estimate cache, counting a hit in `hits`, or
+    /// run `estimate` on the key's predicate codes on a miss and cache its
+    /// answer. When a span is attached (a traced solve) every query emits
+    /// a child span: `estimate_hit:<name>` for a lookup answered from the
+    /// estimate cache, `estimate:<name>` covering the actual estimation on
+    /// a miss. An empty intervention is not estimable.
     fn cached(
         &self,
-        group: GroupHandle<'_>,
-        intervention: &Pattern,
-        estimate: impl FnOnce() -> Option<Estimate>,
+        key: EstimateKey,
+        hits: &mut u64,
+        estimate: impl FnOnce(&[u32]) -> Option<Estimate>,
     ) -> Option<Estimate> {
         let record = &self.record;
-        let key = EstimateKey::new(Arc::clone(record), group.fp, intervention.clone());
         if let Some(hit) = self.engine.estimate_cache.get(&key) {
-            record.hits.fetch_add(1, Relaxed);
+            *hits += 1;
             if let Some(h) = &self.span {
                 h.child(format!("estimate_hit:{}", record.name)).finish();
             }
@@ -733,10 +918,10 @@ impl<'a> CateQuery<'a> {
                 .span
                 .as_ref()
                 .map(|h| h.child(format!("estimate:{}", record.name)));
-            if intervention.is_empty() {
+            if key.pattern.is_empty() {
                 None
             } else {
-                estimate()
+                estimate(&key.pattern)
             }
         };
         // A racing duplicate query may have inserted the same key first;
@@ -747,7 +932,7 @@ impl<'a> CateQuery<'a> {
         if !inserted.replaced {
             record.entries.fetch_add(1, Relaxed);
         }
-        charge_evictions(inserted.evicted);
+        self.engine.charge_evictions(inserted.evicted);
         result
     }
 
@@ -793,57 +978,81 @@ impl<'a> CateQuery<'a> {
 /// under the same keys, and are bit-identical to them.
 ///
 /// What the walk saves is the bookkeeping around an estimate. The caller
-/// passes the treated mask it already holds (a lattice node's
-/// `coverage ∧ pattern`) instead of having the engine compute the
-/// pattern's full-frame mask, and the walk keeps a small memo from
-/// treatment-attribute set to [`Adjustment`], so each set's names and
-/// fingerprint are resolved once per walk rather than once per estimate.
-/// A walk is meant for one thread; make one per group.
+/// names the intervention by its predicate codes
+/// ([`CateEngine::predicate_code`]), so a cache hit builds its key from
+/// integers and compares integers; it passes the treated mask it already
+/// holds (a lattice node's `coverage ∧ pattern`) instead of having the
+/// engine compute the pattern's full-frame mask; and the walk keeps a
+/// small memo from treatment-attribute set to [`Adjustment`], so each
+/// set's names and fingerprint are resolved once per walk rather than
+/// once per estimate. The walk counts its hits and adds them to its
+/// estimator's record once, when it is dropped. A walk is meant for one
+/// thread; make one per group.
 pub struct CateWalk<'q, 'a> {
     query: &'q CateQuery<'a>,
-    /// `(hash of the attribute names, the names, their adjustment)`, in
-    /// first-use order: one entry per attribute set the walk reaches,
-    /// found by comparing hashes before names.
-    adjustments: Vec<(u64, Vec<String>, Option<Arc<Adjustment>>)>,
+    adjustments: AdjustmentMemo,
+    /// Hits so far, added to the record on drop.
+    hits: u64,
 }
 
 impl CateWalk<'_, '_> {
-    /// CATE of `intervention` within `group`, with `treated` the rows
-    /// satisfying the intervention. Only `treated`'s rows inside `group`
-    /// matter, so any mask that agrees with the pattern there serves —
-    /// the pattern's coverage within a larger group that contains
-    /// `group` does.
+    /// CATE of the intervention whose predicates have codes `pattern` (in
+    /// any order) within `group`, with `treated` the rows satisfying the
+    /// intervention. Only `treated`'s rows inside `group` matter, so any
+    /// mask that agrees with the pattern there serves — the pattern's
+    /// coverage within a larger group that contains `group` does.
     pub fn cate(
         &mut self,
         group: GroupHandle<'_>,
-        intervention: &Pattern,
+        pattern: impl IntoIterator<Item = PredicateCode>,
         treated: &Mask,
     ) -> Option<Estimate> {
         let query = self.query;
-        query.cached(group, intervention, || {
-            let adjustment = self.adjustment(intervention)?;
+        let key = EstimateKey::new(&query.record, group.fp, pattern);
+        let adjustments = &mut self.adjustments;
+        query.cached(key, &mut self.hits, |codes| {
+            let adjustment = adjustments.get(query.engine, codes)?;
             query.estimate_uncached(group, treated, &adjustment)
         })
     }
+}
 
-    /// The adjustment set of `intervention`'s attributes, from the memo
-    /// or, on first use in this walk, from the engine's cache.
-    fn adjustment(&mut self, intervention: &Pattern) -> Option<Arc<Adjustment>> {
+impl Drop for CateWalk<'_, '_> {
+    fn drop(&mut self) {
+        if self.hits > 0 {
+            self.query.record.hits.fetch_add(self.hits, Relaxed);
+        }
+    }
+}
+
+/// A walk's memo from treatment-attribute set to adjustment:
+/// `(hash of the attribute names, the names, their adjustment)`, in
+/// first-use order, one entry per attribute set the walk's misses reach,
+/// found by comparing hashes before names.
+#[derive(Default)]
+struct AdjustmentMemo(Vec<(u64, Vec<String>, Option<Arc<Adjustment>>)>);
+
+impl AdjustmentMemo {
+    /// The adjustment set of the attributes of the pattern with predicate
+    /// `codes`, from the memo or, on first use in this walk, from the
+    /// engine's cache.
+    fn get(&mut self, engine: &CateEngine, codes: &[u32]) -> Option<Arc<Adjustment>> {
+        let intervention = engine.predicates.read().pattern(codes);
         let attrs = intervention.attributes();
         let mut h = FnvHasher::new();
         for attr in &attrs {
             h.write_str_stable(attr);
         }
         let hash = h.finish64();
-        let memo = self.adjustments.iter().find(|(memo_hash, names, _)| {
+        let memo = self.0.iter().find(|(memo_hash, names, _)| {
             *memo_hash == hash && names.iter().map(String::as_str).eq(attrs.iter().copied())
         });
         if let Some((_, _, adjustment)) = memo {
             return adjustment.clone();
         }
         let names: Vec<String> = attrs.into_iter().map(str::to_owned).collect();
-        let adjustment = self.query.engine.adjustment_for(&names);
-        self.adjustments.push((hash, names, adjustment.clone()));
+        let adjustment = engine.adjustment_for(&names);
+        self.0.push((hash, names, adjustment.clone()));
         adjustment
     }
 }
@@ -1216,17 +1425,18 @@ mod tests {
             let by_pattern = CateEngine::new(Arc::clone(&df), Arc::clone(&dag), "income").unwrap();
             let by_walk = CateEngine::new(Arc::clone(&df), Arc::clone(&dag), "income").unwrap();
             let q_walk = by_walk.with_estimator(&kind);
-            let mut walk = q_walk.walk();
             let (mut estimated, mut refused) = (0, 0);
+            let mut walk = q_walk.walk();
             for p in &interventions {
                 let treated = match p.coverage(&df) {
                     Ok(full) => &coverage & &full,
                     Err(_) => Mask::zeros(n),
                 };
+                let codes = by_walk.pattern_codes(p);
                 for sub in &subs {
                     let expected = by_pattern.cate(sub, p, &kind);
                     assert_eq!(
-                        bits(walk.cate(GroupHandle::new(sub), p, &treated)),
+                        bits(walk.cate(GroupHandle::new(sub), codes.iter().copied(), &treated)),
                         bits(expected),
                         "{kind:?} {p} on {} rows",
                         sub.count()
@@ -1241,6 +1451,12 @@ mod tests {
                 estimated >= 5 && refused >= 9,
                 "{kind:?}: {estimated}/{refused}"
             );
+            drop(walk);
+            assert_eq!(by_walk.cache_stats(), by_pattern.cache_stats());
+            assert_eq!(
+                by_walk.cache_stats_for(kind.name()),
+                by_pattern.cache_stats_for(kind.name())
+            );
             assert_eq!(
                 by_walk.cache_stats().misses,
                 by_pattern.cache_stats().misses
@@ -1254,7 +1470,7 @@ mod tests {
         let linear = engine.record("linear");
         let p = Pattern::of_eq(&[("educated", Value::Bool(true))]);
         let key = |record: &Arc<EstimatorRecord>, fp: u64, p: &Pattern| {
-            EstimateKey::new(Arc::clone(record), fp, p.clone())
+            EstimateKey::new(record, fp, engine.pattern_codes(p))
         };
         let a = key(&linear, 7, &p);
         assert!(a == key(&linear, 7, &p));
@@ -1263,6 +1479,22 @@ mod tests {
         assert!(a != key(&engine.record("stratified"), 7, &p));
         let q = Pattern::of_eq(&[("educated", Value::Bool(false))]);
         assert!(a != key(&linear, 7, &q));
+        // Codes in any order make the same key, and its hash follows the
+        // predicates' content, not the order codes were handed out in.
+        let pq = Pattern::of_eq(&[
+            ("region", Value::from("north")),
+            ("educated", Value::Bool(true)),
+        ]);
+        let mut reversed = engine.pattern_codes(&pq);
+        reversed.reverse();
+        assert!(key(&linear, 7, &pq) == EstimateKey::new(&linear, 7, reversed));
+        let (df, dag) = fixture();
+        let other = CateEngine::new(df, dag, "income").unwrap();
+        other.predicate_code(&pq.predicates()[1]);
+        let other_linear = other.record("linear");
+        let other_key = EstimateKey::new(&other_linear, 7, other.pattern_codes(&pq));
+        assert_ne!(other_key.pattern, key(&linear, 7, &pq).pattern);
+        assert_eq!(other_key.hash, key(&linear, 7, &pq).hash);
         // `Hash` feeds the precomputed digest alone.
         let mut h = FnvHasher::new();
         a.hash(&mut h);
@@ -1429,7 +1661,9 @@ mod tests {
         let p = Pattern::of_eq(&[("educated", Value::Bool(true))]);
         let treated = p.coverage(engine.df()).unwrap();
         let q = engine.with_estimator(&EstimatorKind::Linear);
-        let a = q.walk().cate(GroupHandle::new(&all), &p, &treated);
+        let a = q
+            .walk()
+            .cate(GroupHandle::new(&all), engine.pattern_codes(&p), &treated);
         let b = engine.cate(&all, &p, &EstimatorKind::Linear);
         assert_eq!(a, b);
         let stats = engine.cache_stats();

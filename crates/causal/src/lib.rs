@@ -38,7 +38,7 @@ pub mod discovery;
 pub use backdoor::{find_adjustment_set, find_adjustment_set_names, is_valid_backdoor};
 pub use cate::{
     Adjustment, CateEngine, CateEngineState, CateQuery, CateWalk, CellTableCache, GroupCacheRef,
-    GroupCaches, GroupHandle, GroupRowsCache, MatchIndexCache,
+    GroupCaches, GroupHandle, GroupRowsCache, MatchIndexCache, PredicateCode,
 };
 pub use dsep::{d_separated, d_separated_names};
 pub use error::{CausalError, Result};

@@ -20,9 +20,9 @@ use crate::benefit::benefit;
 use crate::config::FairCapConfig;
 use crate::constraints::utility_satisfies_fairness;
 use crate::rule::{Rule, RuleUtility};
-use faircap_causal::{CateQuery, Estimate, GroupHandle};
-use faircap_mining::{positive_lattice_with_stats, single_attribute_items, MiningStats};
-use faircap_table::{Mask, Pattern};
+use faircap_causal::{CateQuery, Estimate, GroupHandle, PredicateCode};
+use faircap_mining::{coded_lattice, items_from_levels, single_attribute_items, MiningStats};
+use faircap_table::{Mask, Pattern, Predicate};
 
 /// One evaluated intervention pattern of a group's positive lattice that
 /// passed the significance gate: its overall CATE and the sub-coverage
@@ -63,12 +63,22 @@ pub struct GroupEvaluation {
     pub nodes: Vec<EvaluatedIntervention>,
 }
 
+/// Per attribute, at most this many values become intervention items (the
+/// most frequent ones inside the group).
+const MAX_VALUES_PER_ATTR: usize = 24;
+
 /// Phase 1: evaluate one group's intervention lattice.
 ///
 /// Runs the item enumeration, the positive-parent traversal scored by the
 /// overall CATE, and — for every node passing `cate > 0 ∧ p ≤ alpha` — the
 /// protected / non-protected sub-coverage utilities. Returns the evaluation
 /// plus the lattice's [`MiningStats`].
+///
+/// The walk runs on codes: each item carries its predicate's code in the
+/// engine ([`faircap_causal::CateEngine::predicate_code`]), a lattice node
+/// is the indices of its items, and estimates are looked up by the node's
+/// codes. A node's [`Pattern`] is spelled out only for the nodes that
+/// pass, as their [`EvaluatedIntervention`]s.
 pub fn evaluate_group_interventions(
     query: &CateQuery<'_>,
     coverage: &Mask,
@@ -77,7 +87,6 @@ pub fn evaluate_group_interventions(
     max_intervention_len: usize,
     alpha: f64,
 ) -> (GroupEvaluation, MiningStats) {
-    let df = query.df();
     // Optimization (i): only attributes causally connected to the outcome.
     let causal_mutable: Vec<String> = mutable
         .iter()
@@ -87,7 +96,7 @@ pub fn evaluate_group_interventions(
     if causal_mutable.is_empty() {
         return (GroupEvaluation::default(), MiningStats::default());
     }
-    let Ok(items) = single_attribute_items(df, &causal_mutable, coverage, 24) else {
+    let Ok(items) = group_items(query, &causal_mutable, coverage) else {
         return (GroupEvaluation::default(), MiningStats::default());
     };
     // Drop items without a usable contrast inside the group (everything /
@@ -101,6 +110,10 @@ pub fn evaluate_group_interventions(
                 && n_cov - treated >= faircap_causal::estimate::MIN_ARM_SIZE
         })
         .collect();
+    let codes: Vec<PredicateCode> = items
+        .iter()
+        .map(|(p, _)| query.engine().predicate_code(p))
+        .collect();
 
     // Lattice traversal scored by overall CATE. Each group is
     // fingerprinted once per walk, not once per query, and a node's mask
@@ -108,10 +121,10 @@ pub fn evaluate_group_interventions(
     // group, or inside either sub-coverage, matter to an estimate.
     let mut walk = query.walk();
     let group = GroupHandle::new(coverage);
-    let (nodes, stats) = positive_lattice_with_stats(
+    let (nodes, stats) = coded_lattice(
         &items,
         max_intervention_len,
-        |pattern, mask| walk.cate(group, pattern, mask),
+        |node, mask| walk.cate(group, node_codes(&codes, node), mask),
         |est| est.cate > 0.0,
     );
 
@@ -133,13 +146,18 @@ pub fn evaluate_group_interventions(
         // "Sub-coverage utilities" in `docs/architecture.md`, Step 2).
         let mut utility = |sub: GroupHandle<'_>| {
             subgroup_utility(sub.mask(), est.cate, || {
-                walk.cate(sub, &node.pattern, &node.mask)
+                walk.cate(sub, node_codes(&codes, &node.items), &node.mask)
             })
         };
         let u_p = utility(group_p);
         let u_np = utility(group_np);
+        let pattern = node
+            .items
+            .iter()
+            .map(|&i| items[i as usize].0.clone())
+            .collect();
         evaluated.push(EvaluatedIntervention {
-            pattern: node.pattern,
+            pattern,
             cate: est.cate,
             p_value: est.p_value,
             u_protected: u_p,
@@ -147,6 +165,40 @@ pub fn evaluate_group_interventions(
         });
     }
     (GroupEvaluation { nodes: evaluated }, stats)
+}
+
+/// The predicate codes of a lattice node's items.
+fn node_codes<'a>(
+    codes: &'a [PredicateCode],
+    node: &'a [u32],
+) -> impl Iterator<Item = PredicateCode> + 'a {
+    node.iter().map(|&i| codes[i as usize])
+}
+
+/// The intervention items of `attrs` inside `coverage`, attribute by
+/// attribute: by word AND from the engine's full-frame level masks for an
+/// attribute with at most [`MAX_VALUES_PER_ATTR`] levels, by a pass over
+/// the group's rows ([`single_attribute_items`], which also caps the
+/// levels) otherwise. Either way the items are the ones
+/// `single_attribute_items` returns for all of `attrs`, in its order.
+fn group_items(
+    query: &CateQuery<'_>,
+    attrs: &[String],
+    coverage: &Mask,
+) -> faircap_table::Result<Vec<(Predicate, Mask)>> {
+    let mut items = Vec::new();
+    for attr in attrs {
+        match query.engine().level_masks(attr, MAX_VALUES_PER_ATTR) {
+            Some(levels) => items.extend(items_from_levels(attr, &levels, coverage)),
+            None => items.extend(single_attribute_items(
+                query.df(),
+                std::slice::from_ref(attr),
+                coverage,
+                MAX_VALUES_PER_ATTR,
+            )?),
+        }
+    }
+    Ok(items)
 }
 
 /// Phase 2: turn a [`GroupEvaluation`] into the group's top-`k` rules under
@@ -562,7 +614,58 @@ mod tests {
             && a.benefit.to_bits() == b.benefit.to_bits()
     }
 
+    /// A frame with a categorical column of 1–30 levels, an int column of
+    /// 1–30 values, a bool and a float column, and a row subset that is
+    /// empty in about a quarter of the cases.
+    fn items_case_strategy() -> impl Strategy<Value = (DataFrame, Mask)> {
+        (
+            1u16..31,
+            1i64..31,
+            prop::collection::vec((0u16..1000, 0i64..1000, any::<bool>(), any::<bool>()), ROWS),
+            0u32..4,
+        )
+            .prop_map(|(n_cat, n_int, rows, keep)| {
+                let names: Vec<String> = rows.iter().map(|r| format!("v{}", r.0 % n_cat)).collect();
+                let df = DataFrame::builder()
+                    .cat("c", &names)
+                    .int("i", rows.iter().map(|r| r.1 % n_int).collect())
+                    .bool("b", rows.iter().map(|r| r.2).collect())
+                    .float("f", rows.iter().map(|r| f64::from(r.0)).collect())
+                    .float("o", vec![1.0; ROWS])
+                    .build()
+                    .unwrap();
+                let within: Vec<bool> = rows.iter().map(|r| keep > 0 && r.3).collect();
+                (df, Mask::from_bools(&within))
+            })
+    }
+
     proptest! {
+        /// Items built by word AND from the engine's level masks are the
+        /// reference row pass's items, attribute by attribute and in order;
+        /// an attribute with more than `MAX_VALUES_PER_ATTR` levels gets no
+        /// level masks and takes the row pass, cap included.
+        #[test]
+        fn word_and_items_match_the_row_pass(case in items_case_strategy()) {
+            let (df, within) = case;
+            let df = Arc::new(df);
+            let dag = Arc::new(Dag::parse_edge_list("c -> o\ni -> o\nb -> o").unwrap());
+            let engine = CateEngine::new(Arc::clone(&df), dag, "o").unwrap();
+            let query = engine.with_estimator(&EstimatorKind::Linear);
+            let attrs: Vec<String> = ["c", "i", "b", "f"].map(String::from).to_vec();
+            let got = group_items(&query, &attrs, &within).unwrap();
+            let want = single_attribute_items(&df, &attrs, &within, MAX_VALUES_PER_ATTR).unwrap();
+            prop_assert_eq!(got, want);
+            for attr in ["c", "i"] {
+                let levels = df.column(attr).unwrap().unique().len();
+                prop_assert_eq!(
+                    engine.level_masks(attr, MAX_VALUES_PER_ATTR).is_some(),
+                    levels <= MAX_VALUES_PER_ATTR
+                );
+            }
+            prop_assert!(engine.level_masks("b", MAX_VALUES_PER_ATTR).is_some());
+            prop_assert!(engine.level_masks("f", MAX_VALUES_PER_ATTR).is_none());
+        }
+
         /// In-place scoring returns exactly the oracle's rules, in its order,
         /// under every fairness kind × scope, cost policy and `k`.
         #[test]

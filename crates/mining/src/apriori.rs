@@ -112,7 +112,7 @@ pub fn apriori_with_stats(
         // candidate is produced by exactly one such pair.
         for_each_prefix_pair(
             &frontier,
-            |f| &f.pattern,
+            |f| f.pattern.predicates(),
             |a, b| {
                 let Some(candidate) = join(&a.pattern, &b.pattern) else {
                     return;
@@ -148,28 +148,26 @@ pub fn apriori_with_stats(
     Ok((out, stats))
 }
 
-/// Invoke `f` on every pair of frontier entries whose patterns share their
-/// length-(k−1) prefix. Entries must be sorted by pattern, which makes the
-/// prefix blocks contiguous — candidate generation over all blocks is
-/// linear in the frontier plus quadratic only *within* each block, instead
-/// of quadratic over the whole frontier.
-pub(crate) fn for_each_prefix_pair<'p, T>(
+/// Invoke `f` on every pair of frontier entries whose sequences (the
+/// predicates of a pattern, or the item indices of a coded lattice node)
+/// share their length-(k−1) prefix. Entries must be sorted by pattern,
+/// which makes the prefix blocks contiguous — candidate generation over
+/// all blocks is linear in the frontier plus quadratic only *within* each
+/// block, instead of quadratic over the whole frontier.
+pub(crate) fn for_each_prefix_pair<'p, T, E: PartialEq + 'p>(
     sorted: &'p [T],
-    pattern_of: impl Fn(&'p T) -> &'p Pattern,
+    seq_of: impl Fn(&'p T) -> &'p [E],
     mut f: impl FnMut(&'p T, &'p T),
 ) {
+    let prefix = |t: &'p T| {
+        let seq = seq_of(t);
+        &seq[..seq.len() - 1]
+    };
     let mut block_start = 0;
     while block_start < sorted.len() {
-        let prefix = {
-            let p = pattern_of(&sorted[block_start]).predicates();
-            &p[..p.len() - 1]
-        };
+        let first = prefix(&sorted[block_start]);
         let mut block_end = block_start + 1;
-        while block_end < sorted.len() {
-            let p = pattern_of(&sorted[block_end]).predicates();
-            if &p[..p.len() - 1] != prefix {
-                break;
-            }
+        while block_end < sorted.len() && prefix(&sorted[block_end]) == first {
             block_end += 1;
         }
         for i in block_start..block_end {

@@ -1,6 +1,6 @@
 //! Attribute–value items: the atoms of grouping and intervention patterns.
 
-use faircap_table::{Column, DataFrame, Mask, Predicate, Result, Value};
+use faircap_table::{Column, DataFrame, LevelMasks, Mask, Predicate, Result, Value};
 
 /// Enumerate equality items `attr = value` for each attribute, with their
 /// support masks inside `within`.
@@ -36,6 +36,20 @@ pub fn single_attribute_items(
         }
     }
     Ok(out)
+}
+
+/// The equality items of `attr` inside `within` from its full-frame level
+/// masks ([`DataFrame::level_masks`]): one word AND per level instead of a
+/// pass over `within`'s rows. For an attribute whose level masks were
+/// built with a bound of at most `max_values_per_attr`, this is what
+/// [`single_attribute_items`] returns for it, in the same order: no group
+/// holds more levels than the frame, so the cap never truncates.
+pub fn items_from_levels(attr: &str, levels: &LevelMasks, within: &Mask) -> Vec<(Predicate, Mask)> {
+    levels
+        .within(within)
+        .into_iter()
+        .map(|(value, mask)| (Predicate::eq(attr, value), mask))
+        .collect()
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 
 use crate::apriori::for_each_prefix_pair;
 use crate::MiningStats;
-use faircap_table::{Mask, Pattern, Predicate};
+use faircap_table::{Codes, Mask, Pattern, Predicate};
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
 /// An evaluated lattice node.
@@ -18,6 +19,19 @@ use std::collections::HashSet;
 pub struct LatticeNode<S> {
     /// The pattern at this node.
     pub pattern: Pattern,
+    /// Rows satisfying the pattern (support within the caller's universe).
+    pub mask: Mask,
+    /// The caller-provided score.
+    pub score: S,
+}
+
+/// An evaluated node of a [`coded_lattice`] walk: the node's pattern is
+/// named by the indices of its items, not spelled out.
+#[derive(Debug, Clone)]
+pub struct CodedNode<S> {
+    /// Indices into the walk's items of the node's predicates, in pattern
+    /// order (the order of the predicates in the node's [`Pattern`]).
+    pub items: Codes,
     /// Rows satisfying the pattern (support within the caller's universe).
     pub mask: Mask,
     /// The caller-provided score.
@@ -45,22 +59,56 @@ pub fn positive_lattice<S>(
 /// [`positive_lattice`] plus [`MiningStats`] accounting: candidates
 /// generated by the prefix join, candidates pruned by the positive-parent
 /// rule, and nodes actually handed to `evaluate` (each of which costs a
-/// CATE estimation in the FairCap pipeline).
+/// CATE estimation in the FairCap pipeline). The walk is
+/// [`coded_lattice`]'s, with each node's pattern spelled out for
+/// `evaluate` and in the result.
 pub fn positive_lattice_with_stats<S>(
     items: &[(Predicate, Mask)],
     max_len: usize,
     mut evaluate: impl FnMut(&Pattern, &Mask) -> Option<S>,
     is_positive: impl Fn(&S) -> bool,
 ) -> (Vec<LatticeNode<S>>, MiningStats) {
+    let pattern =
+        |codes: &[u32]| Pattern::new(codes.iter().map(|&i| items[i as usize].0.clone()).collect());
+    let (nodes, stats) = coded_lattice(
+        items,
+        max_len,
+        |codes, mask| evaluate(&pattern(codes), mask),
+        is_positive,
+    );
+    let nodes = nodes
+        .into_iter()
+        .map(|node| LatticeNode {
+            pattern: pattern(&node.items),
+            mask: node.mask,
+            score: node.score,
+        })
+        .collect();
+    (nodes, stats)
+}
+
+/// [`positive_lattice_with_stats`] over item indices: `evaluate` receives
+/// the node's item indices in pattern order, and nodes are returned as
+/// [`CodedNode`]s in the same traversal order. No pattern is built, and
+/// ordering, joining and the parent test compare integers only, so a
+/// caller that keys its work on the items (as Step 2 keys estimates on
+/// predicate codes) walks without allocating per node beyond its masks.
+pub fn coded_lattice<S>(
+    items: &[(Predicate, Mask)],
+    max_len: usize,
+    mut evaluate: impl FnMut(&[u32], &Mask) -> Option<S>,
+    is_positive: impl Fn(&S) -> bool,
+) -> (Vec<CodedNode<S>>, MiningStats) {
+    let order = ItemOrder::new(items);
     let mut stats = MiningStats::default();
-    let mut out: Vec<LatticeNode<S>> = Vec::new();
-    for (pred, mask) in items {
-        let pattern = Pattern::new(vec![pred.clone()]);
+    let mut out: Vec<CodedNode<S>> = Vec::new();
+    for (i, (_, mask)) in items.iter().enumerate() {
+        let codes: Codes = std::iter::once(i as u32).collect();
         stats.candidates += 1;
         stats.evaluated += 1;
-        if let Some(score) = evaluate(&pattern, mask) {
-            out.push(LatticeNode {
-                pattern,
+        if let Some(score) = evaluate(&codes, mask) {
+            out.push(CodedNode {
+                items: codes,
                 mask: mask.clone(),
                 score,
             });
@@ -68,18 +116,18 @@ pub fn positive_lattice_with_stats<S>(
     }
     // Frontier of positive nodes at the current level, as indices into
     // `out` in pattern order: nodes are stored once, never cloned.
-    let mut frontier = positive_sorted(&out, 0, &is_positive);
+    let mut frontier = positive_sorted(&out, 0, &is_positive, &order);
 
     let mut level = 1;
     while level < max_len && frontier.len() > 1 {
         // A pair's two parents are the singletons it joins, both in the
         // frontier, so only longer candidates look their parents up.
-        let positive_keys: HashSet<&Pattern> = if level > 1 {
-            frontier.iter().map(|&i| &out[i].pattern).collect()
+        let positive_keys: HashSet<&[u32]> = if level > 1 {
+            frontier.iter().map(|&i| &*out[i].items).collect()
         } else {
             HashSet::new()
         };
-        let mut fresh: Vec<LatticeNode<S>> = Vec::new();
+        let mut fresh: Vec<CodedNode<S>> = Vec::new();
         // Same prefix-block generation as Apriori: the frontier is sorted,
         // so only contiguous same-prefix pairs can join and every candidate
         // arises from exactly one pair. The candidate's cover is the
@@ -87,19 +135,21 @@ pub fn positive_lattice_with_stats<S>(
         // prefix mask already folded into both parents.
         for_each_prefix_pair(
             &frontier,
-            |&i: &usize| &out[i].pattern,
+            |&i: &usize| &*out[i].items,
             |&i, &j| {
                 let (a, b) = (&out[i], &out[j]);
-                let Some(candidate) = join(&a.pattern, &b.pattern) else {
+                let (a_last, b_last) = (a.items[a.items.len() - 1], b.items[b.items.len() - 1]);
+                if order.attr[a_last as usize] == order.attr[b_last as usize] {
                     return;
-                };
+                }
+                // `a` precedes `b` in pattern order and shares its prefix,
+                // so appending `b`'s last item keeps pattern order.
+                let mut candidate = a.items.clone();
+                candidate.push(b_last);
                 stats.candidates += 1;
                 // All parents must be positive (they must be in the frontier).
                 if level > 1
-                    && !candidate
-                        .parents()
-                        .iter()
-                        .all(|p| positive_keys.contains(p))
+                    && !(0..candidate.len()).all(|k| positive_keys.contains(&*candidate.without(k)))
                 {
                     stats.pruned_parent += 1;
                     return;
@@ -107,8 +157,8 @@ pub fn positive_lattice_with_stats<S>(
                 let mask = &a.mask & &b.mask;
                 stats.evaluated += 1;
                 if let Some(score) = evaluate(&candidate, &mask) {
-                    fresh.push(LatticeNode {
-                        pattern: candidate,
+                    fresh.push(CodedNode {
+                        items: candidate,
                         mask,
                         score,
                     });
@@ -117,41 +167,57 @@ pub fn positive_lattice_with_stats<S>(
         );
         let first = out.len();
         out.append(&mut fresh);
-        frontier = positive_sorted(&out, first, &is_positive);
+        frontier = positive_sorted(&out, first, &is_positive, &order);
         level += 1;
     }
     (out, stats)
 }
 
+/// Each item's rank in predicate order and the id of its attribute, so
+/// that item-index sequences compare as their patterns do and a join
+/// tests attributes by integer.
+struct ItemOrder {
+    rank: Vec<u32>,
+    attr: Vec<u32>,
+}
+
+impl ItemOrder {
+    fn new(items: &[(Predicate, Mask)]) -> Self {
+        let mut sorted: Vec<usize> = (0..items.len()).collect();
+        sorted.sort_by(|&a, &b| items[a].0.cmp(&items[b].0));
+        let (mut rank, mut attr) = (vec![0; items.len()], vec![0; items.len()]);
+        // Predicates sort by attribute first, so an attribute's items are
+        // contiguous in `sorted`.
+        let mut attr_id = 0;
+        for (r, &i) in sorted.iter().enumerate() {
+            if r > 0 && items[sorted[r - 1]].0.attr != items[i].0.attr {
+                attr_id += 1;
+            }
+            rank[i] = r as u32;
+            attr[i] = attr_id;
+        }
+        ItemOrder { rank, attr }
+    }
+
+    /// Compare two item-index sequences in pattern order.
+    fn cmp(&self, a: &[u32], b: &[u32]) -> Ordering {
+        let rank = |&i: &u32| self.rank[i as usize];
+        a.iter().map(rank).cmp(b.iter().map(rank))
+    }
+}
+
 /// Indices of the positive nodes of `nodes[first..]`, in pattern order.
 fn positive_sorted<S>(
-    nodes: &[LatticeNode<S>],
+    nodes: &[CodedNode<S>],
     first: usize,
     is_positive: impl Fn(&S) -> bool,
+    order: &ItemOrder,
 ) -> Vec<usize> {
     let mut positive: Vec<usize> = (first..nodes.len())
         .filter(|&i| is_positive(&nodes[i].score))
         .collect();
-    positive.sort_by(|&a, &b| nodes[a].pattern.cmp(&nodes[b].pattern));
+    positive.sort_by(|&a, &b| order.cmp(&nodes[a].items, &nodes[b].items));
     positive
-}
-
-/// Same prefix-join as Apriori (shared length-(k−1) prefix, distinct final
-/// attributes).
-fn join(a: &Pattern, b: &Pattern) -> Option<Pattern> {
-    let pa = a.predicates();
-    let pb = b.predicates();
-    if pa.len() != pb.len() || pa.is_empty() {
-        return None;
-    }
-    let k = pa.len();
-    if pa[..k - 1] != pb[..k - 1] {
-        return None;
-    }
-    if pa[k - 1].attr == pb[k - 1].attr {
-        return None;
-    }
-    Some(a.with(pb[k - 1].clone()))
 }
 
 #[cfg(test)]

@@ -16,8 +16,10 @@ pub mod item;
 pub mod lattice;
 
 pub use apriori::{apriori, apriori_with_stats, AprioriConfig, FrequentPattern};
-pub use item::single_attribute_items;
-pub use lattice::{positive_lattice, positive_lattice_with_stats, LatticeNode};
+pub use item::{items_from_levels, single_attribute_items};
+pub use lattice::{
+    coded_lattice, positive_lattice, positive_lattice_with_stats, CodedNode, LatticeNode,
+};
 
 /// Candidate-pipeline accounting for one mining run (Apriori level sweep or
 /// positive-parent lattice traversal), in the spirit of the causal engine's

@@ -163,6 +163,7 @@ pub fn load(dir: &Path) -> Result<GeneratedScenario> {
     let (spec, truth) = metadata_from_json(&doc)?;
     let df = faircap_table::csv::read_csv(dir.join("scenario.csv"))?;
     check_counts(&spec, &df)?;
+    check_fingerprint(&doc, &df)?;
     let dag_text = std::fs::read_to_string(dir.join("scenario.dag"))?;
     let dag = Dag::parse_edge_list(&dag_text)?;
     let dataset = Dataset {
@@ -179,6 +180,21 @@ pub fn load(dir: &Path) -> Result<GeneratedScenario> {
         dataset,
         truth,
     })
+}
+
+/// Refuse a `scenario.csv` whose contents no longer match the
+/// `fingerprint` recorded in `scenario.json` when it was saved: the truth
+/// table describes the saved frame, so grading against an edited one
+/// would report against the wrong truth.
+fn check_fingerprint(doc: &Json, df: &DataFrame) -> Result<()> {
+    let recorded = str_field(doc, "fingerprint")?;
+    let loaded = format!("{:#018x}", faircap_table::frame_fingerprint(df));
+    if recorded != loaded {
+        return Err(bad(format!(
+            "`fingerprint` is {recorded} but scenario.csv digests to {loaded}"
+        )));
+    }
+    Ok(())
 }
 
 /// Refuse a `scenario.json` whose `rows`, `stable` or `flexible` disagree
@@ -315,6 +331,30 @@ mod tests {
                 }
                 other => panic!("{field}={claim}: expected a format error, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn an_edited_csv_is_refused_by_its_fingerprint() {
+        let sc = generate(&ScenarioSpec {
+            rows: 50,
+            ..Default::default()
+        })
+        .unwrap();
+        let dir = tmp_dir("edited");
+        save(&sc, &dir).unwrap();
+        let path = dir.join("scenario.csv");
+        let csv = std::fs::read_to_string(&path).unwrap();
+        // Change the last cell of the first data row (the outcome).
+        let mut lines: Vec<String> = csv.lines().map(str::to_owned).collect();
+        let row = &mut lines[1];
+        let cut = row.rfind(',').unwrap() + 1;
+        row.truncate(cut);
+        row.push_str("12345.5");
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        match load(&dir) {
+            Err(ScenarioError::Format(msg)) => assert!(msg.contains("`fingerprint`"), "{msg}"),
+            other => panic!("expected a fingerprint error, got {other:?}"),
         }
     }
 

@@ -17,7 +17,8 @@
 //! serializes the hot path. Recency is a single cache-wide atomic clock,
 //! which keeps last-use ticks comparable across shards (needed when an
 //! insert into a sparse cache sweeps every shard for the globally oldest
-//! entry).
+//! entry). An unbounded cache never evicts, so it keeps no clock: a hit
+//! there writes nothing but its shard's hit count.
 
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
@@ -163,16 +164,31 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
         &self.shards[self.shard_index(key)]
     }
 
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed)
+    /// Whether the cache can evict: only a bounded cache reads recency.
+    fn bounded(&self) -> bool {
+        self.capacity != usize::MAX
     }
 
-    /// Look up a key, refreshing its recency. Counts a hit or a miss.
+    /// The next recency tick; 0 for an unbounded cache, which never reads
+    /// one.
+    fn next_tick(&self) -> u64 {
+        if self.bounded() {
+            self.tick.fetch_add(1, Ordering::Relaxed)
+        } else {
+            0
+        }
+    }
+
+    /// Look up a key, refreshing its recency in a bounded cache. Counts a
+    /// hit or a miss.
     pub fn get(&self, key: &K) -> Option<V> {
         let tick = self.next_tick();
+        let bounded = self.bounded();
         let mut shard = self.shard_of(key).lock();
         let found = shard.map.get_mut(key).map(|(value, last_used)| {
-            *last_used = tick;
+            if bounded {
+                *last_used = tick;
+            }
             value.clone()
         });
         match found {
@@ -444,6 +460,38 @@ mod tests {
         assert!(cache.len() <= 64, "len {}", cache.len());
         let c = cache.counters();
         assert_eq!(c.entries as u64 + c.evictions, 2_000);
+    }
+
+    /// An unbounded cache keeps no clock, and its books stay exact; a
+    /// bounded one evicts in exact LRU order on one shard.
+    #[test]
+    fn unbounded_cache_keeps_no_clock_and_bounded_keeps_lru_order() {
+        let unbounded: ShardedLruCache<u32, u32> = ShardedLruCache::unbounded(4);
+        for i in 0..10 {
+            unbounded.insert(i, i);
+        }
+        for i in 0..15 {
+            assert_eq!(unbounded.get(&i), (i < 10).then_some(i));
+        }
+        assert_eq!(unbounded.tick.load(Ordering::Relaxed), 0);
+        let c = unbounded.counters();
+        assert_eq!((c.hits, c.misses, c.evictions, c.entries), (10, 5, 0, 10));
+
+        let bounded: ShardedLruCache<u32, u32> = ShardedLruCache::new(3, 1);
+        for i in 0..3 {
+            bounded.insert(i, i);
+        }
+        // Use order 2, 0, 1: each insert beyond the bound evicts the
+        // least recently used key.
+        for i in [2, 0, 1] {
+            bounded.get(&i);
+        }
+        let evicted: Vec<u32> = (3..6)
+            .flat_map(|i| bounded.insert(i, i).evicted)
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(evicted, vec![2, 0, 1]);
+        assert_eq!(bounded.tick.load(Ordering::Relaxed), 9);
     }
 
     #[test]

@@ -187,6 +187,32 @@ impl DataFrame {
         }
     }
 
+    /// Every level of a categorical/int/bool column as a full-frame mask,
+    /// in [`group_masks`](Self::group_masks) order, when the column has at
+    /// most `max_levels` of them; `None` for a float column or one with
+    /// more levels. Levels are counted before any mask is built, and an int
+    /// column's count stops at `max_levels + 1` distinct values, so a
+    /// column of many distinct values never gets a mask per value.
+    pub fn level_masks(&self, name: &str, max_levels: usize) -> Result<Option<LevelMasks>> {
+        let few = match self.column(name)? {
+            Column::Float(_) => false,
+            Column::Bool(_) => max_levels >= 2,
+            Column::Cat(c) => c.cardinality() <= max_levels,
+            Column::Int(v) => {
+                let mut seen = std::collections::BTreeSet::new();
+                v.iter().all(|x| {
+                    seen.insert(*x);
+                    seen.len() <= max_levels
+                })
+            }
+        };
+        if !few {
+            return Ok(None);
+        }
+        let levels = self.group_masks(name, &Mask::ones(self.n_rows))?;
+        Ok(Some(LevelMasks { levels }))
+    }
+
     /// The first `k` rows rendered as an ASCII table (for examples/debugging).
     pub fn head(&self, k: usize) -> String {
         let k = k.min(self.n_rows);
@@ -222,6 +248,29 @@ impl fmt::Display for DataFrame {
             self.n_rows,
             self.n_cols()
         )
+    }
+}
+
+/// The levels of one column, each with its full-frame mask
+/// ([`DataFrame::level_masks`]). Built once per column, they answer
+/// [`group_masks`](DataFrame::group_masks) for any row subset by one word
+/// AND per level instead of a pass over the subset's rows.
+#[derive(Debug, Clone)]
+pub struct LevelMasks {
+    levels: Vec<(Value, Mask)>,
+}
+
+impl LevelMasks {
+    /// The levels present in `within`, each with its rows in `within`:
+    /// what `group_masks(name, within)` returns, in the same order.
+    pub fn within(&self, within: &Mask) -> Vec<(Value, Mask)> {
+        self.levels
+            .iter()
+            .filter_map(|(value, level)| {
+                let rows = level & within;
+                rows.any().then(|| (value.clone(), rows))
+            })
+            .collect()
     }
 }
 

@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod codes;
 pub mod column;
 pub mod csv;
 pub mod dataframe;
@@ -44,8 +45,9 @@ pub mod stats;
 pub mod value;
 
 pub use cache::{CacheCounters, ShardedLruCache};
+pub use codes::Codes;
 pub use column::{CatColumn, Column};
-pub use dataframe::{DataFrame, DataFrameBuilder};
+pub use dataframe::{DataFrame, DataFrameBuilder, LevelMasks};
 pub use error::{Result, TableError};
 pub use fnv::{frame_fingerprint, FnvHasher};
 pub use mask::{Mask, MaskView};

@@ -118,3 +118,23 @@ fn warm_start_with_an_unsnapshotted_estimator_matches_a_cold_session() {
     );
     assert_eq!(fingerprint(&warm_report), fingerprint(&cold_report));
 }
+
+/// Snapshot bytes depend only on the estimates a session holds: two fresh
+/// sessions solving the same request, one on one Step-2 worker and one on
+/// two, hand out predicate codes and fill the cache's shards in different
+/// orders, and still encode the same bytes.
+#[test]
+fn snapshots_of_equal_sessions_are_byte_identical_across_worker_counts() {
+    let ds = dataset();
+    let encode = |workers: usize| {
+        let session: PrescriptionSession = session(&ds).build().unwrap();
+        session
+            .solve(&SolveRequest::default().workers(workers))
+            .unwrap();
+        session.snapshot().encode()
+    };
+    let one = encode(1);
+    let two = encode(2);
+    assert!(one.lines().count() > 100, "the solve must cache estimates");
+    assert!(one == two, "snapshots of equal sessions differ");
+}
