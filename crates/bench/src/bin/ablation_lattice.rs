@@ -15,8 +15,8 @@ use faircap_bench::{best_of, session_of};
 use faircap_causal::{CateEngine, EstimatorKind};
 use faircap_core::{CostModel, CostPolicy, FairCapConfig, SolveRequest};
 use faircap_data::so;
-use faircap_mining::{positive_lattice, single_attribute_items};
-use faircap_table::Mask;
+use faircap_mining::{coded_lattice, single_attribute_items, MAX_VALUES_PER_ATTR};
+use faircap_table::{Mask, Pattern};
 use std::sync::Arc;
 
 /// Stack Overflow rows: large enough for stable CATEs, small enough for
@@ -32,7 +32,8 @@ fn main() {
     let df = Arc::new(ds.df.clone());
     let dag = Arc::new(ds.dag.clone());
     let all = Mask::ones(ds.df.n_rows());
-    let items = single_attribute_items(&ds.df, &ds.mutable, &all, 24).expect("mutable items");
+    let items = single_attribute_items(&ds.df, &ds.mutable, &all, MAX_VALUES_PER_ATTR)
+        .expect("mutable items");
     println!(
         "ablation_lattice: Stack Overflow, {ROWS} rows, {} intervention items, best of {REPS}",
         items.len()
@@ -44,12 +45,14 @@ fn main() {
         let timed = best_of(REPS, || {
             let engine = CateEngine::new(Arc::clone(&df), Arc::clone(&dag), "salary")
                 .expect("salary is numeric");
-            let nodes = positive_lattice(
+            let (nodes, _) = coded_lattice(
                 &items,
                 2,
-                |pattern, _| {
+                |codes, _| {
+                    let pattern =
+                        Pattern::new(codes.iter().map(|&i| items[i as usize].0.clone()).collect());
                     engine
-                        .cate(&all, pattern, &EstimatorKind::Linear)
+                        .cate(&all, &pattern, &EstimatorKind::Linear)
                         .map(|e| e.cate)
                 },
                 |&cate| !prune || cate > 0.0,

@@ -9,7 +9,7 @@
 use faircap_bench::best_of;
 use faircap_causal::d_separated_names;
 use faircap_data::so;
-use faircap_mining::{apriori, AprioriConfig};
+use faircap_mining::{apriori, AprioriConfig, MAX_VALUES_PER_ATTR};
 use faircap_table::{Mask, Pattern, Value};
 use std::hint::black_box;
 
@@ -62,7 +62,7 @@ fn main() {
         let cfg = AprioriConfig {
             min_support: 0.1,
             max_len,
-            max_values_per_attr: 24,
+            max_values_per_attr: MAX_VALUES_PER_ATTR,
         };
         case(&format!("apriori_immutables/{max_len}"), 10, || {
             apriori(&ds.df, &ds.immutable, &all, &cfg).expect("immutables exist")

@@ -23,9 +23,12 @@
 //! naming every dataset that missed the factor.
 //!
 //! Results go to stdout *and* `BENCH_solve.json` (CWD, or the directory
-//! given as the first argument). Each entry also carries
-//! `greedy_evaluations`, the Step 3 candidate evaluations summed over the
-//! sweep's reports: a deterministic work count, written but not gated.
+//! given as the first argument). Each entry also carries deterministic
+//! work counts summed over the sweep's reports, written but not gated:
+//! `greedy_evaluations` (Step 3 candidate evaluations) and the
+//! `candidates` and `evaluated` totals of Step 1's and Step 2's
+//! [`MiningStats`](faircap_mining::MiningStats) (`grouping_*`,
+//! `lattice_*`; zero for a step its cache served).
 //! With `--gate BASELINE.json`, each (case, dataset) entry's best-of-reps
 //! time goes through the shared gate
 //! ([`faircap_bench::enforce_gate`] with [`faircap_bench::SOLVE_GATE`]):
@@ -43,6 +46,7 @@ use faircap_bench::{
 };
 use faircap_core::{
     FairnessConstraint, FairnessScope, Json, PrescriptionSession, SolutionReport, SolveRequest,
+    SolveStats,
 };
 use faircap_data::{german, so, Dataset};
 
@@ -63,9 +67,9 @@ struct Entry {
     reps: usize,
     min_ms: f64,
     mean_ms: f64,
-    /// Step 3 candidate evaluations summed over the sweep's reports: a
-    /// work count that does not move with the machine. Written, not gated.
-    greedy_evaluations: u64,
+    /// The sweep's reports' work counters, summed: counts that do not
+    /// move with the machine. Written, not gated.
+    stats: SolveStats,
 }
 
 impl Entry {
@@ -79,7 +83,23 @@ impl Entry {
             ("mean_ms", Json::Num(self.mean_ms)),
             (
                 "greedy_evaluations",
-                Json::Num(self.greedy_evaluations as f64),
+                Json::Num(self.stats.greedy.evaluations as f64),
+            ),
+            (
+                "grouping_candidates",
+                Json::Num(self.stats.grouping.candidates as f64),
+            ),
+            (
+                "grouping_evaluated",
+                Json::Num(self.stats.grouping.evaluated as f64),
+            ),
+            (
+                "lattice_candidates",
+                Json::Num(self.stats.lattice.candidates as f64),
+            ),
+            (
+                "lattice_evaluated",
+                Json::Num(self.stats.lattice.evaluated as f64),
             ),
         ])
     }
@@ -124,10 +144,19 @@ fn time_case(
 ) -> (Entry, Vec<SolutionReport>) {
     let timed = best_of(REPS, f);
     let (min_ms, mean_ms) = (timed.min_ms(), timed.mean_ms);
-    let greedy_evaluations = timed.best.iter().map(|r| r.stats.greedy.evaluations).sum();
+    let mut stats = SolveStats::default();
+    for report in &timed.best {
+        stats.merge(&report.stats);
+    }
+    let (grouping, lattice) = (stats.grouping, stats.lattice);
     println!(
         "solve_bench: {dataset} ({rows} rows) {case:<20} min {min_ms:9.3} ms  mean {mean_ms:9.3} ms  \
-         greedy evaluations {greedy_evaluations}"
+         greedy evaluations {}  grouping {}/{}  lattice {}/{} candidates/evaluated",
+        stats.greedy.evaluations,
+        grouping.candidates,
+        grouping.evaluated,
+        lattice.candidates,
+        lattice.evaluated
     );
     let entry = Entry {
         case: case.to_owned(),
@@ -136,7 +165,7 @@ fn time_case(
         reps: REPS,
         min_ms,
         mean_ms,
-        greedy_evaluations,
+        stats,
     };
     (entry, timed.best)
 }

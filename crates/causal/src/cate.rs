@@ -1504,6 +1504,20 @@ mod tests {
     }
 
     #[test]
+    fn equal_predicates_get_one_code() {
+        let engine = engine();
+        let one = engine.predicate_code(&Predicate::eq("region", Value::Int(1)));
+        assert_eq!(
+            engine.predicate_code(&Predicate::eq("region", Value::Float(1.0))),
+            one
+        );
+        assert_ne!(
+            engine.predicate_code(&Predicate::eq("region", Value::Float(1.5))),
+            one
+        );
+    }
+
+    #[test]
     fn export_import_round_trips_state() {
         let engine = engine();
         let all = Mask::ones(engine.df().n_rows());

@@ -2,7 +2,9 @@
 //! the Apriori algorithm.
 
 use crate::config::{CoverageConstraint, FairCapConfig};
-use faircap_mining::{apriori_with_stats, AprioriConfig, FrequentPattern, MiningStats};
+use faircap_mining::{
+    apriori_with_stats, AprioriConfig, FrequentPattern, MiningStats, MAX_VALUES_PER_ATTR,
+};
 use faircap_table::{DataFrame, Mask, Result};
 
 /// Mine candidate grouping patterns, with the Apriori [`MiningStats`]
@@ -31,7 +33,7 @@ pub fn mine_grouping_patterns_with_stats(
         &AprioriConfig {
             min_support,
             max_len: config.max_group_len,
-            max_values_per_attr: 24,
+            max_values_per_attr: MAX_VALUES_PER_ATTR,
         },
     )?;
     let filtered = match config.coverage {

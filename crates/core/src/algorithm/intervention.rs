@@ -21,7 +21,9 @@ use crate::config::FairCapConfig;
 use crate::constraints::utility_satisfies_fairness;
 use crate::rule::{Rule, RuleUtility};
 use faircap_causal::{CateQuery, Estimate, GroupHandle, PredicateCode};
-use faircap_mining::{coded_lattice, items_from_levels, single_attribute_items, MiningStats};
+use faircap_mining::{
+    coded_lattice, items_from_levels, single_attribute_items, MiningStats, MAX_VALUES_PER_ATTR,
+};
 use faircap_table::{Mask, Pattern, Predicate};
 
 /// One evaluated intervention pattern of a group's positive lattice that
@@ -62,10 +64,6 @@ pub struct GroupEvaluation {
     /// Evaluated candidates, in lattice traversal order.
     pub nodes: Vec<EvaluatedIntervention>,
 }
-
-/// Per attribute, at most this many values become intervention items (the
-/// most frequent ones inside the group).
-const MAX_VALUES_PER_ATTR: usize = 24;
 
 /// Phase 1: evaluate one group's intervention lattice.
 ///

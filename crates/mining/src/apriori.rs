@@ -2,20 +2,17 @@
 //! as used by FairCap's step 1 (§5.1) to mine grouping patterns.
 //!
 //! Items are equality predicates `attr = value`; itemsets are conjunctive
-//! [`Pattern`]s with at most one item per attribute. The representation is
-//! vertical: every itemset carries its cover as a [`Mask`], so candidate
-//! support is one word-fused AND+popcount over the parents' bitsets
-//! ([`Mask::intersect_count`]) — the support mask is only materialized for
-//! candidates that actually meet the threshold. Candidate generation is the
-//! classic sorted prefix join: the frontier is kept in pattern order, so
-//! k-patterns sharing a (k−1)-prefix form contiguous blocks and each
-//! (k+1)-candidate is generated exactly once from the unique pair of its
-//! two lexicographically largest k-subsets.
+//! [`Pattern`]s with at most one item per attribute. Apriori is the
+//! [`coded_lattice`] walk with a support gate: a node is kept when its
+//! cover holds at least `min_support · |within|` rows, and every kept node
+//! expands. The walk joins and prunes on item indices and carries each
+//! node's cover as a [`Mask`] (a candidate's is its parents' word AND);
+//! patterns are spelled out only for the nodes returned.
 
-use crate::item::single_attribute_items;
+use crate::item::{single_attribute_items, MAX_VALUES_PER_ATTR};
+use crate::lattice::coded_lattice;
 use crate::MiningStats;
 use faircap_table::{DataFrame, Mask, Pattern, Result};
-use std::collections::HashSet;
 
 /// Configuration for [`apriori`].
 #[derive(Debug, Clone, Copy)]
@@ -35,7 +32,7 @@ impl Default for AprioriConfig {
         AprioriConfig {
             min_support: 0.1,
             max_len: 3,
-            max_values_per_attr: 24,
+            max_values_per_attr: MAX_VALUES_PER_ATTR,
         }
     }
 }
@@ -70,139 +67,181 @@ pub fn apriori(
     apriori_with_stats(df, attrs, within, config).map(|(out, _)| out)
 }
 
-/// [`apriori`] plus [`MiningStats`] accounting of the candidate pipeline
-/// (generated / parent-pruned / support-pruned / materialized).
+/// [`apriori`] plus [`MiningStats`] accounting of the candidate pipeline:
+/// candidates generated, pruned for an infrequent parent, pruned by the
+/// support gate, and kept.
 pub fn apriori_with_stats(
     df: &DataFrame,
     attrs: &[String],
     within: &Mask,
     config: &AprioriConfig,
 ) -> Result<(Vec<FrequentPattern>, MiningStats)> {
-    let base = within.count();
-    let min_count = ((config.min_support * base as f64).ceil() as usize).max(1);
-    let mut stats = MiningStats::default();
-
-    // Level 1: single-attribute items.
-    let items = single_attribute_items(df, attrs, within, config.max_values_per_attr)?;
-    stats.candidates += items.len() as u64;
-    let mut frontier: Vec<FrequentPattern> = items
+    let min_count = ((config.min_support * within.count() as f64).ceil() as usize).max(1);
+    let mut items = single_attribute_items(df, attrs, within, config.max_values_per_attr)?;
+    // In predicate order an item's index is its rank, so the walk returns
+    // singletons, like longer nodes, in pattern order.
+    items.sort_by(|a, b| a.0.cmp(&b.0));
+    let (nodes, walk) = coded_lattice(
+        &items,
+        config.max_len,
+        |_, mask| (mask.count() >= min_count).then_some(()),
+        |_| true,
+    );
+    let kept = nodes.len() as u64;
+    let stats = MiningStats {
+        pruned_support: walk.evaluated - kept,
+        evaluated: kept,
+        ..walk
+    };
+    let frequent = nodes
         .into_iter()
-        .filter(|(_, mask)| {
-            let frequent = mask.count() >= min_count;
-            if !frequent {
-                stats.pruned_support += 1;
-            }
-            frequent
-        })
-        .map(|(pred, mask)| FrequentPattern {
-            pattern: Pattern::new(vec![pred]),
-            support: mask,
+        .map(|node| FrequentPattern {
+            pattern: Pattern::new(
+                node.items
+                    .iter()
+                    .map(|&i| items[i as usize].0.clone())
+                    .collect(),
+            ),
+            support: node.mask,
         })
         .collect();
-    frontier.sort_by(|a, b| a.pattern.cmp(&b.pattern));
-    stats.evaluated += frontier.len() as u64;
-
-    let mut out: Vec<FrequentPattern> = frontier.clone();
-    let mut level = 1;
-    while level < config.max_len && frontier.len() > 1 {
-        let frequent_keys: HashSet<&Pattern> = frontier.iter().map(|f| &f.pattern).collect();
-        let mut next: Vec<FrequentPattern> = Vec::new();
-        // The frontier is sorted, so k-patterns sharing their (k−1)-prefix
-        // are contiguous; only same-prefix pairs can join, and each
-        // candidate is produced by exactly one such pair.
-        for_each_prefix_pair(
-            &frontier,
-            |f| f.pattern.predicates(),
-            |a, b| {
-                let Some(candidate) = join(&a.pattern, &b.pattern) else {
-                    return;
-                };
-                stats.candidates += 1;
-                // Apriori pruning: every (k−1)-subset must be frequent.
-                if !candidate
-                    .parents()
-                    .iter()
-                    .all(|p| frequent_keys.contains(p))
-                {
-                    stats.pruned_parent += 1;
-                    return;
-                }
-                // Fused AND+popcount over the parents' words; the candidate's
-                // support mask is materialized only past the threshold.
-                if a.support.intersect_count(&b.support) < min_count {
-                    stats.pruned_support += 1;
-                    return;
-                }
-                stats.evaluated += 1;
-                next.push(FrequentPattern {
-                    pattern: candidate,
-                    support: &a.support & &b.support,
-                });
-            },
-        );
-        next.sort_by(|a, b| a.pattern.cmp(&b.pattern));
-        out.extend(next.iter().cloned());
-        frontier = next;
-        level += 1;
-    }
-    Ok((out, stats))
-}
-
-/// Invoke `f` on every pair of frontier entries whose sequences (the
-/// predicates of a pattern, or the item indices of a coded lattice node)
-/// share their length-(k−1) prefix. Entries must be sorted by pattern,
-/// which makes the prefix blocks contiguous — candidate generation over
-/// all blocks is linear in the frontier plus quadratic only *within* each
-/// block, instead of quadratic over the whole frontier.
-pub(crate) fn for_each_prefix_pair<'p, T, E: PartialEq + 'p>(
-    sorted: &'p [T],
-    seq_of: impl Fn(&'p T) -> &'p [E],
-    mut f: impl FnMut(&'p T, &'p T),
-) {
-    let prefix = |t: &'p T| {
-        let seq = seq_of(t);
-        &seq[..seq.len() - 1]
-    };
-    let mut block_start = 0;
-    while block_start < sorted.len() {
-        let first = prefix(&sorted[block_start]);
-        let mut block_end = block_start + 1;
-        while block_end < sorted.len() && prefix(&sorted[block_end]) == first {
-            block_end += 1;
-        }
-        for i in block_start..block_end {
-            for j in i + 1..block_end {
-                f(&sorted[i], &sorted[j]);
-            }
-        }
-        block_start = block_end;
-    }
-}
-
-/// Join two k-patterns sharing all but their last predicate into a (k+1)
-/// candidate; `None` when they disagree earlier, share an attribute in the
-/// differing position, or have different lengths.
-fn join(a: &Pattern, b: &Pattern) -> Option<Pattern> {
-    let pa = a.predicates();
-    let pb = b.predicates();
-    if pa.len() != pb.len() || pa.is_empty() {
-        return None;
-    }
-    let k = pa.len();
-    if pa[..k - 1] != pb[..k - 1] {
-        return None;
-    }
-    let (la, lb) = (&pa[k - 1], &pb[k - 1]);
-    if la.attr == lb.attr {
-        return None; // one item per attribute
-    }
-    Some(a.with(lb.clone()))
+    Ok((frequent, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use faircap_table::Value;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// Apriori's own level loop over [`Pattern`]s, kept as the oracle of
+    /// the [`coded_lattice`] gate: each level's frequent patterns sorted,
+    /// every same-length pair joined when it differs only in its last
+    /// predicate and on another attribute, a join pruned unless all its
+    /// parents are frequent, and its support counted before its mask is
+    /// built.
+    fn apriori_oracle(
+        df: &DataFrame,
+        attrs: &[String],
+        within: &Mask,
+        config: &AprioriConfig,
+    ) -> Result<(Vec<FrequentPattern>, MiningStats)> {
+        let base = within.count();
+        let min_count = ((config.min_support * base as f64).ceil() as usize).max(1);
+        let mut stats = MiningStats::default();
+
+        let items = single_attribute_items(df, attrs, within, config.max_values_per_attr)?;
+        stats.candidates += items.len() as u64;
+        let mut frontier: Vec<FrequentPattern> = items
+            .into_iter()
+            .filter(|(_, mask)| {
+                let frequent = mask.count() >= min_count;
+                if !frequent {
+                    stats.pruned_support += 1;
+                }
+                frequent
+            })
+            .map(|(pred, mask)| FrequentPattern {
+                pattern: Pattern::new(vec![pred]),
+                support: mask,
+            })
+            .collect();
+        frontier.sort_by(|a, b| a.pattern.cmp(&b.pattern));
+        stats.evaluated += frontier.len() as u64;
+
+        let mut out: Vec<FrequentPattern> = frontier.clone();
+        let mut level = 1;
+        while level < config.max_len && frontier.len() > 1 {
+            let frequent_keys: HashSet<&Pattern> = frontier.iter().map(|f| &f.pattern).collect();
+            let mut next: Vec<FrequentPattern> = Vec::new();
+            for (i, a) in frontier.iter().enumerate() {
+                for b in &frontier[i + 1..] {
+                    let (pa, pb) = (a.pattern.predicates(), b.pattern.predicates());
+                    let k = pa.len();
+                    if pa[..k - 1] != pb[..k - 1] || pa[k - 1].attr == pb[k - 1].attr {
+                        continue;
+                    }
+                    let candidate = a.pattern.with(pb[k - 1].clone());
+                    stats.candidates += 1;
+                    if !candidate
+                        .parents()
+                        .iter()
+                        .all(|p| frequent_keys.contains(p))
+                    {
+                        stats.pruned_parent += 1;
+                        continue;
+                    }
+                    if a.support.intersect_count(&b.support) < min_count {
+                        stats.pruned_support += 1;
+                        continue;
+                    }
+                    stats.evaluated += 1;
+                    next.push(FrequentPattern {
+                        pattern: candidate,
+                        support: &a.support & &b.support,
+                    });
+                }
+            }
+            next.sort_by(|a, b| a.pattern.cmp(&b.pattern));
+            out.extend(next.iter().cloned());
+            frontier = next;
+            level += 1;
+        }
+        Ok((out, stats))
+    }
+
+    /// 10–120 rows over a 1–6-level categorical, a 1–5-valued int and a
+    /// bool column (listed out of name order), a random `within`, τ and
+    /// `max_len` in 1..=3, and an item cap that sometimes truncates.
+    fn case_strategy() -> impl Strategy<Value = (DataFrame, Mask, AprioriConfig)> {
+        (
+            1u8..7,
+            1i64..6,
+            prop::collection::vec((0u8..6, 0i64..5, any::<bool>(), any::<bool>()), 10..120),
+            0.0f64..0.6,
+            1usize..4,
+            2usize..8,
+        )
+            .prop_map(|(n_cat, n_int, rows, min_support, max_len, cap)| {
+                let cats: Vec<String> = rows.iter().map(|r| format!("v{}", r.0 % n_cat)).collect();
+                let cats: Vec<&str> = cats.iter().map(String::as_str).collect();
+                let df = DataFrame::builder()
+                    .int("z", rows.iter().map(|r| r.1 % n_int).collect())
+                    .cat("c", &cats)
+                    .bool("b", rows.iter().map(|r| r.2).collect())
+                    .build()
+                    .unwrap();
+                let within: Vec<bool> = rows.iter().map(|r| r.3).collect();
+                let config = AprioriConfig {
+                    min_support,
+                    max_len,
+                    max_values_per_attr: cap,
+                };
+                (df, Mask::from_bools(&within), config)
+            })
+    }
+
+    proptest! {
+        /// The coded walk returns the oracle's patterns with the same
+        /// support masks in the same order, and the same stats, field for
+        /// field.
+        #[test]
+        fn coded_walk_matches_the_pattern_oracle(case in case_strategy()) {
+            let (df, within, config) = case;
+            let attrs: Vec<String> = ["z", "c", "b"].map(String::from).to_vec();
+            for within in [Mask::ones(df.n_rows()), within] {
+                let (got, got_stats) = apriori_with_stats(&df, &attrs, &within, &config).unwrap();
+                let (want, want_stats) = apriori_oracle(&df, &attrs, &within, &config).unwrap();
+                prop_assert_eq!(got_stats, want_stats);
+                prop_assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    prop_assert_eq!(&g.pattern, &w.pattern);
+                    prop_assert_eq!(&g.support, &w.support, "pattern {}", g.pattern);
+                }
+            }
+        }
+    }
 
     fn df() -> DataFrame {
         // 12 rows; country ∈ {US×6, IN×4, DE×2}, student ∈ {yes×4, no×8}

@@ -2,6 +2,10 @@
 
 use faircap_table::{Column, DataFrame, LevelMasks, Mask, Predicate, Result, Value};
 
+/// Per attribute, at most this many values become items in FairCap's
+/// Steps 1 and 2: the most frequent ones inside the mined row set.
+pub const MAX_VALUES_PER_ATTR: usize = 24;
+
 /// Enumerate equality items `attr = value` for each attribute, with their
 /// support masks inside `within`.
 ///

@@ -2,12 +2,14 @@
 //!
 //! Frequent-pattern substrate for FairCap:
 //!
-//! * [`apriori`](mod@apriori) — the Apriori algorithm over attribute–value items, used by
-//!   step 1 (§5.1) to mine grouping patterns with a support threshold.
-//! * [`lattice`] — the positive-parent lattice traversal of step 2 (§5.2),
-//!   generic over the scoring function so the core crate can plug in
-//!   fairness-penalized CATE benefits.
-//! * [`item`] — enumeration of `attr = value` items with support masks.
+//! * [`lattice`] — the one level-wise lattice walk, on item indices, with
+//!   a caller-supplied gate: step 2 (§5.2) gates expansion on a positive
+//!   CATE (the positive-parent rule).
+//! * [`apriori`](mod@apriori) — the Apriori algorithm over attribute–value
+//!   items, used by step 1 (§5.1) to mine grouping patterns: the lattice
+//!   walk gated on a support threshold.
+//! * [`item`] — enumeration of `attr = value` items with support masks,
+//!   and the per-attribute item cap both steps use.
 
 #![warn(missing_docs)]
 
@@ -16,13 +18,11 @@ pub mod item;
 pub mod lattice;
 
 pub use apriori::{apriori, apriori_with_stats, AprioriConfig, FrequentPattern};
-pub use item::{items_from_levels, single_attribute_items};
-pub use lattice::{
-    coded_lattice, positive_lattice, positive_lattice_with_stats, CodedNode, LatticeNode,
-};
+pub use item::{items_from_levels, single_attribute_items, MAX_VALUES_PER_ATTR};
+pub use lattice::{coded_lattice, CodedNode};
 
-/// Candidate-pipeline accounting for one mining run (Apriori level sweep or
-/// positive-parent lattice traversal), in the spirit of the causal engine's
+/// Candidate-pipeline accounting for one mining run (Apriori or a
+/// positive-parent lattice walk), in the spirit of the causal engine's
 /// `HotStats`: where candidates came from and why they were discarded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MiningStats {
@@ -31,10 +31,10 @@ pub struct MiningStats {
     /// Candidates discarded because a (k−1)-subset was not frequent
     /// (Apriori) or not positive (lattice).
     pub pruned_parent: u64,
-    /// Candidates discarded by the fused AND+popcount support test before
-    /// their cover was materialized (Apriori only).
+    /// Candidates discarded by the support threshold (Apriori only).
     pub pruned_support: u64,
-    /// Candidates that survived pruning and were materialized / evaluated.
+    /// Candidates that survived pruning: kept (Apriori) or evaluated
+    /// (lattice).
     pub evaluated: u64,
 }
 

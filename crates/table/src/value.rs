@@ -146,9 +146,9 @@ impl std::hash::Hash for Value {
         self.kind_rank().hash(state);
         match self {
             Value::Null => {}
-            Value::Int(v) => v.hash(state),
-            // Hash the bit pattern; consistent with `total_cmp` equality for
-            // the canonical floats we produce (no distinct NaN payloads).
+            // Numbers hash by the bits of their value as an `f64`, which is
+            // what `cmp` compares: `Int(1) == Float(1.0)` hash alike.
+            Value::Int(v) => (*v as f64).to_bits().hash(state),
             Value::Float(v) => v.to_bits().hash(state),
             Value::Bool(b) => b.hash(state),
             Value::Str(s) => s.hash(state),
@@ -244,6 +244,15 @@ mod tests {
         // Same-kind equal values hash equal.
         assert_eq!(h(&Value::from("a")), h(&Value::from("a")));
         assert_eq!(h(&Value::Int(5)), h(&Value::Int(5)));
+        // So do equal numbers of different kinds.
+        for (i, f) in [(1, 1.0), (0, 0.0), (-7, -7.0), (1 << 40, 2f64.powi(40))] {
+            assert_eq!(Value::Int(i), Value::Float(f));
+            assert_eq!(h(&Value::Int(i)), h(&Value::Float(f)), "{i} vs {f}");
+        }
+        // A map keyed by a predicate on `x = 1` finds `x = 1.0`.
+        let key = |v| crate::Predicate::eq("x", v);
+        let map: std::collections::HashMap<_, _> = [(key(Value::Int(1)), "one")].into();
+        assert_eq!(map.get(&key(Value::Float(1.0))), Some(&"one"));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property-based tests for the mining substrate: Apriori's guarantees
 //! (support threshold, downward closure, one-item-per-attribute) and the
-//! positive-parent lattice invariants hold on random frames.
+//! invariants of the level-wise lattice walk under the positive-parent gate
+//! hold on random frames.
 
-use faircap::mining::{apriori, positive_lattice, single_attribute_items, AprioriConfig};
-use faircap::table::{DataFrame, Mask};
+use faircap::mining::{apriori, coded_lattice, single_attribute_items, AprioriConfig};
+use faircap::table::{DataFrame, Mask, Pattern, Predicate};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -34,6 +35,11 @@ fn frame_strategy() -> impl Strategy<Value = DataFrame> {
 
 fn attrs() -> Vec<String> {
     vec!["a".into(), "b".into(), "c".into()]
+}
+
+/// The pattern a lattice node's item indices name.
+fn spell(items: &[(Predicate, Mask)], codes: &[u32]) -> Pattern {
+    Pattern::new(codes.iter().map(|&i| items[i as usize].0.clone()).collect())
 }
 
 proptest! {
@@ -151,7 +157,7 @@ proptest! {
                         continue;
                     }
                     let preds: Vec<_> = picks.iter().map(|&p| items[p].0.clone()).collect();
-                    let pattern = faircap::table::Pattern::new(preds);
+                    let pattern = Pattern::new(preds);
                     prop_assert!(
                         found_set.contains(&pattern.to_string()),
                         "frequent {} ({} rows ≥ {}) not mined",
@@ -169,7 +175,7 @@ proptest! {
         let within = Mask::ones(df.n_rows());
         let items = single_attribute_items(&df, &attrs(), &within, 8).unwrap();
         // score = +1 if the pattern covers an even number of rows, −1 odd
-        let nodes = positive_lattice(
+        let (nodes, _) = coded_lattice(
             &items,
             3,
             |_, mask| Some(if mask.count() % 2 == 0 { 1.0 } else { -1.0 }),
@@ -178,18 +184,19 @@ proptest! {
         let positive: HashSet<_> = nodes
             .iter()
             .filter(|n| n.score > 0.0)
-            .map(|n| n.pattern.clone())
+            .map(|n| spell(&items, &n.items))
             .collect();
         for n in &nodes {
-            if n.pattern.len() > 1 {
-                for parent in n.pattern.parents() {
+            let pattern = spell(&items, &n.items);
+            if pattern.len() > 1 {
+                for parent in pattern.parents() {
                     prop_assert!(positive.contains(&parent),
                         "node {} materialized without positive parent {}",
-                        n.pattern, parent);
+                        pattern, parent);
                 }
             }
             // masks are exact coverages
-            prop_assert_eq!(&n.mask, &n.pattern.coverage(&df).unwrap());
+            prop_assert_eq!(&n.mask, &pattern.coverage(&df).unwrap());
         }
     }
 
@@ -197,15 +204,16 @@ proptest! {
     fn lattice_no_duplicate_nodes(df in frame_strategy()) {
         let within = Mask::ones(df.n_rows());
         let items = single_attribute_items(&df, &attrs(), &within, 8).unwrap();
-        let nodes = positive_lattice(&items, 3, |_, _| Some(1.0), |&s| s > 0.0);
+        let (nodes, _) = coded_lattice(&items, 3, |_, _| Some(()), |_| true);
         let mut seen = HashSet::new();
         for n in &nodes {
-            prop_assert!(seen.insert(n.pattern.clone()), "duplicate {}", n.pattern);
+            let pattern = spell(&items, &n.items);
             // one predicate per attribute
-            let attrs = n.pattern.attributes();
+            let attrs = pattern.attributes();
             let mut dedup = attrs.clone();
             dedup.dedup();
             prop_assert_eq!(attrs.len(), dedup.len());
+            prop_assert!(seen.insert(pattern.clone()), "duplicate {}", pattern);
         }
     }
 }
