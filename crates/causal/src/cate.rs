@@ -7,9 +7,9 @@
 //! supplied per query (see [`Estimator`]), so one long-lived engine serves
 //! repeated solves under different estimators while sharing its caches.
 //!
-//! Five caches persist across queries, all of one type, the sharded LRU
-//! [`ShardedLruCache`]: a lookup locks one of its shards, never the whole
-//! engine.
+//! Five kinds of cache persist across queries, all of one type, the
+//! sharded LRU [`ShardedLruCache`]: a lookup locks one of its shards,
+//! never the whole engine.
 //!
 //! * adjustment sets ([`Adjustment`]: the covariate names and their 64-bit
 //!   FNV fingerprint), derived from the DAG once per treatment-attribute
@@ -28,15 +28,15 @@
 //!   and `Xᵀy`, assembled from the group entry; or the verdict that the
 //!   group takes the columnar path. Each intervention then only walks its
 //!   treated rows;
-//! * full estimates, keyed by `(estimator, group fingerprint,
-//!   intervention)` — the cache Step 2's re-walks hit hardest. The
-//!   intervention is keyed by the codes of its predicates in the engine's
-//!   predicate table ([`CateEngine::predicate_code`]), held inline for
-//!   short patterns, so a lookup compares integers and reads no `String`.
-//!   A key carries one FNV hash of the estimator's name, the fingerprint
-//!   and the predicates' content hashes, computed once when the key is
-//!   built; hashing the key for a shard or a map slot writes only that
-//!   word, and the hash is the same in every run.
+//! * full estimates, one cache per estimator, keyed by `(group
+//!   fingerprint, intervention)` — the caches Step 2's re-walks hit
+//!   hardest. The intervention is keyed by the codes of its predicates in
+//!   the engine's predicate table ([`CateEngine::predicate_code`]), held
+//!   inline for short patterns, so a lookup compares integers and reads no
+//!   `String`. A key carries one FNV hash of the fingerprint and the
+//!   predicates' content hashes, computed once when the key is built;
+//!   hashing the key for a shard or a map slot writes only that word, and
+//!   the hash is the same in every run.
 //!
 //! Beside the caches the engine keeps two append-only tables: the
 //! predicate table, code → predicate and back, which spells a key out as
@@ -45,11 +45,11 @@
 //! built at the first walk that needs it, from which Step 2 builds a
 //! group's items by word AND.
 //!
-//! Every capacity is fixed when the engine is built. The estimate and
-//! adjustment caches are unbounded: they keep every estimate and every
-//! treatment-attribute set's adjustment the engine has computed. The three
-//! group caches, whose entries hold O(rows) data, have fixed LRU bounds.
-//! An estimate-cache eviction is charged to the estimator whose entry left.
+//! Every capacity is fixed when the engine is built. The estimate caches
+//! and the adjustment cache are unbounded: they keep every estimate and
+//! every treatment-attribute set's adjustment the engine has computed. The
+//! three group caches, whose entries hold O(rows) data, have fixed LRU
+//! bounds.
 //!
 //! There are two ways in, and one estimation path behind them:
 //!
@@ -64,13 +64,12 @@
 //!   on an estimate-cache miss it looks up the adjustment set and computes
 //!   the pattern's coverage, which nothing caches.
 //!
-//! Each estimator name has one bookkeeping record on the engine, resolved
-//! once per [`CateQuery`] ([`CateEngine::with_estimator`]) and named by
-//! its id in every estimate-cache key it inserts: its
-//! hit/miss/entry/eviction counters, the duration histogram of its
-//! estimation runs, and the hot-path totals of those runs, all atomics. A
-//! cache hit thus costs one shard lock and clones nothing; a walk counts
-//! its hits itself and adds them to the record once, when it ends. An
+//! Each estimator name has one record on the engine, resolved once per
+//! [`CateQuery`] ([`CateEngine::with_estimator`]): its estimate cache,
+//! whose own counters are the estimator's hits, misses, entries and
+//! evictions; the duration histogram of its estimation runs; and the
+//! hot-path totals of those runs, all atomics. A cache hit thus costs one
+//! shard lock and clones nothing, and is counted as it happens. An
 //! estimation takes no lock beyond its caches' shards. The
 //! records make reuse observable per estimator
 //! ([`CateEngine::cache_stats_by_estimator`]) and in aggregate
@@ -98,13 +97,13 @@ use faircap_table::{
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Number of lock shards of the estimate cache. Step-2 mining fans out
-/// across worker threads that all funnel their CATE queries through one
-/// engine; 16 shards keep them off each other's locks.
+/// Number of lock shards of each estimator's estimate cache. Step-2
+/// mining fans out across worker threads that all funnel their CATE
+/// queries through one engine; 16 shards keep them off each other's locks.
 const ESTIMATE_CACHE_SHARDS: usize = 16;
 
 /// Default entry bound of the match-index cache. Indices are heavy
@@ -255,23 +254,15 @@ impl Adjustment {
     }
 }
 
-/// The bookkeeping of one estimator name on one engine: its estimate-cache
-/// counters, the duration histogram of its estimation runs (whose count
-/// and sum are the number of runs and their total nanoseconds), and the
-/// hot-path totals of those runs.
-#[derive(Default)]
+/// One estimator name on one engine: its estimate cache, whose own
+/// counters are the estimator's hits, misses, entries and evictions; the
+/// duration histogram of its estimation runs (whose count and sum are the
+/// number of runs and their total nanoseconds); and the hot-path totals of
+/// those runs, which no cache counts.
 struct EstimatorRecord {
     name: Arc<str>,
-    /// The record's index in [`Estimators::by_id`]; estimate keys carry it.
-    id: u32,
-    /// FNV state after the name: estimate keys continue from it.
-    name_hash: FnvHasher,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Signed: a racing thread can evict (and uncount) an entry before its
-    /// inserter has counted it.
-    entries: AtomicI64,
-    evictions: AtomicU64,
+    /// Estimates and not-estimable verdicts, sharded.
+    estimates: ShardedLruCache<EstimateKey, Option<Estimate>>,
     durations: Histogram,
     build_ns: AtomicU64,
     index_ns: AtomicU64,
@@ -279,15 +270,6 @@ struct EstimatorRecord {
 }
 
 impl EstimatorRecord {
-    fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits.load(Relaxed),
-            misses: self.misses.load(Relaxed),
-            evictions: self.evictions.load(Relaxed),
-            entries: usize::try_from(self.entries.load(Relaxed)).unwrap_or(0),
-        }
-    }
-
     /// Account one estimation run of `total_ns` wall time.
     fn ran(&self, total_ns: u64, stats: &HotStats) {
         self.durations.record(total_ns);
@@ -295,13 +277,6 @@ impl EstimatorRecord {
         self.index_ns.fetch_add(stats.index_ns, Relaxed);
         self.tree_visits.fetch_add(stats.tree_visits, Relaxed);
     }
-}
-
-/// The engine's estimator records, by name and by id.
-#[derive(Default)]
-struct Estimators {
-    by_name: BTreeMap<Arc<str>, Arc<EstimatorRecord>>,
-    by_id: Vec<Arc<EstimatorRecord>>,
 }
 
 /// A predicate's code in its engine's predicate table, with a 64-bit FNV
@@ -334,35 +309,29 @@ impl PredicateTable {
     }
 }
 
-/// Key of one cached estimate: estimator, subgroup fingerprint,
-/// intervention pattern. The estimator is its record's id and the pattern
-/// the codes of its predicates (inline for up to [`Codes::INLINE`]
-/// predicates), sorted by `(predicate hash, code)`, so comparing two keys
-/// compares integers only and reads no `String`. The group is a 64-bit
-/// fingerprint of the mask. A snapshot spells a key out as
-/// `(name, fingerprint, pattern)` ([`CateEngine::export_state`]).
+/// Key of one cached estimate in its estimator's cache: subgroup
+/// fingerprint and intervention pattern. The pattern is the codes of its
+/// predicates (inline for up to [`Codes::INLINE`] predicates), sorted by
+/// `(predicate hash, code)`, so comparing two keys compares integers only
+/// and reads no `String`. The group is a 64-bit fingerprint of the mask.
+/// A snapshot spells a key out as `(estimator name, fingerprint, pattern)`
+/// ([`CateEngine::export_state`]).
 ///
-/// The key's hash is one FNV digest of the estimator's name, the group
-/// fingerprint and the predicates' content hashes in that sorted order,
-/// taken when the key is built. Its `Hash` writes only that word, so the
-/// cache's shard choice and its map slot cost no pass over the pattern;
-/// and as it hashes names and content, not ids or codes, a bounded cache
-/// evicts the same entries in every run, whatever order the codes were
-/// handed out in.
+/// The key's hash is one FNV digest of the group fingerprint and the
+/// predicates' content hashes in that sorted order, taken when the key is
+/// built. Its `Hash` writes only that word, so the cache's shard choice
+/// and its map slot cost no pass over the pattern; and as it hashes
+/// content, not codes, a bounded cache evicts the same entries in every
+/// run, whatever order the codes were handed out in.
 #[derive(Clone)]
 struct EstimateKey {
     hash: u64,
     group_fp: u64,
-    estimator: u32,
     pattern: Codes,
 }
 
 impl EstimateKey {
-    fn new(
-        estimator: &EstimatorRecord,
-        group_fp: u64,
-        pattern: impl IntoIterator<Item = PredicateCode>,
-    ) -> Self {
+    fn new(group_fp: u64, pattern: impl IntoIterator<Item = PredicateCode>) -> Self {
         // Up to `Codes::INLINE` codes are sorted on the stack; a longer
         // pattern spills to the heap.
         let mut inline = [PredicateCode { code: 0, hash: 0 }; Codes::INLINE];
@@ -381,7 +350,7 @@ impl EstimateKey {
             &mut spill
         };
         codes.sort_unstable_by_key(|c| (c.hash, c.code));
-        let mut h = estimator.name_hash;
+        let mut h = FnvHasher::new();
         h.write_u64_stable(group_fp);
         for c in codes.iter() {
             h.write_u64_stable(c.hash);
@@ -389,7 +358,6 @@ impl EstimateKey {
         EstimateKey {
             hash: h.finish64(),
             group_fp,
-            estimator: estimator.id,
             pattern: codes.iter().map(|c| c.code).collect(),
         }
     }
@@ -397,10 +365,7 @@ impl EstimateKey {
 
 impl PartialEq for EstimateKey {
     fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash
-            && self.group_fp == other.group_fp
-            && self.estimator == other.estimator
-            && self.pattern == other.pattern
+        self.hash == other.hash && self.group_fp == other.group_fp && self.pattern == other.pattern
     }
 }
 
@@ -434,8 +399,9 @@ pub struct CateEngine {
     dag: Arc<Dag>,
     outcome: String,
     adjustment_cache: ShardedLruCache<Vec<String>, Option<Arc<Adjustment>>>,
-    /// Estimates and not-estimable verdicts, sharded and LRU-bounded.
-    estimate_cache: ShardedLruCache<EstimateKey, Option<Estimate>>,
+    /// Entry bound of each estimator's estimate cache: `usize::MAX`
+    /// (unbounded) in every engine [`CateEngine::new`] builds.
+    estimate_capacity: usize,
     /// Match indices and cell tables, shared across each group's
     /// intervention sweep.
     group_caches: GroupCaches,
@@ -446,10 +412,10 @@ pub struct CateEngine {
     /// Full-frame level masks per `(attribute, level bound)`
     /// ([`CateEngine::level_masks`]), built on first use.
     level_masks: Mutex<LevelMasksByAttr>,
-    /// One record per estimator name. Locked when a [`CateQuery`] is
-    /// bound, on import and export, to charge evictions, and by the
+    /// One record per estimator name, holding its estimate cache. Locked
+    /// when a [`CateQuery`] is bound, on import and export, and by the
     /// readers — never per query.
-    estimators: Mutex<Estimators>,
+    estimators: Mutex<BTreeMap<Arc<str>, Arc<EstimatorRecord>>>,
 }
 
 impl std::fmt::Debug for CateEngine {
@@ -483,7 +449,7 @@ impl CateEngine {
             dag,
             outcome,
             adjustment_cache: ShardedLruCache::unbounded(GROUP_CACHE_SHARDS),
-            estimate_cache: ShardedLruCache::unbounded(ESTIMATE_CACHE_SHARDS),
+            estimate_capacity: usize::MAX,
             group_caches: GroupCaches {
                 match_index: ShardedLruCache::new(MATCH_INDEX_CACHE_CAPACITY, GROUP_CACHE_SHARDS),
                 cell_table: ShardedLruCache::new(CELL_TABLE_CACHE_CAPACITY, GROUP_CACHE_SHARDS),
@@ -491,7 +457,7 @@ impl CateEngine {
             },
             predicates: RwLock::new(PredicateTable::default()),
             level_masks: Mutex::new(HashMap::new()),
-            estimators: Mutex::new(Estimators::default()),
+            estimators: Mutex::new(BTreeMap::new()),
         })
     }
 
@@ -523,38 +489,24 @@ impl CateEngine {
         }
     }
 
-    /// The record of estimator `name`, created on first use.
+    /// The record of estimator `name`, created with an empty estimate
+    /// cache on first use.
     fn record(&self, name: &str) -> Arc<EstimatorRecord> {
         let mut records = self.estimators.lock();
-        if let Some(record) = records.by_name.get(name) {
+        if let Some(record) = records.get(name) {
             return Arc::clone(record);
         }
-        let mut name_hash = FnvHasher::new();
-        name_hash.write_str_stable(name);
         let name: Arc<str> = Arc::from(name);
         let record = Arc::new(EstimatorRecord {
             name: Arc::clone(&name),
-            id: u32::try_from(records.by_id.len()).expect("fewer than 2^32 estimators"),
-            name_hash,
-            ..EstimatorRecord::default()
+            estimates: ShardedLruCache::new(self.estimate_capacity, ESTIMATE_CACHE_SHARDS),
+            durations: Histogram::default(),
+            build_ns: AtomicU64::new(0),
+            index_ns: AtomicU64::new(0),
+            tree_visits: AtomicU64::new(0),
         });
-        records.by_name.insert(name, Arc::clone(&record));
-        records.by_id.push(Arc::clone(&record));
+        records.insert(name, Arc::clone(&record));
         record
-    }
-
-    /// Charge entries the estimate cache evicted to their estimators'
-    /// records.
-    fn charge_evictions(&self, evicted: Vec<(EstimateKey, Option<Estimate>)>) {
-        if evicted.is_empty() {
-            return;
-        }
-        let records = self.estimators.lock();
-        for (key, _) in evicted {
-            let record = &records.by_id[key.estimator as usize];
-            record.entries.fetch_sub(1, Relaxed);
-            record.evictions.fetch_add(1, Relaxed);
-        }
     }
 
     /// The code of `predicate` in this engine's predicate table, handed
@@ -667,9 +619,7 @@ impl CateEngine {
             .predicates()
             .iter()
             .map(|p| self.predicate_code(p));
-        let key = EstimateKey::new(&query.record, group.fp, codes);
-        let mut hits = 0;
-        let result = query.cached(key, &mut hits, |_| {
+        query.cached(EstimateKey::new(group.fp, codes), |_| {
             let attrs: Vec<String> = intervention
                 .attributes()
                 .into_iter()
@@ -678,11 +628,7 @@ impl CateEngine {
             let adjustment = self.adjustment_for(&attrs)?;
             let treated = intervention.coverage(&self.df).ok()?;
             query.estimate_uncached(group, &treated, &adjustment)
-        });
-        if hits > 0 {
-            query.record.hits.fetch_add(hits, Relaxed);
-        }
-        result
+        })
     }
 
     /// Per-estimator estimate-duration histograms (nanoseconds per
@@ -690,7 +636,7 @@ impl CateEngine {
     /// Estimators never run on this engine are absent.
     pub fn estimate_histograms(&self) -> Vec<(String, HistogramSnapshot)> {
         let records = self.estimators.lock();
-        let ran = records.by_name.values().filter(|r| r.durations.count() > 0);
+        let ran = records.values().filter(|r| r.durations.count() > 0);
         ran.map(|r| (r.name.to_string(), r.durations.snapshot()))
             .collect()
     }
@@ -701,7 +647,7 @@ impl CateEngine {
     /// their per-stage nanoseconds and KD-tree visit totals.
     pub fn hot_stats(&self) -> (u64, HotStats) {
         let records = self.estimators.lock();
-        let sum = |field: fn(&EstimatorRecord) -> u64| records.by_id.iter().map(|r| field(r)).sum();
+        let sum = |field: fn(&EstimatorRecord) -> u64| records.values().map(|r| field(r)).sum();
         let total_ns: u64 = sum(|r| r.durations.sum());
         let build_ns = sum(|r| r.build_ns.load(Relaxed));
         let index_ns = sum(|r| r.index_ns.load(Relaxed));
@@ -729,8 +675,8 @@ impl CateEngine {
         self.group_caches.group_rows.counters()
     }
 
-    /// Estimate-cache hit/miss counters since the engine was built,
-    /// aggregated over all estimators.
+    /// Estimate-cache hit/miss counters since the engine was built, summed
+    /// over the estimators' caches.
     ///
     /// `misses` counts actual estimation work; a solve that adds no misses
     /// performed no redundant CATE estimation. Use
@@ -763,34 +709,36 @@ impl CateEngine {
     /// assert_eq!(per["linear"].misses, 1);
     /// ```
     pub fn cache_stats(&self) -> CacheCounters {
-        self.estimate_cache.counters()
+        let records = self.estimators.lock();
+        let each = records.values().map(|r| r.estimates.counters());
+        each.fold(CacheCounters::default(), |sum, c| CacheCounters {
+            hits: sum.hits + c.hits,
+            misses: sum.misses + c.misses,
+            evictions: sum.evictions + c.evictions,
+            entries: sum.entries + c.entries,
+        })
     }
 
-    /// Estimate-cache counters broken down by [`Estimator::name`], in
-    /// name order.
+    /// Each estimator's estimate-cache counters, by [`Estimator::name`],
+    /// in name order. They sum to [`cache_stats`](Self::cache_stats), and
+    /// a [`CateWalk`]'s hits show here as they happen.
     ///
-    /// Estimators that were never queried on this engine are absent. The
-    /// per-name `hits`/`misses`/`entries` sum to the aggregate
-    /// [`cache_stats`](Self::cache_stats) (entries may transiently differ
-    /// under concurrent insertion, since the aggregate recounts the cache).
-    /// A [`CateWalk`] adds its hits to its estimator's record when it is
-    /// dropped, so a walk still in progress is not yet counted here.
+    /// Estimators that were never queried on this engine are absent.
     pub fn cache_stats_by_estimator(&self) -> BTreeMap<String, CacheCounters> {
         let records = self.estimators.lock();
         let counted = records
-            .by_name
             .values()
-            .map(|r| (r.name.to_string(), r.counters()));
+            .map(|r| (r.name.to_string(), r.estimates.counters()));
         counted
             .filter(|(_, c)| *c != CacheCounters::default())
             .collect()
     }
 
-    /// Estimate-cache counters for one estimator name; zeros if the
-    /// estimator was never queried on this engine.
+    /// Estimator `name`'s estimate-cache counters; zeros if the estimator
+    /// was never queried on this engine.
     pub fn cache_stats_for(&self, name: &str) -> CacheCounters {
-        let record = self.estimators.lock().by_name.get(name).map(Arc::clone);
-        record.map_or_else(CacheCounters::default, |r| r.counters())
+        let record = self.estimators.lock().get(name).map(Arc::clone);
+        record.map_or_else(CacheCounters::default, |r| r.estimates.counters())
     }
 
     /// Export the cache a warm restart needs — the estimates — for
@@ -799,51 +747,45 @@ impl CateEngine {
     /// same records in the same order. The inverse of
     /// [`import_state`](Self::import_state).
     pub fn export_state(&self) -> CateEngineState {
-        let names: Vec<Arc<str>> = {
-            let records = self.estimators.lock();
-            records.by_id.iter().map(|r| Arc::clone(&r.name)).collect()
-        };
-        let mut estimates = Vec::with_capacity(self.estimate_cache.len());
+        let records: Vec<Arc<EstimatorRecord>> = self.estimators.lock().values().cloned().collect();
+        let mut estimates = Vec::with_capacity(records.iter().map(|r| r.estimates.len()).sum());
         {
             let table = self.predicates.read();
-            self.estimate_cache.for_each(|key, est| {
-                estimates.push((
-                    names[key.estimator as usize].to_string(),
-                    key.group_fp,
-                    table.pattern(&key.pattern),
-                    *est,
-                ));
-            });
+            for record in &records {
+                record.estimates.for_each(|key, est| {
+                    estimates.push((
+                        record.name.to_string(),
+                        key.group_fp,
+                        table.pattern(&key.pattern),
+                        *est,
+                    ));
+                });
+            }
         }
         estimates.sort_by(|a, b| (&a.0, a.1, &a.2).cmp(&(&b.0, b.1, &b.2)));
         CateEngineState { estimates }
     }
 
     /// Warm the engine's caches from a previously exported state. Imported
-    /// entries count toward per-estimator `entries` but not hits or misses;
-    /// an import that overflows a bounded estimate cache evicts, and
-    /// charges, like any other insert.
+    /// entries count toward their estimator's `entries` but not its hits
+    /// or misses; an import that overflows a bounded estimate cache
+    /// evicts like any other insert.
     pub fn import_state(&self, state: CateEngineState) {
         for (name, group_fp, intervention, est) in state.estimates {
-            let record = self.record(&name);
             let codes = intervention
                 .predicates()
                 .iter()
                 .map(|p| self.predicate_code(p));
-            let key = EstimateKey::new(&record, group_fp, codes);
-            let inserted = self.estimate_cache.insert(key, est);
-            if !inserted.replaced {
-                record.entries.fetch_add(1, Relaxed);
-            }
-            self.charge_evictions(inserted.evicted);
+            let key = EstimateKey::new(group_fp, codes);
+            self.record(&name).estimates.insert(key, est);
         }
     }
 }
 
 /// A [`CateEngine`] bound to one estimator — the view the mining and greedy
 /// phases consume. Cheap to construct per solve (it resolves the
-/// estimator's record once); all caches live on the engine and are shared
-/// across views.
+/// estimator's record, and with it the estimator's estimate cache, once);
+/// all caches live on the engine and are shared across views.
 #[derive(Clone)]
 pub struct CateQuery<'a> {
     engine: &'a CateEngine,
@@ -889,25 +831,22 @@ impl<'a> CateQuery<'a> {
         CateWalk {
             query: self,
             adjustments: AdjustmentMemo::default(),
-            hits: 0,
         }
     }
 
-    /// Answer `key` from the estimate cache, counting a hit in `hits`, or
-    /// run `estimate` on the key's predicate codes on a miss and cache its
-    /// answer. When a span is attached (a traced solve) every query emits
-    /// a child span: `estimate_hit:<name>` for a lookup answered from the
-    /// estimate cache, `estimate:<name>` covering the actual estimation on
-    /// a miss. An empty intervention is not estimable.
+    /// Answer `key` from the estimator's estimate cache, or run `estimate`
+    /// on the key's predicate codes on a miss and cache its answer. When a
+    /// span is attached (a traced solve) every query emits a child span:
+    /// `estimate_hit:<name>` for a lookup answered from the estimate cache,
+    /// `estimate:<name>` covering the actual estimation on a miss. An empty
+    /// intervention is not estimable.
     fn cached(
         &self,
         key: EstimateKey,
-        hits: &mut u64,
         estimate: impl FnOnce(&[u32]) -> Option<Estimate>,
     ) -> Option<Estimate> {
         let record = &self.record;
-        if let Some(hit) = self.engine.estimate_cache.get(&key) {
-            *hits += 1;
+        if let Some(hit) = record.estimates.get(&key) {
             if let Some(h) = &self.span {
                 h.child(format!("estimate_hit:{}", record.name)).finish();
             }
@@ -924,15 +863,10 @@ impl<'a> CateQuery<'a> {
                 estimate(&key.pattern)
             }
         };
-        // A racing duplicate query may have inserted the same key first;
-        // `replaced` distinguishes that (same value — estimation is
-        // deterministic), so per-estimator entry counts stay exact.
-        let inserted = self.engine.estimate_cache.insert(key, result);
-        record.misses.fetch_add(1, Relaxed);
-        if !inserted.replaced {
-            record.entries.fetch_add(1, Relaxed);
-        }
-        self.engine.charge_evictions(inserted.evicted);
+        // A racing duplicate query may have inserted the same key first,
+        // with the same value (estimation is deterministic); the cache
+        // counts the entry once.
+        record.estimates.insert(key, result);
         result
     }
 
@@ -985,14 +919,10 @@ impl<'a> CateQuery<'a> {
 /// engine compute the pattern's full-frame mask; and the walk keeps a
 /// small memo from treatment-attribute set to [`Adjustment`], so each
 /// set's names and fingerprint are resolved once per walk rather than
-/// once per estimate. The walk counts its hits and adds them to its
-/// estimator's record once, when it is dropped. A walk is meant for one
-/// thread; make one per group.
+/// once per estimate. A walk is meant for one thread; make one per group.
 pub struct CateWalk<'q, 'a> {
     query: &'q CateQuery<'a>,
     adjustments: AdjustmentMemo,
-    /// Hits so far, added to the record on drop.
-    hits: u64,
 }
 
 impl CateWalk<'_, '_> {
@@ -1008,20 +938,12 @@ impl CateWalk<'_, '_> {
         treated: &Mask,
     ) -> Option<Estimate> {
         let query = self.query;
-        let key = EstimateKey::new(&query.record, group.fp, pattern);
+        let key = EstimateKey::new(group.fp, pattern);
         let adjustments = &mut self.adjustments;
-        query.cached(key, &mut self.hits, |codes| {
+        query.cached(key, |codes| {
             let adjustment = adjustments.get(query.engine, codes)?;
             query.estimate_uncached(group, treated, &adjustment)
         })
-    }
-}
-
-impl Drop for CateWalk<'_, '_> {
-    fn drop(&mut self) {
-        if self.hits > 0 {
-            self.query.record.hits.fetch_add(self.hits, Relaxed);
-        }
     }
 }
 
@@ -1147,10 +1069,11 @@ mod tests {
         CateEngine::new(df, dag, "income").unwrap()
     }
 
-    /// An engine whose estimate cache holds at most `capacity` entries.
+    /// An engine whose estimators' estimate caches each hold at most
+    /// `capacity` entries.
     fn engine_with_estimate_capacity(capacity: usize) -> CateEngine {
         let mut engine = engine();
-        engine.estimate_cache = ShardedLruCache::new(capacity, ESTIMATE_CACHE_SHARDS);
+        engine.estimate_capacity = capacity;
         engine
     }
 
@@ -1256,19 +1179,12 @@ mod tests {
             engine.cate(group, &p, &EstimatorKind::Linear);
             engine.cate(group, &p, &EstimatorKind::Stratified);
         }
-        let stats = engine.cache_stats();
-        assert!(
-            stats.entries <= 2,
-            "bounded cache held {} entries",
-            stats.entries
-        );
-        assert!(stats.evictions >= 4, "evictions {}", stats.evictions);
-        // Each estimator inserted three keys into a two-entry cache, so
-        // each had entries evicted; every eviction is charged to the
-        // estimator whose entry left, so each estimator's entries and
-        // evictions add up to the fresh keys it inserted (its misses).
+        // Each estimator inserted three keys into its two-entry cache, so
+        // each had entries evicted, and its entries and evictions add up
+        // to the fresh keys it inserted (its misses).
         for name in ["linear", "stratified"] {
             let c = engine.cache_stats_for(name);
+            assert!(c.entries <= 2, "{name}: bounded cache held {c:?}");
             assert_eq!(c.hits + c.misses, 5, "{name}");
             assert!(c.evictions > 0, "{name}: {c:?}");
             assert_eq!(c.entries as u64 + c.evictions, c.misses, "{name}: {c:?}");
@@ -1327,6 +1243,90 @@ mod tests {
         assert_breakdown_sums(&engine);
         let runs: u64 = hists.values().map(|h| h.count).sum();
         assert_eq!(engine.hot_stats().0, runs);
+    }
+
+    /// A walk's hits show in its estimator's counters while the walk is
+    /// still open; and after concurrent walks of two estimators on an
+    /// unbounded engine, each estimator's hits and misses add up to the
+    /// lookups it issued and its entries to its distinct keys.
+    #[test]
+    fn walks_count_hits_as_they_happen() {
+        let engine = engine();
+        let df = engine.df();
+        let region = |r: &str| Pattern::of_eq(&[("region", Value::from(r))]);
+        let groups = [
+            Mask::ones(df.n_rows()),
+            region("north").coverage(df).unwrap(),
+            region("south").coverage(df).unwrap(),
+        ];
+        let patterns: Vec<(Vec<PredicateCode>, Mask)> = [true, false]
+            .map(|educated| Pattern::of_eq(&[("educated", Value::Bool(educated))]))
+            .iter()
+            .map(|p| (engine.pattern_codes(p), p.coverage(df).unwrap()))
+            .collect();
+
+        let q = engine.with_estimator(&EstimatorKind::Linear);
+        let mut walk = q.walk();
+        let (codes, treated) = &patterns[0];
+        for _ in 0..3 {
+            walk.cate(GroupHandle::new(&groups[0]), codes.iter().copied(), treated);
+        }
+        let open = engine.cache_stats_for("linear");
+        assert_eq!((open.hits, open.misses, open.entries), (2, 1, 1));
+        drop(walk);
+        assert_eq!(engine.cache_stats_for("linear"), open);
+
+        const ROUNDS: u64 = 3;
+        let estimators = [EstimatorKind::Linear, EstimatorKind::Stratified];
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for e in &estimators {
+                for t in 0..2 {
+                    let (engine, groups, patterns, start) = (&engine, &groups, &patterns, &start);
+                    scope.spawn(move || {
+                        let q = engine.with_estimator(e);
+                        start.wait();
+                        for _ in 0..ROUNDS {
+                            for i in 0..groups.len() {
+                                // Opposite orders, so the two walkers of an
+                                // estimator race on the same keys.
+                                let group = &groups[if t == 0 { i } else { groups.len() - 1 - i }];
+                                let mut walk = q.walk();
+                                for (codes, treated) in patterns {
+                                    walk.cate(
+                                        GroupHandle::new(group),
+                                        codes.iter().copied(),
+                                        treated,
+                                    );
+                                }
+                            }
+                        }
+                    });
+                }
+            }
+        });
+        let per_walker = ROUNDS * (groups.len() * patterns.len()) as u64;
+        let distinct = groups.len() * patterns.len();
+        let hists: BTreeMap<String, HistogramSnapshot> =
+            engine.estimate_histograms().into_iter().collect();
+        for e in estimators {
+            let c = engine.cache_stats_for(e.name());
+            let before = if e == EstimatorKind::Linear { 3 } else { 0 };
+            assert_eq!(
+                c.hits + c.misses,
+                2 * per_walker + before,
+                "{}: {c:?}",
+                e.name()
+            );
+            assert_eq!(
+                (c.entries, c.evictions),
+                (distinct, 0),
+                "{}: {c:?}",
+                e.name()
+            );
+            assert_eq!(hists[e.name()].count, c.misses, "{}", e.name());
+        }
+        assert_breakdown_sums(&engine);
     }
 
     /// All three group caches bounded to one entry at once, under `linear`
@@ -1467,18 +1467,14 @@ mod tests {
     #[test]
     fn estimate_keys_hash_once_and_compare_in_full() {
         let engine = engine();
-        let linear = engine.record("linear");
         let p = Pattern::of_eq(&[("educated", Value::Bool(true))]);
-        let key = |record: &Arc<EstimatorRecord>, fp: u64, p: &Pattern| {
-            EstimateKey::new(record, fp, engine.pattern_codes(p))
-        };
-        let a = key(&linear, 7, &p);
-        assert!(a == key(&linear, 7, &p));
-        assert_eq!(a.hash, key(&linear, 7, &p).hash);
-        assert!(a != key(&linear, 8, &p));
-        assert!(a != key(&engine.record("stratified"), 7, &p));
+        let key = |fp: u64, p: &Pattern| EstimateKey::new(fp, engine.pattern_codes(p));
+        let a = key(7, &p);
+        assert!(a == key(7, &p));
+        assert_eq!(a.hash, key(7, &p).hash);
+        assert!(a != key(8, &p));
         let q = Pattern::of_eq(&[("educated", Value::Bool(false))]);
-        assert!(a != key(&linear, 7, &q));
+        assert!(a != key(7, &q));
         // Codes in any order make the same key, and its hash follows the
         // predicates' content, not the order codes were handed out in.
         let pq = Pattern::of_eq(&[
@@ -1487,14 +1483,13 @@ mod tests {
         ]);
         let mut reversed = engine.pattern_codes(&pq);
         reversed.reverse();
-        assert!(key(&linear, 7, &pq) == EstimateKey::new(&linear, 7, reversed));
+        assert!(key(7, &pq) == EstimateKey::new(7, reversed));
         let (df, dag) = fixture();
         let other = CateEngine::new(df, dag, "income").unwrap();
         other.predicate_code(&pq.predicates()[1]);
-        let other_linear = other.record("linear");
-        let other_key = EstimateKey::new(&other_linear, 7, other.pattern_codes(&pq));
-        assert_ne!(other_key.pattern, key(&linear, 7, &pq).pattern);
-        assert_eq!(other_key.hash, key(&linear, 7, &pq).hash);
+        let other_key = EstimateKey::new(7, other.pattern_codes(&pq));
+        assert_ne!(other_key.pattern, key(7, &pq).pattern);
+        assert_eq!(other_key.hash, key(7, &pq).hash);
         // `Hash` feeds the precomputed digest alone.
         let mut h = FnvHasher::new();
         a.hash(&mut h);
@@ -1542,9 +1537,10 @@ mod tests {
         assert_eq!(fresh.cache_stats_for("linear").entries, 2);
     }
 
-    /// A snapshot bigger than a bounded estimate cache imports within the
-    /// bound: the overflow is evicted and charged to its estimator, and
-    /// what stays cached is the snapshot's own records.
+    /// A snapshot bigger than the bounded estimate caches imports within
+    /// each estimator's bound: the overflow is evicted from its
+    /// estimator's cache, and what stays cached is the snapshot's own
+    /// records.
     #[test]
     fn import_into_bounded_cache_keeps_the_bound() {
         let engine = engine();
@@ -1570,10 +1566,12 @@ mod tests {
         let bounded = engine_with_estimate_capacity(4);
         bounded.import_state(state);
         let stats = bounded.cache_stats();
-        assert_eq!((stats.entries, stats.evictions), (4, 8));
+        assert_eq!((stats.entries, stats.evictions), (8, 4));
         assert_eq!((stats.hits, stats.misses), (0, 0));
+        // Each estimator imports 6 records into a bound of 4.
         for name in ["linear", "stratified"] {
             let c = bounded.cache_stats_for(name);
+            assert_eq!((c.entries, c.evictions), (4, 2), "{name}: {c:?}");
             assert_eq!(c.entries as u64 + c.evictions, 6, "{name}: {c:?}");
         }
         assert_breakdown_sums(&bounded);

@@ -1,15 +1,16 @@
 //! [`ServeClient`] / [`ClientConnection`] — the in-process test/bench
 //! harness for a running server.
 //!
-//! Thin blocking HTTP/1.1 clients over `std::net::TcpStream`:
+//! Thin blocking HTTP/1.1 clients over `std::net::TcpStream`, both
+//! framing responses by `content-length`, which the server always sends:
 //!
 //! * [`ServeClient`] issues one request per fresh connection (sends
 //!   `connection: close`) — the simplest correct thing for tests that
 //!   exercise admission control;
-//! * [`ClientConnection`] holds one **keep-alive** connection, framing
-//!   responses by `content-length`, and can write several pipelined
-//!   requests before reading any response — used by the keep-alive
-//!   conformance tests and the `serve_bench` keep-alive/coalescing loops.
+//! * [`ClientConnection`] holds one **keep-alive** connection and can
+//!   write several pipelined requests before reading any response — used
+//!   by [`ServeClient`], the keep-alive conformance tests and the
+//!   `serve_bench` keep-alive/coalescing loops.
 //!
 //! Used by the admission-control integration tests, the CI smoke driver
 //! (`serve_smoke`), and the `serve_bench` latency bench.
@@ -77,59 +78,17 @@ impl ServeClient {
         self.request("POST", path, Some(body))
     }
 
-    /// Issue one request on a fresh connection.
+    /// Issue one request on a fresh connection, asking the server to
+    /// close it after answering.
     pub fn request(
         &self,
         method: &str,
         path: &str,
         body: Option<&str>,
     ) -> std::io::Result<ClientResponse> {
-        let mut stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        let body = body.unwrap_or("");
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-            self.addr,
-            body.len()
-        );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body.as_bytes())?;
-        stream.flush()?;
-
-        let mut reader = BufReader::new(stream);
-        let mut status_line = String::new();
-        reader.read_line(&mut status_line)?;
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("bad status line `{}`", status_line.trim_end()),
-                )
-            })?;
-        // Collect headers; the server always closes, so the body is
-        // read-to-end (content-length is honoured implicitly).
-        let mut headers = Vec::new();
-        loop {
-            let mut line = String::new();
-            let n = reader.read_line(&mut line)?;
-            if n == 0 || line == "\r\n" || line == "\n" {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
-            }
-        }
-        let mut body = String::new();
-        reader.read_to_string(&mut body)?;
-        Ok(ClientResponse {
-            status,
-            headers,
-            body,
-        })
+        let mut conn = self.connect()?;
+        conn.send(method, path, body, true)?;
+        conn.read_response()
     }
 
     /// Open a persistent keep-alive connection to the server.

@@ -30,8 +30,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 #[derive(Debug)]
 pub struct Inserted<K, V> {
     /// The key already existed: its value was replaced and the entry count
-    /// did not grow. Lets callers maintain derived per-scope entry
-    /// counters exactly, even under racing duplicate inserts.
+    /// did not grow.
     pub replaced: bool,
     /// Entries evicted to respect the capacity bound.
     pub evicted: Vec<(K, V)>,
@@ -209,13 +208,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
         let built = build()?;
         self.insert(key, built.clone());
         Ok(built)
-    }
-
-    /// Whether a key is present, without counting a hit/miss or refreshing
-    /// recency. Used by bulk imports to distinguish inserts from
-    /// replacements without skewing the observability counters.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.shard_of(key).lock().map.contains_key(key)
     }
 
     /// Insert (or replace) an entry, evicting least-recently-used entries
