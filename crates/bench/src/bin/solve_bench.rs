@@ -28,7 +28,11 @@
 //! `greedy_evaluations` (Step 3 candidate evaluations) and the
 //! `candidates` and `evaluated` totals of Step 1's and Step 2's
 //! [`MiningStats`](faircap_mining::MiningStats) (`grouping_*`,
-//! `lattice_*`; zero for a step its cache served).
+//! `lattice_*`; zero for a step its cache served), and
+//! `cell_table_misses`, the cell tables `linear`'s count path built over
+//! the sweep (the session engine's cell-table cache misses). That count
+//! repeats exactly on one Step 2 worker (`FAIRCAP_WORKERS=1`); on more,
+//! the order of cache inserts varies and moves it by a few percent.
 //! With `--gate BASELINE.json`, each (case, dataset) entry's best-of-reps
 //! time goes through the shared gate
 //! ([`faircap_bench::enforce_gate`] with [`faircap_bench::SOLVE_GATE`]):
@@ -70,6 +74,8 @@ struct Entry {
     /// The sweep's reports' work counters, summed: counts that do not
     /// move with the machine. Written, not gated.
     stats: SolveStats,
+    /// Cell-table cache misses over the sweep. Written, not gated.
+    cell_table_misses: u64,
 }
 
 impl Entry {
@@ -101,6 +107,10 @@ impl Entry {
                 "lattice_evaluated",
                 Json::Num(self.stats.lattice.evaluated as f64),
             ),
+            (
+                "cell_table_misses",
+                Json::Num(self.cell_table_misses as f64),
+            ),
         ])
     }
 }
@@ -128,11 +138,23 @@ fn sweep(use_solve_cache: bool) -> Vec<SolveRequest> {
     .collect()
 }
 
-fn run_sweep(session: &PrescriptionSession, use_solve_cache: bool) -> Vec<SolutionReport> {
-    sweep(use_solve_cache)
+/// One sweep's reports, and the cell-table misses it added.
+struct Swept {
+    reports: Vec<SolutionReport>,
+    cell_table_misses: u64,
+}
+
+fn run_sweep(session: &PrescriptionSession, use_solve_cache: bool) -> Swept {
+    let misses = || session.engine().cell_table_cache_stats().misses;
+    let before = misses();
+    let reports = sweep(use_solve_cache)
         .iter()
         .map(|request| session.solve(request).expect("valid request"))
-        .collect()
+        .collect();
+    Swept {
+        reports,
+        cell_table_misses: misses() - before,
+    }
 }
 
 /// Time one sweep case; the reports are the best-of rep's.
@@ -140,18 +162,23 @@ fn time_case(
     case: &str,
     dataset: &str,
     rows: usize,
-    f: impl FnMut() -> Vec<SolutionReport>,
+    f: impl FnMut() -> Swept,
 ) -> (Entry, Vec<SolutionReport>) {
     let timed = best_of(REPS, f);
     let (min_ms, mean_ms) = (timed.min_ms(), timed.mean_ms);
+    let Swept {
+        reports,
+        cell_table_misses,
+    } = timed.best;
     let mut stats = SolveStats::default();
-    for report in &timed.best {
+    for report in &reports {
         stats.merge(&report.stats);
     }
     let (grouping, lattice) = (stats.grouping, stats.lattice);
     println!(
         "solve_bench: {dataset} ({rows} rows) {case:<20} min {min_ms:9.3} ms  mean {mean_ms:9.3} ms  \
-         greedy evaluations {}  grouping {}/{}  lattice {}/{} candidates/evaluated",
+         greedy evaluations {}  grouping {}/{}  lattice {}/{} candidates/evaluated  \
+         cell-table misses {cell_table_misses}",
         stats.greedy.evaluations,
         grouping.candidates,
         grouping.evaluated,
@@ -166,8 +193,9 @@ fn time_case(
         min_ms,
         mean_ms,
         stats,
+        cell_table_misses,
     };
-    (entry, timed.best)
+    (entry, reports)
 }
 
 /// Assert two sweeps produced bit-identical rulesets: same rules in the

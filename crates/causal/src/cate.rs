@@ -26,8 +26,12 @@
 //!   adjustment fingerprint)` — each row's cell, rows and outcome
 //!   deviations per cell, and the intervention-independent part of `XᵀX`
 //!   and `Xᵀy`, assembled from the group entry; or the verdict that the
-//!   group takes the columnar path. Each intervention then only walks its
-//!   treated rows;
+//!   group takes the columnar path (a numeric or Bool covariate, or a
+//!   non-finite outcome). A table depends only on the covariates with two
+//!   or more levels in the group, so on a miss the group entry hands out
+//!   the live table of the same varying covariates if another adjustment
+//!   set has one; that miss counts as a hit, and `misses` counts tables
+//!   built. Each intervention then only walks its treated rows;
 //! * full estimates, one cache per estimator, keyed by `(group
 //!   fingerprint, intervention)` — the caches Step 2's re-walks hit
 //!   hardest. The intervention is keyed by the codes of its predicates in
@@ -39,8 +43,10 @@
 //!   the hash is the same in every run.
 //!
 //! Beside the caches the engine keeps two append-only tables: the
-//! predicate table, code → predicate and back, which spells a key out as
-//! a [`Pattern`] only on a miss and on export; and per attribute with few
+//! predicate table, code → predicate and back, with each code's
+//! attribute number, which a walk's miss reads to find the adjustment set
+//! and which spells a key out as a [`Pattern`] only on export; and per
+//! attribute with few
 //! levels, the full-frame mask of each level ([`CateEngine::level_masks`]),
 //! built at the first walk that needs it, from which Step 2 builds a
 //! group's items by word AND.
@@ -112,17 +118,18 @@ const ESTIMATE_CACHE_SHARDS: usize = 16;
 /// keeps reuse high without letting index memory grow with the sweep.
 const MATCH_INDEX_CACHE_CAPACITY: usize = 32;
 
-/// Default entry bound of the cell-table cache. Tables are per (group,
-/// adjustment set), at 4 bytes per group row plus the group's shared
-/// [`GroupRows`]. Step 2 queries each group, its protected and its
-/// non-protected sub-coverage in turn, each under the adjustment sets of
-/// its interventions, on several worker threads at once, so most tables
-/// serve one group's sweep under one adjustment set and are not used
-/// again. A cold `so_session` solve (StackOverflow, 10k rows, seed 1)
-/// builds tables for 348 groups under 41 adjustment sets: 14,351 misses
-/// against 34,863 hits at 128 entries on one worker (14.56k–14.64k
-/// misses on two, where the order of inserts varies), 13,892 with no
-/// bound.
+/// Default entry bound of the cell-table cache. Entries are per (group,
+/// adjustment set); a table costs 4 bytes per group row plus the group's
+/// shared [`GroupRows`], and entries whose adjustment sets differ only by
+/// covariates constant in the group share one table. Step 2 queries each
+/// group, its protected and its non-protected sub-coverage in turn, each
+/// under the adjustment sets of its interventions, on several worker
+/// threads at once, so most tables serve one group's sweep and are not
+/// used again. A cold `so_session` solve (StackOverflow, 10k rows,
+/// seed 1) queries 348 groups under 41 adjustment sets: on one worker it
+/// builds 9,176 tables at 128 entries (40,038 hits, 14,223 evictions).
+/// Keyed on the adjustment set alone, as before tables were shared, it
+/// built 14,351 (13,892 with no bound).
 const CELL_TABLE_CACHE_CAPACITY: usize = 128;
 
 /// Default entry bound of the count path's per-group cache
@@ -171,7 +178,8 @@ pub type MatchIndexCache = ShardedLruCache<(u64, u64), Arc<MatchIndex>>;
 
 /// `linear`'s count-path tables ([`CellTable`]), and the `None` verdict
 /// for a group and adjustment set that take the columnar path, keyed by
-/// `(group fingerprint, adjustment fingerprint)`.
+/// `(group fingerprint, adjustment fingerprint)`. Entries of one group
+/// whose adjustment sets vary in the same covariates hold the same table.
 pub type CellTableCache = ShardedLruCache<(u64, u64), Option<Arc<CellTable>>>;
 
 /// `linear`'s count-path group entries ([`GroupRows`]: outcomes, their
@@ -290,11 +298,16 @@ pub struct PredicateCode {
     hash: u64,
 }
 
-/// The engine's append-only predicate table: code → predicate, and back.
+/// The engine's append-only predicate table: code → predicate, and back;
+/// and each code's attribute, numbered in first-use order.
 #[derive(Default)]
 struct PredicateTable {
     codes: HashMap<Predicate, PredicateCode>,
     predicates: Vec<Predicate>,
+    /// The attribute number of each code's predicate.
+    attribute_of: Vec<u32>,
+    /// Attribute numbers by name.
+    attribute_ids: HashMap<String, u32>,
 }
 
 impl PredicateTable {
@@ -406,8 +419,8 @@ pub struct CateEngine {
     /// intervention sweep.
     group_caches: GroupCaches,
     /// Every predicate an estimate key has named, by code. Locked to code
-    /// a predicate (read, or write on first sight), to spell a key out on
-    /// a miss, and on export — never per cache hit.
+    /// a predicate (read, or write on first sight), to read a key's
+    /// attributes on a miss, and on export — never per cache hit.
     predicates: RwLock<PredicateTable>,
     /// Full-frame level masks per `(attribute, level bound)`
     /// ([`CateEngine::level_masks`]), built on first use.
@@ -527,6 +540,12 @@ impl CateEngine {
             code: u32::try_from(table.predicates.len()).expect("fewer than 2^32 predicates"),
             hash: hash.finish64(),
         };
+        let next = table.attribute_ids.len() as u32;
+        let attribute = *table
+            .attribute_ids
+            .entry(predicate.attr.clone())
+            .or_insert(next);
+        table.attribute_of.push(attribute);
         table.predicates.push(predicate.clone());
         table.codes.insert(predicate.clone(), code);
         code
@@ -917,9 +936,11 @@ impl<'a> CateQuery<'a> {
 /// integers and compares integers; it passes the treated mask it already
 /// holds (a lattice node's `coverage ∧ pattern`) instead of having the
 /// engine compute the pattern's full-frame mask; and the walk keeps a
-/// small memo from treatment-attribute set to [`Adjustment`], so each
-/// set's names and fingerprint are resolved once per walk rather than
-/// once per estimate. A walk is meant for one thread; make one per group.
+/// small memo from treatment-attribute set to [`Adjustment`], keyed on
+/// the attributes' numbers in the predicate table, so each set's names
+/// and fingerprint are resolved once per walk rather than once per
+/// estimate, and a miss spells no pattern. A walk is meant for one
+/// thread; make one per group.
 pub struct CateWalk<'q, 'a> {
     query: &'q CateQuery<'a>,
     adjustments: AdjustmentMemo,
@@ -947,34 +968,42 @@ impl CateWalk<'_, '_> {
     }
 }
 
-/// A walk's memo from treatment-attribute set to adjustment:
-/// `(hash of the attribute names, the names, their adjustment)`, in
-/// first-use order, one entry per attribute set the walk's misses reach,
-/// found by comparing hashes before names.
+/// A walk's memo from treatment-attribute set to adjustment: `(the
+/// attributes' numbers in the predicate table, their adjustment)`, in
+/// first-use order, one entry per attribute set the walk's misses reach.
 #[derive(Default)]
-struct AdjustmentMemo(Vec<(u64, Vec<String>, Option<Arc<Adjustment>>)>);
+struct AdjustmentMemo(Vec<(Codes, Option<Arc<Adjustment>>)>);
 
 impl AdjustmentMemo {
     /// The adjustment set of the attributes of the pattern with predicate
     /// `codes`, from the memo or, on first use in this walk, from the
-    /// engine's cache.
+    /// engine's cache. The memo compares attribute numbers; names are read
+    /// only when it misses.
     fn get(&mut self, engine: &CateEngine, codes: &[u32]) -> Option<Arc<Adjustment>> {
-        let intervention = engine.predicates.read().pattern(codes);
-        let attrs = intervention.attributes();
-        let mut h = FnvHasher::new();
-        for attr in &attrs {
-            h.write_str_stable(attr);
-        }
-        let hash = h.finish64();
-        let memo = self.0.iter().find(|(memo_hash, names, _)| {
-            *memo_hash == hash && names.iter().map(String::as_str).eq(attrs.iter().copied())
-        });
-        if let Some((_, _, adjustment)) = memo {
+        let attrs: Codes = {
+            let table = engine.predicates.read();
+            codes
+                .iter()
+                .map(|&c| table.attribute_of[c as usize])
+                .collect()
+        };
+        // Set equality: a pattern may hold two predicates on one attribute.
+        let same = |memo: &Codes| {
+            memo.iter().all(|a| attrs.contains(a)) && attrs.iter().all(|a| memo.contains(a))
+        };
+        if let Some((_, adjustment)) = self.0.iter().find(|(memo, _)| same(memo)) {
             return adjustment.clone();
         }
-        let names: Vec<String> = attrs.into_iter().map(str::to_owned).collect();
+        // In `Pattern::attributes` order: sorted, without repeats.
+        let mut names: Vec<String> = {
+            let table = engine.predicates.read();
+            let predicates = codes.iter().map(|&c| &table.predicates[c as usize]);
+            predicates.map(|p| p.attr.clone()).collect()
+        };
+        names.sort_unstable();
+        names.dedup();
         let adjustment = engine.adjustment_for(&names);
-        self.0.push((hash, names, adjustment.clone()));
+        self.0.push((attrs, adjustment.clone()));
         adjustment
     }
 }
@@ -1386,6 +1415,55 @@ mod tests {
         assert_eq!(counts(default.match_index_cache_stats()), (3, 4, 0, 4));
         assert_eq!(counts(default.cell_table_cache_stats()), (3, 4, 0, 4));
         assert_eq!(counts(default.group_rows_cache_stats()), (1, 3, 0, 3));
+    }
+
+    /// Two adjustment sets that differ only by a covariate constant in the
+    /// group share one cell table: `educated` adjusts for `region`,
+    /// `{educated, region}` for nothing, and `region` has one level in the
+    /// north. The second set's query is a table hit, not a build, and both
+    /// estimates equal a table built for their own set alone bit for bit,
+    /// and the oracle's within its contract.
+    #[test]
+    fn adjustment_sets_differing_by_a_constant_covariate_share_one_table() {
+        let engine = engine();
+        let df = engine.df();
+        let north = Pattern::of_eq(&[("region", Value::from("north"))]);
+        let educated = Pattern::of_eq(&[("educated", Value::Bool(true))]);
+        let group = north.coverage(df).unwrap();
+        let queries = [
+            (educated.clone(), vec!["region".to_owned()]),
+            (educated.and(&north), vec![]),
+        ];
+        for (p, adjustment) in &queries {
+            let attrs: Vec<String> = p.attributes().into_iter().map(str::to_owned).collect();
+            let found = engine.adjustment_for(&attrs).unwrap();
+            assert_eq!(found.names(), &adjustment[..], "{p}");
+        }
+        let bits = |e: &Estimate| {
+            let fields = [e.cate, e.std_err, e.t_stat, e.p_value].map(f64::to_bits);
+            (fields, e.n_treated, e.n_control)
+        };
+        for (p, adjustment) in &queries {
+            let live = engine.cate(&group, p, &EstimatorKind::Linear).unwrap();
+            let treated = p.coverage(df).unwrap();
+            let own = CellTable::build(df, &group, "income", adjustment).unwrap();
+            let own = own.unwrap().estimate(&group, &treated).unwrap();
+            assert_eq!(bits(&live), bits(&own), "{p}");
+            let naive = crate::estimate::reference::linear_naive(
+                df, &group, &treated, "income", adjustment,
+            )
+            .unwrap();
+            assert_eq!(live.cate.to_bits(), naive.cate.to_bits(), "{p}");
+            let arms = (naive.n_treated, naive.n_control);
+            assert_eq!((live.n_treated, live.n_control), arms, "{p}");
+            let off = (live.std_err - naive.std_err).abs() / naive.std_err;
+            assert!(
+                off <= crate::estimate::linear::INFERENCE_TOLERANCE,
+                "{p}: {off:e}"
+            );
+        }
+        let tables = engine.cell_table_cache_stats();
+        assert_eq!((tables.hits, tables.misses, tables.entries), (1, 1, 2));
     }
 
     /// The walk entry point, handed `coverage ∧ pattern` as the treated

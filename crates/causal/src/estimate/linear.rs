@@ -18,12 +18,16 @@
 //!      covariate, on first use, it codes each row's level (the
 //!      `design::LevelCoder` rule: the first observed level is the
 //!      reference; one byte per row up to 256 levels) and sums `y` per
-//!      level in ascending row order. A [`CellTable`] per (group,
-//!      adjustment set) is then put together from integers: each row's
-//!      covariate-level *cell*, the rows per cell, the
-//!      intervention-independent part of `XᵀX`, and each cell's design
-//!      columns. One more pass sums `d` per cell. The table shares the
-//!      group's rows by `Arc` and adds 4 bytes per row.
+//!      level in ascending row order. A [`CellTable`] per group and set of
+//!      covariates that vary in it is then put together from integers:
+//!      each row's covariate-level *cell* (numbered densely by first
+//!      appearance, however wide the space of level combinations), the
+//!      rows per cell, the intervention-independent part of `XᵀX`, and
+//!      each cell's design columns. One more pass sums `d` per cell. The
+//!      table shares the group's rows by `Arc` and adds 4 bytes per row.
+//!      A covariate with one level in the group splits no cell and adds no
+//!      design column, so adjustment sets that differ only by such
+//!      covariates share one table.
 //!   2. Per intervention, one walk over the set bits of `group ∧ treated`
 //!      counts treated rows per cell, sums treated `y` in ascending order
 //!      for `Xᵀy`'s treatment entry, and sums treated `d` per cell. A
@@ -48,20 +52,22 @@
 //!   differently.
 //! * **Columnar path** — the fused column-major design of
 //!   [`kernel::build_columns`] and the blocked [`kernel`] reductions,
-//!   bit-identical to the oracle in all four fields. It runs when a
-//!   covariate is numeric or Bool, when an outcome in the group is not
+//!   bit-identical to the oracle in all four fields. It runs only when a
+//!   covariate is numeric or Bool, or when an outcome in the group is not
 //!   finite (`0·∞` terms make every sum NaN, which counts cannot
-//!   reproduce), or when the cell space `2·∏ observed levels` exceeds the
-//!   group's row count.
+//!   reproduce).
 //!
 //! Both paths share the solve: one ridge-stabilized Cholesky factor of
 //! `XᵀX` gives `β` and, from one more triangular solve against `e₁`, the
 //! `(1,1)` entry of `(XᵀX)⁻¹`.
 //!
 //! The [`CateEngine`](crate::cate::CateEngine) caches one [`GroupRows`]
-//! per group fingerprint and one table (or the verdict that the columnar
-//! path must run) per (group fingerprint, adjustment fingerprint), so an
-//! intervention sweep over a group builds its table once.
+//! per group fingerprint and, per (group fingerprint, adjustment
+//! fingerprint), the table (or the verdict that the columnar path must
+//! run), so an intervention sweep over a group builds its table once. On
+//! a miss, the group entry hands out the live table of the same varying
+//! covariates if another adjustment set has one, so the cache builds one
+//! table per distinct design.
 
 use super::design::LevelCoder;
 use super::{kernel, Estimate, HotStats, MIN_ARM_SIZE};
@@ -72,7 +78,8 @@ use faircap_table::stats::t_sf_two_sided;
 use faircap_table::{CatColumn, Column, DataFrame, Mask};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::{AddAssign, Mul};
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 /// The count path's contract against
@@ -82,9 +89,12 @@ use std::time::Instant;
 /// within this absolute distance). The per-slot RSS errs by about
 /// `ε·Σd²` times a small summation factor, and the exact pass takes over
 /// at or below [`EXACT_RSS_FRACTION`]` · Σd²`, so the RSS's relative error
-/// stays near `ε·10⁶ ≈ 2·10⁻¹⁰` times that factor at worst. Over 300k
+/// stays near `ε·10⁶ ≈ 2·10⁻¹⁰` times that factor at worst. Over 360k
 /// random estimates (`tests/prop_kernels.rs`, `linear_oracle_sweep`) the
-/// largest deviation measured was 6·10⁻¹⁵ (`std_err`, relative).
+/// largest deviation measured was 7.9·10⁻¹¹ (`std_err`, relative). It
+/// comes from cell spaces wider than the group, whose slots hold a row or
+/// two and whose fits leave little residual: while those designs took the
+/// columnar path, the sweep's largest was 6·10⁻¹⁵.
 pub const INFERENCE_TOLERANCE: f64 = 1e-9;
 
 /// The per-slot RSS stands only when it exceeds this fraction of the
@@ -95,8 +105,9 @@ pub const EXACT_RSS_FRACTION: f64 = 1e-6;
 /// Estimate the CATE by linear regression (see module docs), with
 /// hot-path cost accounting. With `caches` — the engine's group caches and
 /// the group and adjustment fingerprints keying them — the count path's
-/// [`GroupRows`] and [`CellTable`] come from the caches (built and cached
-/// on a miss); without, both are built for this estimate alone.
+/// [`GroupRows`] and [`CellTable`] come from the caches (shared or built,
+/// and cached, on a miss); without, both are built for this estimate
+/// alone.
 pub fn estimate_with(
     df: &DataFrame,
     group: &Mask,
@@ -115,15 +126,15 @@ pub fn estimate_with(
             let caches = cache.caches;
             caches
                 .cell_table
-                .get_or_build(cache.table_key(), || -> Result<_> {
+                .get_or_resolve(cache.table_key(), || -> Result<_> {
                     let rows = || {
                         let build = || GroupRows::build(df, group, outcome);
                         caches.group_rows.get_or_build(cache.group_fp, build)
                     };
-                    Ok(CellTable::assemble(df, group, adjustment, rows)?.map(Arc::new))
+                    CellTable::assemble(df, group, adjustment, rows)
                 })?
         }
-        None => CellTable::build(df, group, outcome, adjustment)?.map(Arc::new),
+        None => CellTable::build(df, group, outcome, adjustment)?,
     };
     if let Some(table) = table {
         let walk = table.walk(group, treated);
@@ -239,11 +250,17 @@ pub struct GroupRows {
     rank: Vec<u32>,
     /// Coded covariates by column name.
     covariates: Mutex<HashMap<String, Arc<Levels>>>,
+    /// The live tables assembled over the group, by the [`Levels::id`]s of
+    /// the covariates they were built from. Weak, so a table (which holds
+    /// its group entry) and the entry form no cycle.
+    tables: Mutex<HashMap<Vec<u32>, Weak<CellTable>>>,
 }
 
 /// One categorical covariate coded within a group.
 #[derive(Debug)]
 struct Levels {
+    /// The covariate's number within its group entry, in coding order.
+    id: u32,
     /// Each group row's level, ascending.
     column: LevelColumn,
     /// `Σy` per level, each in ascending row order; one entry per level.
@@ -259,9 +276,16 @@ enum LevelColumn {
 }
 
 impl LevelColumn {
-    /// Add `radix · level` to each row's cell.
-    fn add_to(&self, cell: &mut [u32], radix: u32) {
-        fn add<L: Copy + Into<u32>>(cell: &mut [u32], levels: &[L], radix: u32) {
+    /// Add `radix · level` to each row's cell code.
+    fn add_to<C>(&self, cell: &mut [C], radix: C)
+    where
+        C: Copy + AddAssign + Mul<Output = C> + From<u8> + From<u32>,
+    {
+        fn add<C, L>(cell: &mut [C], levels: &[L], radix: C)
+        where
+            C: Copy + AddAssign + Mul<Output = C>,
+            L: Copy + Into<C>,
+        {
             for (c, &l) in cell.iter_mut().zip(levels) {
                 *c += radix * l.into();
             }
@@ -269,6 +293,14 @@ impl LevelColumn {
         match self {
             LevelColumn::Byte(levels) => add(cell, levels, radix),
             LevelColumn::Word(levels) => add(cell, levels, radix),
+        }
+    }
+
+    /// Group row `r`'s level.
+    fn level(&self, r: usize) -> usize {
+        match self {
+            LevelColumn::Byte(levels) => usize::from(levels[r]),
+            LevelColumn::Word(levels) => levels[r] as usize,
         }
     }
 }
@@ -299,6 +331,7 @@ impl GroupRows {
             tss,
             rank,
             covariates: Mutex::new(HashMap::new()),
+            tables: Mutex::new(HashMap::new()),
         })))
     }
 
@@ -329,12 +362,79 @@ impl GroupRows {
         } else {
             LevelColumn::Word(levels)
         };
-        let built = Arc::new(Levels { column, sums });
         // A racing thread may have coded the same covariate; both codings
         // are equal, and the first one stays.
         let mut covariates = self.covariates.lock();
-        Arc::clone(covariates.entry(name.to_owned()).or_insert(built))
+        let id = covariates.len() as u32;
+        let coded = covariates
+            .entry(name.to_owned())
+            .or_insert_with(|| Arc::new(Levels { id, column, sums }));
+        Arc::clone(coded)
     }
+}
+
+/// Each group row's cell, numbered densely by first appearance in
+/// ascending row order, and each cell's first row. `coded` are the
+/// covariates that split cells; each row's mixed-radix code (covariate 0
+/// varying fastest) names its cell.
+///
+/// When the code space `∏ levels` fits the group, the codes are `u32`s
+/// renumbered through a code-indexed array, as large as the space. A wider
+/// space (a sub-coverage of a few dozen rows under covariates of a dozen
+/// levels) takes `u64` codes renumbered through a map, so memory stays
+/// O(rows + cells) however many levels there are; should the next
+/// covariate overflow `u64`, the codes are first renumbered densely
+/// (below `2³²`). Both renumber by first appearance of the same level
+/// tuples, so they number cells alike.
+fn number_cells(coded: &[Arc<Levels>], n: usize) -> (Vec<u32>, Vec<u32>) {
+    let space = coded
+        .iter()
+        .try_fold(1usize, |space, levels| space.checked_mul(levels.sums.len()));
+    let mut first = Vec::new();
+    if let Some(space) = space.filter(|&space| space <= n) {
+        // `radix · level < space ≤ n < 2³²`.
+        let mut cell = vec![0u32; n];
+        let mut radix = 1u32;
+        for levels in coded {
+            levels.column.add_to(&mut cell, radix);
+            radix *= levels.sums.len() as u32;
+        }
+        let mut dense_of = vec![u32::MAX; space];
+        for (r, c) in cell.iter_mut().enumerate() {
+            let slot = &mut dense_of[*c as usize];
+            if *slot == u32::MAX {
+                *slot = first.len() as u32;
+                first.push(r as u32);
+            }
+            *c = *slot;
+        }
+        return (cell, first);
+    }
+    let mut code = vec![0u64; n];
+    let mut radix = 1u64;
+    for levels in coded {
+        let l = levels.sums.len() as u64;
+        if radix.checked_mul(l).is_none() {
+            radix = renumber(&mut code, &mut Vec::new()) as u64;
+        }
+        levels.column.add_to(&mut code, radix);
+        radix *= l;
+    }
+    renumber(&mut code, &mut first);
+    (code.into_iter().map(|c| c as u32).collect(), first)
+}
+
+/// Renumber `codes` densely by first appearance, pushing each number's
+/// first row to `first`; returns how many numbers there are.
+fn renumber(codes: &mut [u64], first: &mut Vec<u32>) -> usize {
+    let mut dense_of: HashMap<u64, u64> = HashMap::new();
+    for (r, c) in codes.iter_mut().enumerate() {
+        *c = *dense_of.entry(*c).or_insert_with(|| {
+            first.push(r as u32);
+            first.len() as u64 - 1
+        });
+    }
+    dense_of.len()
 }
 
 /// Row count and `Σd` over a set of group rows.
@@ -400,81 +500,82 @@ struct Treated {
 impl CellTable {
     /// Build the group entry and the table for this one adjustment set, or
     /// `None` when the columnar path must run instead: a numeric or Bool
-    /// covariate, a non-finite outcome, or more slots than rows. Errors
-    /// match the columnar path's (unknown column, non-numeric outcome).
+    /// covariate, or a non-finite outcome. Errors match the columnar
+    /// path's (unknown column, non-numeric outcome).
     pub fn build(
         df: &DataFrame,
         group: &Mask,
         outcome: &str,
         adjustment: &[String],
-    ) -> Result<Option<CellTable>> {
-        CellTable::assemble(df, group, adjustment, || {
-            GroupRows::build(df, group, outcome)
-        })
+    ) -> Result<Option<Arc<CellTable>>> {
+        let rows = || GroupRows::build(df, group, outcome);
+        Ok(CellTable::assemble(df, group, adjustment, rows)?.0)
     }
 
-    /// Put the table together from the group entry `rows()` supplies, or
-    /// return `None` when the columnar path must run instead: a numeric or
-    /// Bool covariate (checked before `rows` is called), no entry (a
-    /// non-finite outcome), or more slots than rows. Errors match the
-    /// columnar path's (unknown column, non-numeric outcome).
+    /// The table of this adjustment set over the group entry `rows()`
+    /// supplies, or `None` when the columnar path must run instead: a
+    /// numeric or Bool covariate (checked before `rows` is called) or no
+    /// entry (a non-finite outcome). Errors match the columnar path's
+    /// (unknown column, non-numeric outcome).
+    ///
+    /// A covariate with one level in the group splits no cell and adds no
+    /// design column, so the table depends only on the covariates that
+    /// vary there. The entry keeps the live table of each such set, and an
+    /// adjustment set that differs from one already assembled only by
+    /// covariates constant in the group shares that table. The flag is
+    /// `false` for a shared table, `true` for a table or verdict built
+    /// here.
     fn assemble(
         df: &DataFrame,
         group: &Mask,
         adjustment: &[String],
         rows: impl FnOnce() -> Result<Option<Arc<GroupRows>>>,
-    ) -> Result<Option<CellTable>> {
+    ) -> Result<(Option<Arc<CellTable>>, bool)> {
         let mut covariates = Vec::with_capacity(adjustment.len());
         for name in adjustment {
             match df.column(name)? {
                 Column::Cat(c) => covariates.push((name, c)),
-                _ => return Ok(None),
+                _ => return Ok((None, true)),
             }
         }
         let Some(rows) = rows()? else {
-            return Ok(None);
+            return Ok((None, true));
         };
-        let n = rows.y.len();
-        let mut coded = Vec::with_capacity(covariates.len());
-        let mut stride = 2usize;
-        for &(name, cat) in &covariates {
-            let levels = rows.levels(name, cat, group);
-            stride = match stride.checked_mul(levels.sums.len()) {
-                Some(next) if next <= n => next,
-                _ => return Ok(None),
-            };
-            coded.push(levels);
+        let coded: Vec<Arc<Levels>> = covariates
+            .iter()
+            .map(|&(name, cat)| rows.levels(name, cat, group))
+            .filter(|levels| levels.sums.len() > 1)
+            .collect();
+        let design: Vec<u32> = coded.iter().map(|levels| levels.id).collect();
+        if let Some(shared) = rows.tables.lock().get(&design).and_then(Weak::upgrade) {
+            return Ok((Some(shared), false));
+        }
+        let table = Arc::new(CellTable::from_levels(Arc::clone(&rows), &coded));
+        // A racing thread may have built the same design; both tables are
+        // equal, and the first one stays.
+        let mut tables = rows.tables.lock();
+        tables.retain(|_, live| live.strong_count() > 0);
+        let kept = tables
+            .entry(design)
+            .or_insert_with(|| Arc::downgrade(&table));
+        Ok((Some(kept.upgrade().unwrap_or(table)), true))
+    }
+
+    /// Put the table together over `rows` from the covariates that split
+    /// its cells, in adjustment order.
+    fn from_levels(rows: Arc<GroupRows>, coded: &[Arc<Levels>]) -> CellTable {
+        let (cell, first) = number_cells(coded, rows.y.len());
+        let mut cells = vec![Moments::default(); first.len()];
+        for (&c, &yi) in cell.iter().zip(&rows.y) {
+            cells[c as usize].add(yi - rows.mean);
         }
 
-        // Each row's cell in mixed radix, covariate 0 varying fastest.
-        // `radix · level < stride / 2 ≤ n < 2³²` by the check above.
-        let mut cell = vec![0u32; n];
-        let mut radix = 1u32;
-        for levels in &coded {
-            levels.column.add_to(&mut cell, radix);
-            radix *= levels.sums.len() as u32;
-        }
-
-        // Renumber the occupied cells densely and sum each one's moments.
-        let mut dense_of = vec![u32::MAX; radix as usize];
-        let mut radix_of = Vec::new();
-        let mut cells: Vec<Moments> = Vec::new();
-        for (c, &yi) in cell.iter_mut().zip(&rows.y) {
-            let slot = &mut dense_of[*c as usize];
-            if *slot == u32::MAX {
-                *slot = cells.len() as u32;
-                radix_of.push(*c);
-                cells.push(Moments::default());
-            }
-            *c = *slot;
-            cells[*c as usize].add(yi - rows.mean);
-        }
-
-        // `Xᵀy` without its treatment entry, each cell's design columns,
-        // and `XᵀX` without its treatment row (integers, so exact).
+        // `Xᵀy` without its treatment entry, each cell's design columns
+        // (read off the cell's first row), and `XᵀX` without its treatment
+        // row (integers, so exact).
         let mut xty = vec![rows.sum_y, 0.0];
         let mut offsets = Vec::with_capacity(coded.len());
-        for levels in &coded {
+        for levels in coded {
             offsets.push(xty.len());
             xty.extend(levels.sums.iter().skip(1));
         }
@@ -484,14 +585,11 @@ impl CellTable {
         let mut starts = Vec::with_capacity(cells.len() + 1);
         starts.push(0u32);
         let mut active = Vec::with_capacity(1 + coded.len());
-        for (moments, &code) in cells.iter().zip(&radix_of) {
+        for (moments, &r) in cells.iter().zip(&first) {
             active.clear();
             active.push(0);
-            let mut rest = code as usize;
             for (levels, &offset) in coded.iter().zip(&offsets) {
-                let l = levels.sums.len();
-                let level = rest % l;
-                rest /= l;
+                let level = levels.column.level(r as usize);
                 if level > 0 {
                     active.push(offset + level - 1);
                     columns.push((offset + level - 1) as u32);
@@ -505,7 +603,7 @@ impl CellTable {
                 }
             }
         }
-        Ok(Some(CellTable {
+        CellTable {
             rows,
             cell,
             cells,
@@ -513,7 +611,7 @@ impl CellTable {
             starts,
             gram,
             xty,
-        }))
+        }
     }
 
     /// Estimate the CATE of `treated` within `group` (the mask the table
@@ -695,12 +793,12 @@ mod tests {
             .with_column("b", Column::Bool((0..n).map(|r| r % 2 == 0).collect()))
             .unwrap();
         assert!(!gather(&flags, &["z", "b"]));
-        // 80 levels: 2·80 slots > 80 rows.
+        // 80 levels: a cell space wider than the 80 rows.
         let ids: Vec<String> = (0..n).map(|r| format!("id{r}")).collect();
         let wide = df
             .with_column("id", Column::Cat(CatColumn::from_values(&ids)))
             .unwrap();
-        assert!(!gather(&wide, &["z", "id"]));
+        assert!(gather(&wide, &["z", "id"]));
         let mut o: Vec<f64> = (0..n).map(|r| r as f64).collect();
         o[7] = f64::NAN;
         let nan = df.with_column("o", Column::Float(o)).unwrap();
@@ -757,6 +855,78 @@ mod tests {
         assert_eq!(live.cate.to_bits(), naive.cate.to_bits());
         let se = (live.std_err - naive.std_err).abs() / naive.std_err;
         assert!(se <= INFERENCE_TOLERANCE, "std_err {se:e} off");
+    }
+
+    /// Cells are numbered by first appearance of each row's level tuple
+    /// whether the code space fits the group (a space-sized array), is
+    /// wider (a map), or passes `u64` (codes compacted on the way), and the
+    /// estimate keeps the oracle's contract in every case.
+    #[test]
+    fn wide_cell_spaces_number_cells_by_first_appearance() {
+        let n = 2000;
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let levels: Vec<Vec<u64>> = (0..17)
+            .map(|_| (0..n).map(|_| next() % 16).collect())
+            .collect();
+        let t: Vec<bool> = (0..n).map(|_| next() % 3 == 0).collect();
+        let o: Vec<f64> = (0..n)
+            .map(|r| {
+                levels[0][r] as f64
+                    + 3.0 * f64::from(u8::from(t[r]))
+                    + (next() % 1000) as f64 / 250.0
+            })
+            .collect();
+        let mut builder = DataFrame::builder().float("o", o);
+        let names: Vec<String> = (0..levels.len()).map(|a| format!("z{a}")).collect();
+        for (name, col) in names.iter().zip(&levels) {
+            let labels: Vec<String> = col.iter().map(|l| format!("l{l}")).collect();
+            builder = builder.cat(name, &labels);
+        }
+        let df = builder.build().unwrap();
+        let (all, treated) = (Mask::ones(n), Mask::from_bools(&t));
+        let rows = GroupRows::build(&df, &all, "o").unwrap().unwrap();
+        // Spaces of 16² (fits), 16³ (wider than the rows) and 16¹⁷ = 2⁶⁸.
+        for p in [2, 3, 17] {
+            let coded: Vec<Arc<Levels>> = names[..p]
+                .iter()
+                .map(|name| match df.column(name).unwrap() {
+                    Column::Cat(cat) => rows.levels(name, cat, &all),
+                    _ => unreachable!(),
+                })
+                .collect();
+            let (cell, first) = number_cells(&coded, n);
+            let mut seen: HashMap<Vec<usize>, u32> = HashMap::new();
+            for (r, &numbered) in cell.iter().enumerate() {
+                let tuple: Vec<usize> = coded.iter().map(|l| l.column.level(r)).collect();
+                let fresh = seen.len() as u32;
+                let c = *seen.entry(tuple).or_insert(fresh);
+                assert_eq!(numbered, c, "{p} covariates, row {r}");
+                if c == fresh {
+                    assert_eq!(first[c as usize] as usize, r);
+                }
+            }
+            assert_eq!(first.len(), seen.len());
+
+            let adj = names[..p].to_vec();
+            let live = CellTable::build(&df, &all, "o", &adj).unwrap().unwrap();
+            let live = live.estimate(&all, &treated);
+            let naive = super::super::reference::linear_naive(&df, &all, &treated, "o", &adj);
+            match (live, naive) {
+                (Ok(live), Ok(naive)) => {
+                    assert_eq!(live.cate.to_bits(), naive.cate.to_bits(), "{p}");
+                    let se = (live.std_err - naive.std_err).abs() / naive.std_err;
+                    assert!(se <= INFERENCE_TOLERANCE, "{p}: std_err {se:e} off");
+                }
+                (Err(_), Err(_)) => assert_eq!(p, 17, "only the widest design refuses"),
+                (live, naive) => panic!("{p}: {live:?} vs {naive:?}"),
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   estimator used by the paper's reference implementation. On
 //!   all-categorical adjustment sets it solves from integer cell counts
 //!   instead of a design matrix (its count path), falling back to the
-//!   columnar kernels for numeric or Bool covariates, non-finite outcomes
-//!   and cell spaces larger than the group. Both paths give `β` and every
+//!   columnar kernels for numeric or Bool covariates and non-finite
+//!   outcomes. Both paths give `β` and every
 //!   refusal bit-identical to [`reference::linear_naive`]; the count
 //!   path's inference statistics agree within
 //!   [`linear::INFERENCE_TOLERANCE`].
@@ -87,7 +87,8 @@ pub struct HotStats {
     /// tiers 1 and 2: the cell-table lookup — and on a miss the group
     /// entry's lookup or build (outcomes, their sum and mean), the coding
     /// of covariates the group has not seen, and the table's assembly from
-    /// integers — plus the per-intervention walk over the treated rows.
+    /// integers or its sharing from another adjustment set — plus the
+    /// per-intervention walk over the treated rows.
     pub build_ns: u64,
     /// Nanoseconds spent constructing reusable indices (the KD-tree over
     /// the standardized design; zero for estimators without one or when a

@@ -15,7 +15,7 @@
 //! `--include-ignored`) measures the deviations over 20k random designs.
 
 use faircap::causal::estimate::{kernel, linear, matching, reference};
-use faircap::causal::{Estimate, Estimator as _, EstimatorKind, HotStats};
+use faircap::causal::{Estimate, HotStats};
 use faircap::table::{Column, DataFrame, Mask};
 use proptest::prelude::*;
 
@@ -86,7 +86,8 @@ const MAX_ROWS: usize = 320;
 /// `(raw levels, kind)` specs. Kind 0 copies the previous covariate and kind
 /// 1 coarsens it (both alias one-hot columns, so the gram is singular and
 /// the ridge ladder runs); kinds 2–5 draw 1–3 levels and kinds 6–7 draw
-/// 1–12, keeping most designs' cell space under the row count.
+/// 1–12, so most designs' cell spaces fit the row count (renumbered through
+/// an array) and some do not (through a map).
 fn categorical_codes(specs: &[(u8, u8)], seed: &[u8], n: usize) -> Vec<Vec<u8>> {
     let mut codes: Vec<Vec<u8>> = Vec::with_capacity(specs.len());
     for (a, &(raw, kind)) in specs.iter().enumerate() {
@@ -255,10 +256,10 @@ fn assert_linear_matches_naive(
 /// ridge ladder, subgroups that drop levels, arms under `MIN_ARM_SIZE`,
 /// and Float / Int / Bool outcomes within the tolerance contract; Float
 /// and Int outcomes without noise (near-perfect fits, so the exact row
-/// pass runs) bit for bit. With `fallbacks`, also the three inputs that
-/// fall back to the columnar path, bit for bit there: a numeric covariate,
-/// a non-finite outcome, and a cell space larger than the group (with
-/// `n ≤ k + 1` among them).
+/// pass runs) bit for bit; and a cell space larger than the group (with
+/// `n ≤ k + 1` among them), on the count path too. With `fallbacks`, also
+/// the two inputs that fall back to the columnar path, bit for bit there:
+/// a numeric covariate and a non-finite outcome.
 #[allow(clippy::too_many_arguments)] // the property's generated inputs
 fn check_linear_design(
     n: usize,
@@ -313,7 +314,7 @@ fn check_linear_design(
         let labels: Vec<String> = col.iter().map(|c| format!("l{c}")).collect();
         builder = builder.cat(name, &labels);
     }
-    // One level per row pair: 2·∏ levels ≥ n.
+    // One level per row pair: a cell space wider than any group.
     let wide: Vec<String> = (0..n).map(|r| format!("w{}", r / 2)).collect();
     let df = builder.cat("wide", &wide).build().unwrap();
     let with_num = [&names[..1], &["num".to_owned()], &names[1..]].concat();
@@ -338,14 +339,12 @@ fn check_linear_design(
         ] {
             assert_linear_matches_naive(&df, &group, &treated, outcome, &names, agreement, dev)?;
         }
+        assert_linear_matches_naive(&df, &group, &treated, "y", &with_wide, Tolerance, dev)?;
         if !fallbacks {
             continue;
         }
-        // Fallbacks: a numeric covariate, an oversized cell space (most
-        // of the time: a subgroup of complete row pairs fits it).
-        for adjustment in [&with_num, &with_wide] {
-            assert_linear_matches_naive(&df, &group, &treated, "y", adjustment, Tolerance, dev)?;
-        }
+        // Fallback: a numeric covariate.
+        assert_linear_matches_naive(&df, &group, &treated, "y", &with_num, Tolerance, dev)?;
         // Fallback: a non-finite outcome on one group row.
         if let Some(row) = group.iter_ones().nth(n / 5) {
             let mut y_bad = y.clone();
@@ -561,8 +560,8 @@ proptest! {
     /// — within the tolerance contract for a noisy outcome, and bit for bit
     /// for an outcome that is an exact function of the levels (and constant
     /// without covariates), where the exact row pass runs. Refusals match.
-    /// A group the count path refuses builds `None`, and the naive estimate
-    /// then equals the live estimator's columnar one bit for bit.
+    /// Every group builds a table, cell spaces wider than the group
+    /// included: the designs are all categorical and the outcomes finite.
     #[test]
     fn cell_table_reuse_matches_naive(
         n in 10usize..MAX_ROWS,
@@ -595,18 +594,14 @@ proptest! {
         let mut dev = Deviations::default();
         for group in groups.iter().map(|g| Mask::from_bools(g)) {
             for (outcome, agreement) in [("y", Agreement::Tolerance), ("y_flat", Agreement::Exact)] {
-                let table = linear::CellTable::build(&df, &group, outcome, &names).unwrap();
+                let table = linear::CellTable::build(&df, &group, outcome, &names)
+                    .unwrap()
+                    .expect("an all-categorical design with finite outcomes");
                 for (m, cut) in [6u8, 40, 128, 128, 215, 250].into_iter().enumerate() {
                     let bits = &treat_seed[m * MAX_ROWS..m * MAX_ROWS + n];
                     let treated = Mask::from_bools(&bits.iter().map(|&b| b < cut).collect::<Vec<_>>());
                     let naive = reference::linear_naive(&df, &group, &treated, outcome, &names);
-                    let (live, agreement) = match &table {
-                        Some(table) => (table.estimate(&group, &treated), agreement),
-                        None => (
-                            EstimatorKind::Linear.estimate(&df, &group, &treated, outcome, &names),
-                            Agreement::Exact,
-                        ),
-                    };
+                    let live = table.estimate(&group, &treated);
                     let context = (m, outcome, &names);
                     assert_linear_agrees(live, naive, agreement, &mut dev, &context)?;
                 }
@@ -701,7 +696,8 @@ impl Stream {
 
 /// The count path's tolerance contract, measured: 20,000 random frames
 /// through `check_linear_design` without its fallback inputs (three
-/// groups and five outcomes each, so 300k estimates, with outcome scales
+/// groups each, under five outcomes and the wide design, so 360k
+/// estimates, with outcome scales
 /// from 10⁻³ to 10⁶ and offsets up to 10⁶). Fails on any refusal
 /// mismatch, any `cate` difference, a deviation above
 /// `linear::INFERENCE_TOLERANCE`, or a noiseless design that is not
