@@ -1,11 +1,12 @@
 //! # faircap-bench
 //!
-//! The paper's evaluation, one binary per result: `table3` … `table6` and
-//! `fig3` … `fig5` regenerate a table or figure, `ablation_estimators`,
-//! `ablation_lattice` and `micro_substrates` time the design choices and
-//! substrates underneath, and `estimator_bench`, `solve_bench` and
-//! `serve_bench` write the `BENCH_*.json` documents CI gates against the
-//! committed baselines.
+//! The paper's evaluation in one binary: `paper SECTION...` runs the named
+//! sections — `table3` … `table6` and `fig3` … `fig5` regenerate a table or
+//! figure, `ablation_estimators`, `ablation_lattice` and `micro_substrates`
+//! time the design choices and substrates underneath — and every section
+//! with no argument. `estimator_bench`, `solve_bench` and `serve_bench`
+//! write the `BENCH_*.json` documents CI gates against the committed
+//! baselines.
 //!
 //! The experiment loops follow the session model: one
 //! [`PrescriptionSession`] per dataset (built by [`session_of`]), re-solved

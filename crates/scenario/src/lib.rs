@@ -16,7 +16,7 @@
 //!   guarding the contract.
 //! * [`store`] — persist/load a scenario directory (`scenario.csv`,
 //!   `scenario.dag`, `scenario.json` with the truth table) whose CSV+DAG
-//!   half feeds `faircap solve`/`faircap serve` directly.
+//!   half feeds `faircap --data … --dag …` and `faircap serve` directly.
 //! * [`verify`] — grade estimators against the planted truth
 //!   ([`check_recovery`]) and prove the unadjusted estimate is biased
 //!   ([`naive_bias`]) — the ground-truth recovery gate behind

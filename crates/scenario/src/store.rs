@@ -7,7 +7,7 @@
 //!   ground-truth CATE table.
 //!
 //! The CSV and DAG files are deliberately self-sufficient engine inputs:
-//! `faircap solve --data scenario.csv --dag scenario.dag …` (and `faircap
+//! `faircap --data scenario.csv --dag scenario.dag …` (and `faircap
 //! serve`) consume them without knowing the scenario crate exists. The JSON
 //! carries what those two cannot: which attributes are stable vs flexible,
 //! the protected pattern, and the truth table that `faircap gen --check`

@@ -305,7 +305,11 @@ pub fn protected_pattern(df: &DataFrame, pairs: &[(String, String)]) -> Result<P
                 raw.parse::<f64>()
                     .map_err(|e| format!("protected value for {attr}: {e}"))?,
             ),
-            faircap_table::DataType::Bool => Value::Bool(raw == "true"),
+            // CSV Bool columns hold exactly `true`/`false`; any other word
+            // (`True`, `1`, `yes`) is refused rather than read as `false`.
+            faircap_table::DataType::Bool => Value::Bool(raw.parse::<bool>().map_err(|_| {
+                format!("protected value for {attr}: `{raw}` is not `true` or `false`")
+            })?),
             faircap_table::DataType::Cat => Value::from(raw.as_str()),
         };
         preds.push(Predicate::eq(attr, value));
@@ -746,7 +750,7 @@ immutable confounders (each `--cardinality` levels), `--flexible` binary
 treatments, and a continuous outcome; every coefficient is hash-derived
 from the spec, so the planted per-group CATEs are closed-form and the
 sampled frame is bit-reproducible per (spec, seed). Writes scenario.csv,
-scenario.dag (both directly usable as --data/--dag for `faircap solve` and
+scenario.dag (both directly usable as --data/--dag for `faircap --data …` and
 `faircap serve`), and scenario.json (roles + truth table) into DIR.
 
 --check grades stratified/IPW/AIPW/matching against the planted truth in every
@@ -986,7 +990,17 @@ pub fn parse_replay_args(args: &[String]) -> Result<ReplayCliOptions, String> {
             "--clients" => {
                 opts.clients = value()?.parse().map_err(|e| format!("--clients: {e}"))?
             }
-            "--rate" => opts.rate_hz = Some(value()?.parse().map_err(|e| format!("--rate: {e}"))?),
+            "--rate" => {
+                let rate: f64 = value()?.parse().map_err(|e| format!("--rate: {e}"))?;
+                // The open-loop schedule sends request `idx` at `idx / rate`
+                // seconds, so a zero, negative or NaN rate would never send.
+                if !(rate.is_finite() && rate > 0.0) {
+                    return Err(format!(
+                        "--rate must be a finite number above 0, got {rate}"
+                    ));
+                }
+                opts.rate_hz = Some(rate);
+            }
             "--cold-fraction" => {
                 opts.cold_fraction = value()?
                     .parse()
@@ -1222,6 +1236,14 @@ mod tests {
         assert_eq!(p.len(), 3);
         assert!(protected_pattern(&df, &[("ghost".into(), "1".into())]).is_err());
         assert!(protected_pattern(&df, &[("tier".into(), "NaNope".into())]).is_err());
+        // A Bool column takes exactly `true` or `false`: `True`, `1` or
+        // `yes` would otherwise select the `false` rows.
+        let p = protected_pattern(&df, &[("flag".into(), "false".into())]).unwrap();
+        assert_eq!(p, Pattern::of_eq(&[("flag", Value::Bool(false))]));
+        for raw in ["True", "1", "yes", ""] {
+            let err = protected_pattern(&df, &[("flag".into(), raw.into())]).unwrap_err();
+            assert!(err.starts_with("protected value for flag: "), "{err}");
+        }
     }
 
     #[test]
@@ -1444,6 +1466,11 @@ mod tests {
         assert!(parse_replay_args(&args("--scenario d --mix bogus")).is_err());
         assert!(parse_replay_args(&args("--scenario d --requests 0")).is_err());
         assert!(parse_replay_args(&args("--scenario d --cold-fraction 1.5")).is_err());
+        // An open-loop rate must be finite and above 0, or nothing is sent.
+        for rate in ["0", "-1", "NaN", "inf"] {
+            let err = parse_replay_args(&args(&format!("--scenario d --rate {rate}"))).unwrap_err();
+            assert!(err.starts_with("--rate must be"), "{rate}: {err}");
+        }
         // --shutdown without a server makes no sense.
         assert!(parse_replay_args(&args("--scenario d --shutdown")).is_err());
     }

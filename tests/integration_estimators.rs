@@ -201,8 +201,8 @@ fn new_estimators_produce_german_credit_rulesets() {
         .build()
         .unwrap();
     // Single-predicate patterns keep the candidate lattice small enough for
-    // a debug-build test; the release-mode `ablation_estimators` bin runs
-    // the full-size sweep.
+    // a debug-build test; the release-mode `paper ablation_estimators`
+    // section runs the full-size sweep.
     let mut config = faircap::core::FairCapConfig {
         apriori_threshold: 0.2,
         max_group_len: 1,
