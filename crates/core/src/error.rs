@@ -31,7 +31,8 @@ pub enum Error {
         name: String,
     },
     /// An attribute was declared with conflicting roles (immutable and
-    /// mutable, or overlapping the outcome).
+    /// mutable, overlapping the outcome, or mutable and named by the
+    /// protected pattern).
     ConflictingRoles {
         /// The doubly-declared attribute.
         name: String,

@@ -178,6 +178,18 @@ impl SessionBuilder {
                 });
             }
         }
+        // A rule that sets the protected attribute leaves the protected
+        // group rather than helping it, so it is not actionable.
+        if let Some(a) = protected
+            .attributes()
+            .into_iter()
+            .find(|a| self.mutable.iter().any(|m| m == a))
+        {
+            return Err(Error::ConflictingRoles {
+                name: a.to_owned(),
+                roles: ("mutable", "protected"),
+            });
+        }
         // Validates outcome existence and type — before the DAG-membership
         // check, so a missing column is reported as the missing column
         // rather than as a DAG problem.
@@ -1029,14 +1041,29 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, Error::ConflictingRoles { ref name, .. } if name == "big"));
         let err = FairCap::builder()
-            .data(df)
-            .dag(dag)
+            .data(df.clone())
+            .dag(dag.clone())
             .outcome("outcome")
             .mutable(["outcome"])
-            .protected(prot)
+            .protected(prot.clone())
             .build()
             .unwrap_err();
         assert!(matches!(err, Error::ConflictingRoles { .. }));
+        // The protected pattern's attribute may not be mutable.
+        let err = FairCap::builder()
+            .data(df)
+            .dag(dag)
+            .outcome("outcome")
+            .immutable(["segment"])
+            .mutable(["big", "grp"])
+            .protected(prot)
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::ConflictingRoles { ref name, roles: ("mutable", "protected") }
+                if name == "grp"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -13,69 +13,51 @@
 //! 1 runtime error (a solve, the server, a recovery gate, or a replay
 //! failing after a valid start).
 
+use faircap::cli::{self, CliError, CliOptions};
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
-        Some("serve") => serve(&args[1..]),
-        Some("gen") => gen(&args[1..]),
-        Some("replay") => replay(&args[1..]),
-        _ => solve(&args),
+        Some("serve") => run(
+            rest,
+            cli::parse_serve_args,
+            cli::SERVE_USAGE,
+            cli::run_serve,
+        ),
+        Some("gen") => run(rest, cli::parse_gen_args, cli::GEN_USAGE, cli::run_gen),
+        Some("replay") => run(
+            rest,
+            cli::parse_replay_args,
+            cli::REPLAY_USAGE,
+            cli::run_replay,
+        ),
+        _ => run(&args, cli::parse_args, cli::USAGE, solve),
     }
 }
 
-/// Exit for an argument-parsing result: `--help` prints usage and exits 0,
-/// anything else is a configuration error (exit 2).
-fn usage_exit(msg: String, usage: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(if msg == usage { 0 } else { 2 });
-}
-
-fn solve(args: &[String]) {
-    let opts = match faircap::cli::parse_args(args) {
-        Ok(o) => o,
-        Err(msg) => usage_exit(msg, faircap::cli::USAGE),
-    };
-    match faircap::cli::execute(&opts) {
-        Ok(report) => {
-            println!("{report}");
-            print!("{}", report.rule_cards());
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(e.exit_code());
-        }
-    }
-}
-
-fn serve(args: &[String]) {
-    let opts = match faircap::cli::parse_serve_args(args) {
-        Ok(o) => o,
-        Err(msg) => usage_exit(msg, faircap::cli::SERVE_USAGE),
-    };
-    if let Err(e) = faircap::cli::run_serve(&opts) {
+/// Parse `args` and run the subcommand. A parse error holding exactly the
+/// usage text is `--help`: it prints and exits 0; any other is a
+/// configuration error (exit 2). A failed run exits with its error's code.
+fn run<T>(
+    args: &[String],
+    parse: fn(&[String]) -> Result<T, String>,
+    usage: &str,
+    go: fn(&T) -> Result<(), CliError>,
+) {
+    let opts = parse(args).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(if msg == usage { 0 } else { 2 });
+    });
+    if let Err(e) = go(&opts) {
         eprintln!("error: {e}");
         std::process::exit(e.exit_code());
     }
 }
 
-fn gen(args: &[String]) {
-    let opts = match faircap::cli::parse_gen_args(args) {
-        Ok(o) => o,
-        Err(msg) => usage_exit(msg, faircap::cli::GEN_USAGE),
-    };
-    if let Err(e) = faircap::cli::run_gen(&opts) {
-        eprintln!("error: {e}");
-        std::process::exit(e.exit_code());
-    }
-}
-
-fn replay(args: &[String]) {
-    let opts = match faircap::cli::parse_replay_args(args) {
-        Ok(o) => o,
-        Err(msg) => usage_exit(msg, faircap::cli::REPLAY_USAGE),
-    };
-    if let Err(e) = faircap::cli::run_replay(&opts) {
-        eprintln!("error: {e}");
-        std::process::exit(e.exit_code());
-    }
+fn solve(opts: &CliOptions) -> Result<(), CliError> {
+    let report = cli::execute(opts)?;
+    println!("{report}");
+    print!("{}", report.rule_cards());
+    Ok(())
 }

@@ -95,20 +95,155 @@ impl std::error::Error for CliError {
     }
 }
 
-/// Parsed command-line options.
+/// Walks one subcommand's arguments flag by flag. Every parser reads its
+/// flags and values through it, so help, missing values, malformed values,
+/// unknown flags and missing flags read the same in all four.
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+    usage: &'static str,
+    /// The flag most recently returned by [`next`](Self::next).
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String], usage: &'static str) -> Self {
+        Flags {
+            args: args.iter(),
+            usage,
+            flag: "",
+        }
+    }
+
+    /// The next flag, `None` at the end. `--help`/`-h` is returned as an
+    /// error holding exactly the usage text, which the binary prints and
+    /// exits 0 on.
+    fn next(&mut self) -> Result<Option<&'a str>, String> {
+        let Some(flag) = self.args.next() else {
+            return Ok(None);
+        };
+        if flag == "--help" || flag == "-h" {
+            return Err(self.usage.to_owned());
+        }
+        self.flag = flag;
+        Ok(Some(flag))
+    }
+
+    /// The current flag's value.
+    fn value(&mut self) -> Result<String, String> {
+        self.args
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("missing value for {}", self.flag))
+    }
+
+    /// The current flag's value, parsed.
+    fn parse<T: std::str::FromStr>(&mut self) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let flag = self.flag;
+        self.value()?.parse().map_err(|e| format!("{flag}: {e}"))
+    }
+
+    /// The error for a flag this subcommand does not take.
+    fn unknown(&self) -> String {
+        format!("unknown flag `{}`\n\n{}", self.flag, self.usage)
+    }
+
+    /// `value` unless it is empty: `flag` was not given, or given nothing
+    /// (`--mutable ,`).
+    fn required<T: Default + PartialEq>(&self, value: T, flag: &str) -> Result<T, String> {
+        if value == T::default() {
+            return Err(format!("{flag} is required\n\n{}", self.usage));
+        }
+        Ok(value)
+    }
+}
+
+/// One dataset group: the inputs that build a session, and the name it
+/// registers under in `faircap serve`.
 #[derive(Debug, Clone, Default)]
-pub struct CliOptions {
+pub struct DatasetSpec {
     /// CSV file with the data.
     pub data: String,
     /// Edge-list / DOT file with the causal DAG.
     pub dag: String,
     /// Outcome attribute.
     pub outcome: String,
-    /// Comma-separated mutable attributes; all other non-outcome columns
-    /// are treated as immutable.
+    /// Mutable attributes (`--mutable a,b,c`); all other non-outcome
+    /// columns are treated as immutable.
     pub mutable: Vec<String>,
     /// Protected-group predicates `attr=value`, comma-separated.
     pub protected: Vec<(String, String)>,
+    /// Session name the dataset registers under (default: `default`).
+    pub name: String,
+}
+
+/// Dataset flags accumulated while parsing one group.
+#[derive(Default, PartialEq)]
+struct PartialDataset {
+    data: Option<String>,
+    dag: Option<String>,
+    outcome: Option<String>,
+    mutable: Option<Vec<String>>,
+    protected: Option<Vec<(String, String)>>,
+    name: Option<String>,
+}
+
+impl PartialDataset {
+    /// Reads dataset flag `flag` (and `--name` when `named`) into the
+    /// group; any other flag is unknown. A flag the group already holds
+    /// closes it: the closed group is returned and this one restarts with
+    /// just the new value.
+    fn read(&mut self, flag: &str, flags: &mut Flags, named: bool) -> Result<Option<Self>, String> {
+        Ok(match flag {
+            "--data" => self.set(|d| &mut d.data, flags.value()?),
+            "--dag" => self.set(|d| &mut d.dag, flags.value()?),
+            "--outcome" => self.set(|d| &mut d.outcome, flags.value()?),
+            "--mutable" => {
+                let list = flags.value()?;
+                let names = list.split(',').map(str::trim).filter(|s| !s.is_empty());
+                self.set(|d| &mut d.mutable, names.map(str::to_owned).collect())
+            }
+            "--protected" => {
+                let mut pairs = Vec::new();
+                for pair in flags.value()?.split(',') {
+                    let (attr, v) = pair
+                        .split_once('=')
+                        .ok_or_else(|| format!("--protected needs attr=value, got `{pair}`"))?;
+                    pairs.push((attr.trim().to_owned(), v.trim().to_owned()));
+                }
+                self.set(|d| &mut d.protected, pairs)
+            }
+            "--name" if named => self.set(|d| &mut d.name, flags.value()?),
+            _ => return Err(flags.unknown()),
+        })
+    }
+
+    /// Sets one field, first closing the group if the field is set.
+    fn set<T>(&mut self, field: fn(&mut Self) -> &mut Option<T>, value: T) -> Option<Self> {
+        let closed = field(self).is_some().then(|| std::mem::take(self));
+        *field(self) = Some(value);
+        closed
+    }
+
+    fn finish(self, flags: &Flags) -> Result<DatasetSpec, String> {
+        Ok(DatasetSpec {
+            data: flags.required(self.data.unwrap_or_default(), "--data")?,
+            dag: flags.required(self.dag.unwrap_or_default(), "--dag")?,
+            outcome: flags.required(self.outcome.unwrap_or_default(), "--outcome")?,
+            mutable: flags.required(self.mutable.unwrap_or_default(), "--mutable")?,
+            protected: flags.required(self.protected.unwrap_or_default(), "--protected")?,
+            name: self.name.unwrap_or_else(|| "default".into()),
+        })
+    }
+}
+
+/// Parsed command-line options.
+#[derive(Debug, Clone, Default)]
+pub struct CliOptions {
+    /// The dataset to solve.
+    pub dataset: DatasetSpec,
     /// Fairness spec: `none`, `sp-group:EPS`, `sp-individual:EPS`,
     /// `bgl-group:TAU`, `bgl-individual:TAU`.
     pub fairness: String,
@@ -160,65 +295,28 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         max_rules: 20,
         ..CliOptions::default()
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--help" || flag == "-h" {
-            return Err(USAGE.to_owned());
-        }
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {flag}"))
-        };
-        match flag.as_str() {
-            "--data" => opts.data = value()?,
-            "--dag" => opts.dag = value()?,
-            "--outcome" => opts.outcome = value()?,
-            "--mutable" => {
-                opts.mutable = value()?
-                    .split(',')
-                    .map(|s| s.trim().to_owned())
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            }
-            "--protected" => {
-                for pair in value()?.split(',') {
-                    let (attr, v) = pair
-                        .split_once('=')
-                        .ok_or_else(|| format!("--protected needs attr=value, got `{pair}`"))?;
-                    opts.protected
-                        .push((attr.trim().to_owned(), v.trim().to_owned()));
+    let mut flags = Flags::new(args, USAGE);
+    let mut dataset = PartialDataset::default();
+    while let Some(flag) = flags.next()? {
+        match flag {
+            "--fairness" => opts.fairness = flags.value()?,
+            "--coverage" => opts.coverage = flags.value()?,
+            "--estimator" => opts.estimator = flags.value()?,
+            "--max-rules" => opts.max_rules = flags.parse()?,
+            "--workers" => opts.workers = Some(flags.parse()?),
+            "--save-cache" => opts.save_cache = Some(flags.value()?),
+            "--load-cache" => opts.load_cache = Some(flags.value()?),
+            _ => {
+                if dataset.read(flag, &mut flags, false)?.is_some() {
+                    return Err(format!(
+                        "{flag} given twice: a solve reads one dataset group \
+                         (`faircap serve` takes several)"
+                    ));
                 }
             }
-            "--fairness" => opts.fairness = value()?,
-            "--coverage" => opts.coverage = value()?,
-            "--estimator" => opts.estimator = value()?,
-            "--max-rules" => {
-                opts.max_rules = value()?.parse().map_err(|e| format!("--max-rules: {e}"))?
-            }
-            "--workers" => {
-                opts.workers = Some(value()?.parse().map_err(|e| format!("--workers: {e}"))?)
-            }
-            "--save-cache" => opts.save_cache = Some(value()?),
-            "--load-cache" => opts.load_cache = Some(value()?),
-            other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }
     }
-    for (name, val) in [
-        ("--data", &opts.data),
-        ("--dag", &opts.dag),
-        ("--outcome", &opts.outcome),
-    ] {
-        if val.is_empty() {
-            return Err(format!("{name} is required\n\n{USAGE}"));
-        }
-    }
-    if opts.mutable.is_empty() {
-        return Err(format!("--mutable is required\n\n{USAGE}"));
-    }
-    if opts.protected.is_empty() {
-        return Err(format!("--protected is required\n\n{USAGE}"));
-    }
+    opts.dataset = dataset.finish(&flags)?;
     Ok(opts)
 }
 
@@ -317,17 +415,14 @@ pub fn protected_pattern(df: &DataFrame, pairs: &[(String, String)]) -> Result<P
     Ok(Pattern::new(preds))
 }
 
-/// Load the data/DAG/protected-pattern inputs and build the session,
-/// optionally warm-starting from a snapshot file. Every failure here is a
+/// Load one dataset group's inputs and build its session, optionally
+/// warm-starting from a snapshot file. Every failure here is a
 /// [`CliError::Config`]: the user handed us something unusable.
 fn build_session(
-    data: &str,
-    dag: &str,
-    outcome: &str,
-    mutable: &[String],
-    protected: &[(String, String)],
+    spec: &DatasetSpec,
     load_cache: Option<&str>,
 ) -> Result<PrescriptionSession, CliError> {
+    let (data, dag) = (&spec.data, &spec.dag);
     let df = csv::read_csv(data).map_err(|e| CliError::Config(format!("reading {data}: {e}")))?;
     let dag_text = std::fs::read_to_string(dag)
         .map_err(|e| CliError::Config(format!("reading {dag}: {e}")))?;
@@ -336,16 +431,23 @@ fn build_session(
     let immutable: Vec<String> = df
         .names()
         .iter()
-        .filter(|c| **c != outcome && !mutable.contains(c))
+        .filter(|c| **c != spec.outcome && !spec.mutable.contains(c))
         .cloned()
         .collect();
-    let protected = protected_pattern(&df, protected).map_err(CliError::Config)?;
+    let protected = protected_pattern(&df, &spec.protected).map_err(CliError::Config)?;
+    // The library solves against an empty protected group; from the
+    // command line one is a mistyped level, or NaN, which equals nothing.
+    if protected.coverage(&df).is_ok_and(|m| m.count() == 0) {
+        return Err(CliError::Config(format!(
+            "protected group `{protected}` covers no row of {data}"
+        )));
+    }
     let mut builder = FairCap::builder()
         .data(df)
         .dag(dag)
-        .outcome(outcome)
+        .outcome(&spec.outcome)
         .immutable(immutable)
-        .mutable(mutable.iter().cloned())
+        .mutable(spec.mutable.iter().cloned())
         .protected(protected);
     if let Some(path) = load_cache {
         let text = std::fs::read_to_string(path)
@@ -365,10 +467,11 @@ fn build_session(
 /// Load inputs and run FairCap according to the options.
 ///
 /// Builds a [`FairCap`] session — all input validation (missing columns,
-/// ill-typed outcome, outcome absent from the DAG, role conflicts) surfaces
-/// as [`CliError::Config`] (exit code 2); a failing solve surfaces as
-/// [`CliError::Runtime`] (exit code 1) rendered through the typed engine
-/// error's `Display`.
+/// ill-typed outcome, outcome absent from the DAG, role conflicts, a
+/// protected group that covers no row) surfaces as [`CliError::Config`]
+/// (exit code 2), and so does a constraint value the solve refuses; a
+/// failing solve surfaces as [`CliError::Runtime`] (exit code 1) rendered
+/// through the typed engine error's `Display`.
 ///
 /// `--load-cache` warm-starts the session from a snapshot file before
 /// solving; `--save-cache` persists the warmed caches afterwards. When
@@ -382,17 +485,15 @@ pub fn execute(opts: &CliOptions) -> Result<SolutionReport, CliError> {
         max_rules: opts.max_rules,
         ..FairCapConfig::default()
     };
-    let session = build_session(
-        &opts.data,
-        &opts.dag,
-        &opts.outcome,
-        &opts.mutable,
-        &opts.protected,
-        opts.load_cache.as_deref(),
-    )?;
+    let session = build_session(&opts.dataset, opts.load_cache.as_deref())?;
     let mut request = SolveRequest::from(cfg);
     request.workers = opts.workers;
-    let report = session.solve(&request).map_err(CliError::Runtime)?;
+    let report = session.solve(&request).map_err(|e| match e {
+        // The solve refuses a request only for its constraint values,
+        // and those came from the flags.
+        faircap_core::Error::InvalidRequest(_) => CliError::Config(e.to_string()),
+        other => CliError::Runtime(other),
+    })?;
     if let Some(path) = &opts.save_cache {
         std::fs::write(path, session.snapshot().encode())
             .map_err(|e| CliError::Io(format!("writing cache {path}: {e}")))?;
@@ -416,24 +517,6 @@ pub fn execute(opts: &CliOptions) -> Result<SolutionReport, CliError> {
     Ok(report)
 }
 
-/// One dataset group of the `faircap serve` subcommand: the session it
-/// registers and the inputs that build it.
-#[derive(Debug, Clone)]
-pub struct ServeDatasetSpec {
-    /// CSV file with the data.
-    pub data: String,
-    /// Edge-list / DOT file with the causal DAG.
-    pub dag: String,
-    /// Outcome attribute.
-    pub outcome: String,
-    /// Comma-separated mutable attributes.
-    pub mutable: Vec<String>,
-    /// Protected-group predicates `attr=value`.
-    pub protected: Vec<(String, String)>,
-    /// Session name the dataset registers under (default: `default`).
-    pub name: String,
-}
-
 /// Parsed options of the `faircap serve` subcommand.
 #[derive(Debug, Clone)]
 pub struct ServeCliOptions {
@@ -441,7 +524,7 @@ pub struct ServeCliOptions {
     /// (`--name/--data/--dag/--outcome/--mutable/--protected`) are
     /// repeatable: re-specifying one that is already set starts the next
     /// dataset group.
-    pub datasets: Vec<ServeDatasetSpec>,
+    pub datasets: Vec<DatasetSpec>,
     /// Bind address.
     pub addr: String,
     /// Max concurrent solves (solve-pool workers).
@@ -480,46 +563,6 @@ solve (overrun answers 504). With --snapshot-dir, the server warm-boots
 each session from DIR/<name>.fc when present and POST /v1/snapshot
 persists the live caches there. Endpoint schemas: docs/serving.md.";
 
-/// Dataset fields accumulated while parsing one group.
-#[derive(Default, Clone)]
-struct PartialDataset {
-    data: Option<String>,
-    dag: Option<String>,
-    outcome: Option<String>,
-    mutable: Option<Vec<String>>,
-    protected: Option<Vec<(String, String)>>,
-    name: Option<String>,
-}
-
-impl PartialDataset {
-    fn is_empty(&self) -> bool {
-        self.data.is_none()
-            && self.dag.is_none()
-            && self.outcome.is_none()
-            && self.mutable.is_none()
-            && self.protected.is_none()
-            && self.name.is_none()
-    }
-
-    fn finish(self) -> Result<ServeDatasetSpec, String> {
-        let required = |field: Option<String>, flag: &str| {
-            field.ok_or_else(|| format!("{flag} is required\n\n{SERVE_USAGE}"))
-        };
-        Ok(ServeDatasetSpec {
-            data: required(self.data, "--data")?,
-            dag: required(self.dag, "--dag")?,
-            outcome: required(self.outcome, "--outcome")?,
-            mutable: self
-                .mutable
-                .ok_or_else(|| format!("--mutable is required\n\n{SERVE_USAGE}"))?,
-            protected: self
-                .protected
-                .ok_or_else(|| format!("--protected is required\n\n{SERVE_USAGE}"))?,
-            name: self.name.unwrap_or_else(|| "default".into()),
-        })
-    }
-}
-
 /// Parse `faircap serve` arguments (after the subcommand word).
 pub fn parse_serve_args(args: &[String]) -> Result<ServeCliOptions, String> {
     let mut opts = ServeCliOptions {
@@ -530,71 +573,24 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeCliOptions, String> {
         timeout_ms: 120_000,
         snapshot_dir: None,
     };
+    let mut flags = Flags::new(args, SERVE_USAGE);
     let mut current = PartialDataset::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--help" || flag == "-h" {
-            return Err(SERVE_USAGE.to_owned());
-        }
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {flag}"))
-        };
-        // Re-specifying a dataset flag that the current group already set
-        // closes that group and opens the next one.
-        macro_rules! set_dataset_field {
-            ($field:ident, $value:expr) => {{
-                let v = $value;
-                if current.$field.is_some() {
-                    opts.datasets.push(std::mem::take(&mut current).finish()?);
+    while let Some(flag) = flags.next()? {
+        match flag {
+            "--addr" => opts.addr = flags.value()?,
+            "--solve-workers" => opts.solve_workers = flags.parse()?,
+            "--queue-depth" => opts.queue_depth = flags.parse()?,
+            "--timeout-ms" => opts.timeout_ms = flags.parse()?,
+            "--snapshot-dir" => opts.snapshot_dir = Some(flags.value()?),
+            _ => {
+                if let Some(closed) = current.read(flag, &mut flags, true)? {
+                    opts.datasets.push(closed.finish(&flags)?);
                 }
-                current.$field = Some(v);
-            }};
-        }
-        match flag.as_str() {
-            "--data" => set_dataset_field!(data, value()?),
-            "--dag" => set_dataset_field!(dag, value()?),
-            "--outcome" => set_dataset_field!(outcome, value()?),
-            "--mutable" => set_dataset_field!(
-                mutable,
-                value()?
-                    .split(',')
-                    .map(|s| s.trim().to_owned())
-                    .filter(|s| !s.is_empty())
-                    .collect::<Vec<_>>()
-            ),
-            "--protected" => {
-                let mut pairs = Vec::new();
-                for pair in value()?.split(',') {
-                    let (attr, v) = pair
-                        .split_once('=')
-                        .ok_or_else(|| format!("--protected needs attr=value, got `{pair}`"))?;
-                    pairs.push((attr.trim().to_owned(), v.trim().to_owned()));
-                }
-                set_dataset_field!(protected, pairs);
             }
-            "--name" => set_dataset_field!(name, value()?),
-            "--addr" => opts.addr = value()?,
-            "--solve-workers" => {
-                opts.solve_workers = value()?
-                    .parse()
-                    .map_err(|e| format!("--solve-workers: {e}"))?
-            }
-            "--queue-depth" => {
-                opts.queue_depth = value()?
-                    .parse()
-                    .map_err(|e| format!("--queue-depth: {e}"))?
-            }
-            "--timeout-ms" => {
-                opts.timeout_ms = value()?.parse().map_err(|e| format!("--timeout-ms: {e}"))?
-            }
-            "--snapshot-dir" => opts.snapshot_dir = Some(value()?),
-            other => return Err(format!("unknown flag `{other}`\n\n{SERVE_USAGE}")),
         }
     }
-    if !current.is_empty() || opts.datasets.is_empty() {
-        opts.datasets.push(current.finish()?);
+    if current != PartialDataset::default() || opts.datasets.is_empty() {
+        opts.datasets.push(current.finish(&flags)?);
     }
     let mut seen = std::collections::BTreeSet::new();
     for spec in &opts.datasets {
@@ -619,66 +615,35 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeCliOptions, String> {
 /// provenance (snapshot path, wall-clock restore duration) for the
 /// observability endpoints.
 fn build_serve_session(
-    spec: &ServeDatasetSpec,
+    spec: &DatasetSpec,
     snapshot_dir: Option<&str>,
 ) -> Result<(PrescriptionSession, Option<WarmBootInfo>), CliError> {
     let snapshot_path = snapshot_dir
         .map(|dir| std::path::Path::new(dir).join(format!("{}.fc", spec.name)))
         .filter(|p| p.exists());
-    match &snapshot_path {
-        Some(path) => {
-            let restore_started = std::time::Instant::now();
-            match build_session(
-                &spec.data,
-                &spec.dag,
-                &spec.outcome,
-                &spec.mutable,
-                &spec.protected,
-                Some(&path.display().to_string()),
-            ) {
-                Ok(session) => {
-                    let info = WarmBootInfo {
-                        snapshot_path: path.display().to_string(),
-                        restore_ms: restore_started.elapsed().as_secs_f64() * 1e3,
-                    };
-                    eprintln!(
-                        "faircap-serve: warm boot from {} ({:.1} ms)",
-                        path.display(),
-                        info.restore_ms
-                    );
-                    Ok((session, Some(info)))
-                }
-                // Only a *snapshot* problem (unreadable, refused version,
-                // instance mismatch) falls back to a cold boot; broken
-                // data/DAG inputs propagate as the config errors they are.
-                Err(e @ CliError::Snapshot(_)) => {
-                    eprintln!(
-                        "faircap-serve: warning: ignoring snapshot {}: {e}; booting cold",
-                        path.display()
-                    );
-                    build_session(
-                        &spec.data,
-                        &spec.dag,
-                        &spec.outcome,
-                        &spec.mutable,
-                        &spec.protected,
-                        None,
-                    )
-                    .map(|session| (session, None))
-                }
-                Err(other) => Err(other),
+    if let Some(path) = snapshot_path {
+        let path = path.display().to_string();
+        let restore_started = std::time::Instant::now();
+        match build_session(spec, Some(&path)) {
+            Ok(session) => {
+                let restore_ms = restore_started.elapsed().as_secs_f64() * 1e3;
+                eprintln!("faircap-serve: warm boot from {path} ({restore_ms:.1} ms)");
+                let info = WarmBootInfo {
+                    snapshot_path: path,
+                    restore_ms,
+                };
+                return Ok((session, Some(info)));
             }
+            // Only a *snapshot* problem (unreadable, refused version,
+            // instance mismatch) falls back to a cold boot; broken
+            // data/DAG inputs propagate as the config errors they are.
+            Err(e @ CliError::Snapshot(_)) => {
+                eprintln!("faircap-serve: warning: ignoring snapshot {path}: {e}; booting cold")
+            }
+            Err(other) => return Err(other),
         }
-        None => build_session(
-            &spec.data,
-            &spec.dag,
-            &spec.outcome,
-            &spec.mutable,
-            &spec.protected,
-            None,
-        )
-        .map(|session| (session, None)),
     }
+    build_session(spec, None).map(|session| (session, None))
 }
 
 /// Boot the serving front end — one warm session per dataset group — and
@@ -767,58 +732,26 @@ pub fn parse_gen_args(args: &[String]) -> Result<GenCliOptions, String> {
         check_tol: 1.0,
         check_z: 4.0,
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--help" || flag == "-h" {
-            return Err(GEN_USAGE.to_owned());
-        }
-        if flag == "--check" {
-            opts.check = true;
-            continue;
-        }
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {flag}"))
-        };
-        let spec = &mut opts.spec;
-        match flag.as_str() {
-            "--out" => opts.out = value()?,
-            "--name" => spec.name = value()?,
-            "--rows" => spec.rows = value()?.parse().map_err(|e| format!("--rows: {e}"))?,
-            "--seed" => spec.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--stable" => spec.stable = value()?.parse().map_err(|e| format!("--stable: {e}"))?,
-            "--flexible" => {
-                spec.flexible = value()?.parse().map_err(|e| format!("--flexible: {e}"))?
-            }
-            "--cardinality" => {
-                spec.cardinality = value()?
-                    .parse()
-                    .map_err(|e| format!("--cardinality: {e}"))?
-            }
-            "--confounding" => {
-                spec.confounding = value()?
-                    .parse()
-                    .map_err(|e| format!("--confounding: {e}"))?
-            }
-            "--heterogeneity" => {
-                spec.heterogeneity = value()?
-                    .parse()
-                    .map_err(|e| format!("--heterogeneity: {e}"))?
-            }
-            "--noise" => spec.noise = value()?.parse().map_err(|e| format!("--noise: {e}"))?,
-            "--check-tol" => {
-                opts.check_tol = value()?.parse().map_err(|e| format!("--check-tol: {e}"))?
-            }
-            "--check-z" => {
-                opts.check_z = value()?.parse().map_err(|e| format!("--check-z: {e}"))?
-            }
-            other => return Err(format!("unknown flag `{other}`\n\n{GEN_USAGE}")),
+    let mut flags = Flags::new(args, GEN_USAGE);
+    while let Some(flag) = flags.next()? {
+        match flag {
+            "--out" => opts.out = flags.value()?,
+            "--check" => opts.check = true,
+            "--name" => opts.spec.name = flags.value()?,
+            "--rows" => opts.spec.rows = flags.parse()?,
+            "--seed" => opts.spec.seed = flags.parse()?,
+            "--stable" => opts.spec.stable = flags.parse()?,
+            "--flexible" => opts.spec.flexible = flags.parse()?,
+            "--cardinality" => opts.spec.cardinality = flags.parse()?,
+            "--confounding" => opts.spec.confounding = flags.parse()?,
+            "--heterogeneity" => opts.spec.heterogeneity = flags.parse()?,
+            "--noise" => opts.spec.noise = flags.parse()?,
+            "--check-tol" => opts.check_tol = flags.parse()?,
+            "--check-z" => opts.check_z = flags.parse()?,
+            _ => return Err(flags.unknown()),
         }
     }
-    if opts.out.is_empty() {
-        return Err(format!("--out is required\n\n{GEN_USAGE}"));
-    }
+    flags.required(opts.out.as_str(), "--out")?;
     opts.spec
         .validate()
         .map_err(|e| format!("{e}\n\n{GEN_USAGE}"))?;
@@ -965,33 +898,17 @@ pub fn parse_replay_args(args: &[String]) -> Result<ReplayCliOptions, String> {
         out: None,
         shutdown: false,
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--help" || flag == "-h" {
-            return Err(REPLAY_USAGE.to_owned());
-        }
-        if flag == "--shutdown" {
-            opts.shutdown = true;
-            continue;
-        }
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {flag}"))
-        };
-        match flag.as_str() {
-            "--scenario" => opts.scenario = value()?,
-            "--addr" => opts.addr = Some(value()?),
-            "--session" => opts.session = value()?,
-            "--mix" => opts.mix = value()?,
-            "--requests" => {
-                opts.requests = value()?.parse().map_err(|e| format!("--requests: {e}"))?
-            }
-            "--clients" => {
-                opts.clients = value()?.parse().map_err(|e| format!("--clients: {e}"))?
-            }
+    let mut flags = Flags::new(args, REPLAY_USAGE);
+    while let Some(flag) = flags.next()? {
+        match flag {
+            "--scenario" => opts.scenario = flags.value()?,
+            "--addr" => opts.addr = Some(flags.value()?),
+            "--session" => opts.session = flags.value()?,
+            "--mix" => opts.mix = flags.value()?,
+            "--requests" => opts.requests = flags.parse()?,
+            "--clients" => opts.clients = flags.parse()?,
             "--rate" => {
-                let rate: f64 = value()?.parse().map_err(|e| format!("--rate: {e}"))?;
+                let rate: f64 = flags.parse()?;
                 // The open-loop schedule sends request `idx` at `idx / rate`
                 // seconds, so a zero, negative or NaN rate would never send.
                 if !(rate.is_finite() && rate > 0.0) {
@@ -1001,21 +918,14 @@ pub fn parse_replay_args(args: &[String]) -> Result<ReplayCliOptions, String> {
                 }
                 opts.rate_hz = Some(rate);
             }
-            "--cold-fraction" => {
-                opts.cold_fraction = value()?
-                    .parse()
-                    .map_err(|e| format!("--cold-fraction: {e}"))?
-            }
-            "--epsilon" => {
-                opts.epsilon = Some(value()?.parse().map_err(|e| format!("--epsilon: {e}"))?)
-            }
-            "--out" => opts.out = Some(value()?),
-            other => return Err(format!("unknown flag `{other}`\n\n{REPLAY_USAGE}")),
+            "--cold-fraction" => opts.cold_fraction = flags.parse()?,
+            "--epsilon" => opts.epsilon = Some(flags.parse()?),
+            "--out" => opts.out = Some(flags.value()?),
+            "--shutdown" => opts.shutdown = true,
+            _ => return Err(flags.unknown()),
         }
     }
-    if opts.scenario.is_empty() {
-        return Err(format!("--scenario is required\n\n{REPLAY_USAGE}"));
-    }
+    flags.required(opts.scenario.as_str(), "--scenario")?;
     if !WorkloadMix::PRESETS.contains(&opts.mix.as_str()) {
         return Err(format!(
             "unknown mix `{}` (expected one of: {})\n\n{REPLAY_USAGE}",
@@ -1136,6 +1046,27 @@ mod tests {
         s.split_whitespace().map(|x| x.to_owned()).collect()
     }
 
+    /// Writes a 2,000-row StackOverflow sample (protected `gdp_group`,
+    /// mutable `certifications,training`, Float outcome `salary`) as CSV +
+    /// DAG into temp directory `name`; returns the directory and the
+    /// `--data … --dag …` flags that read it.
+    fn so_files(name: &str) -> (std::path::PathBuf, String) {
+        let dir = std::env::temp_dir().join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("d.csv");
+        let dagf = dir.join("g.txt");
+        let ds = faircap_data::so::generate(2_000, 3);
+        let keep = ["gdp_group", "age", "certifications", "training", "salary"];
+        faircap_table::csv::write_csv(&ds.df.select(&keep).unwrap(), &data).unwrap();
+        std::fs::write(
+            &dagf,
+            "gdp_group -> salary\nage -> salary\ncertifications -> salary\ntraining -> salary\n",
+        )
+        .unwrap();
+        let files = format!("--data {} --dag {}", data.display(), dagf.display());
+        (dir, files)
+    }
+
     #[test]
     fn parses_full_command_line() {
         let opts = parse_args(&args(
@@ -1144,9 +1075,9 @@ mod tests {
              --coverage group:0.5:0.5 --estimator ipw --max-rules 7",
         ))
         .unwrap();
-        assert_eq!(opts.data, "d.csv");
-        assert_eq!(opts.mutable, vec!["edu", "role"]);
-        assert_eq!(opts.protected, vec![("gdp".into(), "low".into())]);
+        assert_eq!(opts.dataset.data, "d.csv");
+        assert_eq!(opts.dataset.mutable, vec!["edu", "role"]);
+        assert_eq!(opts.dataset.protected, vec![("gdp".into(), "low".into())]);
         assert_eq!(opts.max_rules, 7);
         assert!(matches!(
             parse_fairness(&opts.fairness).unwrap(),
@@ -1185,6 +1116,27 @@ mod tests {
         assert!(parse_args(&args("--data d.csv --dag g.txt --outcome o --mutable m")).is_err()); // no --protected
         assert!(parse_args(&args("--bogus x")).is_err());
         assert!(parse_args(&args("--data")).is_err()); // dangling value
+        let rest = "--data d --dag g --outcome o --protected a=b";
+        // A list of no attributes reads as a missing flag.
+        let err = parse_args(&args(&format!("{rest} --mutable ,"))).unwrap_err();
+        assert_eq!(err, format!("--mutable is required\n\n{USAGE}"));
+        // One solve reads one dataset group: a repeated dataset flag is
+        // refused rather than silently replacing the first value.
+        let err = parse_args(&args(&format!("{rest} --mutable m,n --mutable a"))).unwrap_err();
+        assert!(err.starts_with("--mutable given twice") && err.contains("faircap serve"));
+        let err = parse_args(&args(&format!("--mutable m {rest} --protected c=d"))).unwrap_err();
+        assert!(err.starts_with("--protected given twice"), "{err}");
+        // `--name` names a served session; a solve does not take it.
+        let err = parse_args(&args(&format!("{rest} --mutable m --name x"))).unwrap_err();
+        assert_eq!(err, format!("unknown flag `--name`\n\n{USAGE}"));
+        // `--help`/`-h` returns exactly the subcommand's own usage.
+        assert_eq!(parse_args(&args("--data d -h")).unwrap_err(), USAGE);
+        assert_eq!(parse_serve_args(&args("-h")).unwrap_err(), SERVE_USAGE);
+        assert_eq!(parse_gen_args(&args("--help")).unwrap_err(), GEN_USAGE);
+        assert_eq!(
+            parse_replay_args(&args("--help")).unwrap_err(),
+            REPLAY_USAGE
+        );
     }
 
     #[test]
@@ -1271,24 +1223,11 @@ mod tests {
 
     #[test]
     fn save_then_load_cache_round_trips_through_files() {
-        let dir = std::env::temp_dir().join("faircap_cli_cache_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let data = dir.join("d.csv");
-        let dagf = dir.join("g.txt");
+        let (dir, files) = so_files("faircap_cli_cache_test");
         let snap = dir.join("cache.fc");
-        let ds = faircap_data::so::generate(2_000, 3);
-        let keep = ["gdp_group", "age", "certifications", "training", "salary"];
-        faircap_table::csv::write_csv(&ds.df.select(&keep).unwrap(), &data).unwrap();
-        std::fs::write(
-            &dagf,
-            "gdp_group -> salary\nage -> salary\ncertifications -> salary\ntraining -> salary\n",
-        )
-        .unwrap();
         let base = format!(
-            "--data {} --dag {} --outcome salary --mutable certifications,training \
-             --protected gdp_group=low --max-rules 5",
-            data.display(),
-            dagf.display()
+            "{files} --outcome salary --mutable certifications,training \
+             --protected gdp_group=low --max-rules 5"
         );
         let cold = parse_args(&args(&format!("{base} --save-cache {}", snap.display()))).unwrap();
         let cold_report = execute(&cold).unwrap();
@@ -1310,7 +1249,7 @@ mod tests {
         // Broken data inputs stay Config even when a snapshot was given —
         // the serve fallback must never blame the snapshot for those.
         let mut broken = warm.clone();
-        broken.data = "/no/such/file.csv".into();
+        broken.dataset.data = "/no/such/file.csv".into();
         assert!(matches!(execute(&broken).unwrap_err(), CliError::Config(_)));
         // … and so is a refused older snapshot, with the regeneration hint:
         // a bare v1 header, and the saved file relabelled v3.
@@ -1337,6 +1276,44 @@ mod tests {
         let err = execute(&opts).unwrap_err();
         assert!(matches!(err, CliError::Config(_)), "{err}");
         assert_eq!(err.exit_code(), 2);
+        let (_, files) = so_files("faircap_cli_exit_code_test");
+        let solve = |flags: &str| {
+            let flags = format!("{files} --outcome salary --max-rules 3 {flags}");
+            execute(&parse_args(&args(&flags)).unwrap())
+        };
+        let config_error = |flags: &str, needle: &str| {
+            let err = solve(flags).unwrap_err();
+            assert!(matches!(err, CliError::Config(_)), "{flags}: {err:?}");
+            assert_eq!(err.exit_code(), 2);
+            assert!(err.to_string().contains(needle), "{flags}: {err}");
+        };
+        let roles = "--mutable certifications,training --protected gdp_group=low";
+        // Flag values that parse but that the solve refuses.
+        config_error(
+            &format!("{roles} --coverage group:2:0.5"),
+            "invalid solve request",
+        );
+        config_error(
+            &format!("{roles} --fairness sp-group:-5"),
+            "invalid solve request",
+        );
+        // A protected group that covers no row: an absent level, or NaN on
+        // a Float column (`salary`), which equals nothing.
+        let mutable = "--mutable certifications,training";
+        config_error(
+            &format!("{mutable} --protected gdp_group=nobody"),
+            "covers no row",
+        );
+        config_error(
+            &format!("{mutable} --protected salary=NaN"),
+            "covers no row",
+        );
+        // A prescription may not change the protected attribute.
+        config_error(
+            "--mutable training,gdp_group --protected gdp_group=low",
+            "declared both mutable and protected",
+        );
+        assert!(solve(roles).is_ok());
         // A runtime engine failure carries the typed error and exits 1,
         // rendered through faircap::Error's Display.
         let engine_err = faircap_core::Error::InvalidRequest("nope".into());
@@ -1377,6 +1354,22 @@ mod tests {
         assert!(parse_serve_args(&args("--help"))
             .unwrap_err()
             .contains("serve"));
+        // A list of no attributes reads as a missing flag, as in a solve.
+        let err = parse_serve_args(&args(
+            "--data d --dag g --outcome o --mutable , --protected a=b",
+        ))
+        .unwrap_err();
+        assert_eq!(err, format!("--mutable is required\n\n{SERVE_USAGE}"));
+        // The flag reader's messages: a dangling value and an unknown flag.
+        let err = parse_serve_args(&args("--data d --dag")).unwrap_err();
+        assert_eq!(err, "missing value for --dag");
+        let err = parse_serve_args(&args("--data d --bogus 1")).unwrap_err();
+        assert_eq!(err, format!("unknown flag `--bogus`\n\n{SERVE_USAGE}"));
+        let err = parse_serve_args(&args(
+            "--data d --dag g --outcome o --mutable m --protected a=b --queue-depth x",
+        ))
+        .unwrap_err();
+        assert!(err.starts_with("--queue-depth: "), "{err}");
     }
 
     #[test]
@@ -1520,23 +1513,10 @@ mod tests {
     #[test]
     fn execute_end_to_end_via_files() {
         // Materialize a tiny CSV + DAG, run the whole CLI path.
-        let dir = std::env::temp_dir().join("faircap_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let data = dir.join("d.csv");
-        let dagf = dir.join("g.txt");
-        let ds = faircap_data::so::generate(2_000, 3);
-        let keep = ["gdp_group", "age", "certifications", "training", "salary"];
-        faircap_table::csv::write_csv(&ds.df.select(&keep).unwrap(), &data).unwrap();
-        std::fs::write(
-            &dagf,
-            "gdp_group -> salary\nage -> salary\ncertifications -> salary\ntraining -> salary\n",
-        )
-        .unwrap();
+        let (_, files) = so_files("faircap_cli_test");
         let opts = parse_args(&args(&format!(
-            "--data {} --dag {} --outcome salary --mutable certifications,training \
-             --protected gdp_group=low --max-rules 5",
-            data.display(),
-            dagf.display()
+            "{files} --outcome salary --mutable certifications,training \
+             --protected gdp_group=low --max-rules 5"
         )))
         .unwrap();
         let report = execute(&opts).unwrap();
