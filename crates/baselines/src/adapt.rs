@@ -89,18 +89,18 @@ pub fn adapt_if_clauses(
                 // queries.
                 let treated = intervention.coverage(df)?;
                 let codes = session.engine().pattern_codes(intervention);
-                let Some(est) = walk.cate(group, codes.iter().copied(), &treated) else {
+                let Some(est) = walk.cate(&group, codes.iter().copied(), &treated) else {
                     continue;
                 };
                 if est.cate <= 0.0 {
                     continue; // negative-utility rules are discarded (§4.3)
                 }
-                let mut utility = |sub: GroupHandle<'_>| {
+                let mut utility = |sub: &GroupHandle<'_>| {
                     subgroup_utility(sub.mask(), est.cate, || {
                         walk.cate(sub, codes.iter().copied(), &treated)
                     })
                 };
-                let (u_p, u_np) = (utility(group_p), utility(group_np));
+                let (u_p, u_np) = (utility(&group_p), utility(&group_np));
                 let utility = RuleUtility {
                     overall: est.cate,
                     protected: u_p,

@@ -13,7 +13,7 @@
 use faircap_bench::{
     baseline_rows, best_of, frl_if_clauses, ids_if_clauses, nine_variants, session_of,
 };
-use faircap_causal::{d_separated_names, CateEngine, Estimator, EstimatorKind};
+use faircap_causal::{d_separated_names, CateEngine, Estimator, EstimatorKind, GroupHandle};
 use faircap_core::{
     CostModel, CostPolicy, FairCap, FairCapConfig, FairnessConstraint, FairnessKind, FairnessScope,
     PrescriptionSession, SolutionReport, SolveRequest,
@@ -479,8 +479,11 @@ fn ablation_estimators(data: &Datasets) {
 /// each of the three cost policies.
 ///
 /// Each lattice case builds a fresh [`CateEngine`] per rep, so the
-/// estimate cache cannot hide the estimator cost; the line reports the
-/// node count and the engine's estimate-cache misses beside the time.
+/// estimate cache cannot hide the estimator cost, and walks the lattice
+/// over the whole frame as Step 2 walks a group: one
+/// [`CateWalk`](faircap_causal::CateWalk) and one [`GroupHandle`], whose
+/// tables serve every node. The line reports
+/// the node count and the engine's estimate-cache misses beside the time.
 fn ablation_lattice(data: &Datasets) {
     /// Timed repetitions per case; the line reports the best and the mean.
     const REPS: usize = 5;
@@ -501,15 +504,19 @@ fn ablation_lattice(data: &Datasets) {
         let timed = best_of(REPS, || {
             let engine = CateEngine::new(Arc::clone(&df), Arc::clone(&dag), "salary")
                 .expect("salary is numeric");
+            let codes: Vec<_> = items
+                .iter()
+                .map(|(p, _)| engine.predicate_code(p))
+                .collect();
+            let query = engine.with_estimator(&EstimatorKind::Linear);
+            let mut walk = query.walk();
+            let group = GroupHandle::new(&all);
             let (nodes, _) = coded_lattice(
                 &items,
                 2,
-                |codes, _| {
-                    let pattern =
-                        Pattern::new(codes.iter().map(|&i| items[i as usize].0.clone()).collect());
-                    engine
-                        .cate(&all, &pattern, &EstimatorKind::Linear)
-                        .map(|e| e.cate)
+                |node, mask| {
+                    let pattern = node.iter().map(|&i| codes[i as usize]);
+                    walk.cate(&group, pattern, mask).map(|e| e.cate)
                 },
                 |&cate| !prune || cate > 0.0,
             );

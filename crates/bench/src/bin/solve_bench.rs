@@ -30,9 +30,11 @@
 //! [`MiningStats`](faircap_mining::MiningStats) (`grouping_*`,
 //! `lattice_*`; zero for a step its cache served), and
 //! `cell_table_misses`, the cell tables `linear`'s count path built over
-//! the sweep (the session engine's cell-table cache misses). That count
-//! repeats exactly on one Step 2 worker (`FAIRCAP_WORKERS=1`); on more,
-//! the order of cache inserts varies and moves it by a few percent.
+//! the sweep (the session engine's cell-table misses). That count repeats
+//! exactly on one Step 2 worker (`FAIRCAP_WORKERS=1`). On more, two walks
+//! over groups with the same rows can race for an estimate key they
+//! share, and the walk that misses it builds the table, so the count
+//! moves by a few tables.
 //! With `--gate BASELINE.json`, each (case, dataset) entry's best-of-reps
 //! time goes through the shared gate
 //! ([`faircap_bench::enforce_gate`] with [`faircap_bench::SOLVE_GATE`]):

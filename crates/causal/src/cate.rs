@@ -7,31 +7,12 @@
 //! supplied per query (see [`Estimator`]), so one long-lived engine serves
 //! repeated solves under different estimators while sharing its caches.
 //!
-//! Five kinds of cache persist across queries, all of one type, the
+//! Two kinds of cache persist across queries, both of one type, the
 //! sharded LRU [`ShardedLruCache`]: a lookup locks one of its shards,
 //! never the whole engine.
 //!
-//! * adjustment sets ([`Adjustment`]: the covariate names and their 64-bit
-//!   FNV fingerprint), derived from the DAG once per treatment-attribute
-//!   set;
-//! * KD-tree match indices ([`MatchIndexCache`]), one per
-//!   `(group fingerprint, adjustment fingerprint)` — the matching
-//!   estimator's standardized design and tree are built once and reused
-//!   across the whole intervention sweep over that subgroup;
-//! * group entries ([`GroupRowsCache`]), one per subgroup — the linear
-//!   estimator's count-path tier 1: the group's outcomes, their sum and
-//!   mean, and each covariate's per-row levels and per-level outcome sums,
-//!   coded on first use and shared by every adjustment set's table;
-//! * cell tables ([`CellTableCache`]), one per `(group fingerprint,
-//!   adjustment fingerprint)` — each row's cell, rows and outcome
-//!   deviations per cell, and the intervention-independent part of `XᵀX`
-//!   and `Xᵀy`, assembled from the group entry; or the verdict that the
-//!   group takes the columnar path (a numeric or Bool covariate, or a
-//!   non-finite outcome). A table depends only on the covariates with two
-//!   or more levels in the group, so on a miss the group entry hands out
-//!   the live table of the same varying covariates if another adjustment
-//!   set has one; that miss counts as a hit, and `misses` counts tables
-//!   built. Each intervention then only walks its treated rows;
+//! * adjustment sets (the covariate names), derived from the DAG once per
+//!   treatment-attribute set;
 //! * full estimates, one cache per estimator, keyed by `(group
 //!   fingerprint, intervention)` — the caches Step 2's re-walks hit
 //!   hardest. The intervention is keyed by the codes of its predicates in
@@ -42,6 +23,19 @@
 //!   hashing the key for a shard or a map slot writes only that word, and
 //!   the hash is the same in every run.
 //!
+//! What an estimator reuses across one group's intervention sweep is not
+//! the engine's: it lives in the group's [`GroupHandle`], which the caller
+//! builds per group and drops when the group is done. The handle's
+//! [`GroupState`] holds `linear`'s group entry and one cell table per
+//! distinct design, and `matching`'s KD-tree index per adjustment set,
+//! each built by the first uncached estimate that needs it. So the
+//! engine holds no O(rows) state between groups, a solve holds at most
+//! one group's per worker, and no fingerprint can hand one group's table
+//! to another. The engine only counts the handles' hits and misses
+//! ([`CateEngine::match_index_cache_stats`],
+//! [`CateEngine::cell_table_cache_stats`],
+//! [`CateEngine::group_rows_cache_stats`]).
+//!
 //! Beside the caches the engine keeps two append-only tables: the
 //! predicate table, code → predicate and back, with each code's
 //! attribute number, which a walk's miss reads to find the adjustment set
@@ -51,11 +45,8 @@
 //! built at the first walk that needs it, from which Step 2 builds a
 //! group's items by word AND.
 //!
-//! Every capacity is fixed when the engine is built. The estimate caches
-//! and the adjustment cache are unbounded: they keep every estimate and
-//! every treatment-attribute set's adjustment the engine has computed. The
-//! three group caches, whose entries hold O(rows) data, have fixed LRU
-//! bounds.
+//! Both caches are unbounded: they keep every estimate and every
+//! treatment-attribute set's adjustment the engine has computed.
 //!
 //! There are two ways in, and one estimation path behind them:
 //!
@@ -68,7 +59,8 @@
 //! * [`CateEngine::cate`] answers one query from the intervention pattern
 //!   alone: it codes the pattern's predicates to build the same key, and
 //!   on an estimate-cache miss it looks up the adjustment set and computes
-//!   the pattern's coverage, which nothing caches.
+//!   the pattern's coverage, which nothing caches, and estimates with a
+//!   handle of its own, so every group-level structure is built afresh.
 //!
 //! Each estimator name has one record on the engine, resolved once per
 //! [`CateQuery`] ([`CateEngine::with_estimator`]): its estimate cache,
@@ -91,9 +83,9 @@
 
 use crate::backdoor::find_adjustment_set_names;
 use crate::error::{CausalError, Result};
-use crate::estimate::linear::{CellTable, GroupRows};
-use crate::estimate::matching::MatchIndex;
-use crate::estimate::{Estimate, EstimateCtx, Estimator, HotStats};
+use crate::estimate::{
+    Estimate, EstimateCtx, Estimator, GroupLookups, GroupState, HotStats, Lookups,
+};
 use crate::graph::Dag;
 use faircap_obs::{Histogram, HistogramSnapshot, SpanHandle};
 use faircap_table::{
@@ -101,6 +93,7 @@ use faircap_table::{
     ShardedLruCache,
 };
 use parking_lot::{Mutex, RwLock};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -112,35 +105,9 @@ use std::time::Instant;
 /// queries through one engine; 16 shards keep them off each other's locks.
 const ESTIMATE_CACHE_SHARDS: usize = 16;
 
-/// Default entry bound of the match-index cache. Indices are heavy
-/// (standardized design + KD-tree, O(rows·dim) floats each) and a solve
-/// only sweeps a handful of subgroups at a time, so a small LRU bound
-/// keeps reuse high without letting index memory grow with the sweep.
-const MATCH_INDEX_CACHE_CAPACITY: usize = 32;
-
-/// Default entry bound of the cell-table cache. Entries are per (group,
-/// adjustment set); a table costs 4 bytes per group row plus the group's
-/// shared [`GroupRows`], and entries whose adjustment sets differ only by
-/// covariates constant in the group share one table. Step 2 queries each
-/// group, its protected and its non-protected sub-coverage in turn, each
-/// under the adjustment sets of its interventions, on several worker
-/// threads at once, so most tables serve one group's sweep and are not
-/// used again. A cold `so_session` solve (StackOverflow, 10k rows,
-/// seed 1) queries 348 groups under 41 adjustment sets: on one worker it
-/// builds 9,176 tables at 128 entries (40,038 hits, 14,223 evictions).
-/// Keyed on the adjustment set alone, as before tables were shared, it
-/// built 14,351 (13,892 with no bound).
-const CELL_TABLE_CACHE_CAPACITY: usize = 128;
-
-/// Default entry bound of the count path's per-group cache
-/// ([`GroupRows`]: 8 bytes per group row plus one byte per row for each
-/// covariate coded). The same `so_session` solve queries 348 distinct
-/// groups: 372 misses at 32 or 64 entries, 385 at 16.
-const GROUP_ROWS_CACHE_CAPACITY: usize = 32;
-
-/// Lock shards of the adjustment-set cache and each group cache; fewer
-/// distinct keys than the estimate cache, so fewer shards suffice.
-const GROUP_CACHE_SHARDS: usize = 4;
+/// Lock shards of the adjustment-set cache; fewer distinct keys than the
+/// estimate cache, so fewer shards suffice.
+const ADJUSTMENT_CACHE_SHARDS: usize = 4;
 
 /// Cap glibc's malloc arenas at one per core, once per process.
 ///
@@ -172,93 +139,27 @@ fn limit_malloc_arenas() {
     }
 }
 
-/// Matching indices ([`MatchIndex`]: standardized columnar design +
-/// KD-tree), keyed by `(group fingerprint, adjustment fingerprint)`.
-pub type MatchIndexCache = ShardedLruCache<(u64, u64), Arc<MatchIndex>>;
-
-/// `linear`'s count-path tables ([`CellTable`]), and the `None` verdict
-/// for a group and adjustment set that take the columnar path, keyed by
-/// `(group fingerprint, adjustment fingerprint)`. Entries of one group
-/// whose adjustment sets vary in the same covariates hold the same table.
-pub type CellTableCache = ShardedLruCache<(u64, u64), Option<Arc<CellTable>>>;
-
-/// `linear`'s count-path group entries ([`GroupRows`]: outcomes, their
-/// sum and mean, the mask rank, and the covariates coded so far), keyed by
-/// subgroup fingerprint alone; `None` for a group whose outcomes are not
-/// all finite.
-pub type GroupRowsCache = ShardedLruCache<u64, Option<Arc<GroupRows>>>;
-
-/// The engine's group caches, one per kind of group-level estimator
-/// state: state that depends only on the subgroup rows, or on them and the
-/// adjustment covariates — *not* on the intervention — so one entry serves
-/// the entire pattern sweep against a subgroup. LRU-bounded because each
-/// entry holds O(rows) data.
-#[derive(Debug)]
-pub struct GroupCaches {
-    /// KD-tree match indices of the matching estimator.
-    pub match_index: MatchIndexCache,
-    /// Count-path tables of the linear estimator, per adjustment set.
-    pub cell_table: CellTableCache,
-    /// Count-path group entries of the linear estimator, shared by the
-    /// tables of every adjustment set over a group.
-    pub group_rows: GroupRowsCache,
+/// Hits and misses of one kind of group state, summed over every handle's
+/// estimates on the engine.
+#[derive(Default)]
+struct LookupCounters {
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
-/// One query's way into the engine's [`GroupCaches`]: the caches, the
-/// subgroup's mask fingerprint, and the fingerprint of the adjustment set
-/// the query adjusts for. Estimators key their group-level state on these
-/// fingerprints, so the adjustment slice an estimator is handed must be
-/// the set `adjustment_fp` was taken of.
-#[derive(Debug, Clone, Copy)]
-pub struct GroupCacheRef<'a> {
-    /// The engine's group caches.
-    pub caches: &'a GroupCaches,
-    /// Fingerprint of the subgroup's mask ([`GroupHandle`]).
-    pub group_fp: u64,
-    /// Fingerprint of the adjustment set ([`Adjustment::fingerprint`]).
-    pub adjustment_fp: u64,
-}
-
-impl GroupCacheRef<'_> {
-    /// Key of the `(group, adjustment set)` caches: match indices and
-    /// cell tables.
-    pub fn table_key(&self) -> (u64, u64) {
-        (self.group_fp, self.adjustment_fp)
+impl LookupCounters {
+    fn add(&self, lookups: Lookups) {
+        self.hits.fetch_add(lookups.hits, Relaxed);
+        self.misses.fetch_add(lookups.misses, Relaxed);
     }
-}
 
-/// A backdoor adjustment set with its fingerprint: FNV-1a over the number
-/// of names and each name, length-prefixed. Built once per
-/// treatment-attribute set and shared by `Arc`, so a query hands its
-/// estimator the names and keys the group caches on the fingerprint
-/// without cloning or rehashing the names.
-#[derive(Debug)]
-pub struct Adjustment {
-    names: Vec<String>,
-    fp: u64,
-}
-
-impl Adjustment {
-    fn new(names: Vec<String>) -> Self {
-        let mut h = FnvHasher::new();
-        h.write_u64_stable(names.len() as u64);
-        for name in &names {
-            h.write_str_stable(name);
+    /// The hits and misses; the engine holds no entry, so none is evicted.
+    fn counters(&self) -> CacheCounters {
+        CacheCounters {
+            hits: self.hits.load(Relaxed),
+            misses: self.misses.load(Relaxed),
+            ..CacheCounters::default()
         }
-        Adjustment {
-            fp: h.finish64(),
-            names,
-        }
-    }
-
-    /// The covariate names, in the order the backdoor search returned them.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// The 64-bit fingerprint of the names.
-    pub fn fingerprint(&self) -> u64 {
-        self.fp
     }
 }
 
@@ -411,13 +312,15 @@ pub struct CateEngine {
     df: Arc<DataFrame>,
     dag: Arc<Dag>,
     outcome: String,
-    adjustment_cache: ShardedLruCache<Vec<String>, Option<Arc<Adjustment>>>,
+    adjustment_cache: ShardedLruCache<Vec<String>, Option<Arc<[String]>>>,
     /// Entry bound of each estimator's estimate cache: `usize::MAX`
     /// (unbounded) in every engine [`CateEngine::new`] builds.
     estimate_capacity: usize,
-    /// Match indices and cell tables, shared across each group's
-    /// intervention sweep.
-    group_caches: GroupCaches,
+    /// Lookups of the handles' match indices, cell tables and group
+    /// entries.
+    match_index: LookupCounters,
+    cell_table: LookupCounters,
+    group_rows: LookupCounters,
     /// Every predicate an estimate key has named, by code. Locked to code
     /// a predicate (read, or write on first sight), to read a key's
     /// attributes on a miss, and on export — never per cache hit.
@@ -461,13 +364,11 @@ impl CateEngine {
             df,
             dag,
             outcome,
-            adjustment_cache: ShardedLruCache::unbounded(GROUP_CACHE_SHARDS),
+            adjustment_cache: ShardedLruCache::unbounded(ADJUSTMENT_CACHE_SHARDS),
             estimate_capacity: usize::MAX,
-            group_caches: GroupCaches {
-                match_index: ShardedLruCache::new(MATCH_INDEX_CACHE_CAPACITY, GROUP_CACHE_SHARDS),
-                cell_table: ShardedLruCache::new(CELL_TABLE_CACHE_CAPACITY, GROUP_CACHE_SHARDS),
-                group_rows: ShardedLruCache::new(GROUP_ROWS_CACHE_CAPACITY, GROUP_CACHE_SHARDS),
-            },
+            match_index: LookupCounters::default(),
+            cell_table: LookupCounters::default(),
+            group_rows: LookupCounters::default(),
             predicates: RwLock::new(PredicateTable::default()),
             level_masks: Mutex::new(HashMap::new()),
             estimators: Mutex::new(BTreeMap::new()),
@@ -592,9 +493,10 @@ impl CateEngine {
         }
     }
 
-    /// Backdoor adjustment set for a treatment-attribute set (cached).
+    /// Backdoor adjustment set for a treatment-attribute set (cached): the
+    /// covariate names, in the order the backdoor search returned them.
     /// `None` when identification fails.
-    pub fn adjustment_for(&self, treatment_attrs: &[String]) -> Option<Arc<Adjustment>> {
+    pub fn adjustment_for(&self, treatment_attrs: &[String]) -> Option<Arc<[String]>> {
         let key: Vec<String> = treatment_attrs.to_vec();
         if let Some(hit) = self.adjustment_cache.get(&key) {
             return hit;
@@ -609,7 +511,7 @@ impl CateEngine {
         } else {
             find_adjustment_set_names(&self.dag, &in_dag, &self.outcome)
                 .ok()
-                .map(|names| Arc::new(Adjustment::new(names)))
+                .map(Arc::from)
         };
         self.adjustment_cache.insert(key, computed.clone());
         computed
@@ -646,7 +548,7 @@ impl CateEngine {
                 .collect();
             let adjustment = self.adjustment_for(&attrs)?;
             let treated = intervention.coverage(&self.df).ok()?;
-            query.estimate_uncached(group, &treated, &adjustment)
+            query.estimate_uncached(&group, &treated, &adjustment)
         })
     }
 
@@ -679,19 +581,30 @@ impl CateEngine {
         (sum(|r| r.durations.count()), stats)
     }
 
-    /// Hit/miss counters of the match-index cache.
+    /// Hits and misses of the handles' match indices: a miss builds one.
+    /// `entries` and `evictions` read 0, as the engine keeps none.
     pub fn match_index_cache_stats(&self) -> CacheCounters {
-        self.group_caches.match_index.counters()
+        self.match_index.counters()
     }
 
-    /// Hit/miss counters of the cell-table cache.
+    /// Hits and misses of the handles' cell tables, as
+    /// [`match_index_cache_stats`](Self::match_index_cache_stats); a
+    /// verdict that the columnar path runs counts as a table.
     pub fn cell_table_cache_stats(&self) -> CacheCounters {
-        self.group_caches.cell_table.counters()
+        self.cell_table.counters()
     }
 
-    /// Hit/miss counters of the count path's per-group cache.
+    /// Hits and misses of the handles' group entries, as
+    /// [`match_index_cache_stats`](Self::match_index_cache_stats).
     pub fn group_rows_cache_stats(&self) -> CacheCounters {
-        self.group_caches.group_rows.counters()
+        self.group_rows.counters()
+    }
+
+    /// Count one estimate's lookups into its handle's state.
+    fn count_lookups(&self, lookups: GroupLookups) {
+        self.match_index.add(lookups.match_index);
+        self.cell_table.add(lookups.cell_table);
+        self.group_rows.add(lookups.group_rows);
     }
 
     /// Estimate-cache hit/miss counters since the engine was built, summed
@@ -889,24 +802,22 @@ impl<'a> CateQuery<'a> {
         result
     }
 
-    /// Run one estimation (no estimate-cache lookup), charging its wall
-    /// time and hot-path costs to the estimator's record: the one
+    /// Run one estimation (no estimate-cache lookup) with the group's
+    /// state, charging its wall time and hot-path costs to the estimator's
+    /// record and its lookups into the state to the engine: the one
     /// estimation path behind both entry points. `treated` need only agree
     /// with the intervention's rows inside the group.
     fn estimate_uncached(
         &self,
-        group: GroupHandle<'_>,
+        group: &GroupHandle<'_>,
         treated: &Mask,
-        adjustment: &Adjustment,
+        adjustment: &[String],
     ) -> Option<Estimate> {
         let engine = self.engine;
+        let mut state = group.state.borrow_mut();
         let mut ctx = EstimateCtx {
             stats: HotStats::default(),
-            group_cache: Some(GroupCacheRef {
-                caches: &engine.group_caches,
-                group_fp: group.fp,
-                adjustment_fp: adjustment.fp,
-            }),
+            group: Some(&mut state),
         };
         let t0 = Instant::now();
         let result = self
@@ -917,10 +828,11 @@ impl<'a> CateQuery<'a> {
                 group.mask,
                 treated,
                 &engine.outcome,
-                &adjustment.names,
+                adjustment,
             )
             .ok();
         self.record.ran(t0.elapsed().as_nanos() as u64, &ctx.stats);
+        engine.count_lookups(std::mem::take(&mut state.lookups));
         result
     }
 }
@@ -936,11 +848,10 @@ impl<'a> CateQuery<'a> {
 /// integers and compares integers; it passes the treated mask it already
 /// holds (a lattice node's `coverage ∧ pattern`) instead of having the
 /// engine compute the pattern's full-frame mask; and the walk keeps a
-/// small memo from treatment-attribute set to [`Adjustment`], keyed on
+/// small memo from treatment-attribute set to adjustment set, keyed on
 /// the attributes' numbers in the predicate table, so each set's names
-/// and fingerprint are resolved once per walk rather than once per
-/// estimate, and a miss spells no pattern. A walk is meant for one
-/// thread; make one per group.
+/// are resolved once per walk rather than once per estimate, and a miss
+/// spells no pattern. A walk is meant for one thread; make one per group.
 pub struct CateWalk<'q, 'a> {
     query: &'q CateQuery<'a>,
     adjustments: AdjustmentMemo,
@@ -954,7 +865,7 @@ impl CateWalk<'_, '_> {
     /// coverage within a larger group that contains `group` does.
     pub fn cate(
         &mut self,
-        group: GroupHandle<'_>,
+        group: &GroupHandle<'_>,
         pattern: impl IntoIterator<Item = PredicateCode>,
         treated: &Mask,
     ) -> Option<Estimate> {
@@ -972,14 +883,14 @@ impl CateWalk<'_, '_> {
 /// attributes' numbers in the predicate table, their adjustment)`, in
 /// first-use order, one entry per attribute set the walk's misses reach.
 #[derive(Default)]
-struct AdjustmentMemo(Vec<(Codes, Option<Arc<Adjustment>>)>);
+struct AdjustmentMemo(Vec<(Codes, Option<Arc<[String]>>)>);
 
 impl AdjustmentMemo {
     /// The adjustment set of the attributes of the pattern with predicate
     /// `codes`, from the memo or, on first use in this walk, from the
     /// engine's cache. The memo compares attribute numbers; names are read
     /// only when it misses.
-    fn get(&mut self, engine: &CateEngine, codes: &[u32]) -> Option<Arc<Adjustment>> {
+    fn get(&mut self, engine: &CateEngine, codes: &[u32]) -> Option<Arc<[String]>> {
         let attrs: Codes = {
             let table = engine.predicates.read();
             codes
@@ -1008,23 +919,29 @@ impl AdjustmentMemo {
     }
 }
 
-/// A subgroup mask with its fingerprint — the key under which the engine
-/// caches the group's estimates and group tables. Fingerprinting hashes
-/// every word of the mask, so a caller that queries many interventions
+/// One group's way into the engine: its mask, the mask's fingerprint,
+/// under which the engine caches the group's estimates, and the group's
+/// [`GroupState`], which the built-in estimators fill with the
+/// group-level structures they reuse across the group's intervention
+/// sweep. Fingerprinting hashes every word of the mask, and the state is
+/// built once per group, so a caller that queries many interventions
 /// against one group builds the handle once and passes it to
-/// [`CateWalk::cate`].
-#[derive(Debug, Clone, Copy)]
+/// [`CateWalk::cate`]. The state is dropped with the handle; the engine
+/// keeps none of it. Like a walk, a handle is meant for one thread.
+#[derive(Debug)]
 pub struct GroupHandle<'m> {
     mask: &'m Mask,
     fp: u64,
+    state: RefCell<GroupState>,
 }
 
 impl<'m> GroupHandle<'m> {
-    /// Fingerprint `mask`.
+    /// Fingerprint `mask`; the state starts empty.
     pub fn new(mask: &'m Mask) -> Self {
         GroupHandle {
             mask,
             fp: mask_fingerprint(mask),
+            state: RefCell::default(),
         }
     }
 
@@ -1052,6 +969,7 @@ fn mask_fingerprint(mask: &Mask) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::linear::CellTable;
     use crate::estimate::EstimatorKind;
     use crate::scm::{bernoulli, normal, Scm};
     use faircap_table::Value;
@@ -1298,7 +1216,11 @@ mod tests {
         let mut walk = q.walk();
         let (codes, treated) = &patterns[0];
         for _ in 0..3 {
-            walk.cate(GroupHandle::new(&groups[0]), codes.iter().copied(), treated);
+            walk.cate(
+                &GroupHandle::new(&groups[0]),
+                codes.iter().copied(),
+                treated,
+            );
         }
         let open = engine.cache_stats_for("linear");
         assert_eq!((open.hits, open.misses, open.entries), (2, 1, 1));
@@ -1320,13 +1242,10 @@ mod tests {
                                 // Opposite orders, so the two walkers of an
                                 // estimator race on the same keys.
                                 let group = &groups[if t == 0 { i } else { groups.len() - 1 - i }];
+                                let group = GroupHandle::new(group);
                                 let mut walk = q.walk();
                                 for (codes, treated) in patterns {
-                                    walk.cate(
-                                        GroupHandle::new(group),
-                                        codes.iter().copied(),
-                                        treated,
-                                    );
+                                    walk.cate(&group, codes.iter().copied(), treated);
                                 }
                             }
                         }
@@ -1358,71 +1277,98 @@ mod tests {
         assert_breakdown_sums(&engine);
     }
 
-    /// All three group caches bounded to one entry at once, under `linear`
-    /// (cell tables and group entries) and `matching` (match indices):
-    /// groups alternate, so every estimate evicts the one cached entry of
-    /// the cache it uses, and the rebuilt structures answer bit for bit as
-    /// a default engine's cached ones.
+    /// One walk per estimator and group, under `linear` (group entries and
+    /// cell tables) and `matching` (match indices): each handle builds its
+    /// group entry once, one table per distinct design and one index per
+    /// adjustment set, and every estimate equals a default-context
+    /// estimate bit for bit. In the north, `region` is constant, so the
+    /// `educated` set `[region]` and the `{educated, region}` set `[]`
+    /// share one table. Once the handles drop, nothing they built is
+    /// alive, and with no estimate cached, fresh handles over the same
+    /// groups build it all again.
     #[test]
-    fn one_entry_group_caches_rebuild_the_same_estimates() {
-        let (df, dag) = fixture();
-        let mut tiny = CateEngine::new(Arc::clone(&df), Arc::clone(&dag), "income").unwrap();
-        tiny.group_caches = GroupCaches {
-            match_index: ShardedLruCache::new(1, GROUP_CACHE_SHARDS),
-            cell_table: ShardedLruCache::new(1, GROUP_CACHE_SHARDS),
-            group_rows: ShardedLruCache::new(1, GROUP_CACHE_SHARDS),
-        };
-        let default = CateEngine::new(df, dag, "income").unwrap();
+    fn handles_build_group_state_once_and_keep_none_in_the_engine() {
+        let engine = engine_with_estimate_capacity(0);
+        let df = engine.df();
         let region = |r: &str| Pattern::of_eq(&[("region", Value::from(r))]);
+        let educated = |e: bool| Pattern::of_eq(&[("educated", Value::Bool(e))]);
         let groups = [
-            Mask::ones(default.df().n_rows()),
-            region("north").coverage(default.df()).unwrap(),
-            region("south").coverage(default.df()).unwrap(),
+            Mask::ones(df.n_rows()),
+            region("north").coverage(df).unwrap(),
         ];
-        // Groups alternate, so every query evicts the one cached entry.
-        // All six adjust for `region`.
-        let mut queries = Vec::new();
-        for educated in [true, false] {
-            let p = Pattern::of_eq(&[("educated", Value::Bool(educated))]);
-            queries.extend(groups.iter().map(|g| (g, p.clone())));
-        }
-        // `region` itself needs no adjustment: a second table and index
-        // over the whole frame, and for `linear` on the group entry the
-        // default engine still holds.
-        queries.push((&groups[0], region("north")));
+        // Adjustment sets: `[region]` twice, then `[]` twice. `region` on
+        // the north group treats every row, so `linear` refuses it before
+        // any lookup, while `matching` looks its index up first.
+        let patterns = [
+            educated(true),
+            educated(false),
+            educated(true).and(&region("north")),
+            region("north"),
+        ];
         let bits = |e: Option<Estimate>| {
-            let e = e.expect("estimable");
-            let fields = [e.cate, e.std_err, e.t_stat, e.p_value].map(f64::to_bits);
-            (fields, e.n_treated, e.n_control)
+            e.map(|e| {
+                let fields = [e.cate, e.std_err, e.t_stat, e.p_value].map(f64::to_bits);
+                (fields, e.n_treated, e.n_control)
+            })
         };
-        for (group, p) in &queries {
-            for kind in [EstimatorKind::Linear, EstimatorKind::Matching] {
-                assert_eq!(
-                    bits(tiny.cate(group, p, &kind)),
-                    bits(default.cate(group, p, &kind)),
-                    "{kind:?} {p:?}"
-                );
+        // Per group: (group rows, cell tables, match indices) as
+        // (hits, misses), and the distinct tables built.
+        let expected = [((1, 1), (2, 2), (2, 2), 2), ((1, 1), (2, 1), (2, 2), 1)];
+        let mut held = Vec::new();
+        for round in 0..2 {
+            for (mask, &(rows, tables, indices, designs)) in groups.iter().zip(&expected) {
+                let before = [
+                    engine.group_rows_cache_stats(),
+                    engine.cell_table_cache_stats(),
+                    engine.match_index_cache_stats(),
+                ];
+                let group = GroupHandle::new(mask);
+                for kind in [EstimatorKind::Linear, EstimatorKind::Matching] {
+                    let q = engine.with_estimator(&kind);
+                    let mut walk = q.walk();
+                    for p in &patterns {
+                        let treated = p.coverage(df).unwrap();
+                        let live = walk.cate(&group, engine.pattern_codes(p), &treated);
+                        let attrs: Vec<String> =
+                            p.attributes().into_iter().map(str::to_owned).collect();
+                        let adjustment = engine.adjustment_for(&attrs).unwrap();
+                        let alone = kind.estimate(df, mask, &treated, "income", &adjustment);
+                        assert_eq!(bits(live), bits(alone.ok()), "{kind:?} {p}");
+                    }
+                }
+                let (group_rows, cell_tables, indices_held) = group.state.borrow().held();
+                assert!(group_rows.is_some());
+                assert_eq!((cell_tables.len(), indices_held), (designs, 2));
+                held.push((group_rows, cell_tables));
+                let after = [
+                    engine.group_rows_cache_stats(),
+                    engine.cell_table_cache_stats(),
+                    engine.match_index_cache_stats(),
+                ];
+                for (kind, (b, a), (hits, misses)) in [
+                    ("group rows", (before[0], after[0]), rows),
+                    ("cell tables", (before[1], after[1]), tables),
+                    ("match indices", (before[2], after[2]), indices),
+                ] {
+                    let grew = (a.hits - b.hits, a.misses - b.misses);
+                    assert_eq!(grew, (hits, misses), "{kind}, round {round}");
+                    assert_eq!((a.evictions, a.entries), (0, 0), "{kind}");
+                }
+            }
+            // The handles are gone, and with them everything they built.
+            for (group_rows, cell_tables) in held.drain(..) {
+                assert!(group_rows.unwrap().upgrade().is_none());
+                assert!(cell_tables.iter().all(|t| t.upgrade().is_none()));
             }
         }
-        let counts = |c: CacheCounters| (c.hits, c.misses, c.evictions, c.entries);
-        for tiny_cache in [
-            tiny.match_index_cache_stats(),
-            tiny.cell_table_cache_stats(),
-            tiny.group_rows_cache_stats(),
-        ] {
-            assert_eq!(counts(tiny_cache), (0, 7, 6, 1));
-        }
-        assert_eq!(counts(default.match_index_cache_stats()), (3, 4, 0, 4));
-        assert_eq!(counts(default.cell_table_cache_stats()), (3, 4, 0, 4));
-        assert_eq!(counts(default.group_rows_cache_stats()), (1, 3, 0, 3));
     }
 
     /// Two adjustment sets that differ only by a covariate constant in the
     /// group share one cell table: `educated` adjusts for `region`,
     /// `{educated, region}` for nothing, and `region` has one level in the
-    /// north. The second set's query is a table hit, not a build, and both
-    /// estimates equal a table built for their own set alone bit for bit,
-    /// and the oracle's within its contract.
+    /// north. Through one handle, the second set's query is a table hit,
+    /// not a build, and both estimates equal a table built for their own
+    /// set alone bit for bit, and the oracle's within its contract.
     #[test]
     fn adjustment_sets_differing_by_a_constant_covariate_share_one_table() {
         let engine = engine();
@@ -1437,15 +1383,19 @@ mod tests {
         for (p, adjustment) in &queries {
             let attrs: Vec<String> = p.attributes().into_iter().map(str::to_owned).collect();
             let found = engine.adjustment_for(&attrs).unwrap();
-            assert_eq!(found.names(), &adjustment[..], "{p}");
+            assert_eq!(&found[..], &adjustment[..], "{p}");
         }
         let bits = |e: &Estimate| {
             let fields = [e.cate, e.std_err, e.t_stat, e.p_value].map(f64::to_bits);
             (fields, e.n_treated, e.n_control)
         };
+        let q = engine.with_estimator(&EstimatorKind::Linear);
+        let mut walk = q.walk();
+        let handle = GroupHandle::new(&group);
         for (p, adjustment) in &queries {
-            let live = engine.cate(&group, p, &EstimatorKind::Linear).unwrap();
             let treated = p.coverage(df).unwrap();
+            let live = walk.cate(&handle, engine.pattern_codes(p), &treated);
+            let live = live.unwrap();
             let own = CellTable::build(df, &group, "income", adjustment).unwrap();
             let own = own.unwrap().estimate(&group, &treated).unwrap();
             assert_eq!(bits(&live), bits(&own), "{p}");
@@ -1463,7 +1413,8 @@ mod tests {
             );
         }
         let tables = engine.cell_table_cache_stats();
-        assert_eq!((tables.hits, tables.misses, tables.entries), (1, 1, 2));
+        assert_eq!((tables.hits, tables.misses), (1, 1));
+        assert_eq!(handle.state.borrow().held().1.len(), 1);
     }
 
     /// The walk entry point, handed `coverage ∧ pattern` as the treated
@@ -1514,7 +1465,7 @@ mod tests {
                 for sub in &subs {
                     let expected = by_pattern.cate(sub, p, &kind);
                     assert_eq!(
-                        bits(walk.cate(GroupHandle::new(sub), codes.iter().copied(), &treated)),
+                        bits(walk.cate(&GroupHandle::new(sub), codes.iter().copied(), &treated)),
                         bits(expected),
                         "{kind:?} {p} on {} rows",
                         sub.count()
@@ -1753,7 +1704,7 @@ mod tests {
         let q = engine.with_estimator(&EstimatorKind::Linear);
         let a = q
             .walk()
-            .cate(GroupHandle::new(&all), engine.pattern_codes(&p), &treated);
+            .cate(&GroupHandle::new(&all), engine.pattern_codes(&p), &treated);
         let b = engine.cate(&all, &p, &EstimatorKind::Linear);
         assert_eq!(a, b);
         let stats = engine.cache_stats();

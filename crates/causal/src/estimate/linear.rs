@@ -61,17 +61,15 @@
 //! `XᵀX` gives `β` and, from one more triangular solve against `e₁`, the
 //! `(1,1)` entry of `(XᵀX)⁻¹`.
 //!
-//! The [`CateEngine`](crate::cate::CateEngine) caches one [`GroupRows`]
-//! per group fingerprint and, per (group fingerprint, adjustment
-//! fingerprint), the table (or the verdict that the columnar path must
-//! run), so an intervention sweep over a group builds its table once. On
-//! a miss, the group entry hands out the live table of the same varying
-//! covariates if another adjustment set has one, so the cache builds one
-//! table per distinct design.
+//! A group's [`GroupState`], owned by the group's
+//! [`GroupHandle`](crate::cate::GroupHandle), holds its [`GroupRows`] and,
+//! per adjustment set, the table (or the verdict that the columnar path
+//! must run), so an intervention sweep over a group builds its table once.
+//! Adjustment sets that vary in the same covariates share one table, so
+//! the state builds one table per distinct design.
 
 use super::design::LevelCoder;
-use super::{kernel, Estimate, HotStats, MIN_ARM_SIZE};
-use crate::cate::GroupCacheRef;
+use super::{kernel, Estimate, GroupState, HotStats, MIN_ARM_SIZE};
 use crate::error::{CausalError, Result};
 use crate::linalg::{cholesky_solve, spd_factor, Matrix};
 use faircap_table::stats::t_sf_two_sided;
@@ -79,7 +77,7 @@ use faircap_table::{CatColumn, Column, DataFrame, Mask};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::ops::{AddAssign, Mul};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The count path's contract against
@@ -103,37 +101,24 @@ pub const INFERENCE_TOLERANCE: f64 = 1e-9;
 pub const EXACT_RSS_FRACTION: f64 = 1e-6;
 
 /// Estimate the CATE by linear regression (see module docs), with
-/// hot-path cost accounting. With `caches` — the engine's group caches and
-/// the group and adjustment fingerprints keying them — the count path's
-/// [`GroupRows`] and [`CellTable`] come from the caches (shared or built,
-/// and cached, on a miss); without, both are built for this estimate
-/// alone.
+/// hot-path cost accounting. With the group's `state`, the count path's
+/// [`GroupRows`] and [`CellTable`] come from it (built into it on first
+/// use); without, both are built for this estimate alone.
 pub fn estimate_with(
     df: &DataFrame,
     group: &Mask,
     treated: &Mask,
     outcome: &str,
     adjustment: &[String],
-    caches: Option<GroupCacheRef<'_>>,
+    state: Option<&mut GroupState>,
     stats: &mut HotStats,
 ) -> Result<Estimate> {
     let n = group.count();
     let arms = arms(n, group, treated)?;
 
     let t0 = Instant::now();
-    let table = match caches {
-        Some(cache) => {
-            let caches = cache.caches;
-            caches
-                .cell_table
-                .get_or_resolve(cache.table_key(), || -> Result<_> {
-                    let rows = || {
-                        let build = || GroupRows::build(df, group, outcome);
-                        caches.group_rows.get_or_build(cache.group_fp, build)
-                    };
-                    CellTable::assemble(df, group, adjustment, rows)
-                })?
-        }
+    let table = match state {
+        Some(state) => state.cell_table(df, group, outcome, adjustment)?,
         None => CellTable::build(df, group, outcome, adjustment)?,
     };
     if let Some(table) = table {
@@ -232,7 +217,8 @@ fn fit(
 
 /// The count path's first tier (see module docs): what depends on the
 /// group rows alone, shared by the [`CellTable`]s of every adjustment set
-/// over the group. Covariate levels are coded on first use.
+/// over the group. Covariate levels are coded on first use; their ids
+/// name a table's design in the group's [`GroupState`].
 ///
 /// An entry answers for the frame, outcome and group mask it was built
 /// from only: every method taking a `group` must be passed that same mask.
@@ -250,10 +236,6 @@ pub struct GroupRows {
     rank: Vec<u32>,
     /// Coded covariates by column name.
     covariates: Mutex<HashMap<String, Arc<Levels>>>,
-    /// The live tables assembled over the group, by the [`Levels::id`]s of
-    /// the covariates they were built from. Weak, so a table (which holds
-    /// its group entry) and the entry form no cycle.
-    tables: Mutex<HashMap<Vec<u32>, Weak<CellTable>>>,
 }
 
 /// One categorical covariate coded within a group.
@@ -331,7 +313,6 @@ impl GroupRows {
             tss,
             rank,
             covariates: Mutex::new(HashMap::new()),
-            tables: Mutex::new(HashMap::new()),
         })))
     }
 
@@ -339,7 +320,8 @@ impl GroupRows {
     /// over the group's set words on first use codes each row's level and
     /// adds its outcome to that level's sum.
     fn levels(&self, name: &str, cat: &CatColumn, group: &Mask) -> Arc<Levels> {
-        if let Some(hit) = self.covariates.lock().get(name) {
+        let mut covariates = self.covariates.lock();
+        if let Some(hit) = covariates.get(name) {
             return Arc::clone(hit);
         }
         let codes = cat.codes();
@@ -362,14 +344,10 @@ impl GroupRows {
         } else {
             LevelColumn::Word(levels)
         };
-        // A racing thread may have coded the same covariate; both codings
-        // are equal, and the first one stays.
-        let mut covariates = self.covariates.lock();
         let id = covariates.len() as u32;
-        let coded = covariates
-            .entry(name.to_owned())
-            .or_insert_with(|| Arc::new(Levels { id, column, sums }));
-        Arc::clone(coded)
+        let coded = Arc::new(Levels { id, column, sums });
+        covariates.insert(name.to_owned(), Arc::clone(&coded));
+        coded
     }
 }
 
@@ -497,6 +475,90 @@ struct Treated {
     sum_y: f64,
 }
 
+impl GroupState {
+    /// The table of `adjustment` over the group, or `None` when the
+    /// columnar path must run instead: a numeric or Bool covariate, or a
+    /// non-finite outcome. Errors match the columnar path's (unknown
+    /// column, non-numeric outcome) and keep nothing.
+    ///
+    /// A covariate with one level in the group splits no cell and adds no
+    /// design column, so the table depends only on the covariates that
+    /// vary there, and an adjustment set that differs from one already
+    /// assembled only by covariates constant in the group shares its
+    /// table. A lookup is a hit when it builds nothing: the set's table or
+    /// verdict is kept, or another set's table is shared.
+    pub(crate) fn cell_table(
+        &mut self,
+        df: &DataFrame,
+        group: &Mask,
+        outcome: &str,
+        adjustment: &[String],
+    ) -> Result<Option<Arc<CellTable>>> {
+        if let Some(table) = self.tables.get(adjustment) {
+            self.lookups.cell_table.count(true);
+            return Ok(table.clone());
+        }
+        let designs = self.designs.len();
+        let table = self.assemble(df, group, outcome, adjustment);
+        // A table that added no design was shared; anything else was built
+        // here (or failed to be).
+        let shared = matches!(table, Ok(Some(_))) && self.designs.len() == designs;
+        self.lookups.cell_table.count(shared);
+        let table = table?;
+        self.tables.insert(adjustment.to_vec(), table.clone());
+        Ok(table)
+    }
+
+    /// The table of the covariates of `adjustment` that vary in the group:
+    /// the kept one of that design, or one put together over the group
+    /// entry. `None` for the columnar path: a covariate that is not
+    /// categorical (checked before the entry is looked up), or no entry.
+    fn assemble(
+        &mut self,
+        df: &DataFrame,
+        group: &Mask,
+        outcome: &str,
+        adjustment: &[String],
+    ) -> Result<Option<Arc<CellTable>>> {
+        let mut covariates = Vec::with_capacity(adjustment.len());
+        for name in adjustment {
+            match df.column(name)? {
+                Column::Cat(c) => covariates.push((name, c)),
+                _ => return Ok(None),
+            }
+        }
+        let Some(rows) = self.group_rows(df, group, outcome)? else {
+            return Ok(None);
+        };
+        let coded: Vec<Arc<Levels>> = covariates
+            .iter()
+            .map(|&(name, cat)| rows.levels(name, cat, group))
+            .filter(|levels| levels.sums.len() > 1)
+            .collect();
+        let design = coded.iter().map(|levels| levels.id).collect();
+        let table = self
+            .designs
+            .entry(design)
+            .or_insert_with(|| Arc::new(CellTable::from_levels(rows, &coded)));
+        Ok(Some(Arc::clone(table)))
+    }
+
+    /// The group entry, built on its first lookup (a miss); `None` when
+    /// the group's outcomes are not all finite.
+    fn group_rows(
+        &mut self,
+        df: &DataFrame,
+        group: &Mask,
+        outcome: &str,
+    ) -> Result<Option<Arc<GroupRows>>> {
+        self.lookups.group_rows.count(self.rows.is_some());
+        if self.rows.is_none() {
+            self.rows = Some(GroupRows::build(df, group, outcome)?);
+        }
+        Ok(self.rows.clone().flatten())
+    }
+}
+
 impl CellTable {
     /// Build the group entry and the table for this one adjustment set, or
     /// `None` when the columnar path must run instead: a numeric or Bool
@@ -508,57 +570,7 @@ impl CellTable {
         outcome: &str,
         adjustment: &[String],
     ) -> Result<Option<Arc<CellTable>>> {
-        let rows = || GroupRows::build(df, group, outcome);
-        Ok(CellTable::assemble(df, group, adjustment, rows)?.0)
-    }
-
-    /// The table of this adjustment set over the group entry `rows()`
-    /// supplies, or `None` when the columnar path must run instead: a
-    /// numeric or Bool covariate (checked before `rows` is called) or no
-    /// entry (a non-finite outcome). Errors match the columnar path's
-    /// (unknown column, non-numeric outcome).
-    ///
-    /// A covariate with one level in the group splits no cell and adds no
-    /// design column, so the table depends only on the covariates that
-    /// vary there. The entry keeps the live table of each such set, and an
-    /// adjustment set that differs from one already assembled only by
-    /// covariates constant in the group shares that table. The flag is
-    /// `false` for a shared table, `true` for a table or verdict built
-    /// here.
-    fn assemble(
-        df: &DataFrame,
-        group: &Mask,
-        adjustment: &[String],
-        rows: impl FnOnce() -> Result<Option<Arc<GroupRows>>>,
-    ) -> Result<(Option<Arc<CellTable>>, bool)> {
-        let mut covariates = Vec::with_capacity(adjustment.len());
-        for name in adjustment {
-            match df.column(name)? {
-                Column::Cat(c) => covariates.push((name, c)),
-                _ => return Ok((None, true)),
-            }
-        }
-        let Some(rows) = rows()? else {
-            return Ok((None, true));
-        };
-        let coded: Vec<Arc<Levels>> = covariates
-            .iter()
-            .map(|&(name, cat)| rows.levels(name, cat, group))
-            .filter(|levels| levels.sums.len() > 1)
-            .collect();
-        let design: Vec<u32> = coded.iter().map(|levels| levels.id).collect();
-        if let Some(shared) = rows.tables.lock().get(&design).and_then(Weak::upgrade) {
-            return Ok((Some(shared), false));
-        }
-        let table = Arc::new(CellTable::from_levels(Arc::clone(&rows), &coded));
-        // A racing thread may have built the same design; both tables are
-        // equal, and the first one stays.
-        let mut tables = rows.tables.lock();
-        tables.retain(|_, live| live.strong_count() > 0);
-        let kept = tables
-            .entry(design)
-            .or_insert_with(|| Arc::downgrade(&table));
-        Ok((Some(kept.upgrade().unwrap_or(table)), true))
+        GroupState::default().cell_table(df, group, outcome, adjustment)
     }
 
     /// Put the table together over `rows` from the covariates that split

@@ -30,9 +30,9 @@
 //! a median-split [`KdTree`] over it, and each unit's *cell* — the units
 //! sharing its exact standardized point, keyed on the f64 bit patterns.
 //! The index depends only on the (subgroup, adjustment-set) pair — arm
-//! membership is applied as a query filter — so the
-//! [`CateEngine`](crate::cate::CateEngine) caches and reuses one index
-//! across every intervention of a pattern sweep. Queries are
+//! membership is applied as a query filter — so a group's
+//! [`GroupState`] builds one index per adjustment set and reuses it across
+//! every intervention of the group's pattern sweep. Queries are
 //! tie-inclusive two-phase lookups ([`KdTree::query_ties`]) that reproduce
 //! the brute-force matched sets *exactly*; the brute path (kept for tiny
 //! arms and covariate-free designs, see [`MatchStrategy`]) and the tree
@@ -78,7 +78,7 @@
 //! their cell structure.
 
 use super::kdtree::{self, KdTree, LEAF_SIZE};
-use super::{aipw, design, kernel, normal_inference, Estimate, HotStats, MIN_ARM_SIZE};
+use super::{aipw, design, kernel, normal_inference, Estimate, GroupState, HotStats, MIN_ARM_SIZE};
 use crate::error::{CausalError, Result};
 use faircap_table::{DataFrame, Mask};
 use std::collections::HashMap;
@@ -181,8 +181,7 @@ pub enum MatchStrategy {
 ///
 /// Deliberately treatment-*independent* — arm membership is a query-time
 /// filter — so one index serves every intervention of a pattern sweep;
-/// the engine caches these per (group fingerprint, adjustment
-/// fingerprint).
+/// a group's [`GroupState`] keeps one per adjustment set.
 #[derive(Debug)]
 pub struct MatchIndex {
     pub(super) y: Vec<f64>,
@@ -365,6 +364,27 @@ pub fn estimate_with(
         stats,
         cell_contrasts,
     )
+}
+
+impl GroupState {
+    /// The group's index over `adjustment`, built on its first lookup (a
+    /// miss). A failed build keeps nothing.
+    pub(crate) fn match_index(
+        &mut self,
+        df: &DataFrame,
+        group: &Mask,
+        outcome: &str,
+        adjustment: &[String],
+        stats: &mut HotStats,
+    ) -> Result<&MatchIndex> {
+        let hit = self.indices.contains_key(adjustment);
+        self.lookups.match_index.count(hit);
+        if !hit {
+            let index = MatchIndex::build(df, group, outcome, adjustment, stats)?;
+            self.indices.insert(adjustment.to_vec(), index);
+        }
+        Ok(&self.indices[adjustment])
+    }
 }
 
 /// What a contrast pass reads: the index, the group-dense treatment

@@ -50,6 +50,7 @@ pub mod reference;
 pub mod stratified;
 
 use faircap_table::{DataFrame, Mask};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::Result;
@@ -91,8 +92,8 @@ pub struct HotStats {
     /// per-intervention walk over the treated rows.
     pub build_ns: u64,
     /// Nanoseconds spent constructing reusable indices (the KD-tree over
-    /// the standardized design; zero for estimators without one or when a
-    /// cached index was reused).
+    /// the standardized design; zero for estimators without one or when
+    /// the group's index was reused).
     pub index_ns: u64,
     /// Nanoseconds in everything downstream — reductions, solves, queries.
     /// Filled in by the engine as `total − build − index`. For `linear`'s
@@ -107,20 +108,69 @@ pub struct HotStats {
 }
 
 /// Per-query context threaded through [`Estimator::estimate_with_ctx`]:
-/// the cost-accounting sink, and the engine's group caches together with
-/// the querying subgroup's fingerprint and the adjustment set's, so the
-/// matching estimator's KD-tree index and the linear estimator's cell
-/// table are built once per `(group fingerprint, adjustment fingerprint)`
-/// (the latter on one group entry per subgroup) and reused across the
-/// intervention sweep. The default context has no caches: every
-/// group-level structure is built for the one estimate.
+/// the cost-accounting sink, and the querying group's [`GroupState`], from
+/// which the built-in estimators take the group-level structures they
+/// reuse across the group's intervention sweep. The default context has no
+/// state: every group-level structure is built for the one estimate.
 #[derive(Default)]
 pub struct EstimateCtx<'a> {
     /// Accumulated hot-path costs for this query.
     pub stats: HotStats,
-    /// Group caches and the group and adjustment fingerprints keying them;
-    /// `None` builds every group-level structure for this query alone.
-    pub group_cache: Option<crate::cate::GroupCacheRef<'a>>,
+    /// The group's state, owned by its
+    /// [`GroupHandle`](crate::cate::GroupHandle); `None` builds every
+    /// group-level structure for this query alone.
+    pub group: Option<&'a mut GroupState>,
+}
+
+/// One group's estimator state, owned by its
+/// [`GroupHandle`](crate::cate::GroupHandle) and dropped with it: what
+/// depends on the group's rows alone, or on them and an adjustment set,
+/// but not on the intervention, so one build serves the group's whole
+/// intervention sweep. Each part is built by the first estimate that needs
+/// it: `linear`'s group entry and its cell table per distinct design, and
+/// `matching`'s KD-tree index per adjustment set. Adjustment sets are
+/// keyed by their names, compared in full.
+#[derive(Debug, Default)]
+pub struct GroupState {
+    /// `linear`'s group entry, once a table has needed it; `Some(None)`
+    /// when the group's outcomes are not all finite.
+    rows: Option<Option<Arc<linear::GroupRows>>>,
+    /// `linear`'s table of each adjustment set, or `None` where the
+    /// columnar path runs.
+    tables: HashMap<Vec<String>, Option<Arc<linear::CellTable>>>,
+    /// The same tables by design: the ids of the coded covariates that
+    /// vary in the group.
+    designs: HashMap<Vec<u32>, Arc<linear::CellTable>>,
+    /// `matching`'s index of each adjustment set.
+    indices: HashMap<Vec<String>, matching::MatchIndex>,
+    /// Lookups into the above, which the engine takes after each
+    /// estimate.
+    pub(crate) lookups: GroupLookups,
+}
+
+/// Hits and misses of one kind of group state; a miss builds.
+#[derive(Debug, Default)]
+pub(crate) struct Lookups {
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+}
+
+impl Lookups {
+    fn count(&mut self, hit: bool) {
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+    }
+}
+
+/// [`Lookups`] of each kind of [`GroupState`].
+#[derive(Debug, Default)]
+pub(crate) struct GroupLookups {
+    pub(crate) match_index: Lookups,
+    pub(crate) cell_table: Lookups,
+    pub(crate) group_rows: Lookups,
 }
 
 /// A treatment-effect estimate with inference statistics.
@@ -252,8 +302,8 @@ pub trait Estimator: Send + Sync {
     ) -> Result<Estimate>;
 
     /// [`estimate`](Self::estimate) with an [`EstimateCtx`]: hot-path cost
-    /// accounting and (for cache-aware estimators) access to the engine's
-    /// group caches. The default
+    /// accounting and (for the built-in estimators) the group's
+    /// [`GroupState`]. The default
     /// implementation ignores the context and delegates to
     /// [`estimate`](Self::estimate), so custom estimators keep working
     /// unchanged; the built-in [`EstimatorKind`] overrides it to thread the
@@ -304,11 +354,20 @@ impl Estimator for EstimatorKind {
         outcome: &str,
         adjustment: &[String],
     ) -> Result<Estimate> {
-        let EstimateCtx { stats, group_cache } = ctx;
+        let EstimateCtx {
+            stats,
+            group: state,
+        } = ctx;
         match self {
-            EstimatorKind::Linear => {
-                linear::estimate_with(df, group, treated, outcome, adjustment, *group_cache, stats)
-            }
+            EstimatorKind::Linear => linear::estimate_with(
+                df,
+                group,
+                treated,
+                outcome,
+                adjustment,
+                state.as_deref_mut(),
+                stats,
+            ),
             EstimatorKind::Stratified => {
                 stratified::estimate(df, group, treated, outcome, adjustment)
             }
@@ -319,24 +378,8 @@ impl Estimator for EstimatorKind {
                 aipw::estimate_with(df, group, treated, outcome, adjustment, stats)
             }
             EstimatorKind::Matching => {
-                // One KD-tree index per (group, adjustment set)
-                // fingerprint pair, shared across every intervention swept
-                // against this subgroup.
-                let shared;
-                let index = match group_cache {
-                    Some(cache) => {
-                        let caches = cache.caches;
-                        shared = caches.match_index.get_or_build(
-                            cache.table_key(),
-                            || -> Result<_> {
-                                let index = matching::MatchIndex::build(
-                                    df, group, outcome, adjustment, stats,
-                                )?;
-                                Ok(Arc::new(index))
-                            },
-                        )?;
-                        Some(&*shared)
-                    }
+                let index = match state {
+                    Some(state) => Some(state.match_index(df, group, outcome, adjustment, stats)?),
                     None => None,
                 };
                 let params = matching::MatchParams {
@@ -346,6 +389,27 @@ impl Estimator for EstimatorKind {
                 matching::estimate_with(df, group, treated, outcome, adjustment, &params, stats)
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl GroupState {
+    /// What the state holds: its group entry, its tables (one per design)
+    /// and its indices.
+    pub(crate) fn held(
+        &self,
+    ) -> (
+        Option<std::sync::Weak<linear::GroupRows>>,
+        Vec<std::sync::Weak<linear::CellTable>>,
+        usize,
+    ) {
+        let rows = self.rows.clone().flatten();
+        let tables = self.designs.values().map(Arc::downgrade).collect();
+        (
+            rows.as_ref().map(Arc::downgrade),
+            tables,
+            self.indices.len(),
+        )
     }
 }
 

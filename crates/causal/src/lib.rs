@@ -36,10 +36,7 @@ pub mod truth;
 pub mod discovery;
 
 pub use backdoor::{find_adjustment_set, find_adjustment_set_names, is_valid_backdoor};
-pub use cate::{
-    Adjustment, CateEngine, CateEngineState, CateQuery, CateWalk, CellTableCache, GroupCacheRef,
-    GroupCaches, GroupHandle, GroupRowsCache, MatchIndexCache, PredicateCode,
-};
+pub use cate::{CateEngine, CateEngineState, CateQuery, CateWalk, GroupHandle, PredicateCode};
 pub use dsep::{d_separated, d_separated_names};
 pub use error::{CausalError, Result};
 pub use estimate::matching::{MatchIndex, MatchParams, MatchStrategy};

@@ -114,15 +114,17 @@ pub fn evaluate_group_interventions(
         .collect();
 
     // Lattice traversal scored by overall CATE. Each group is
-    // fingerprinted once per walk, not once per query, and a node's mask
-    // (`coverage ∧ pattern`) is its treated mask: only its rows inside the
-    // group, or inside either sub-coverage, matter to an estimate.
+    // fingerprinted once per walk, not once per query, and its handle
+    // holds the estimators' group state until this function returns. A
+    // node's mask (`coverage ∧ pattern`) is its treated mask: only its rows
+    // inside the group, or inside either sub-coverage, matter to an
+    // estimate.
     let mut walk = query.walk();
     let group = GroupHandle::new(coverage);
     let (nodes, stats) = coded_lattice(
         &items,
         max_intervention_len,
-        |node, mask| walk.cate(group, node_codes(&codes, node), mask),
+        |node, mask| walk.cate(&group, node_codes(&codes, node), mask),
         |est| est.cate > 0.0,
     );
 
@@ -142,13 +144,13 @@ pub fn evaluate_group_interventions(
         // (Definition 4.4: 0 when the sub-coverage is empty; when its
         // estimate is refused, the overall CATE stands in — see
         // "Sub-coverage utilities" in `docs/architecture.md`, Step 2).
-        let mut utility = |sub: GroupHandle<'_>| {
+        let mut utility = |sub: &GroupHandle<'_>| {
             subgroup_utility(sub.mask(), est.cate, || {
                 walk.cate(sub, node_codes(&codes, &node.items), &node.mask)
             })
         };
-        let u_p = utility(group_p);
-        let u_np = utility(group_np);
+        let u_p = utility(&group_p);
+        let u_np = utility(&group_np);
         let pattern = node
             .items
             .iter()

@@ -31,8 +31,8 @@ pub enum Error {
         name: String,
     },
     /// An attribute was declared with conflicting roles (immutable and
-    /// mutable, overlapping the outcome, or mutable and named by the
-    /// protected pattern).
+    /// mutable, overlapping the outcome, or named by the protected pattern
+    /// while mutable or the outcome).
     ConflictingRoles {
         /// The doubly-declared attribute.
         name: String,

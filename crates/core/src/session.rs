@@ -190,6 +190,14 @@ impl SessionBuilder {
                 roles: ("mutable", "protected"),
             });
         }
+        // A group selected on the outcome has its utilities decided by the
+        // selection, not by any intervention.
+        if protected.attributes().contains(&outcome.as_str()) {
+            return Err(Error::ConflictingRoles {
+                name: outcome,
+                roles: ("outcome", "protected"),
+            });
+        }
         // Validates outcome existence and type — before the DAG-membership
         // check, so a missing column is reported as the missing column
         // rather than as a DAG problem.
@@ -1051,17 +1059,32 @@ mod tests {
         assert!(matches!(err, Error::ConflictingRoles { .. }));
         // The protected pattern's attribute may not be mutable.
         let err = FairCap::builder()
-            .data(df)
-            .dag(dag)
+            .data(df.clone())
+            .dag(dag.clone())
             .outcome("outcome")
             .immutable(["segment"])
             .mutable(["big", "grp"])
-            .protected(prot)
+            .protected(prot.clone())
             .build()
             .unwrap_err();
         assert!(
             matches!(err, Error::ConflictingRoles { ref name, roles: ("mutable", "protected") }
                 if name == "grp"),
+            "{err}"
+        );
+        // Nor may it be the outcome, even beside another attribute.
+        let outcome = df.get(0, "outcome").unwrap();
+        let err = FairCap::builder()
+            .data(df)
+            .dag(dag)
+            .outcome("outcome")
+            .mutable(["big"])
+            .protected(prot.and(&Pattern::of_eq(&[("outcome", outcome)])))
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::ConflictingRoles { ref name, roles: ("outcome", "protected") }
+                if name == "outcome"),
             "{err}"
         );
     }

@@ -484,7 +484,7 @@ static SESSION: &[Metric<RegisteredSession>] = &[
     counter(
         "faircap_session_cache_hits_total",
         "{}.hits",
-        "Session cache hits by cache (estimate, grouping, intervention, match_index, cell_table, group_rows, estimate/<estimator>)",
+        "Session cache hits by cache (estimate, grouping, intervention, match_index, cell_table, group_rows, estimate/<estimator>); match_index, cell_table and group_rows count the state each solve's group handles build and drop, so their entries and evictions read 0",
         Each("cache", |e| caches(e, |c| c.hits)),
     ),
     counter(

@@ -2,7 +2,7 @@
 //!
 //! [`ShardedLruCache`] is the one caching type of the workspace: every
 //! cache of the CATE engine in `faircap-causal` (estimates, adjustment
-//! sets, group tables) and of the solve session in
+//! sets) and of the solve session in
 //! `faircap-core` (grouping patterns, intervention evaluations) is an
 //! instance of it. Keys are distributed
 //! over `N` independently locked shards by hash, so concurrent solve
@@ -195,41 +195,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLruCache<K, V> {
             None => shard.misses += 1,
         }
         found
-    }
-
-    /// Return the cached entry for `key`, building (and caching) it with
-    /// `build` on a miss. A failed build caches nothing. Two threads that
-    /// miss the same key at once both build; the second insert replaces
-    /// the first.
-    pub fn get_or_build<E>(&self, key: K, build: impl FnOnce() -> Result<V, E>) -> Result<V, E> {
-        if let Some(hit) = self.get(&key) {
-            return Ok(hit);
-        }
-        let built = build()?;
-        self.insert(key, built.clone());
-        Ok(built)
-    }
-
-    /// [`get_or_build`](Self::get_or_build) for a value that may already
-    /// exist outside the cache: on a miss, `resolve` returns the value and
-    /// whether it had to build it. A miss that `resolve` answers without
-    /// building counts as a hit, so `misses` counts builds.
-    pub fn get_or_resolve<E>(
-        &self,
-        key: K,
-        resolve: impl FnOnce() -> Result<(V, bool), E>,
-    ) -> Result<V, E> {
-        if let Some(hit) = self.get(&key) {
-            return Ok(hit);
-        }
-        let (value, built) = resolve()?;
-        if !built {
-            let mut shard = self.shard_of(&key).lock();
-            shard.misses -= 1;
-            shard.hits += 1;
-        }
-        self.insert(key, value.clone());
-        Ok(value)
     }
 
     /// Insert (or replace) an entry, evicting least-recently-used entries
@@ -506,21 +471,6 @@ mod tests {
             .collect();
         assert_eq!(evicted, vec![2, 0, 1]);
         assert_eq!(bounded.tick.load(Ordering::Relaxed), 9);
-    }
-
-    #[test]
-    fn resolved_misses_count_as_hits() {
-        let cache: ShardedLruCache<u32, u32> = ShardedLruCache::new(4, 2);
-        let found = cache.get_or_resolve(1, || Ok::<_, ()>((10, false)));
-        let built = cache.get_or_resolve(2, || Ok::<_, ()>((20, true)));
-        assert_eq!((found, built), (Ok(10), Ok(20)));
-        assert_eq!(cache.get_or_resolve(1, || Err(())), Ok(10));
-        assert_eq!(
-            cache.get_or_resolve(3, || Err::<(u32, bool), _>(())),
-            Err(())
-        );
-        let c = cache.counters();
-        assert_eq!((c.hits, c.misses, c.entries), (2, 2, 2));
     }
 
     #[test]

@@ -1276,7 +1276,7 @@ mod tests {
         let err = execute(&opts).unwrap_err();
         assert!(matches!(err, CliError::Config(_)), "{err}");
         assert_eq!(err.exit_code(), 2);
-        let (_, files) = so_files("faircap_cli_exit_code_test");
+        let (dir, files) = so_files("faircap_cli_exit_code_test");
         let solve = |flags: &str| {
             let flags = format!("{files} --outcome salary --max-rules 3 {flags}");
             execute(&parse_args(&args(&flags)).unwrap())
@@ -1312,6 +1312,14 @@ mod tests {
         config_error(
             "--mutable training,gdp_group --protected gdp_group=low",
             "declared both mutable and protected",
+        );
+        // Nor may the protected group be selected on the outcome: a salary
+        // that occurs in the data.
+        let df = faircap_table::csv::read_csv(dir.join("d.csv")).unwrap();
+        let salary = df.get(0, "salary").unwrap();
+        config_error(
+            &format!("{mutable} --protected salary={salary}"),
+            "declared both outcome and protected",
         );
         assert!(solve(roles).is_ok());
         // A runtime engine failure carries the typed error and exits 1,

@@ -107,12 +107,13 @@ fn ask(
     let mut answers = Vec::new();
     for g in groups {
         let mut walk = query.walk();
+        let group = GroupHandle::new(g);
         for p in patterns {
             let index = answers.len();
             let answer = if by_walk(index) {
                 let treated = p.coverage(engine.df()).unwrap();
                 let codes = engine.pattern_codes(p);
-                walk.cate(GroupHandle::new(g), codes, &treated)
+                walk.cate(&group, codes, &treated)
             } else {
                 engine.cate(g, p, &kind)
             };
